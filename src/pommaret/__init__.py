@@ -12,9 +12,8 @@ from .resolution import (BettiTable, Face, FreeComplex, Gen, Symbol,
                          render_differential, taylor_complex)
 from .cellular import (Cell, CellComplex, build_cell_complex, chain_vertices,
                        supports_check)
-from .morse import (Matching, Pair, ReducedComplex, ResolutionGraph,
-                    build_matching_V, is_morse_matching, minimize,
-                    morse_reduce)
+from .morse import (Matching, Pair, ReducedComplex, build_matching_V,
+                    is_morse_matching, minimize, morse_reduce)
 from .verify import (ComplexReport, ExactnessReport, InvariantReport,
                      StrandComplex, check_complex, check_exactness,
                      check_strand, exact_rank, homological_invariants,
@@ -32,8 +31,8 @@ __all__ = [
     "ps_complex", "ps_generators", "render_differential", "taylor_complex",
     "Cell", "CellComplex", "build_cell_complex", "chain_vertices",
     "supports_check",
-    "Matching", "Pair", "ReducedComplex", "ResolutionGraph",
-    "build_matching_V", "is_morse_matching", "minimize", "morse_reduce",
+    "Matching", "Pair", "ReducedComplex", "build_matching_V",
+    "is_morse_matching", "minimize", "morse_reduce",
     "ComplexReport", "ExactnessReport", "InvariantReport", "StrandComplex",
     "check_complex", "check_exactness", "check_strand", "exact_rank",
     "homological_invariants", "lcm_lattice", "oracle_betti",

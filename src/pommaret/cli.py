@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .cellular import build_cell_complex, supports_check
 from .errors import (ArityMismatch, EmptyInput, IdealSyntaxError,
@@ -124,20 +123,6 @@ def _parse_monomial(line, lineno, ring):
     return ring.monomial(exps)
 
 
-@dataclass
-class Job:
-    command: str
-    path: str = None
-    variant: str = "ps"
-    fmt: str = "text"
-    out: str = None
-    trace: str = None
-    strand_cap: int = 20000
-    seed: int = 0
-    count: int = 25
-    max_deg: int = 5
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="pommaret",
@@ -176,9 +161,9 @@ def _build_parser():
     return p
 
 
-def _emit(job, text):
-    if job.out:
-        with open(job.out, "w") as fh:
+def _emit(args, text):
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -188,35 +173,35 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _load(job):
-    with open(job.path) as fh:
+def _load(args):
+    with open(args.path) as fh:
         return parse_ideal(fh.read())
 
 
-def _cmd_basis(job):
-    basis = pommaret_basis(_load(job))
-    if job.fmt == "json":
-        _emit(job, _json_text({
+def _cmd_basis(args):
+    basis = pommaret_basis(_load(args))
+    if args.fmt == "json":
+        _emit(args, _json_text({
             "n": basis.ring.n,
             "elements": [{"monomial": str(h), "exps": list(h.exps),
                           "cls": h.cls} for h in basis.elements]}))
-    elif job.fmt == "text":
+    elif args.fmt == "text":
         lines = ["Pommaret basis, %d elements:" % len(basis)]
         for i, h in enumerate(basis.elements):
             lines.append("%3d: %-20s cls=%d" % (i, str(h), h.cls))
-        _emit(job, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         raise _Usage("basis has no dot format")
     return 0
 
 
-def _cmd_pgraph(job):
-    graph = build_p_graph(pommaret_basis(_load(job)))
+def _cmd_pgraph(args):
+    graph = build_p_graph(pommaret_basis(_load(args)))
     basis = graph.basis
-    if job.fmt == "dot":
-        _emit(job, graph.to_dot())
-    elif job.fmt == "json":
-        _emit(job, _json_text({
+    if args.fmt == "dot":
+        _emit(args, graph.to_dot())
+    elif args.fmt == "json":
+        _emit(args, _json_text({
             "vertices": [str(h) for h in basis.elements],
             "edges": [{"from": a, "var": k, "to": b, "t": str(t)}
                       for (a, k, b, t) in graph.edges]}))
@@ -226,14 +211,14 @@ def _cmd_pgraph(job):
             lines.append("%s --%s--> %s  (t=%s)" % (
                 basis.elements[a], basis.ring.names[k - 1],
                 basis.elements[b], t))
-        _emit(job, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _resolution_for(job, ideal):
-    if job.variant == "taylor":
+def _resolution_for(args, ideal):
+    if args.variant == "taylor":
         return taylor_complex(ideal)
-    if job.variant == "ek":
+    if args.variant == "ek":
         return ek_complex(ideal)
     return ps_complex(pommaret_basis(ideal))
 
@@ -249,23 +234,23 @@ def _render_complex_text(cplx):
     return "\n".join(lines) + "\n"
 
 
-def _cmd_resolution(job):
-    cplx = _resolution_for(job, _load(job))
-    if job.fmt == "json":
-        _emit(job, _json_text(cplx.to_json_dict()))
-    elif job.fmt == "text":
-        _emit(job, _render_complex_text(cplx))
+def _cmd_resolution(args):
+    cplx = _resolution_for(args, _load(args))
+    if args.fmt == "json":
+        _emit(args, _json_text(cplx.to_json_dict()))
+    elif args.fmt == "text":
+        _emit(args, _render_complex_text(cplx))
     else:
         raise _Usage("resolution has no dot format")
     return 0
 
 
-def _cmd_cellular(job):
-    cells = build_cell_complex(pommaret_basis(_load(job)))
-    if job.fmt == "dot":
-        _emit(job, cells.to_dot())
-    elif job.fmt == "json":
-        _emit(job, _json_text(cells.to_json_dict()))
+def _cmd_cellular(args):
+    cells = build_cell_complex(pommaret_basis(_load(args)))
+    if args.fmt == "dot":
+        _emit(args, cells.to_dot())
+    elif args.fmt == "json":
+        _emit(args, _json_text(cells.to_json_dict()))
     else:
         lines = ["cells by dimension: %s" %
                  "  ".join(str(c) for c in cells.counts())]
@@ -278,43 +263,43 @@ def _cmd_cellular(job):
                     c.dim, basis.elements[c.alpha],
                     "*".join(basis.ring.names[k - 1] for k in c.tau) or "1",
                     c.label, verts))
-        _emit(job, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_minimize(job):
-    basis = pommaret_basis(_load(job))
-    reduced = minimize(ps_complex(basis), trace=bool(job.trace))
-    if job.trace:
-        with open(job.trace, "w") as fh:
+def _cmd_minimize(args):
+    basis = pommaret_basis(_load(args))
+    reduced = minimize(ps_complex(basis), trace=bool(args.trace))
+    if args.trace:
+        with open(args.trace, "w") as fh:
             for rec in reduced.trace or []:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     sizes = reduced.matching.sizes_by_var()
-    if job.fmt == "json":
+    if args.fmt == "json":
         doc = reduced.to_json_dict()
         doc["matching"] = {str(k): v for k, v in sorted(sizes.items())}
         doc["safety_net_cancellations"] = reduced.safety_net_cancellations
-        _emit(job, _json_text(doc))
-    elif job.fmt == "text":
+        _emit(args, _json_text(doc))
+    elif args.fmt == "text":
         lines = []
         for k in sorted(sizes, reverse=True):
             lines.append("|V_%d| = %d" % (k, sizes[k]))
         lines.append("safety net cancellations: %d"
                      % reduced.safety_net_cancellations)
         lines.append(_render_complex_text(reduced))
-        _emit(job, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     else:
         raise _Usage("minimize has no dot format")
     return 0
 
 
-def _cmd_betti(job):
-    ideal = _load(job)
+def _cmd_betti(args):
+    ideal = _load(args)
     basis = pommaret_basis(ideal)
     reduced = minimize(ps_complex(basis))
     report = homological_invariants(reduced, basis)
-    if job.fmt == "json":
-        _emit(job, _json_text({
+    if args.fmt == "json":
+        _emit(args, _json_text({
             "betti": {"%d,%d" % k: v
                       for k, v in sorted(report.betti.by_degree.items())},
             "multigraded": [{"level": i, "multidegree": list(exps),
@@ -325,13 +310,13 @@ def _cmd_betti(job):
             "pd_from_classes": report.pd_from_classes,
             "reg_from_basis": report.reg_from_basis,
             "consistent": report.consistent}))
-    elif job.fmt == "text":
+    elif args.fmt == "text":
         lines = [report.betti.render()]
         lines.append("pd  = %d (classes predict %d)"
                      % (report.pd, report.pd_from_classes))
         lines.append("reg = %d (basis degree %d)"
                      % (report.reg, report.reg_from_basis))
-        _emit(job, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         raise _Usage("betti has no dot format")
     return 0 if report.consistent else 4
@@ -374,11 +359,11 @@ def _verify_one(ideal, strand_cap):
     return checks, all(ok for _, ok, _ in checks)
 
 
-def _cmd_verify(job):
-    ideal = _load(job)
-    checks, ok = _verify_one(ideal, job.strand_cap)
-    if job.fmt == "json":
-        _emit(job, _json_text({
+def _cmd_verify(args):
+    ideal = _load(args)
+    checks, ok = _verify_one(ideal, args.strand_cap)
+    if args.fmt == "json":
+        _emit(args, _json_text({
             "checks": [{"name": n, "ok": o, "detail": d}
                        for n, o, d in checks],
             "ok": ok}))
@@ -387,19 +372,19 @@ def _cmd_verify(job):
                                  "  (%s)" % d if d else "")
                  for n, o, d in checks]
         lines.append("verdict: %s" % ("ok" if ok else "FAIL"))
-        _emit(job, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 4
 
 
-def _cmd_random_test(job):
+def _cmd_random_test(args):
     lines = []
     bad = 0
-    for case in range(job.count):
-        seed = job.seed + case
+    for case in range(args.count):
+        seed = args.seed + case
         rng_n = 2 + (seed * 7919 + 11) % 3  # 2..4, deterministic in seed
         gens = (seed * 104729 + 3) % 5      # 0..4 extra generators
-        ideal = random_quasi_stable(seed, rng_n, job.max_deg, gens)
-        checks, ok = _verify_one(ideal, job.strand_cap)
+        ideal = random_quasi_stable(seed, rng_n, args.max_deg, gens)
+        checks, ok = _verify_one(ideal, args.strand_cap)
         if not ok:
             bad += 1
             failed = ", ".join(n for n, o, _ in checks if not o)
@@ -408,8 +393,8 @@ def _cmd_random_test(job):
         else:
             lines.append("case %d seed %d: ok  (%d gens, n=%d)"
                          % (case, seed, len(ideal.gens), ideal.ring.n))
-    lines.append("%d/%d cases ok" % (job.count - bad, job.count))
-    _emit(job, "\n".join(lines) + "\n")
+    lines.append("%d/%d cases ok" % (args.count - bad, args.count))
+    _emit(args, "\n".join(lines) + "\n")
     return 0 if bad == 0 else 4
 
 
@@ -429,20 +414,10 @@ _COMMANDS = {
 }
 
 
-def run(job):
-    return _COMMANDS[job.command](job)
-
-
 def main(argv=None):
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    job = Job(command=ns.command)
-    for field_name in ("path", "variant", "fmt", "out", "trace",
-                       "strand_cap", "seed", "count", "max_deg"):
-        if hasattr(ns, field_name):
-            setattr(job, field_name, getattr(ns, field_name))
+    args = _build_parser().parse_args(argv)
     try:
-        return run(job)
+        return _COMMANDS[args.command](args)
     except _Usage as e:
         sys.stderr.write("error: %s\n" % e)
         return 2

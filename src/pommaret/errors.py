@@ -102,3 +102,9 @@ class NotAComplex(PommaretError):
 
 class NotMinimal(PommaretError):
     code = "not-minimal"
+
+
+class BrokenInvariant(PommaretError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+    code = "broken-invariant"

@@ -8,8 +8,9 @@ minimal generators already form the basis.
 
 import heapq
 
-from .errors import (EmptyInput, NotAPath, NotNonMultiplicative,
-                     NotQuasiStable, UnitGenerator, VariablesNotIncreasing)
+from .errors import (BrokenInvariant, EmptyInput, NotAPath,
+                     NotNonMultiplicative, NotQuasiStable, UnitGenerator,
+                     VariablesNotIncreasing)
 from .monomials import Monomial, p_order_key
 
 
@@ -199,14 +200,14 @@ class PommaretBasis:
         # the nonmultiplicative variables of h_a; guards the element order
         for (a, k), (b, t) in self.delta.items():
             if b <= a:
-                raise AssertionError(
+                raise BrokenInvariant(
                     "order broken: x%d sends element %d to %d" % (k, a, b))
         n = self.ring.n
         for a, h in enumerate(self.elements):
             c = h.cls
             for g in self.elements[a + 1:]:
                 if not any(g.exps[j] > h.exps[j] for j in range(c, n)):
-                    raise AssertionError(
+                    raise BrokenInvariant(
                         "colon generator %s : %s has no nonmultiplicative "
                         "variable" % (g, h))
 

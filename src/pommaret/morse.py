@@ -17,8 +17,9 @@ resolution behind.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NonUnitPair, NotAMorseMatching, NotPSComplex)
-from .resolution import FreeComplex, Symbol
+from .errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
+                     NotPSComplex)
+from .resolution import FreeComplex, Symbol, composite_terms, unit_entries
 
 _SYMBOL_KINDS = ("pommaret", "eliahou-kervaire")
 
@@ -57,56 +58,46 @@ class Matching:
         return out
 
 
-class ResolutionGraph:
-    """Digraph view of one differential with matched edges reversed.
+def _has_cycle(cplx, matching, level):
+    """Whether the digraph of d_level with matched edges reversed has a
+    directed cycle.
 
     Vertices are split by homological degree; a directed cycle must
     alternate matched (upward) and unmatched (downward) edges between two
     adjacent degrees, so acyclicity is checked per degree pair on the
     column side only.
     """
-
-    def __init__(self, cplx, matching, level):
-        matched_cols = {}
-        row_partner = {}
-        for p in matching.pairs:
-            if p.level == level:
-                matched_cols[p.source] = p.target
-                row_partner[p.target] = p.source
-        self.successors = {}
-        for col, column in cplx.diffs[level].items():
-            succ = []
-            for row in column:
-                if matched_cols.get(col) == row:
-                    continue  # this edge is reversed, not outgoing
-                partner = row_partner.get(row)
-                if partner is not None and partner != col:
-                    succ.append(partner)
-            self.successors[col] = succ
-
-    def has_cycle(self):
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in self.successors}
-        for start in self.successors:
-            if color[start] != WHITE:
-                continue
-            stack = [(start, iter(self.successors[start]))]
-            color[start] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt, WHITE) == GREY:
-                        return True
-                    if color.get(nxt, WHITE) == WHITE:
-                        color[nxt] = GREY
-                        stack.append((nxt, iter(self.successors.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return False
+    matched_cols = {}
+    row_partner = {}
+    for p in matching.pairs:
+        if p.level == level:
+            matched_cols[p.source] = p.target
+            row_partner[p.target] = p.source
+    successors = {}
+    for col, column in cplx.diffs[level].items():
+        succ = []
+        for row in column:
+            if matched_cols.get(col) == row:
+                continue  # this edge is reversed, not outgoing
+            partner = row_partner.get(row)
+            if partner is not None and partner != col:
+                succ.append(partner)
+        successors[col] = succ
+    # Kahn: repeatedly drop vertices no remaining edge enters; a cycle is
+    # what can never be dropped
+    indegree = dict.fromkeys(successors, 0)
+    for succ in successors.values():
+        for v in succ:
+            indegree[v] = indegree.get(v, 0) + 1
+    ready = [v for v, k in indegree.items() if k == 0]
+    dropped = 0
+    while ready:
+        dropped += 1
+        for v in successors.get(ready.pop(), ()):
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return dropped < len(indegree)
 
 
 def _is_unit(entry):
@@ -127,7 +118,7 @@ def is_morse_matching(cplx, matching):
         if not _is_unit(cplx.entry(p.level, p.target, p.source)):
             return False
     for level in range(1, cplx.length + 1):
-        if ResolutionGraph(cplx, matching, level).has_cycle():
+        if _has_cycle(cplx, matching, level):
             return False
     return True
 
@@ -201,9 +192,6 @@ class _Reducer:
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
         self.trace = []
 
-    def entry(self, level, row, col):
-        return self.cols[level].get(col, {}).get(row)
-
     def _set(self, level, col, row, coeff, mono):
         column = self.cols[level].setdefault(col, {})
         if coeff == 0:
@@ -218,8 +206,8 @@ class _Reducer:
 
     def cancel(self, pair):
         level, s, t = pair.level, pair.source, pair.target
-        lam = self.entry(level, t, s)
-        if lam is None or not lam[1].is_unit() or lam[0] == 0:
+        lam = self.cols[level].get(s, {}).get(t)
+        if not _is_unit(lam):
             raise NonUnitPair("pair (%d: %d -> %d) is not a unit entry"
                               % (level, s, t))
         lam_c = lam[0]
@@ -237,7 +225,7 @@ class _Reducer:
                 mono = alpha[1] * sm
                 old = self.cols[level][c].get(row)
                 if old is not None and old[1] != mono:
-                    raise AssertionError("inhomogeneous correction")
+                    raise BrokenInvariant("inhomogeneous correction")
                 coeff = (old[0] if old else 0) - q * sc
                 self._set(level, c, row, coeff, mono)
                 touched.append((c, row))
@@ -252,8 +240,10 @@ class _Reducer:
             for row in list(self.cols[level - 1][t]):
                 self.row_index[level - 1][row].discard(t)
             del self.cols[level - 1][t]
+        dead_cols = set()
         if level + 1 < len(self.cols):
-            for c in self.row_index[level + 1].pop(s, set()):
+            dead_cols = self.row_index[level + 1].pop(s, set())
+            for c in dead_cols:
                 del self.cols[level + 1][c][s]
         self.alive[level].discard(s)
         self.alive[level - 1].discard(t)
@@ -264,54 +254,36 @@ class _Reducer:
             "var": pair.var, "lambda": lam_c,
             "updated": sorted(set(touched)),
         })
-        self._local_check(level, sorted({c for c, _ in touched}), s)
+        self._local_check(level, sorted({c for c, _ in touched}), dead_cols)
 
-    def _local_check(self, level, changed_cols, dead_source):
+    def _local_check(self, level, changed_cols, dead_cols):
         # d o d = 0 can only break where entries changed: the corrected
         # columns at this level, and one level up the columns that met the
         # dead source row or a corrected column
         for c in changed_cols:
             self._compose_check(level, c)
         if level + 1 < len(self.cols):
-            changed = set(changed_cols)
-            for c, column in self.cols[level + 1].items():
-                if dead_source in column or changed & set(column):
-                    self._compose_check(level + 1, c)
+            index = self.row_index[level + 1]
+            upper = set(dead_cols)
+            for c in changed_cols:
+                upper |= index.get(c, set())
+            for c in upper:
+                self._compose_check(level + 1, c)
 
     def _compose_check(self, level, col):
-        acc = {}
-        for row, (c1, m1) in self.cols[level].get(col, {}).items():
-            if level - 1 >= 1:
-                lower = self.cols[level - 1].get(row, {})
-                for row2, (c2, m2) in lower.items():
-                    key = (row2, (m1 * m2).exps)
-                    acc[key] = acc.get(key, 0) + c1 * c2
-            else:
-                md = self.cplx.levels[0][row].multidegree
-                key = (m1 * md).exps
-                acc[key] = acc.get(key, 0) + c1
-        bad = {k: v for k, v in acc.items() if v != 0}
+        bad = composite_terms(self.cplx.levels, self.cols, level, col)
         if bad:
-            raise AssertionError(
+            raise BrokenInvariant(
                 "cancellation broke d o d = 0 at level %d col %d: %r"
                 % (level, col, bad))
 
-    def full_check(self):
+    def compact(self, matching, trace_wanted):
+        """The surviving complex, after checking d o d = 0 on every
+        column; cancellations beyond the matching's pairs were the
+        safety net's."""
         for level in range(1, len(self.cols)):
             for col in self.cols[level]:
                 self._compose_check(level, col)
-
-    def unit_entries(self):
-        out = []
-        for level in range(len(self.cols) - 1, 0, -1):
-            for col in sorted(self.cols[level]):
-                for row in sorted(self.cols[level][col]):
-                    c, m = self.cols[level][col][row]
-                    if m.is_unit() and c != 0:
-                        out.append((level, col, row))
-        return out
-
-    def compact(self, matching, safety_net, trace_wanted):
         cplx = self.cplx
         levels = []
         remap = []
@@ -331,21 +303,27 @@ class _Reducer:
             levels.pop()
             diffs.pop()
         return ReducedComplex(cplx.ring, cplx.ideal, levels, diffs,
-                              cplx.basis, matching, safety_net,
+                              cplx.basis, matching,
+                              len(self.trace) - len(matching),
                               self.trace if trace_wanted else None)
+
+
+def _cancel_matching(cplx, matching):
+    """A reducer with every pair of a valid matching cancelled, highest
+    degree first."""
+    if not is_morse_matching(cplx, matching):
+        raise NotAMorseMatching("matching fails the unit or acyclicity test")
+    reducer = _Reducer(cplx)
+    for pair in sorted(matching.pairs, key=lambda p: (-p.level, p.source)):
+        reducer.cancel(pair)
+    return reducer
 
 
 def morse_reduce(cplx, matching, trace=False):
     """Cancel every pair of the matching, highest degree first."""
     if not isinstance(matching, Matching):
         matching = Matching(matching)
-    if not is_morse_matching(cplx, matching):
-        raise NotAMorseMatching("matching fails the unit or acyclicity test")
-    reducer = _Reducer(cplx)
-    for pair in sorted(matching.pairs, key=lambda p: (-p.level, p.source)):
-        reducer.cancel(pair)
-    reducer.full_check()
-    return reducer.compact(matching, 0, trace)
+    return _cancel_matching(cplx, matching).compact(matching, trace)
 
 
 def minimize(cplx, trace=False):
@@ -359,19 +337,13 @@ def minimize(cplx, trace=False):
         matching = build_matching_V(cplx)
     else:
         matching = Matching(())
-    if not is_morse_matching(cplx, matching):
-        raise NotAMorseMatching("matching fails the unit or acyclicity test")
-    reducer = _Reducer(cplx)
-    for pair in sorted(matching.pairs, key=lambda p: (-p.level, p.source)):
-        reducer.cancel(pair)
-    safety = 0
+    reducer = _cancel_matching(cplx, matching)
     while True:
-        units = reducer.unit_entries()
+        units = unit_entries(reducer.cols)
         if not units:
             break
-        level, col, row = units[0]
+        # highest level first, then lowest column, then lowest row
+        level, row, col, _ = min(units, key=lambda u: (-u[0], u[2], u[1]))
         # a single reversed edge cannot close an alternating cycle
         reducer.cancel(Pair(level, col, row, 0))
-        safety += 1
-    reducer.full_check()
-    return reducer.compact(matching, safety, trace)
+    return reducer.compact(matching, trace)

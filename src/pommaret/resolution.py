@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import DegreeOutOfRange, NotMember, NotStable
+from .errors import (BrokenInvariant, DegreeOutOfRange, NotMember,
+                     NotStable)
 from .ideals import pommaret_basis
 
 
@@ -92,12 +93,7 @@ class FreeComplex:
 
     def unit_entries(self):
         """Entries that are invertible scalars (monomial 1, coeff != 0)."""
-        out = []
-        for i in range(1, len(self.levels)):
-            for row, col, c, m in self.entries(i):
-                if m.is_unit() and c != 0:
-                    out.append((i, row, col, c))
-        return out
+        return unit_entries(self.diffs)
 
     def to_json_dict(self):
         mods = []
@@ -125,6 +121,36 @@ class FreeComplex:
 
     def __repr__(self):
         return "FreeComplex(%s, ranks=%r)" % (self.provenance, list(self.ranks()))
+
+
+def unit_entries(diffs):
+    """(level, row, col, coeff) of every invertible scalar entry (monomial
+    1, coeff != 0) of sparse differentials, by level, column, then row."""
+    out = []
+    for i in range(1, len(diffs)):
+        for col, column in sorted(diffs[i].items()):
+            for row, (c, m) in sorted(column.items()):
+                if m.is_unit() and c != 0:
+                    out.append((i, row, col, c))
+    return out
+
+
+def composite_terms(levels, diffs, i, col):
+    """Nonzero terms of d_{i-1} o d_i on column ``col`` of d_i, or of the
+    augmentation o d_1 when i = 1, as {(row, exps): coeff}; the row of an
+    augmentation term is None.  Rows outside F_{i-1} are skipped."""
+    acc = {}
+    for row, (c1, m1) in diffs[i].get(col, {}).items():
+        if not 0 <= row < len(levels[i - 1]):
+            continue
+        if i >= 2:
+            for row2, (c2, m2) in diffs[i - 1].get(row, {}).items():
+                key = (row2, (m1 * m2).exps)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        else:
+            key = (None, (m1 * levels[0][row].multidegree).exps)
+            acc[key] = acc.get(key, 0) + c1
+    return {key: value for key, value in acc.items() if value != 0}
 
 
 def _coeff_json(c):
@@ -225,8 +251,8 @@ def ek_complex(ideal):
     if not ideal.is_stable():
         raise NotStable("%r is not stable" % ideal)
     basis = pommaret_basis(ideal)
-    # stable: completion adds nothing
-    assert set(basis.elements) == set(ideal.gens)
+    if set(basis.elements) != set(ideal.gens):
+        raise BrokenInvariant("completion of stable %r added elements" % ideal)
     return _symbol_complex(basis, "eliahou-kervaire")
 
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import NotAComplex, NotMinimal
+from .errors import BrokenInvariant, NotAComplex, NotMinimal
 from .ideals import MonomialIdeal
 from .monomials import Ring
 from .morse import minimize
-from .resolution import BettiTable, betti_table, taylor_complex
+from .resolution import (BettiTable, betti_table, composite_terms,
+                         taylor_complex)
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -104,25 +105,12 @@ def check_complex(cplx):
                                  "mono": str(m)})
     for i in range(1, len(cplx.levels)):
         for col in sorted(cplx.diffs[i]):
-            acc = {}
-            for row, (c1, m1) in cplx.diffs[i][col].items():
-                if not 0 <= row < cplx.rank(i - 1):
-                    continue  # already reported as an index failure
-                if i >= 2:
-                    for row2, (c2, m2) in cplx.diffs[i - 1].get(
-                            row, {}).items():
-                        key = (row2, (m1 * m2).exps)
-                        acc[key] = acc.get(key, 0) + c1 * c2
-                else:
-                    md = cplx.levels[0][row].multidegree
-                    key = (None, (m1 * md).exps)
-                    acc[key] = acc.get(key, 0) + c1
-            for (target, exps), value in sorted(acc.items(),
+            terms = composite_terms(cplx.levels, cplx.diffs, i, col)
+            for (target, exps), value in sorted(terms.items(),
                                                 key=lambda kv: str(kv[0])):
-                if value != 0:
-                    failures.append({"kind": "composite", "level": i,
-                                     "col": col, "target": target,
-                                     "mono": exps, "value": value})
+                failures.append({"kind": "composite", "level": i,
+                                 "col": col, "target": target,
+                                 "mono": exps, "value": value})
     return ComplexReport(not failures, failures)
 
 
@@ -289,5 +277,6 @@ def random_quasi_stable(seed, n, max_deg, count):
             e[i] += 1
         mons.append(ring.monomial(e))
     ideal = MonomialIdeal(ring, mons)
-    assert ideal.is_quasi_stable()
+    if not ideal.is_quasi_stable():
+        raise BrokenInvariant("pure powers did not force quasi-stability")
     return ideal

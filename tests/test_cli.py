@@ -217,6 +217,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):
+    # a reducer whose d o d = 0 kernel reports a defect must fail with the
+    # typed error's code, not a traceback
+    import pommaret.morse
+    monkeypatch.setattr(pommaret.morse, "composite_terms",
+                        lambda *args: {(0, (1, 0)): 1})
+    path = write(tmp_path, "a.ideal", A_TEXT)
+    assert cli.main(["betti", path]) == 4
+    assert "error [broken-invariant]:" in capsys.readouterr().err
+
+
 def test_names_round_trip(tmp_path, capsys):
     path = write(tmp_path, "b.ideal", B_TEXT)
     assert cli.main(["basis", path]) == 0

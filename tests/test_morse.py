@@ -3,8 +3,8 @@ import pytest
 from helpers import random_ideal, random_stable, reference_match
 from pommaret import (FreeComplex, Gen, Matching, Pair, Symbol, betti_table,
                       build_matching_V, is_morse_matching, minimize,
-                      morse_reduce, pommaret_basis, ps_complex,
-                      taylor_complex)
+                      morse_reduce, oracle_betti, pommaret_basis, ps_complex,
+                      random_quasi_stable, taylor_complex)
 from pommaret.errors import NonUnitPair, NotAMorseMatching, NotPSComplex
 from pommaret.morse import _Reducer
 
@@ -51,7 +51,6 @@ def test_matching_v_requires_symbol_complex(ideal_a):
 
 
 def test_empty_matching_iff_stable():
-    from pommaret import random_quasi_stable
     for seed in range(18):
         ideal = random_quasi_stable(seed, 2 + seed % 3, 4, 2)
         cplx = ps_complex(pommaret_basis(ideal))
@@ -188,6 +187,20 @@ def test_minimize_taylor_by_safety_net(ideal_b):
         minimize(ps_complex(pommaret_basis(ideal_b))))
 
 
+def test_safety_net_sweep_on_symbol_complex():
+    # fill-in leaves unit entries after V on this ideal; the sweep cancels
+    # them highest level first, then lowest column, then lowest row
+    ideal = random_quasi_stable(2520, 5, 4, 6)
+    reduced = minimize(ps_complex(pommaret_basis(ideal)), trace=True)
+    assert reduced.safety_net_cancellations == 2
+    assert [(r["source_text"], r["target_text"])
+            for r in reduced.trace[-2:]] == [
+        ("[x1^2*x5, x2*x3*x4]", "[x1^2*x3*x4, x2*x5]"),
+        ("[x1^2*x5, x3*x4]", "[x1^2*x3*x4, x5]")]
+    assert not reduced.unit_entries()
+    assert betti_table(reduced) == oracle_betti(ideal)
+
+
 def test_minimize_preserves_multidegrees():
     # critical generators keep their multidegrees; columns stay homogeneous
     for seed in range(10):
@@ -197,6 +210,9 @@ def test_minimize_preserves_multidegrees():
         cplx = ps_complex(pommaret_basis(ideal))
         reduced = minimize(cplx)
         assert reduced.safety_net_cancellations == 0
+        # a silent sweep leaves exactly the reduction along V
+        along_v = morse_reduce(cplx, build_matching_V(cplx))
+        assert reduced.diffs == along_v.diffs
         for i in range(1, len(reduced.levels)):
             for row, col, c, m in reduced.entries(i):
                 src = reduced.levels[i][col].multidegree
