@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add
 
-from .errors import (BrokenInvariant, DegreeOutOfRange, NotMember,
-                     NotStable)
+from .errors import (ArityMismatch, BrokenInvariant, DegreeOutOfRange,
+                     NotMember, NotStable)
 from .ideals import pommaret_basis
 
 
@@ -138,18 +139,30 @@ def unit_entries(diffs):
 def composite_terms(levels, diffs, i, col):
     """Nonzero terms of d_{i-1} o d_i on column ``col`` of d_i, or of the
     augmentation o d_1 when i = 1, as {(row, exps): coeff}; the row of an
-    augmentation term is None.  Rows outside F_{i-1} are skipped."""
+    augmentation term is None.  Rows outside F_{i-1} are skipped.
+
+    Products are sums of exponent tuples; no Monomial is built.  Operands
+    of different lengths raise ArityMismatch, as Monomial products do."""
     acc = {}
+    get = acc.get
+    n_rows = len(levels[i - 1])
     for row, (c1, m1) in diffs[i].get(col, {}).items():
-        if not 0 <= row < len(levels[i - 1]):
+        if not 0 <= row < n_rows:
             continue
+        e1 = m1.exps
         if i >= 2:
             for row2, (c2, m2) in diffs[i - 1].get(row, {}).items():
-                key = (row2, (m1 * m2).exps)
-                acc[key] = acc.get(key, 0) + c1 * c2
+                e2 = m2.exps
+                if len(e2) != len(e1):
+                    raise ArityMismatch("monomials from different rings")
+                key = (row2, tuple(map(add, e1, e2)))
+                acc[key] = get(key, 0) + c1 * c2
         else:
-            key = (None, (m1 * levels[0][row].multidegree).exps)
-            acc[key] = acc.get(key, 0) + c1
+            e2 = levels[0][row].multidegree.exps
+            if len(e2) != len(e1):
+                raise ArityMismatch("monomials from different rings")
+            key = (None, tuple(map(add, e1, e2)))
+            acc[key] = get(key, 0) + c1
     return {key: value for key, value in acc.items() if value != 0}
 
 

@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
-from .errors import BrokenInvariant, NotAComplex, NotMinimal
+from .errors import ArityMismatch, BrokenInvariant, NotAComplex, NotMinimal
 from .ideals import MonomialIdeal
 from .monomials import Ring
 from .morse import minimize
@@ -97,9 +98,13 @@ def check_complex(cplx):
             if c == 0:
                 failures.append({"kind": "zero-entry", "level": i,
                                  "row": row, "col": col})
-            src = cplx.levels[i][col].multidegree
-            dst = cplx.levels[i - 1][row].multidegree
-            if not dst.divides(src) or src / dst != m:
+            src = cplx.levels[i][col].multidegree.exps
+            dst = cplx.levels[i - 1][row].multidegree.exps
+            if len(dst) != len(src):
+                raise ArityMismatch("monomials from different rings")
+            # src / dst == m on exponent tuples; m has no negative
+            # exponent, so equality also proves dst | src
+            if tuple(map(sub, src, dst)) != m.exps:
                 failures.append({"kind": "inhomogeneous", "level": i,
                                  "row": row, "col": col,
                                  "mono": str(m)})
@@ -176,10 +181,13 @@ def check_strand(cplx, mu):
 
 @dataclass
 class ExactnessReport:
+    """Strand verdicts, plus the ``check_complex`` report that had to pass
+    before any strand was checked."""
     ok: bool
     strands_checked: int
     capped: bool
     failures: list = field(default_factory=list)
+    axioms: ComplexReport = None
 
 
 def lcm_lattice(cplx, cap):
@@ -214,7 +222,8 @@ def check_exactness(cplx, cap=20000):
         ok, detail = check_strand(cplx, mu)
         if not ok:
             failures.append(detail)
-    return ExactnessReport(not failures, len(points), capped, failures)
+    return ExactnessReport(not failures, len(points), capped, failures,
+                           base)
 
 
 # --- invariants ----------------------------------------------------------------

@@ -190,6 +190,29 @@ def test_verify_command(tmp_path, capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+def test_verify_checks_each_complex_once(tmp_path, capsys, monkeypatch):
+    # the symbol complex and the reduced complex are each checked once;
+    # the exactness reports carry those results to the verify lines.  The
+    # counter also sits under the CLI's own name, so a direct call from
+    # the CLI would be counted too
+    import pommaret.verify
+    calls = []
+    check = pommaret.verify.check_complex
+
+    def counting_check(cplx):
+        calls.append(cplx.provenance)
+        return check(cplx)
+
+    monkeypatch.setattr(pommaret.verify, "check_complex", counting_check)
+    monkeypatch.setattr(cli, "check_complex", counting_check, raising=False)
+    path = write(tmp_path, "b.ideal", B_TEXT)
+    assert cli.main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "complex-axioms           ok  (0 failures)" in out
+    assert "reduced-complex-axioms   ok\n" in out
+    assert sorted(calls) == ["pommaret", "reduced"]
+
+
 def test_random_test_command(capsys):
     assert cli.main(["random-test", "--count", "2",
                      "--strand-cap", "200"]) == 0

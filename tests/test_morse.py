@@ -5,7 +5,8 @@ from pommaret import (FreeComplex, Gen, Matching, Pair, Symbol, betti_table,
                       build_matching_V, is_morse_matching, minimize,
                       morse_reduce, oracle_betti, pommaret_basis, ps_complex,
                       random_quasi_stable, taylor_complex)
-from pommaret.errors import NonUnitPair, NotAMorseMatching, NotPSComplex
+from pommaret.errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
+                             NotPSComplex)
 from pommaret.morse import _Reducer
 
 
@@ -140,6 +141,28 @@ def test_reduce_bookkeeping():
             want = cplx.rank(i) - sources.get(i, 0) - targets.get(i, 0)
             got = reduced.rank(i) if i < len(reduced.levels) else 0
             assert got == want
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_step_check_catches_a_dropped_correction(ideal_b, monkeypatch,
+                                                 level):
+    # losing one fill-in entry must be caught by the check that runs right
+    # after the cancellation, through the real d o d = 0 kernel
+    set_entry = _Reducer._set
+    dropped = []
+
+    def dropping_set(self, lvl, col, row, coeff, mono):
+        if lvl == level and not dropped:
+            dropped.append((col, row))
+            return
+        set_entry(self, lvl, col, row, coeff, mono)
+
+    monkeypatch.setattr(_Reducer, "_set", dropping_set)
+    with pytest.raises(BrokenInvariant) as info:
+        minimize(ps_complex(pommaret_basis(ideal_b)))
+    assert dropped
+    frames = [entry.name for entry in info.traceback]
+    assert "_local_check" in frames and "compact" not in frames
 
 
 def test_minimize_two_variables(ideal_a):

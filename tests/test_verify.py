@@ -3,12 +3,13 @@ import random
 import pytest
 
 from helpers import dense_rank, random_stable
-from pommaret import (FreeComplex, check_complex, check_exactness,
-                      check_strand, ek_complex, exact_rank,
-                      homological_invariants, lcm_lattice, minimize,
-                      oracle_betti, pommaret_basis, ps_complex,
-                      random_quasi_stable, strand, taylor_complex)
-from pommaret.errors import NotAComplex, NotMinimal
+from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
+                      check_complex, check_exactness, check_strand,
+                      ek_complex, exact_rank, homological_invariants,
+                      lcm_lattice, minimize, oracle_betti, pommaret_basis,
+                      ps_complex, random_quasi_stable, strand, taylor_complex)
+from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
+from pommaret.resolution import composite_terms
 
 
 def test_exact_rank_against_dense_oracle():
@@ -81,6 +82,16 @@ def test_check_complex_locates_failures(ideal_b):
     assert any(f["kind"] == "inhomogeneous" and f["level"] == 1
                for f in report.failures)
 
+    # an entry in a row whose multidegree does not divide the column's
+    col = sorted(good.diffs[1])[0]
+    src = good.levels[1][col].multidegree
+    row = next(r for r, g in enumerate(good.levels[0])
+               if not g.multidegree.divides(src))
+    report = check_complex(_corrupt(good, 1, lambda cols: cols[col].update(
+        {row: (1, good.ring.unit())})))
+    assert {"kind": "inhomogeneous", "level": 1, "row": row, "col": col,
+            "mono": "1"} in report.failures
+
     def bad_row(level_cols):
         col = sorted(level_cols)[0]
         level_cols[col][999] = (1, good.ring.unit())
@@ -112,6 +123,68 @@ def test_augmentation_composite_detected(ideal_a):
     assert not report.ok
     assert any(f["kind"] == "composite" and f["level"] == 1
                and f["target"] is None for f in report.failures)
+
+
+def _reference_terms(cplx, i, col):
+    # the kernel's contract computed with Monomial products
+    acc = {}
+    for row, (c1, m1) in cplx.diffs[i].get(col, {}).items():
+        if i >= 2:
+            for row2, (c2, m2) in cplx.diffs[i - 1].get(row, {}).items():
+                key = (row2, (m1 * m2).exps)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        else:
+            key = (None, (m1 * cplx.levels[0][row].multidegree).exps)
+            acc[key] = acc.get(key, 0) + c1
+    return {key: value for key, value in acc.items() if value != 0}
+
+
+def test_kernel_builds_no_monomial(ideal_b, monkeypatch):
+    good = ps_complex(pommaret_basis(ideal_b))
+
+    def flip_first(level_cols):
+        col = sorted(level_cols)[0]
+        row = sorted(level_cols[col])[0]
+        c, m = level_cols[col][row]
+        level_cols[col][row] = (-c, m)
+
+    cases = [good, _corrupt(good, 1, flip_first), _corrupt(good, 2, flip_first)]
+    columns = [(cplx, i, col) for cplx in cases
+               for i in range(1, len(cplx.levels)) for col in cplx.diffs[i]]
+    want = [_reference_terms(*case) for case in columns]
+    assert any(want)
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    got = [composite_terms(cplx.levels, cplx.diffs, i, col)
+           for cplx, i, col in columns]
+    assert check_complex(good).ok
+    assert built == []
+    assert got == want
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_kernel_rejects_mixed_arity(level):
+    # one entry of d_level comes from Ring(4), everything else from Ring(3):
+    # the kernel must refuse it, not return a key cut to three exponents
+    r3 = Ring(3)
+    levels = [[Gen("a", r3.monomial((1, 0, 0)), "a")],
+              [Gen("b", r3.monomial((1, 1, 0)), "b")],
+              [Gen("c", r3.monomial((1, 1, 1)), "c")]]
+    diffs = [None, {0: {0: (1, r3.variable(2))}},
+             {0: {0: (1, r3.variable(3))}}]
+    diffs[level][0][0] = (1, Ring(4).variable(level + 1))
+    with pytest.raises(ArityMismatch):
+        composite_terms(levels, diffs, level, 0)
+    cplx = FreeComplex(r3, MonomialIdeal(r3, [r3.variable(1)]), levels,
+                       diffs, "custom")
+    with pytest.raises(ArityMismatch):
+        check_complex(cplx)
 
 
 def test_strand_selection(ideal_a):
