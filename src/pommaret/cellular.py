@@ -3,12 +3,24 @@
 Each symbol [h, tau] owns one |tau|-dimensional cell.  Its vertices are
 found by walking the basis: apply the variables of tau in some order,
 replacing the current vertex v by the involutive divisor of x_k * v at
-every step.  Orders that revisit a vertex are degenerate; the union over
-all orders is the cell.  Boundary facets mirror the two sums of the
+every step (``chain_vertices`` walks one order).  The cell is the union of
+the walks over all orders; orders that revisit a vertex are degenerate.
+
+``build_cell_complex`` does not enumerate the |tau|! orders.  A step reads
+the rewrite table: for k nonmultiplicative for v it goes to
+``basis.delta[(v, k)]``, and for k multiplicative it stays at v, because
+x_k * v lies in v's own cone and the involutive divisor is unique.  So the
+walks from v through the remaining variables depend only on (v, rest), and
+one memo over those pairs serves every cell of the build.  The basis checks
+that every delta step strictly increases the element index, so a walk can
+repeat a vertex only on consecutive steps: it is degenerate exactly when
+one of its steps is multiplicative, and the same memo counts the
+nondegenerate orders.  Boundary facets mirror the two sums of the
 differential, with the same dropped-term convention.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
+from math import factorial
 
 from .errors import MismatchedBases, TauNotNonMultiplicative
 from .resolution import Symbol, symbol_multidegree
@@ -124,6 +136,7 @@ class CellComplex:
 def build_cell_complex(basis):
     n = basis.ring.n
     top = n - basis.d
+    memo = {}
     layers = []
     for dim in range(top + 1):
         layer = []
@@ -132,19 +145,34 @@ def build_cell_complex(basis):
             if len(nonmult) < dim:
                 continue
             for tau in combinations(nonmult, dim):
-                layer.append(_make_cell(basis, alpha, tau))
+                layer.append(_make_cell(basis, memo, alpha, tau))
         layers.append(layer)
     return CellComplex(basis, layers)
 
 
-def _make_cell(basis, alpha, tau):
-    verts = set()
-    degenerate = 0
-    for sigma in permutations(tau):
-        walk, degen = chain_vertices(basis, alpha, tau, sigma)
-        verts.update(walk)
-        if degen:
-            degenerate += 1
+def _reach(basis, memo, v, rest):
+    """(vertices, nondegenerate orders) of the walks from v through every
+    order of the sorted tuple rest; memo holds the pairs already seen."""
+    hit = memo.get((v, rest))
+    if hit is not None:
+        return hit
+    verts = {v}
+    orders = 0 if rest else 1
+    for i, k in enumerate(rest):
+        sub = rest[:i] + rest[i + 1:]
+        if k > basis.classes[v]:
+            sub_verts, sub_orders = _reach(basis, memo,
+                                           basis.delta[(v, k)][0], sub)
+            orders += sub_orders
+        else:
+            sub_verts = _reach(basis, memo, v, sub)[0]
+        verts |= sub_verts
+    memo[(v, rest)] = hit = (frozenset(verts), orders)
+    return hit
+
+
+def _make_cell(basis, memo, alpha, tau):
+    verts, orders = _reach(basis, memo, alpha, tau)
     boundary = []
     for i, k in enumerate(tau, start=1):
         sign = -1 if i % 2 else 1
@@ -155,7 +183,8 @@ def _make_cell(basis, alpha, tau):
         if all(v > basis.classes[beta] for v in rest):
             boundary.append(((beta, rest), -sign))
     label = symbol_multidegree(basis, alpha, tau)
-    return Cell(alpha, tau, label, tuple(sorted(verts)), boundary, degenerate)
+    return Cell(alpha, tau, label, tuple(sorted(verts)), boundary,
+                factorial(len(tau)) - orders)
 
 
 def supports_check(cellcomplex, cplx):
@@ -214,10 +243,9 @@ def supports_check(cellcomplex, cplx):
     # boundary entries and differential entries must agree up to one sign
     # per generator: 2-colour the incidence graph
     edges = {}
-    for i in range(1, len(cplx.levels)):
-        for key, cell in cellcomplex.lookup.items():
-            if cell.dim != i:
-                continue
+    for i, layer in enumerate(cellcomplex.cells[1:len(cplx.levels)], start=1):
+        for cell in layer:
+            key = cell.key()
             col = keyed[i][key]
             centries = {fkey: s for fkey, s in cell.boundary}
             dentries = {}

@@ -1,9 +1,14 @@
+import random
+from itertools import permutations
+
 import pytest
 
+import pommaret.cellular
 from helpers import random_ideal
-from pommaret import (FreeComplex, build_cell_complex, chain_vertices,
-                      pommaret_basis, ps_complex, supports_check,
-                      taylor_complex)
+from pommaret import (FreeComplex, MonomialIdeal, PommaretBasis, Ring,
+                      build_cell_complex, chain_vertices, expected_ranks,
+                      pommaret_basis, ps_complex, random_quasi_stable,
+                      supports_check, taylor_complex)
 from pommaret.errors import MismatchedBases, TauNotNonMultiplicative
 
 
@@ -68,29 +73,97 @@ def test_vertex_and_edge_cells(ideal_a):
     assert e.degenerate_perms == 0
 
 
+def _assert_cells_are_walk_unions(basis, cells):
+    """Each cell is the union of its |tau|! chain_vertices walks, and
+    degenerate_perms counts the walks that repeat a vertex."""
+    for layer in cells.cells:
+        for cell in layer:
+            assert cell.alpha in cell.vertices
+            lcm = basis.elements[cell.vertices[0]]
+            for v in cell.vertices[1:]:
+                lcm = lcm.lcm(basis.elements[v])
+            assert lcm == cell.label
+            union = set()
+            degenerate = 0
+            for sigma in permutations(cell.tau):
+                walk, degen = chain_vertices(
+                    basis, cell.alpha, cell.tau, sigma)
+                union.update(walk)
+                # degenerate exactly when a vertex repeats
+                assert degen == (len(set(walk)) < len(walk))
+                if degen:
+                    degenerate += 1
+                else:
+                    assert len(set(walk)) == cell.dim + 1
+            assert cell.vertices == tuple(sorted(union))
+            assert cell.degenerate_perms == degenerate
+
+
 def test_walks_stay_inside_the_cell():
     for seed in range(8):
         ideal = random_ideal(seed * 17 + 4, max_deg=3, count=2)
         if not ideal.is_quasi_stable():
             continue
         basis = pommaret_basis(ideal)
+        _assert_cells_are_walk_unions(basis, build_cell_complex(basis))
+
+
+def _ideal(n, gens):
+    ring = Ring(n)
+    return MonomialIdeal(ring, [ring.monomial(g) for g in gens])
+
+
+def test_walk_unions_on_positive_dimensional_ideals():
+    """Quasi-stable ideals without a pure power of x1, which
+    random_quasi_stable never draws.  Every one but the last hand-built
+    ideal avoids x1 altogether, so its basis has d >= 2."""
+    ideals = [
+        _ideal(3, [(0, 2, 0), (0, 1, 2), (0, 0, 3)]),
+        _ideal(4, [(0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
+        _ideal(4, [(0, 0, 2, 0), (0, 0, 1, 1), (0, 0, 0, 3)]),
+        _ideal(5, [(0, 0, 1, 0, 0), (0, 0, 0, 2, 0), (0, 0, 0, 0, 2)]),
+        _ideal(6, [(0, 1, 1, 1, 0, 0), (0, 3, 0, 0, 0, 0),
+                   (0, 0, 2, 0, 0, 0), (0, 0, 0, 2, 0, 0),
+                   (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 2, 0),
+                   (0, 0, 0, 0, 0, 2)]),
+        _ideal(4, [(1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
+    ]
+    # seeded draws in x2..xn only: a pure power of each of x2..xn forces
+    # quasi-stability, and every basis element has class >= 2
+    rng = random.Random(2024)
+    for _ in range(24):
+        n = rng.randint(4, 6)
+        gens = [tuple(rng.randint(1, 3) if i == j else 0 for i in range(n))
+                for j in range(1, n)]
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * n
+            for i in rng.choices(range(1, n), k=rng.randint(1, 3)):
+                e[i] += 1
+            gens.append(tuple(e))
+        ideals.append(_ideal(n, gens))
+    ds = set()
+    for ideal in ideals:
+        basis = pommaret_basis(ideal)
+        ds.add(basis.d)
         cells = build_cell_complex(basis)
-        from itertools import permutations
-        for layer in cells.cells:
-            for cell in layer:
-                assert cell.alpha in cell.vertices
-                lcm = basis.elements[cell.vertices[0]]
-                for v in cell.vertices[1:]:
-                    lcm = lcm.lcm(basis.elements[v])
-                assert lcm == cell.label
-                for sigma in permutations(cell.tau):
-                    walk, degen = chain_vertices(
-                        basis, cell.alpha, cell.tau, sigma)
-                    assert set(walk) <= set(cell.vertices)
-                    # degenerate exactly when a vertex repeats
-                    assert degen == (len(set(walk)) < len(walk))
-                    if not degen:
-                        assert len(set(walk)) == cell.dim + 1
+        assert cells.counts() == ps_complex(basis).ranks()
+        _assert_cells_are_walk_unions(basis, cells)
+    assert ds >= {2, 3}
+
+
+def test_cells_need_no_walk_or_divisor_search(monkeypatch):
+    """The n = 8 case of the ROADMAP baseline: 12 143 cells, about 41 s
+    with one walk per order of tau."""
+    basis = pommaret_basis(random_quasi_stable(11, 8, 3, 3))
+
+    def forbidden(*args):
+        raise RuntimeError("build_cell_complex walked the basis")
+
+    monkeypatch.setattr(pommaret.cellular, "chain_vertices", forbidden)
+    monkeypatch.setattr(PommaretBasis, "involutive_divisor", forbidden)
+    cells = build_cell_complex(basis)
+    assert cells.counts() == expected_ranks(basis)
+    assert sum(cells.counts()) == 12143
 
 
 def test_supports_check_accepts(ideal_a, ideal_b):

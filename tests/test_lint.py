@@ -16,12 +16,34 @@ def _raises_assertion_error(node):
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-def test_no_assertions_in_package():
-    found = []
+def _package_nodes():
     for path in sorted(Path(pommaret.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert) or (
-                    isinstance(node, ast.Raise) and node.exc is not None
-                    and _raises_assertion_error(node)):
-                found.append("%s:%d" % (path.name, node.lineno))
+            yield path, node
+
+
+def test_no_assertions_in_package():
+    found = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and node.exc is not None
+                and _raises_assertion_error(node)):
+            found.append("%s:%d" % (path.name, node.lineno))
+    assert not found
+
+
+def test_no_permutations_in_package():
+    """Cells are built from a memoized walk; the |tau|! enumeration of
+    orders lives only in the tests."""
+    found = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            named = any(a.name == "permutations" for a in node.names)
+        else:
+            named = (isinstance(node, ast.Attribute)
+                     and node.attr == "permutations"
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id == "itertools")
+        if named:
+            found.append("%s:%d" % (path.name, node.lineno))
     assert not found
