@@ -1,29 +1,34 @@
 """Geometric cells underneath the symbol resolution.
 
-Each symbol [h, tau] owns one |tau|-dimensional cell.  Its vertices are
-found by walking the basis: apply the variables of tau in some order,
-replacing the current vertex v by the involutive divisor of x_k * v at
-every step (``chain_vertices`` walks one order).  The cell is the union of
-the walks over all orders; orders that revisit a vertex are degenerate.
+The cells are read from the symbol layer of ``resolution``: each symbol
+[h, tau] of ``ps_generators`` is one |tau|-dimensional cell, its label is
+the symbol's multidegree, and its boundary facets are the terms of
+``symbol_facets``, the same terms as the differential of [h, tau] and with
+the same dropped-term rule.  A cell's key (alpha, tau) is equal to, and
+hashes like, its ``Symbol``.
 
-``build_cell_complex`` does not enumerate the |tau|! orders.  A step reads
-the rewrite table: for k nonmultiplicative for v it goes to
-``basis.delta[(v, k)]``, and for k multiplicative it stays at v, because
-x_k * v lies in v's own cone and the involutive divisor is unique.  So the
-walks from v through the remaining variables depend only on (v, rest), and
-one memo over those pairs serves every cell of the build.  The basis checks
-that every delta step strictly increases the element index, so a walk can
-repeat a vertex only on consecutive steps: it is degenerate exactly when
-one of its steps is multiplicative, and the same memo counts the
-nondegenerate orders.  Boundary facets mirror the two sums of the
-differential, with the same dropped-term convention.
+The vertices of a cell are found by walking the basis: apply the variables
+of tau in some order, replacing the current vertex v by the involutive
+divisor of x_k * v at every step (``chain_vertices`` walks one order).  The
+cell is the union of the walks over all orders; orders that revisit a
+vertex are degenerate.  ``build_cell_complex`` does not enumerate the
+|tau|! orders.  A step reads the rewrite table: for k nonmultiplicative for
+v it goes to ``basis.delta[(v, k)]``, and for k multiplicative it stays at
+v, because x_k * v lies in v's own cone and the involutive divisor is
+unique.  So the walks from v through the remaining variables depend only on
+(v, rest), and one memo over those pairs serves every cell of the build.
+The basis checks that every delta step strictly increases the element
+index, so a walk can repeat a vertex only on consecutive steps: it is
+degenerate exactly when one of its steps is multiplicative, and the same
+memo counts the nondegenerate orders.
 """
 
-from itertools import combinations
 from math import factorial
 
 from .errors import MismatchedBases, TauNotNonMultiplicative
-from .resolution import Symbol, symbol_multidegree
+from .resolution import (Symbol, ps_generators, symbol_facets,
+                         symbol_multidegree)
+from .verify import ComplexReport
 
 
 def chain_vertices(basis, alpha, tau, sigma):
@@ -75,7 +80,8 @@ class Cell:
 
 
 class CellComplex:
-    """All cells of the basis, grouped by dimension, keyed by (alpha, tau)."""
+    """All cells of the basis, grouped by dimension in symbol order, keyed
+    by (alpha, tau)."""
 
     __slots__ = ("basis", "cells", "lookup")
 
@@ -134,20 +140,11 @@ class CellComplex:
 
 
 def build_cell_complex(basis):
-    n = basis.ring.n
-    top = n - basis.d
     memo = {}
-    layers = []
-    for dim in range(top + 1):
-        layer = []
-        for alpha, h in enumerate(basis.elements):
-            nonmult = h.nonmultiplicative()
-            if len(nonmult) < dim:
-                continue
-            for tau in combinations(nonmult, dim):
-                layer.append(_make_cell(basis, memo, alpha, tau))
-        layers.append(layer)
-    return CellComplex(basis, layers)
+    return CellComplex(basis, [
+        [_make_cell(basis, memo, alpha, tau)
+         for alpha, tau in ps_generators(basis, dim)]
+        for dim in range(basis.ring.n - basis.d + 1)])
 
 
 def _reach(basis, memo, v, rest):
@@ -174,14 +171,12 @@ def _reach(basis, memo, v, rest):
 def _make_cell(basis, memo, alpha, tau):
     verts, orders = _reach(basis, memo, alpha, tau)
     boundary = []
-    for i, k in enumerate(tau, start=1):
-        sign = -1 if i % 2 else 1
-        rest = tau[:i - 1] + tau[i:]
-        boundary.append(((alpha, rest), sign))
-        beta, _ = basis.delta[(alpha, k)]
-        # facet collapses unless rest stays nonmultiplicative for the target
-        if all(v > basis.classes[beta] for v in rest):
-            boundary.append(((beta, rest), -sign))
+    for j, (_k, face, rewritten, _t) in enumerate(
+            symbol_facets(basis, alpha, tau)):
+        sign = 1 if j % 2 else -1
+        boundary.append((face, sign))
+        if rewritten is not None:
+            boundary.append((rewritten, -sign))
     label = symbol_multidegree(basis, alpha, tau)
     return Cell(alpha, tau, label, tuple(sorted(verts)), boundary,
                 factorial(len(tau)) - orders)
@@ -190,34 +185,29 @@ def _make_cell(basis, memo, alpha, tau):
 def supports_check(cellcomplex, cplx):
     """Compare the cell data against a symbol complex.
 
-    Structural mismatches (different bases, different key sets) raise
-    MismatchedBases; value mismatches are returned as failure strings.
-    A per-generator sign choice reconciling every differential entry with
-    the cell boundary sign is searched for; its absence is a failure.
+    Structural mismatches (different bases, generators other than the
+    cells' symbols in the cells' order) raise MismatchedBases; value
+    mismatches are returned as failure strings.  A per-generator sign
+    choice reconciling every differential entry with the cell boundary sign
+    is searched for; its absence is a failure.
     """
     basis = cellcomplex.basis
     if cplx.basis is not basis and (
             cplx.basis is None
             or cplx.basis.elements != basis.elements):
         raise MismatchedBases("cell complex and free complex disagree")
-    keyed = []
-    for i, level in enumerate(cplx.levels):
-        table = {}
-        for idx, g in enumerate(level):
-            if not isinstance(g.key, Symbol):
-                raise MismatchedBases("free complex has non-symbol generators")
-            table[(g.key.alpha, g.key.u)] = idx
-        keyed.append(table)
-    cell_keys = set(cellcomplex.lookup)
-    sym_keys = set()
-    for table in keyed:
-        sym_keys.update(table)
-    if cell_keys != sym_keys:
+    if not all(isinstance(g.key, Symbol)
+               for level in cplx.levels for g in level):
+        raise MismatchedBases("free complex has non-symbol generators")
+    if ([[c.key() for c in layer] for layer in cellcomplex.cells]
+            != [[g.key for g in level] for level in cplx.levels]):
         raise MismatchedBases("cells and symbols do not biject")
 
     failures = []
-    for key, cell in sorted(cellcomplex.lookup.items()):
-        gen = cplx.levels[cell.dim][keyed[cell.dim][key]]
+    for key, cell, gen in sorted(
+            (cell.key(), cell, gen)
+            for layer, level in zip(cellcomplex.cells, cplx.levels)
+            for cell, gen in zip(layer, level)):
         if gen.multidegree != cell.label:
             failures.append("label of %r is not the symbol multidegree" % (key,))
         lcm = basis.elements[cell.vertices[0]]
@@ -243,15 +233,12 @@ def supports_check(cellcomplex, cplx):
     # boundary entries and differential entries must agree up to one sign
     # per generator: 2-colour the incidence graph
     edges = {}
-    for i, layer in enumerate(cellcomplex.cells[1:len(cplx.levels)], start=1):
-        for cell in layer:
+    for i, layer in enumerate(cellcomplex.cells[1:], start=1):
+        for col, cell in enumerate(layer):
             key = cell.key()
-            col = keyed[i][key]
             centries = {fkey: s for fkey, s in cell.boundary}
-            dentries = {}
-            for row, (c, m) in cplx.diffs[i].get(col, {}).items():
-                g = cplx.levels[i - 1][row]
-                dentries[(g.key.alpha, g.key.u)] = (row, c, m)
+            dentries = {cplx.levels[i - 1][row].key: (row, c, m)
+                        for row, (c, m) in cplx.diffs[i].get(col, {}).items()}
             if set(centries) != set(dentries):
                 failures.append("support of %r differs from d-entries" % (key,))
                 continue
@@ -289,19 +276,5 @@ def supports_check(cellcomplex, cplx):
                     stack.append(other)
     if not ok_signs:
         failures.append("no per-generator sign choice matches the boundary")
-    return CellCheckReport(not failures, failures)
+    return ComplexReport(not failures, failures)
 
-
-class CellCheckReport:
-    __slots__ = ("ok", "failures")
-
-    def __init__(self, ok, failures):
-        self.ok = ok
-        self.failures = failures
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return "CellCheckReport(ok=%r, failures=%d)" % (
-            self.ok, len(self.failures))

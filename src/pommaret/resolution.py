@@ -13,7 +13,7 @@ construction is the classical minimal resolution with signs
 sgn(x_i, u) = +1 iff |{j in u : j >= i}| is odd.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,17 +24,15 @@ from .errors import (ArityMismatch, BrokenInvariant, DegreeOutOfRange,
 from .ideals import pommaret_basis
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Resolution generator [h_alpha, u]; alpha indexes the basis."""
-    alpha: int
-    u: tuple
+class Symbol(namedtuple("Symbol", "alpha u")):
+    """Resolution generator [h_alpha, u]; alpha indexes the basis.  Equal
+    to, and hashed like, the plain tuple (alpha, u)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "gens")):
     """Taylor generator: a set of minimal-generator indices."""
-    gens: tuple
+    __slots__ = ()
 
 
 class Gen:
@@ -186,10 +184,10 @@ def symbol_text(basis, alpha, u):
 
 
 def symbol_multidegree(basis, alpha, u):
-    md = basis.elements[alpha]
+    exps = list(basis.elements[alpha].exps)
     for k in u:
-        md = md.times_var(k)
-    return md
+        exps[k - 1] += 1
+    return basis.ring.monomial(exps)
 
 
 def ps_generators(basis, i):
@@ -202,6 +200,19 @@ def ps_generators(basis, i):
         for u in combinations(h.nonmultiplicative(), i):
             out.append(Symbol(alpha, u))
     return out
+
+
+def symbol_facets(basis, alpha, u):
+    """For each variable x_k of u, in order: (k, (alpha, rest), rewritten, t)
+    with rest = u minus k and x_k h_alpha = t h_beta.  ``rewritten`` is
+    (beta, rest), or None when rest meets the multiplicative variables of
+    h_beta and the rewritten term is dropped."""
+    classes = basis.classes
+    for j, k in enumerate(u):
+        rest = u[:j] + u[j + 1:]
+        beta, t = basis.delta[(alpha, k)]
+        legal = all(v > classes[beta] for v in rest)
+        yield k, (alpha, rest), (beta, rest) if legal else None, t
 
 
 def expected_ranks(basis):
@@ -226,22 +237,19 @@ def _symbol_complex(basis, provenance):
                     symbol_text(basis, s.alpha, s.u)) for s in syms]
         levels.append(gens)
         lookup.append({s: j for j, s in enumerate(syms)})
+    xs = [None] + [ring.variable(k) for k in range(1, ring.n + 1)]
     diffs = [None]
     for i in range(1, top + 1):
+        below = lookup[i - 1]
         cols = {}
         for cidx, g in enumerate(levels[i]):
-            alpha, u = g.key.alpha, g.key.u
             column = {}
-            for j, k in enumerate(u):
+            for j, (k, face, rewritten, t) in enumerate(
+                    symbol_facets(basis, *g.key)):
                 sign = 1 if (i - 1 - j) % 2 == 0 else -1
-                rest = u[:j] + u[j + 1:]
-                row = lookup[i - 1][Symbol(alpha, rest)]
-                column[row] = (sign, ring.variable(k))
-                beta, t = basis.delta[(alpha, k)]
-                # the rewritten symbol must still be a symbol
-                if all(v > basis.classes[beta] for v in rest):
-                    row2 = lookup[i - 1][Symbol(beta, rest)]
-                    column[row2] = (-sign, t)
+                column[below[face]] = (sign, xs[k])
+                if rewritten is not None:
+                    column[below[rewritten]] = (-sign, t)
             cols[cidx] = column
         diffs.append(cols)
     return FreeComplex(ring, basis.ideal, levels, diffs, provenance,

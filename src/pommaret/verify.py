@@ -81,8 +81,12 @@ def exact_rank(rows):
 
 @dataclass
 class ComplexReport:
+    """Verdict and failure list of ``check_complex`` or ``supports_check``."""
     ok: bool
     failures: list = field(default_factory=list)
+
+    def __bool__(self):
+        return self.ok
 
 
 def check_complex(cplx):

@@ -213,6 +213,27 @@ def test_verify_checks_each_complex_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == ["pommaret", "reduced"]
 
 
+def test_verify_builds_the_matching_once(tmp_path, capsys, monkeypatch):
+    # verify reads the matching V off the reduced complex that minimize
+    # built it for; the counter also sits under the CLI's own name
+    import pommaret.morse
+    calls = []
+    build = pommaret.morse.build_matching_V
+
+    def counting_build(cplx):
+        calls.append(cplx.provenance)
+        return build(cplx)
+
+    monkeypatch.setattr(pommaret.morse, "build_matching_V", counting_build)
+    monkeypatch.setattr(cli, "build_matching_V", counting_build,
+                        raising=False)
+    path = write(tmp_path, "b.ideal", B_TEXT)
+    assert cli.main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "matching-valid           ok  (18 pairs)" in out
+    assert calls == ["pommaret"]
+
+
 def test_random_test_command(capsys):
     assert cli.main(["random-test", "--count", "2",
                      "--strand-cap", "200"]) == 0
@@ -238,6 +259,16 @@ def test_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "a.ideal", A_TEXT)
     assert cli.main(["basis", good, "--format", "dot"]) == 2
     capsys.readouterr()
+    assert cli.main(["verify", good, "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: verify has no dot format\n"
+    assert captured.out == ""
+    for fmt in ("json", "dot"):
+        assert cli.main(["random-test", "--count", "1",
+                         "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: random-test has no %s format\n" % fmt
+        assert captured.out == ""
 
 
 def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):

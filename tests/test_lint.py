@@ -32,18 +32,32 @@ def test_no_assertions_in_package():
     assert not found
 
 
-def test_no_permutations_in_package():
-    """Cells are built from a memoized walk; the |tau|! enumeration of
-    orders lives only in the tests."""
+def _itertools_uses(name):
+    """file:line of every ``from itertools import name`` and
+    ``itertools.name`` in the package."""
     found = []
     for path, node in _package_nodes():
         if isinstance(node, ast.ImportFrom) and node.module == "itertools":
-            named = any(a.name == "permutations" for a in node.names)
+            named = any(a.name == name for a in node.names)
         else:
             named = (isinstance(node, ast.Attribute)
-                     and node.attr == "permutations"
+                     and node.attr == name
                      and isinstance(node.value, ast.Name)
                      and node.value.id == "itertools")
         if named:
             found.append("%s:%d" % (path.name, node.lineno))
-    assert not found
+    return found
+
+
+def test_no_permutations_in_package():
+    """Cells are built from a memoized walk; the |tau|! enumeration of
+    orders lives only in the tests."""
+    assert not _itertools_uses("permutations")
+
+
+def test_combinations_only_in_resolution():
+    """Symbols and Taylor faces are enumerated in one module; the cells
+    read the symbol enumeration instead of repeating it."""
+    found = _itertools_uses("combinations")
+    assert found
+    assert all(f.startswith("resolution.py:") for f in found)

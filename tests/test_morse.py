@@ -1,10 +1,13 @@
+from itertools import combinations
+
 import pytest
 
 from helpers import random_ideal, random_stable, reference_match
-from pommaret import (FreeComplex, Gen, Matching, Pair, Symbol, betti_table,
-                      build_matching_V, is_morse_matching, minimize,
-                      morse_reduce, oracle_betti, pommaret_basis, ps_complex,
-                      random_quasi_stable, taylor_complex)
+from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
+                      Symbol, betti_table, build_matching_V, check_exactness,
+                      is_morse_matching, minimize, morse_reduce, oracle_betti,
+                      pommaret_basis, ps_complex, random_quasi_stable,
+                      taylor_complex)
 from pommaret.errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
                              NotPSComplex)
 from pommaret.morse import _Reducer
@@ -222,6 +225,33 @@ def test_safety_net_sweep_on_symbol_complex():
         ("[x1^2*x5, x3*x4]", "[x1^2*x3*x4, x5]")]
     assert not reduced.unit_entries()
     assert betti_table(reduced) == oracle_betti(ideal)
+
+
+@pytest.mark.parametrize("relabel, corrects", [
+    ((1, 2, 3, 4, 5, 6), False), ((6, 2, 1, 5, 4, 3), True)])
+def test_safety_net_divides_by_a_non_unit_pivot(relabel, corrects):
+    """The Stanley-Reisner ideal of the 6-vertex real projective plane: its
+    generators are the 10 triples that are not faces.  Its Betti numbers
+    change in characteristic 2, so no reduction with only +-1 pivots (which
+    would work over Z) can reach the minimal resolution.  In the first
+    labelling the -2 pivot meets no other column; in the second it corrects
+    the columns it meets by a quotient with denominator 2."""
+    facets = {(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)}
+    facets = {tuple(sorted(relabel[v - 1] for v in f)) for f in facets}
+    ring = Ring(6)
+    ideal = MonomialIdeal(ring, [
+        ring.monomial([int(v in t) for v in range(1, 7)])
+        for t in combinations(range(1, 7), 3) if t not in facets])
+    reduced = minimize(taylor_complex(ideal), trace=True)
+    pivots = [r for r in reduced.trace if r["lambda"] == -2]
+    assert pivots
+    assert any(r["updated"] for r in pivots) == corrects
+    assert reduced.ranks() == (10, 15, 6)
+    assert not reduced.unit_entries()
+    assert check_exactness(reduced).ok
+    assert betti_table(reduced).by_degree == {(0, 3): 10, (1, 4): 15,
+                                              (2, 5): 6}
 
 
 def test_minimize_preserves_multidegrees():
