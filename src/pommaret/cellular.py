@@ -24,8 +24,9 @@ memo counts the nondegenerate orders.
 """
 
 from math import factorial
+from operator import le, sub
 
-from .errors import MismatchedBases, TauNotNonMultiplicative
+from .errors import ArityMismatch, MismatchedBases, TauNotNonMultiplicative
 from .resolution import (Symbol, ps_generators, symbol_facets,
                          symbol_multidegree)
 from .verify import ComplexReport
@@ -189,7 +190,9 @@ def supports_check(cellcomplex, cplx):
     cells' symbols in the cells' order) raise MismatchedBases; value
     mismatches are returned as failure strings.  A per-generator sign
     choice reconciling every differential entry with the cell boundary sign
-    is searched for; its absence is a failure.
+    is searched for; its absence is a failure.  Labels are compared on
+    exponent tuples; a facet label that does not divide its cell's label
+    has no quotient and raises ArityMismatch.
     """
     basis = cellcomplex.basis
     if cplx.basis is not basis and (
@@ -210,10 +213,10 @@ def supports_check(cellcomplex, cplx):
             for cell, gen in zip(layer, level)):
         if gen.multidegree != cell.label:
             failures.append("label of %r is not the symbol multidegree" % (key,))
-        lcm = basis.elements[cell.vertices[0]]
+        lcm = basis.elements[cell.vertices[0]].exps
         for v in cell.vertices[1:]:
-            lcm = lcm.lcm(basis.elements[v])
-        if lcm != cell.label:
+            lcm = tuple(map(max, lcm, basis.elements[v].exps))
+        if lcm != cell.label.exps:
             failures.append("label of %r is not the lcm of its vertices"
                             % (key,))
         if cell.alpha not in cell.vertices:
@@ -223,7 +226,7 @@ def supports_check(cellcomplex, cplx):
             if facet is None:
                 failures.append("facet %r of %r is not a cell" % (fkey, key))
                 continue
-            if not facet.label.divides(cell.label):
+            if not all(map(le, facet.label.exps, cell.label.exps)):
                 failures.append("facet label %s does not divide %s of %r"
                                 % (facet.label, cell.label, key))
             if not set(facet.vertices) <= set(cell.vertices):
@@ -245,7 +248,11 @@ def supports_check(cellcomplex, cplx):
             for fkey, s in centries.items():
                 row, c, m = dentries[fkey]
                 facet = cellcomplex.lookup[fkey]
-                if m != cell.label / facet.label:
+                quotient = tuple(map(sub, cell.label.exps, facet.label.exps))
+                if min(quotient) < 0:
+                    raise ArityMismatch("%s does not divide %s"
+                                        % (facet.label, cell.label))
+                if m.exps != quotient:
                     failures.append("entry monomial at %r -> %r is not the "
                                     "label quotient" % (key, fkey))
                 if abs(c) != 1:

@@ -10,6 +10,7 @@ precondition (not quasi-stable / not stable), 4 a verification failure.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -123,7 +124,9 @@ def _parse_monomial(line, lineno, ring):
     return ring.monomial(exps)
 
 
+@functools.cache
 def _build_parser():
+    # built once per process; parse_args leaves the parser unchanged
     p = argparse.ArgumentParser(
         prog="pommaret",
         description="Pommaret bases and minimal resolutions of "

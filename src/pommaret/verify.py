@@ -7,13 +7,19 @@ differentials become integer matrices, and exactness at each spot is a rank
 count (the composite is already known to vanish).  Only multidegrees in the
 lcm lattice of the generator multidegrees can carry homology, so the sweep
 runs over that lattice, optionally capped.
+
+The sweep works on exponent tuples and builds no ``Monomial``: the lattice
+joins tuples, each level's generators are grouped by multidegree once per
+complex, and a strand keeps the groups whose multidegree divides mu.
+``exact_rank`` pivots on a +-1 entry of the shortest row that has one and
+touches only the rows that hold the pivot column.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import le, sub
 
 from .errors import ArityMismatch, BrokenInvariant, NotAComplex, NotMinimal
 from .ideals import MonomialIdeal
@@ -29,50 +35,62 @@ from .resolution import (BettiTable, betti_table, composite_terms,
 def exact_rank(rows):
     """Rank of a sparse integer matrix given as row dicts.
 
-    Elimination prefers +-1 pivots (pure integer row operations); other
-    pivots scale the remaining rows by the pivot value first, which keeps
-    everything in integers and does not change the rank.
+    Each step pivots on a +-1 entry of the shortest row that has one (a
+    pure integer row operation); only when no +-1 entry is left does it
+    take an entry of least absolute value and scale the rows it meets by
+    the pivot first, which keeps everything in integers and does not
+    change the rank.  A column -> rows index limits each step to the rows
+    that hold the pivot column, and those rows are updated in place.  The
+    input rows are not modified.
     """
-    rows = [{c: v for c, v in r.items() if v} for r in rows]
-    rows = [r for r in rows if r]
+    live = {}
+    where = {}
+    for k, r in enumerate(rows):
+        r = {c: v for c, v in r.items() if v}
+        if r:
+            live[k] = r
+            for c in r:
+                where.setdefault(c, set()).add(k)
     rank = 0
-    while rows:
-        best = None
-        for idx, r in enumerate(rows):
-            for c, v in r.items():
-                key = (0 if abs(v) == 1 else 1, abs(v), len(r), idx, c)
-                if best is None or key < best[0]:
-                    best = (key, idx, c)
-        _, pidx, pc = best
-        prow = rows.pop(pidx)
-        pv = prow[pc]
+    while live:
+        pk = None
+        size = len(where) + 1  # longer than any row
+        for k, r in live.items():
+            if len(r) < size:
+                for c, v in r.items():
+                    if v == 1 or v == -1:
+                        pk, pc, size = k, c, len(r)
+                        break
+        if pk is None:
+            _, _, pk, pc = min((abs(v), len(r), k, c)
+                               for k, r in live.items() for c, v in r.items())
+        prow = live.pop(pk)
+        pv = prow.pop(pc)
         rank += 1
-        nxt = []
-        for r in rows:
-            a = r.pop(pc, 0)
-            if a == 0:
-                if r:
-                    nxt.append(r)
-                continue
-            out = {}
-            if pv in (1, -1):
+        hit = where.pop(pc)
+        hit.discard(pk)
+        for c in prow:
+            where[c].discard(pk)
+        for k in hit:
+            r = live[k]
+            a = r.pop(pc)
+            if pv == 1 or pv == -1:
                 f = a * pv
-                for c in set(r) | set(prow):
-                    if c == pc:
-                        continue
-                    v = r.get(c, 0) - f * prow.get(c, 0)
-                    if v:
-                        out[c] = v
             else:
-                for c in set(r) | set(prow):
-                    if c == pc:
-                        continue
-                    v = pv * r.get(c, 0) - a * prow.get(c, 0)
-                    if v:
-                        out[c] = v
-            if out:
-                nxt.append(out)
-        rows = nxt
+                for c in r:
+                    r[c] *= pv
+                f = a
+            for c, w in prow.items():
+                v = r.get(c, 0) - f * w
+                if v:
+                    if c not in r:
+                        where[c].add(k)
+                    r[c] = v
+                elif c in r:
+                    del r[c]
+                    where[c].discard(k)
+            if not r:
+                del live[k]
     return rank
 
 
@@ -134,53 +152,97 @@ class StrandComplex:
     target_dim: int
 
 
+def _strand_selector(cplx):
+    """select(mu) -> (selected, target_dim) for exponent tuples mu.
+
+    Each level's generators are grouped by multidegree once; a strand keeps
+    the groups whose multidegree divides mu, and mu lies in the ideal when
+    a minimal generator divides it."""
+    groups = []
+    for level in cplx.levels:
+        by_exps = {}
+        for j, g in enumerate(level):
+            by_exps.setdefault(g.multidegree.exps, []).append(j)
+        groups.append(list(by_exps.items()))
+    gens = [g.exps for g in cplx.ideal.gens]
+
+    def select(mu):
+        selected = [sorted(j for e, js in level if all(map(le, e, mu))
+                           for j in js) for level in groups]
+        target = 1 if any(all(map(le, e, mu)) for e in gens) else 0
+        return selected, target
+    return select
+
+
+def _check_arity(cplx, mu):
+    if mu.ring.n != cplx.ring.n:
+        raise ArityMismatch("monomials from different rings")
+
+
 def strand(cplx, mu):
-    selected = [[j for j, g in enumerate(level)
-                 if g.multidegree.divides(mu)] for level in cplx.levels]
-    target = 1 if cplx.ideal.contains(mu) else 0
+    _check_arity(cplx, mu)
+    selected, target = _strand_selector(cplx)(mu.exps)
     return StrandComplex(mu, selected, target)
 
 
-def _strand_matrix(cplx, i, rows, cols):
-    """Integer rows of d_i restricted to the strand; fraction entries are
-    cleared per column (column scaling keeps the rank)."""
+def _fraction_levels(cplx):
+    """Levels whose differential holds a Fraction entry (reduced complexes
+    after a non-unit pivot)."""
+    return {i for i in range(1, len(cplx.levels))
+            if any(isinstance(c, Fraction)
+                   for column in cplx.diffs[i].values()
+                   for c, _m in column.values())}
+
+
+def _strand_matrix(cplx, i, rows, cols, fractions):
+    """Integer rows of d_i restricted to the strand; on a level in
+    ``fractions``, fraction entries are cleared per column (column scaling
+    keeps the rank)."""
     pos = {r: k for k, r in enumerate(rows)}
     out = [dict() for _ in rows]
+    diff = cplx.diffs[i]
     for cidx, col in enumerate(cols):
-        column = cplx.diffs[i].get(col, {})
-        entries = [(r, c) for r, (c, _m) in column.items() if r in pos]
-        scale = 1
-        for _, c in entries:
-            if isinstance(c, Fraction):
-                scale = lcm(scale, c.denominator)
-        for r, c in entries:
-            v = c * scale
-            out[pos[r]][cidx] = int(v)
+        entries = [(pos[r], c) for r, (c, _m) in diff.get(col, {}).items()
+                   if r in pos]
+        if i in fractions:
+            scale = 1
+            for _, c in entries:
+                if isinstance(c, Fraction):
+                    scale = lcm(scale, c.denominator)
+            entries = [(k, int(c * scale)) for k, c in entries]
+        for k, c in entries:
+            out[k][cidx] = c
     return out
+
+
+def _strand_verdict(cplx, select, fractions, mu, ring):
+    """Rank conditions for exactness of the strand at the exponent tuple
+    mu; returns (ok, detail).  ``ring`` only names mu in a failure."""
+    sel, target = select(mu)
+    sizes = [len(s) for s in sel]
+    # augmentation strand: a single row of ones over the level-0 survivors
+    if target and not sizes[0]:
+        return False, {"mu": str(ring.monomial(mu)),
+                       "position": "augmentation",
+                       "reason": "member without covering generator"}
+    ranks = [target]
+    for i in range(1, len(sel)):
+        ranks.append(exact_rank(_strand_matrix(cplx, i, sel[i - 1], sel[i],
+                                               fractions)))
+    ranks.append(0)
+    for i in range(len(sel)):
+        if ranks[i] + ranks[i + 1] != sizes[i]:
+            return False, {"mu": str(ring.monomial(mu)), "position": i,
+                           "size": sizes[i], "ranks": (ranks[i],
+                                                       ranks[i + 1])}
+    return True, None
 
 
 def check_strand(cplx, mu):
     """Rank conditions for exactness of one strand; returns (ok, detail)."""
-    st = strand(cplx, mu)
-    sel = st.selected
-    sizes = [len(s) for s in sel]
-    # augmentation strand: a single row of ones over the level-0 survivors
-    if st.target_dim and not sizes[0]:
-        return False, {"mu": str(mu), "position": "augmentation",
-                       "reason": "member without covering generator"}
-    ranks = [1 if (st.target_dim and sizes[0]) else 0]
-    for i in range(1, len(sel)):
-        ranks.append(exact_rank(_strand_matrix(cplx, i, sel[i - 1], sel[i])))
-    ranks.append(0)
-    if st.target_dim != ranks[0]:
-        return False, {"mu": str(mu), "position": "augmentation",
-                       "reason": "target not covered"}
-    for i in range(len(sel)):
-        if ranks[i] + ranks[i + 1] != sizes[i]:
-            return False, {"mu": str(mu), "position": i,
-                           "size": sizes[i], "ranks": (ranks[i],
-                                                       ranks[i + 1])}
-    return True, None
+    _check_arity(cplx, mu)
+    return _strand_verdict(cplx, _strand_selector(cplx),
+                           _fraction_levels(cplx), mu.exps, mu.ring)
 
 
 @dataclass
@@ -194,24 +256,33 @@ class ExactnessReport:
     axioms: ComplexReport = None
 
 
-def lcm_lattice(cplx, cap):
-    """Lcm closure of all generator multidegrees, generator multidegrees
-    first, then new joins in discovery order, truncated at cap points."""
-    seeds = sorted({g.multidegree for level in cplx.levels for g in level},
-                   key=lambda m: (m.degree(), m.exps))
+def _lattice_exps(cplx, cap):
+    """``lcm_lattice`` on exponent tuples."""
+    seeds = sorted({g.multidegree.exps for level in cplx.levels
+                    for g in level}, key=lambda e: (sum(e), e))
+    if len({len(e) for e in seeds}) > 1:
+        raise ArityMismatch("monomials from different rings")
     points = list(seeds)
     seen = set(points)
     j = 1
     while j < len(points) and len(points) < cap:
         base = points[j]
         for k in range(j):
-            m = base.lcm(points[k])
-            if m not in seen:
-                seen.add(m)
-                points.append(m)
+            e = tuple(map(max, base, points[k]))
+            if e not in seen:
+                seen.add(e)
+                points.append(e)
         j += 1
     capped = len(points) > cap or j < len(points)
     return points[:cap], capped
+
+
+def lcm_lattice(cplx, cap):
+    """Lcm closure of all generator multidegrees, generator multidegrees
+    first (by degree, then exponents), then new joins in discovery order,
+    truncated at cap points."""
+    points, capped = _lattice_exps(cplx, cap)
+    return [cplx.ring.monomial(e) for e in points], capped
 
 
 def check_exactness(cplx, cap=20000):
@@ -220,10 +291,12 @@ def check_exactness(cplx, cap=20000):
     if not base.ok:
         raise NotAComplex("d o d = 0 fails; exactness is meaningless: %r"
                           % base.failures[:3])
-    points, capped = lcm_lattice(cplx, cap)
+    points, capped = _lattice_exps(cplx, cap)
+    select = _strand_selector(cplx)
+    fractions = _fraction_levels(cplx)
     failures = []
     for mu in points:
-        ok, detail = check_strand(cplx, mu)
+        ok, detail = _strand_verdict(cplx, select, fractions, mu, cplx.ring)
         if not ok:
             failures.append(detail)
     return ExactnessReport(not failures, len(points), capped, failures,

@@ -62,6 +62,72 @@ def dense_rank(rows, ncols):
     return rank
 
 
+def strand_oracle(cplx, cap=20000):
+    """Reference strand check: (strands_checked, capped, failures) in the
+    form of ``check_exactness``.
+
+    The lcm closure joins with ``Monomial.lcm`` in the documented order
+    (generator multidegrees by degree, then new joins in discovery order,
+    cut at cap points), generators are picked with ``Monomial.divides``,
+    and ranks are dense ranks over Fraction, so fraction entries need no
+    clearing.
+    """
+    seeds = sorted({g.multidegree for level in cplx.levels for g in level},
+                   key=lambda m: (m.degree(), m.exps))
+    points = list(seeds)
+    seen = set(points)
+    j = 1
+    while j < len(points) and len(points) < cap:
+        for k in range(j):
+            m = points[j].lcm(points[k])
+            if m not in seen:
+                seen.add(m)
+                points.append(m)
+        j += 1
+    capped = len(points) > cap or j < len(points)
+    points = points[:cap]
+    failures = []
+    for mu in points:
+        sel = [[j for j, g in enumerate(level) if g.multidegree.divides(mu)]
+               for level in cplx.levels]
+        member = int(any(g.divides(mu) for g in cplx.ideal.gens))
+        ones = [{c: 1 for c in range(len(sel[0]))}] if member else []
+        if dense_rank(ones, len(sel[0])) != member:
+            failures.append({"mu": str(mu), "position": "augmentation",
+                             "reason": "member without covering generator"})
+            continue
+        ranks = [member]
+        for i in range(1, len(sel)):
+            rows = []
+            for row in sel[i - 1]:
+                rows.append({})
+                for c, col in enumerate(sel[i]):
+                    entry = cplx.entry(i, row, col)
+                    if entry is not None:
+                        rows[-1][c] = entry[0]
+            ranks.append(dense_rank(rows, len(sel[i])))
+        ranks.append(0)
+        for i in range(len(sel)):
+            if ranks[i] + ranks[i + 1] != len(sel[i]):
+                failures.append({"mu": str(mu), "position": i,
+                                 "size": len(sel[i]),
+                                 "ranks": (ranks[i], ranks[i + 1])})
+                break
+    return len(points), capped, failures
+
+
+def rp2_ideal(relabel):
+    """Stanley-Reisner ideal of the 6-vertex real projective plane, its
+    vertices renamed by relabel: the 10 triples that are not faces."""
+    facets = {(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)}
+    facets = {tuple(sorted(relabel[v - 1] for v in f)) for f in facets}
+    ring = Ring(6)
+    return MonomialIdeal(ring, [
+        ring.monomial([int(v in t) for v in range(1, 7)])
+        for t in itertools.combinations(range(1, 7), 3) if t not in facets])
+
+
 def naive_completion(ideal, cap):
     """Quadratic-rescan completion; None when the cap is passed.
 

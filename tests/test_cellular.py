@@ -5,11 +5,12 @@ import pytest
 
 import pommaret.cellular
 from helpers import random_ideal
-from pommaret import (FreeComplex, MonomialIdeal, PommaretBasis, Ring,
-                      build_cell_complex, chain_vertices, expected_ranks,
+from pommaret import (FreeComplex, Monomial, MonomialIdeal, PommaretBasis,
+                      Ring, build_cell_complex, chain_vertices, expected_ranks,
                       pommaret_basis, ps_complex, random_quasi_stable,
                       supports_check, taylor_complex)
-from pommaret.errors import MismatchedBases, TauNotNonMultiplicative
+from pommaret.errors import (ArityMismatch, MismatchedBases,
+                             TauNotNonMultiplicative)
 
 
 def test_chain_vertices_orders(ideal_b):
@@ -232,6 +233,27 @@ def test_supports_check_detects_corruption(ideal_a):
     report = supports_check(cells, _copy_with_diffs(good, diffs))
     assert not report.ok
     assert any("support" in f for f in report.failures)
+
+
+def test_supports_check_on_exponent_tuples(ideal_a, monkeypatch):
+    basis = pommaret_basis(ideal_a)
+    cells = build_cell_complex(basis)
+    cplx = ps_complex(basis)
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    assert supports_check(cells, cplx).ok
+    assert built == []
+    # a facet label that does not divide the cell label has no quotient
+    cell = cells.cells[1][0]
+    cell.label = basis.elements[cell.alpha]
+    with pytest.raises(ArityMismatch, match="does not divide"):
+        supports_check(cells, cplx)
 
 
 def test_supports_check_detects_sign_inconsistency(ideal_b):

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import dense_rank, random_stable
+from helpers import dense_rank, random_stable, rp2_ideal, strand_oracle
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       check_complex, check_exactness, check_strand,
                       ek_complex, exact_rank, homological_invariants,
@@ -14,19 +15,26 @@ from pommaret.resolution import composite_terms
 
 def test_exact_rank_against_dense_oracle():
     rng = random.Random(17)
-    for trial in range(150):
-        nrows = rng.randint(0, 7)
-        ncols = rng.randint(1, 7)
-        density = rng.choice([0.2, 0.5, 0.9])
-        rows = []
-        for _ in range(nrows):
-            row = {c: rng.randint(-5, 5) for c in range(ncols)
-                   if rng.random() < density}
-            rows.append({c: v for c, v in row.items() if v})
-        assert exact_rank(rows) == dense_rank(rows, ncols)
-        # no +-1 pivots available: scaled copy has the same rank
-        doubled = [{c: 2 * v for c, v in r.items()} for r in rows]
-        assert exact_rank(doubled) == dense_rank(rows, ncols)
+    # (trials, most rows, most columns, densities, entry factor): small
+    # shapes first, then larger sparse ones, then all-even ones whose
+    # non-unit pivots fill in the rows they meet
+    shapes = [(150, 7, 7, [0.2, 0.5, 0.9], 1),
+              (60, 14, 14, [0.05, 0.1, 0.2], 1),
+              (40, 14, 14, [0.3, 0.6], 2)]
+    for trials, max_rows, max_cols, densities, factor in shapes:
+        for trial in range(trials):
+            nrows = rng.randint(0, max_rows)
+            ncols = rng.randint(1, max_cols)
+            density = rng.choice(densities)
+            rows = []
+            for _ in range(nrows):
+                row = {c: factor * rng.randint(-5, 5) for c in range(ncols)
+                       if rng.random() < density}
+                rows.append({c: v for c, v in row.items() if v})
+            assert exact_rank(rows) == dense_rank(rows, ncols)
+            # no +-1 pivots available: scaled copy has the same rank
+            doubled = [{c: 2 * v for c, v in r.items()} for r in rows]
+            assert exact_rank(doubled) == dense_rank(rows, ncols)
 
 
 def test_exact_rank_edge_cases():
@@ -243,6 +251,69 @@ def test_exactness_failure_is_reported(ideal_a):
     report = check_exactness(chopped)
     assert not report.ok
     assert report.failures[0]["position"] == 0
+
+
+def _halve_generator(cplx, i, col):
+    """The same complex over Q after replacing generator col of F_i by
+    half of it: column col of d_i halves and row col of d_{i+1} doubles."""
+    diffs = [None]
+    for lvl in range(1, len(cplx.levels)):
+        diffs.append({c: dict(column)
+                      for c, column in cplx.diffs[lvl].items()})
+    diffs[i][col] = {row: (Fraction(c, 2), m)
+                     for row, (c, m) in diffs[i][col].items()}
+    for column in diffs[i + 1].values():
+        if col in column:
+            c, m = column[col]
+            column[col] = (2 * c, m)
+    return FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
+                       cplx.provenance, basis=cplx.basis)
+
+
+def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
+    cases = []
+    for ideal in (ideal_a, ideal_b, random_quasi_stable(4, 3, 4, 3),
+                  random_quasi_stable(9, 4, 3, 2)):
+        cplx = ps_complex(pommaret_basis(ideal))
+        cases += [(cplx, 20000), (minimize(cplx), 20000)]
+    basis = pommaret_basis(ideal_a)
+    chopped = FreeComplex(basis.ring, ideal_a, [ps_complex(basis).levels[0]],
+                          [None], "custom", basis=basis)
+    big = ps_complex(pommaret_basis(ideal_b))
+    halved = _halve_generator(big, 1, 0)
+    assert any(isinstance(c, Fraction)
+               for c, _m in halved.diffs[1][0].values())
+    cases += [(chopped, 20000), (big, 5), (halved, 20000),
+              (minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))),
+               20000)]
+    reports = []
+    for cplx, cap in cases:
+        report = check_exactness(cplx, cap=cap)
+        assert ((report.strands_checked, report.capped, report.failures)
+                == strand_oracle(cplx, cap))
+        reports.append(report)
+    chopped_report, capped_report, halved_report, rp2_report = reports[-4:]
+    assert not chopped_report.ok and chopped_report.failures
+    assert capped_report.capped and capped_report.strands_checked == 5
+    assert halved_report.ok and halved_report.strands_checked == 27
+    assert rp2_report.ok
+
+
+def test_strand_check_builds_no_monomial(ideal_b, monkeypatch):
+    cplx = ps_complex(pommaret_basis(ideal_b))
+    cases = [cplx, minimize(cplx)]
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    reports = [check_exactness(c) for c in cases]
+    assert built == []
+    assert [(r.ok, r.strands_checked) for r in reports] == [(True, 27),
+                                                             (True, 13)]
 
 
 def test_exactness_requires_a_complex(ideal_a):
