@@ -188,13 +188,11 @@ def _cmd_basis(args):
             "n": basis.ring.n,
             "elements": [{"monomial": str(h), "exps": list(h.exps),
                           "cls": h.cls} for h in basis.elements]}))
-    elif args.fmt == "text":
+    else:
         lines = ["Pommaret basis, %d elements:" % len(basis)]
         for i, h in enumerate(basis.elements):
             lines.append("%3d: %-20s cls=%d" % (i, str(h), h.cls))
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        raise _Usage("basis has no dot format")
     return 0
 
 
@@ -241,10 +239,8 @@ def _cmd_resolution(args):
     cplx = _resolution_for(args, _load(args))
     if args.fmt == "json":
         _emit(args, _json_text(cplx.to_json_dict()))
-    elif args.fmt == "text":
-        _emit(args, _render_complex_text(cplx))
     else:
-        raise _Usage("resolution has no dot format")
+        _emit(args, _render_complex_text(cplx))
     return 0
 
 
@@ -283,7 +279,7 @@ def _cmd_minimize(args):
         doc["matching"] = {str(k): v for k, v in sorted(sizes.items())}
         doc["safety_net_cancellations"] = reduced.safety_net_cancellations
         _emit(args, _json_text(doc))
-    elif args.fmt == "text":
+    else:
         lines = []
         for k in sorted(sizes, reverse=True):
             lines.append("|V_%d| = %d" % (k, sizes[k]))
@@ -291,8 +287,6 @@ def _cmd_minimize(args):
                      % reduced.safety_net_cancellations)
         lines.append(_render_complex_text(reduced))
         _emit(args, "\n".join(lines))
-    else:
-        raise _Usage("minimize has no dot format")
     return 0
 
 
@@ -313,15 +307,13 @@ def _cmd_betti(args):
             "pd_from_classes": report.pd_from_classes,
             "reg_from_basis": report.reg_from_basis,
             "consistent": report.consistent}))
-    elif args.fmt == "text":
+    else:
         lines = [report.betti.render()]
         lines.append("pd  = %d (classes predict %d)"
                      % (report.pd, report.pd_from_classes))
         lines.append("reg = %d (basis degree %d)"
                      % (report.reg, report.reg_from_basis))
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        raise _Usage("betti has no dot format")
     return 0 if report.consistent else 4
 
 
@@ -363,8 +355,6 @@ def _verify_one(ideal, strand_cap):
 
 
 def _cmd_verify(args):
-    if args.fmt == "dot":
-        raise _Usage("verify has no dot format")
     ideal = _load(args)
     checks, ok = _verify_one(ideal, args.strand_cap)
     if args.fmt == "json":
@@ -382,8 +372,6 @@ def _cmd_verify(args):
 
 
 def _cmd_random_test(args):
-    if args.fmt != "text":
-        raise _Usage("random-test has no %s format" % args.fmt)
     lines = []
     bad = 0
     for case in range(args.count):
@@ -405,29 +393,29 @@ def _cmd_random_test(args):
     return 0 if bad == 0 else 4
 
 
-class _Usage(Exception):
-    pass
-
-
+# each command with the output formats it has; a format it lacks is
+# rejected before any work is done
 _COMMANDS = {
-    "basis": _cmd_basis,
-    "pgraph": _cmd_pgraph,
-    "resolution": _cmd_resolution,
-    "cellular": _cmd_cellular,
-    "minimize": _cmd_minimize,
-    "betti": _cmd_betti,
-    "verify": _cmd_verify,
-    "random-test": _cmd_random_test,
+    "basis": (_cmd_basis, ("text", "json")),
+    "pgraph": (_cmd_pgraph, ("text", "json", "dot")),
+    "resolution": (_cmd_resolution, ("text", "json")),
+    "cellular": (_cmd_cellular, ("text", "json", "dot")),
+    "minimize": (_cmd_minimize, ("text", "json")),
+    "betti": (_cmd_betti, ("text", "json")),
+    "verify": (_cmd_verify, ("text", "json")),
+    "random-test": (_cmd_random_test, ("text",)),
 }
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except _Usage as e:
-        sys.stderr.write("error: %s\n" % e)
+    command, formats = _COMMANDS[args.command]
+    if args.fmt not in formats:
+        sys.stderr.write("error: %s has no %s format\n"
+                         % (args.command, args.fmt))
         return 2
+    try:
+        return command(args)
     except (IdealSyntaxError, EmptyInput, UnitGenerator, ArityMismatch) as e:
         sys.stderr.write("error [%s]: %s\n" % (e.code, e.message))
         return 2

@@ -10,15 +10,23 @@ with the same homology.
 The distinguished matching V pairs [h, u] with [h', u minus x_i] whenever
 extracting the nonmultiplicative variable x_i rewrites with factor t = 1,
 sweeping variables from x_n downward and skipping generators already
-matched.  On the symbol resolution this matching leaves exactly the minimal
-resolution behind.
+matched.  On most symbol resolutions this matching alone leaves the minimal
+resolution behind, but not on all: cancellation can create unit entries by
+fill-in that V does not pair (``random_quasi_stable(2520, 5, 4, 6)`` is
+one), and ``minimize`` then cancels them in a safety-net sweep.
+
+All the pairs of one homological degree form one block of elimination; its
+result does not depend on the order of the pairs inside it, so d o d = 0
+is checked on the columns a block changed once the block is done.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
-                     NotPSComplex)
+from .errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
+                     NotAMorseMatching, NotPSComplex)
+from .monomials import Monomial
 from .resolution import FreeComplex, Symbol, composite_terms, unit_entries
 
 _SYMBOL_KINDS = ("pommaret", "eliahou-kervaire")
@@ -174,9 +182,13 @@ class ReducedComplex(FreeComplex):
 
 
 class _Reducer:
-    """Mutable sparse copy of a complex supporting pair cancellation."""
+    """Mutable sparse copy of a complex supporting pair cancellation.
 
-    def __init__(self, cplx):
+    Each cancellation records the columns it changed; ``_local_check``
+    proves d o d = 0 on them when the level of cancellation moves, and the
+    callers run it once more after their last cancellation."""
+
+    def __init__(self, cplx, trace=False):
         self.cplx = cplx
         self.cols = [None]
         self.row_index = [None]
@@ -190,7 +202,11 @@ class _Reducer:
             self.cols.append(level_cols)
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
-        self.trace = []
+        self.trace = [] if trace else None
+        self.products = {}  # exponent tuple -> its Monomial, shared
+        self.cancelled = 0
+        self.dirty = set()  # (level, col) changed since the last check
+        self.level = None   # level of the last cancellation
 
     def _set(self, level, col, row, coeff, mono):
         column = self.cols[level].setdefault(col, {})
@@ -206,69 +222,84 @@ class _Reducer:
 
     def cancel(self, pair):
         level, s, t = pair.level, pair.source, pair.target
-        lam = self.cols[level].get(s, {}).get(t)
+        if level != self.level:
+            self._local_check()
+            self.level = level
+        cols = self.cols[level]
+        lam = cols.get(s, {}).get(t)
         if not _is_unit(lam):
             raise NonUnitPair("pair (%d: %d -> %d) is not a unit entry"
                               % (level, s, t))
         lam_c = lam[0]
-        source_col = self.cols[level][s]
+        source_col = cols[s]
+        fill = [(row, sc, sm.exps) for row, (sc, sm) in source_col.items()
+                if row != t]
+        upper = (self.row_index[level + 1] if level + 1 < len(self.cols)
+                 else {})
         touched = []
         for c in sorted(self.row_index[level].get(t, set()) - {s}):
-            alpha = self.cols[level][c][t]
+            column = cols[c]
+            alpha_c, alpha_m = column[t]
             if lam_c in (1, -1):
-                q = alpha[0] * lam_c
+                q = alpha_c * lam_c
             else:
-                q = Fraction(alpha[0], lam_c)
-            for row, (sc, sm) in source_col.items():
-                if row == t:
-                    continue
-                mono = alpha[1] * sm
-                old = self.cols[level][c].get(row)
-                if old is not None and old[1] != mono:
+                q = Fraction(alpha_c, lam_c)
+            ae = alpha_m.exps
+            for row, sc, se in fill:
+                if len(se) != len(ae):
+                    raise ArityMismatch("monomials from different rings")
+                exps = tuple(map(add, ae, se))
+                old = column.get(row)
+                if old is None:
+                    mono = self.products.get(exps)
+                    if mono is None:
+                        mono = self.products[exps] = Monomial(alpha_m.ring,
+                                                              exps)
+                    self._set(level, c, row, -q * sc, mono)
+                elif old[1].exps != exps:
                     raise BrokenInvariant("inhomogeneous correction")
-                coeff = (old[0] if old else 0) - q * sc
-                self._set(level, c, row, coeff, mono)
-                touched.append((c, row))
+                else:
+                    self._set(level, c, row, old[0] - q * sc, old[1])
+            if fill:
+                self.dirty.add((level, c))
+                self.dirty.update((level + 1, u) for u in upper.get(c, ()))
+                if self.trace is not None:
+                    touched.extend((c, row) for row, _, _ in fill)
             # the t entry of every corrected column cancels exactly
-            del self.cols[level][c][t]
+            del column[t]
             self.row_index[level][t].discard(c)
         # drop the source column and the target's own column
         for row in list(source_col):
             self.row_index[level][row].discard(s)
-        del self.cols[level][s]
+        del cols[s]
         if level - 1 >= 1 and t in self.cols[level - 1]:
             for row in list(self.cols[level - 1][t]):
                 self.row_index[level - 1][row].discard(t)
             del self.cols[level - 1][t]
-        dead_cols = set()
-        if level + 1 < len(self.cols):
-            dead_cols = self.row_index[level + 1].pop(s, set())
-            for c in dead_cols:
-                del self.cols[level + 1][c][s]
+        # the columns one level up lose the dead source row
+        for c in upper.pop(s, ()):
+            del self.cols[level + 1][c][s]
+            self.dirty.add((level + 1, c))
         self.alive[level].discard(s)
         self.alive[level - 1].discard(t)
-        self.trace.append({
-            "level": level, "source": s, "target": t,
-            "source_text": self.cplx.levels[level][s].text,
-            "target_text": self.cplx.levels[level - 1][t].text,
-            "var": pair.var, "lambda": lam_c,
-            "updated": sorted(set(touched)),
-        })
-        self._local_check(level, sorted({c for c, _ in touched}), dead_cols)
+        self.cancelled += 1
+        if self.trace is not None:
+            self.trace.append({
+                "level": level, "source": s, "target": t,
+                "source_text": self.cplx.levels[level][s].text,
+                "target_text": self.cplx.levels[level - 1][t].text,
+                "var": pair.var, "lambda": lam_c,
+                "updated": sorted(touched),
+            })
 
-    def _local_check(self, level, changed_cols, dead_cols):
-        # d o d = 0 can only break where entries changed: the corrected
-        # columns at this level, and one level up the columns that met the
-        # dead source row or a corrected column
-        for c in changed_cols:
-            self._compose_check(level, c)
-        if level + 1 < len(self.cols):
-            index = self.row_index[level + 1]
-            upper = set(dead_cols)
-            for c in changed_cols:
-                upper |= index.get(c, set())
-            for c in upper:
-                self._compose_check(level + 1, c)
+    def _local_check(self):
+        # d o d = 0 can only break where entries changed since the last
+        # check: the corrected columns, and one level up the columns that
+        # met a dead source row or a corrected column
+        for level, col in sorted(self.dirty):
+            if col in self.cols[level]:
+                self._compose_check(level, col)
+        self.dirty.clear()
 
     def _compose_check(self, level, col):
         bad = composite_terms(self.cplx.levels, self.cols, level, col)
@@ -277,7 +308,7 @@ class _Reducer:
                 "cancellation broke d o d = 0 at level %d col %d: %r"
                 % (level, col, bad))
 
-    def compact(self, matching, trace_wanted):
+    def compact(self, matching):
         """The surviving complex, after checking d o d = 0 on every
         column; cancellations beyond the matching's pairs were the
         safety net's."""
@@ -304,18 +335,18 @@ class _Reducer:
             diffs.pop()
         return ReducedComplex(cplx.ring, cplx.ideal, levels, diffs,
                               cplx.basis, matching,
-                              len(self.trace) - len(matching),
-                              self.trace if trace_wanted else None)
+                              self.cancelled - len(matching), self.trace)
 
 
-def _cancel_matching(cplx, matching):
-    """A reducer with every pair of a valid matching cancelled, highest
-    degree first."""
+def _cancel_matching(cplx, matching, trace):
+    """A checked reducer with every pair of a valid matching cancelled,
+    highest degree first."""
     if not is_morse_matching(cplx, matching):
         raise NotAMorseMatching("matching fails the unit or acyclicity test")
-    reducer = _Reducer(cplx)
+    reducer = _Reducer(cplx, trace)
     for pair in sorted(matching.pairs, key=lambda p: (-p.level, p.source)):
         reducer.cancel(pair)
+    reducer._local_check()
     return reducer
 
 
@@ -323,7 +354,7 @@ def morse_reduce(cplx, matching, trace=False):
     """Cancel every pair of the matching, highest degree first."""
     if not isinstance(matching, Matching):
         matching = Matching(matching)
-    return _cancel_matching(cplx, matching).compact(matching, trace)
+    return _cancel_matching(cplx, matching, trace).compact(matching)
 
 
 def minimize(cplx, trace=False):
@@ -331,13 +362,14 @@ def minimize(cplx, trace=False):
 
     Symbol resolutions go through the matching V; whatever provenance, a
     safety-net sweep then cancels any surviving invertible scalar entry one
-    pair at a time (for V the sweep finds nothing; the count is reported).
+    pair at a time, checking d o d = 0 after each.  After V the sweep can
+    still find unit entries that fill-in created; the count is reported.
     """
     if cplx.provenance in _SYMBOL_KINDS:
         matching = build_matching_V(cplx)
     else:
         matching = Matching(())
-    reducer = _cancel_matching(cplx, matching)
+    reducer = _cancel_matching(cplx, matching, trace)
     while True:
         units = unit_entries(reducer.cols)
         if not units:
@@ -346,4 +378,5 @@ def minimize(cplx, trace=False):
         level, row, col, _ = min(units, key=lambda u: (-u[0], u[2], u[1]))
         # a single reversed edge cannot close an alternating cycle
         reducer.cancel(Pair(level, col, row, 0))
-    return reducer.compact(matching, trace)
+        reducer._local_check()
+    return reducer.compact(matching)

@@ -269,6 +269,17 @@ def test_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: random-test has no %s format\n" % fmt
         assert captured.out == ""
+    # a missing format is refused before the input is read or any work done
+    trace = tmp_path / "trace.jsonl"
+    b_path = write(tmp_path, "b.ideal", B_TEXT)
+    for command in ("basis", "resolution", "minimize", "betti"):
+        extra = ["--trace", str(trace)] if command == "minimize" else []
+        for path in (b_path, bad):  # bad is not quasi-stable
+            assert cli.main([command, path, "--format", "dot"] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: %s has no dot format\n" % command
+            assert captured.out == ""
+    assert not trace.exists()
 
 
 def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):

@@ -2,14 +2,15 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_ideal, random_stable, reference_match
+from helpers import random_ideal, random_stable, reference_match, rp2_ideal
 from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, check_exactness,
                       is_morse_matching, minimize, morse_reduce, oracle_betti,
                       pommaret_basis, ps_complex, random_quasi_stable,
                       taylor_complex)
-from pommaret.errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
-                             NotPSComplex)
+from pommaret.errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
+                             NotAMorseMatching, NotPSComplex)
+from pommaret.monomials import Monomial
 from pommaret.morse import _Reducer
 
 
@@ -166,6 +167,81 @@ def test_step_check_catches_a_dropped_correction(ideal_b, monkeypatch,
     assert dropped
     frames = [entry.name for entry in info.traceback]
     assert "_local_check" in frames and "compact" not in frames
+
+
+@pytest.mark.parametrize("case, stride", [("ideal_b", 1), ("sweep", 6)])
+def test_every_defect_that_changes_the_result_is_caught(ideal_b, monkeypatch,
+                                                        case, stride):
+    # the k-th fill-in entry is dropped, or its coefficient is off by one:
+    # minimize must raise, or the defect must not reach the result (a later
+    # cancellation can erase it before the check of its level runs)
+    if case == "ideal_b":
+        cplx = ps_complex(pommaret_basis(ideal_b))
+    else:
+        cplx = ps_complex(pommaret_basis(random_quasi_stable(2520, 5, 4, 6)))
+    set_entry = _Reducer._set
+    calls = [0]
+    mutate = [None, None]  # k, "drop" or "plus1"
+
+    def mutated_set(self, level, col, row, coeff, mono):
+        calls[0] += 1
+        if calls[0] == mutate[0]:
+            if mutate[1] == "drop":
+                return
+            coeff += 1
+        set_entry(self, level, col, row, coeff, mono)
+
+    monkeypatch.setattr(_Reducer, "_set", mutated_set)
+    reduced = minimize(cplx)
+    assert reduced.safety_net_cancellations == (2 if case == "sweep" else 0)
+    want = reduced.to_json_dict()
+    total = calls[0]
+    raised = 0
+    for mode in ("drop", "plus1"):
+        # counted from the end, so the sweep's own fill-in is hit too
+        for k in range(total, 0, -stride):
+            calls[0] = 0
+            mutate[:] = k, mode
+            try:
+                got = minimize(cplx).to_json_dict()
+            except BrokenInvariant:
+                raised += 1
+                continue
+            assert got == want, (mode, k)
+    assert raised
+
+
+def test_fill_in_multiplies_no_monomial(ideal_b, monkeypatch):
+    # fill-in products are sums of exponent tuples
+    def no_product(self, other):
+        raise AssertionError("Monomial product in the reducer")
+
+    monkeypatch.setattr(Monomial, "__mul__", no_product)
+    reduced = minimize(ps_complex(pommaret_basis(ideal_b)))
+    assert reduced.ranks() == (4, 5, 2)
+    reduced = minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3))))
+    assert reduced.ranks() == (10, 15, 6)
+
+
+@pytest.mark.parametrize("wide", ["corrected", "source"])
+def test_fill_in_rejects_mixed_arity(wide):
+    # F_1 = <a, b>, F_0 = <p, q>, d a = p - q, d b = y p; cancelling a -> p
+    # gives b the fill-in entry y q, and one factor of that product comes
+    # from Ring(4)
+    r3 = Ring(3)
+    x, y = r3.variable(1), r3.variable(2)
+    ideal = MonomialIdeal(r3, [x])
+    levels = [[Gen("p", x, "p"), Gen("q", x, "q")],
+              [Gen("a", x, "a"), Gen("b", x * y, "b")]]
+    diffs = [None, {0: {0: (1, r3.unit()), 1: (-1, r3.unit())},
+                    1: {0: (1, y)}}]
+    if wide == "corrected":
+        diffs[1][1][0] = (1, Ring(4).variable(2))
+    else:
+        diffs[1][0][1] = (-1, Ring(4).unit())
+    reducer = _Reducer(FreeComplex(r3, ideal, levels, diffs, "custom"))
+    with pytest.raises(ArityMismatch):
+        reducer.cancel(Pair(1, 0, 0, 0))
 
 
 def test_minimize_two_variables(ideal_a):
