@@ -5,7 +5,7 @@ resolution, with exact self-verification throughout."""
 from . import errors
 from .monomials import Monomial, Ring, p_order_key
 from .ideals import (MonomialIdeal, PGraph, PommaretBasis, build_p_graph,
-                     minimal_generators, path_multidegree, pommaret_basis)
+                     minimal_generators, pommaret_basis)
 from .resolution import (BettiTable, Face, FreeComplex, Gen, Symbol,
                          betti_table, decompose_beg_end, ek_complex, ek_sgn,
                          expected_ranks, ps_complex, ps_generators,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors", "Monomial", "Ring", "p_order_key",
     "MonomialIdeal", "PGraph", "PommaretBasis", "build_p_graph",
-    "minimal_generators", "path_multidegree", "pommaret_basis",
+    "minimal_generators", "pommaret_basis",
     "BettiTable", "Face", "FreeComplex", "Gen", "Symbol", "betti_table",
     "decompose_beg_end", "ek_complex", "ek_sgn", "expected_ranks",
     "ps_complex", "ps_generators", "render_differential", "taylor_complex",

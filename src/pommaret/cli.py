@@ -14,6 +14,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .cellular import build_cell_complex, supports_check
 from .errors import (ArityMismatch, EmptyInput, IdealSyntaxError,
@@ -124,6 +125,15 @@ def _parse_monomial(line, lineno, ring):
     return ring.monomial(exps)
 
 
+def _strand_cap(text):
+    """argparse type of --strand-cap: an integer of at least 1, since a
+    check over no strands would read as a pass."""
+    cap = int(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % cap)
+    return cap
+
+
 @functools.cache
 def _build_parser():
     # built once per process; parse_args leaves the parser unchanged
@@ -153,14 +163,15 @@ def _build_parser():
                     help="write one JSON line per cancellation here")
     add("betti", help="Betti numbers, pd and regularity")
     sp = add("verify", help="run the self-check suite")
-    sp.add_argument("--strand-cap", dest="strand_cap", type=int,
+    sp.add_argument("--strand-cap", dest="strand_cap", type=_strand_cap,
                     default=20000)
     sp = add("random-test", needs_file=False,
              help="seeded end-to-end property checks")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=25)
     sp.add_argument("--max-deg", dest="max_deg", type=int, default=5)
-    sp.add_argument("--strand-cap", dest="strand_cap", type=int, default=400)
+    sp.add_argument("--strand-cap", dest="strand_cap", type=_strand_cap,
+                    default=400)
     return p
 
 
@@ -173,7 +184,58 @@ def _emit(args, text):
 
 
 def _json_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    Given an indent, ``json`` encodes in pure Python; this writer covers
+    only what the CLI's documents hold (dicts with str keys, lists, str,
+    int, bool, None) and raises TypeError on anything else.
+    """
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(x, nl, out):
+    # nl is the newline plus the indent of the line x starts on; exact
+    # types, so that bool is not written as an int
+    t = type(x)
+    if t is dict:
+        if not x:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            # the escaper raises TypeError on a key that is not a str
+            out(sep + _json_str(k) + ": ")
+            _write_json(x[k], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif t is list:
+        if not x:
+            out("[]")
+            return
+        inner = nl + "  "
+        if all([type(v) is int for v in x]):
+            out("[" + inner + ("," + inner).join(map(str, x)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif t is str:
+        out(_json_str(x))
+    elif t is int:
+        out(str(x))
+    elif t is bool:
+        out("true" if x else "false")
+    elif x is None:
+        out("null")
+    else:
+        raise TypeError("%s is not written as JSON" % t.__name__)
 
 
 def _load(args):

@@ -54,20 +54,8 @@ class NotStable(PommaretError):
     code = "not-stable"
 
 
-class NotNonMultiplicative(PommaretError):
-    code = "not-nonmultiplicative"
-
-
 class NotMember(PommaretError):
     code = "not-member"
-
-
-class NotAPath(PommaretError):
-    code = "not-a-path"
-
-
-class VariablesNotIncreasing(PommaretError):
-    code = "variables-not-increasing"
 
 
 class DegreeOutOfRange(PommaretError):

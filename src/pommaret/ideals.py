@@ -8,9 +8,8 @@ minimal generators already form the basis.
 
 import heapq
 
-from .errors import (BrokenInvariant, EmptyInput, NotAPath,
-                     NotNonMultiplicative, NotQuasiStable, UnitGenerator,
-                     VariablesNotIncreasing)
+from .errors import (BrokenInvariant, EmptyInput, NotQuasiStable,
+                     UnitGenerator)
 from .monomials import Monomial, p_order_key
 
 
@@ -188,13 +187,6 @@ class PommaretBasis:
     def contains(self, m):
         return self._cones.divisor(m) is not None
 
-    def delta_map(self, alpha, k):
-        """(beta, t) for the nonmultiplicative product x_k * h_alpha."""
-        if (alpha, k) not in self.delta:
-            raise NotNonMultiplicative(
-                "x%d is multiplicative for element %d" % (k, alpha))
-        return self.delta[(alpha, k)]
-
     def _check_linear_quotients(self):
         # each colon ideal <h_{a+1},...> : h_a must be generated by exactly
         # the nonmultiplicative variables of h_a; guards the element order
@@ -264,15 +256,6 @@ class PGraph:
         self.edges = tuple(sorted(
             (a, k, b, t) for (a, k), (b, t) in basis.delta.items()))
 
-    def edge_between(self, a, b):
-        """The unique edge a -> b, or None.  (Parallel edges cannot occur:
-        two variables sending h_a to the same h_b would force overlapping
-        cones.)"""
-        for (x, k, y, t) in self.edges:
-            if x == a and y == b:
-                return (x, k, y, t)
-        return None
-
     def to_dot(self):
         basis = self.basis
         lines = ["digraph pgraph {"]
@@ -288,25 +271,3 @@ class PGraph:
 
 def build_p_graph(basis):
     return PGraph(basis)
-
-
-def path_multidegree(graph, vertices):
-    """Product of the t factors along a path given as basis indices.
-
-    The path must follow existing edges and use strictly increasing edge
-    variables; the empty and one-vertex paths have multidegree 1.
-    """
-    ring = graph.basis.ring
-    md = ring.unit()
-    last_k = 0
-    for a, b in zip(vertices, vertices[1:]):
-        e = graph.edge_between(a, b)
-        if e is None:
-            raise NotAPath("no edge %d -> %d" % (a, b))
-        _, k, _, t = e
-        if k <= last_k:
-            raise VariablesNotIncreasing(
-                "edge variable x%d after x%d" % (k, last_k))
-        last_k = k
-        md = md * t
-    return md

@@ -268,7 +268,9 @@ def ek_sgn(i, u):
 
 
 def ek_complex(ideal):
-    """Minimal resolution of a stable ideal straight from its generators."""
+    """Minimal resolution of a stable ideal: the symbol complex of its
+    Pommaret basis, which for a stable ideal is its minimal generators,
+    under the ``eliahou-kervaire`` provenance label."""
     if not ideal.is_stable():
         raise NotStable("%r is not stable" % ideal)
     basis = pommaret_basis(ideal)

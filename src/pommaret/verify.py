@@ -258,6 +258,9 @@ class ExactnessReport:
 
 def _lattice_exps(cplx, cap):
     """``lcm_lattice`` on exponent tuples."""
+    if cap < 1:
+        # a shorter lattice would still yield a verdict, over too few strands
+        raise ValueError("strand cap must be at least 1, got %r" % (cap,))
     seeds = sorted({g.multidegree.exps for level in cplx.levels
                     for g in level}, key=lambda e: (sum(e), e))
     if len({len(e) for e in seeds}) > 1:

@@ -10,7 +10,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from pommaret import MonomialIdeal, Ring, minimal_generators
+from pommaret import FreeComplex, MonomialIdeal, Ring, minimal_generators
+from pommaret.errors import PommaretError
 
 
 def make_ideal_a():
@@ -114,6 +115,23 @@ def strand_oracle(cplx, cap=20000):
                                  "ranks": (ranks[i], ranks[i + 1])})
                 break
     return len(points), capped, failures
+
+
+def halve_generator(cplx, i, col):
+    """The same complex over Q after replacing generator col of F_i by
+    half of it: column col of d_i halves and row col of d_{i+1} doubles."""
+    diffs = [None]
+    for lvl in range(1, len(cplx.levels)):
+        diffs.append({c: dict(column)
+                      for c, column in cplx.diffs[lvl].items()})
+    diffs[i][col] = {row: (Fraction(c, 2), m)
+                     for row, (c, m) in diffs[i][col].items()}
+    for column in diffs[i + 1].values():
+        if col in column:
+            c, m = column[col]
+            column[col] = (2 * c, m)
+    return FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
+                       cplx.provenance, basis=cplx.basis)
 
 
 def rp2_ideal(relabel):
@@ -244,3 +262,58 @@ def reference_match(cplx, ref_levels, ref_entries):
                         col_md,)
             sign[(lvl, col_md)] = eps if eps is not None else 1
     return True, ""
+
+
+# --- rewrite-graph lookups used only by the tests ---------------------------
+
+
+class NotNonMultiplicative(PommaretError):
+    code = "not-nonmultiplicative"
+
+
+class NotAPath(PommaretError):
+    code = "not-a-path"
+
+
+class VariablesNotIncreasing(PommaretError):
+    code = "variables-not-increasing"
+
+
+def delta_map(basis, alpha, k):
+    """(beta, t) for the nonmultiplicative product x_k * h_alpha."""
+    if (alpha, k) not in basis.delta:
+        raise NotNonMultiplicative(
+            "x%d is multiplicative for element %d" % (k, alpha))
+    return basis.delta[(alpha, k)]
+
+
+def edge_between(graph, a, b):
+    """The unique edge a -> b of a PGraph, or None.  (Parallel edges cannot
+    occur: two variables sending h_a to the same h_b would force
+    overlapping cones.)"""
+    for (x, k, y, t) in graph.edges:
+        if x == a and y == b:
+            return (x, k, y, t)
+    return None
+
+
+def path_multidegree(graph, vertices):
+    """Product of the t factors along a path given as basis indices.
+
+    The path must follow existing edges and use strictly increasing edge
+    variables; the empty and one-vertex paths have multidegree 1.
+    """
+    ring = graph.basis.ring
+    md = ring.unit()
+    last_k = 0
+    for a, b in zip(vertices, vertices[1:]):
+        e = edge_between(graph, a, b)
+        if e is None:
+            raise NotAPath("no edge %d -> %d" % (a, b))
+        _, k, _, t = e
+        if k <= last_k:
+            raise VariablesNotIncreasing(
+                "edge variable x%d after x%d" % (k, last_k))
+        last_k = k
+        md = md * t
+    return md

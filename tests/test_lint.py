@@ -61,3 +61,16 @@ def test_combinations_only_in_resolution():
     found = _itertools_uses("combinations")
     assert found
     assert all(f.startswith("resolution.py:") for f in found)
+
+
+def test_no_indented_json_dumps_in_package():
+    """Given an indent, ``json`` encodes in pure Python; the CLI writes its
+    indented JSON with its own writer, ``cli._json_text``."""
+    found = []
+    for path, node in _package_nodes():
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and any(k.arg == "indent" for k in node.keywords)):
+            found.append("%s:%d" % (path.name, node.lineno))
+    assert not found

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_rank, random_stable, rp2_ideal, strand_oracle
+from helpers import (dense_rank, halve_generator, random_stable, rp2_ideal,
+                     strand_oracle)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       check_complex, check_exactness, check_strand,
                       ek_complex, exact_rank, homological_invariants,
@@ -228,6 +229,19 @@ def test_lcm_lattice(ideal_a, ideal_b):
     assert not capped and len(points) == 27
 
 
+def test_strand_cap_below_one_is_rejected(ideal_b):
+    # no lattice points, or a closure that stops early and a seed cut off,
+    # would turn into an exactness verdict over too few strands
+    cplx = ps_complex(pommaret_basis(ideal_b))
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            check_exactness(cplx, cap=cap)
+        with pytest.raises(ValueError):
+            lcm_lattice(cplx, cap)
+    points, capped = lcm_lattice(cplx, 1)
+    assert capped and len(points) == 1
+
+
 def test_exactness_of_resolutions(ideal_a, ideal_b):
     cplx = ps_complex(pommaret_basis(ideal_a))
     report = check_exactness(cplx)
@@ -253,23 +267,6 @@ def test_exactness_failure_is_reported(ideal_a):
     assert report.failures[0]["position"] == 0
 
 
-def _halve_generator(cplx, i, col):
-    """The same complex over Q after replacing generator col of F_i by
-    half of it: column col of d_i halves and row col of d_{i+1} doubles."""
-    diffs = [None]
-    for lvl in range(1, len(cplx.levels)):
-        diffs.append({c: dict(column)
-                      for c, column in cplx.diffs[lvl].items()})
-    diffs[i][col] = {row: (Fraction(c, 2), m)
-                     for row, (c, m) in diffs[i][col].items()}
-    for column in diffs[i + 1].values():
-        if col in column:
-            c, m = column[col]
-            column[col] = (2 * c, m)
-    return FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
-                       cplx.provenance, basis=cplx.basis)
-
-
 def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
     cases = []
     for ideal in (ideal_a, ideal_b, random_quasi_stable(4, 3, 4, 3),
@@ -280,7 +277,7 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
     chopped = FreeComplex(basis.ring, ideal_a, [ps_complex(basis).levels[0]],
                           [None], "custom", basis=basis)
     big = ps_complex(pommaret_basis(ideal_b))
-    halved = _halve_generator(big, 1, 0)
+    halved = halve_generator(big, 1, 0)
     assert any(isinstance(c, Fraction)
                for c, _m in halved.diffs[1][0].values())
     cases += [(chopped, 20000), (big, 5), (halved, 20000),
