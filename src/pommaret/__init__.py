@@ -7,18 +7,16 @@ from .monomials import Monomial, Ring, p_order_key
 from .ideals import (MonomialIdeal, PGraph, PommaretBasis, build_p_graph,
                      minimal_generators, pommaret_basis)
 from .resolution import (BettiTable, Face, FreeComplex, Gen, Symbol,
-                         betti_table, decompose_beg_end, ek_complex, ek_sgn,
-                         expected_ranks, ps_complex, ps_generators,
-                         render_differential, taylor_complex)
+                         betti_table, expected_ranks, ps_complex,
+                         ps_generators, render_differential, taylor_complex)
 from .cellular import (Cell, CellComplex, build_cell_complex, chain_vertices,
                        supports_check)
 from .morse import (Matching, Pair, ReducedComplex, build_matching_V,
                     is_morse_matching, minimize, morse_reduce)
 from .verify import (ComplexReport, ExactnessReport, InvariantReport,
-                     StrandComplex, check_complex, check_exactness,
-                     check_strand, exact_rank, homological_invariants,
-                     lcm_lattice, oracle_betti, random_quasi_stable,
-                     strand)
+                     check_complex, check_exactness, exact_rank,
+                     homological_invariants, lcm_lattice, oracle_betti,
+                     random_quasi_stable)
 
 __version__ = "0.1.0"
 
@@ -27,14 +25,13 @@ __all__ = [
     "MonomialIdeal", "PGraph", "PommaretBasis", "build_p_graph",
     "minimal_generators", "pommaret_basis",
     "BettiTable", "Face", "FreeComplex", "Gen", "Symbol", "betti_table",
-    "decompose_beg_end", "ek_complex", "ek_sgn", "expected_ranks",
-    "ps_complex", "ps_generators", "render_differential", "taylor_complex",
+    "expected_ranks", "ps_complex", "ps_generators", "render_differential",
+    "taylor_complex",
     "Cell", "CellComplex", "build_cell_complex", "chain_vertices",
     "supports_check",
     "Matching", "Pair", "ReducedComplex", "build_matching_V",
     "is_morse_matching", "minimize", "morse_reduce",
-    "ComplexReport", "ExactnessReport", "InvariantReport", "StrandComplex",
-    "check_complex", "check_exactness", "check_strand", "exact_rank",
-    "homological_invariants", "lcm_lattice", "oracle_betti",
-    "random_quasi_stable", "strand",
+    "ComplexReport", "ExactnessReport", "InvariantReport", "check_complex",
+    "check_exactness", "exact_rank", "homological_invariants", "lcm_lattice",
+    "oracle_betti", "random_quasi_stable",
 ]

@@ -5,8 +5,8 @@ one monomial per line, either as a product of named powers (``x1^2*x2``,
 ``y^4``), a bare ``1``, or an exponent vector ``[2,0,1]``.  ``#`` starts a
 comment.
 
-Exit codes: 0 success, 2 bad input or usage, 3 the ideal fails a math
-precondition (not quasi-stable / not stable), 4 a verification failure.
+Exit codes: 0 success, 2 bad input or usage, 3 the ideal is not
+quasi-stable, 4 a verification failure.
 """
 
 import argparse
@@ -18,16 +18,16 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .cellular import build_cell_complex, supports_check
 from .errors import (ArityMismatch, EmptyInput, IdealSyntaxError,
-                     NotQuasiStable, NotStable, PommaretError, UnitGenerator)
+                     NotQuasiStable, PommaretError, UnitGenerator)
 from .ideals import MonomialIdeal, build_p_graph, pommaret_basis
 from .monomials import Ring
 from .morse import is_morse_matching, minimize
-from .resolution import (ek_complex, ps_complex, render_differential,
-                         taylor_complex)
+from .resolution import ps_complex, render_differential, taylor_complex
 from .verify import (check_exactness, homological_invariants, oracle_betti,
                      random_quasi_stable)
 
-_FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?$")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_FACTOR = re.compile(r"(%s)\s*(?:\^\s*(\d+))?$" % _NAME)
 
 
 def parse_ideal(text):
@@ -60,6 +60,17 @@ def parse_ideal(text):
                 raise IdealSyntaxError(
                     "expected %d comma-separated names" % n,
                     lineno, 1 + _indent(line))
+            # a name must read back as one factor and name one variable
+            col = _indent(line) + len("names")
+            for k, name in enumerate(names):
+                col = line.index(name, col)
+                if not re.fullmatch(_NAME, name):
+                    raise IdealSyntaxError("bad variable name %r" % name,
+                                           lineno, 1 + col)
+                if name in names[:k]:
+                    raise IdealSyntaxError(
+                        "duplicate variable name %r" % name, lineno, 1 + col)
+                col += len(name)
             header_done = True
             ring = Ring(n, names)
             continue
@@ -125,13 +136,14 @@ def _parse_monomial(line, lineno, ring):
     return ring.monomial(exps)
 
 
-def _strand_cap(text):
-    """argparse type of --strand-cap: an integer of at least 1, since a
-    check over no strands would read as a pass."""
-    cap = int(text)
-    if cap < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % cap)
-    return cap
+def _at_least_1(text):
+    """argparse type of --strand-cap, --count and --max-deg: an integer of
+    at least 1, since a check over no strands or no cases would read as a
+    pass, and no generator has degree 0."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 @functools.cache
@@ -155,22 +167,21 @@ def _build_parser():
     add("basis", help="Pommaret basis of the ideal")
     add("pgraph", help="rewrite graph of the basis")
     sp = add("resolution", help="a free resolution")
-    sp.add_argument("--variant", default="ps",
-                    choices=["ps", "ek", "taylor"])
+    sp.add_argument("--variant", default="ps", choices=["ps", "taylor"])
     add("cellular", help="supporting cell complex")
     sp = add("minimize", help="minimal free resolution")
     sp.add_argument("--trace", default=None,
                     help="write one JSON line per cancellation here")
     add("betti", help="Betti numbers, pd and regularity")
     sp = add("verify", help="run the self-check suite")
-    sp.add_argument("--strand-cap", dest="strand_cap", type=_strand_cap,
+    sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
                     default=20000)
     sp = add("random-test", needs_file=False,
              help="seeded end-to-end property checks")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=25)
-    sp.add_argument("--max-deg", dest="max_deg", type=int, default=5)
-    sp.add_argument("--strand-cap", dest="strand_cap", type=_strand_cap,
+    sp.add_argument("--count", type=_at_least_1, default=25)
+    sp.add_argument("--max-deg", dest="max_deg", type=_at_least_1, default=5)
+    sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
                     default=400)
     return p
 
@@ -281,8 +292,6 @@ def _cmd_pgraph(args):
 def _resolution_for(args, ideal):
     if args.variant == "taylor":
         return taylor_complex(ideal)
-    if args.variant == "ek":
-        return ek_complex(ideal)
     return ps_complex(pommaret_basis(ideal))
 
 
@@ -481,7 +490,7 @@ def main(argv=None):
     except (IdealSyntaxError, EmptyInput, UnitGenerator, ArityMismatch) as e:
         sys.stderr.write("error [%s]: %s\n" % (e.code, e.message))
         return 2
-    except (NotQuasiStable, NotStable) as e:
+    except NotQuasiStable as e:
         sys.stderr.write("error [%s]: %s\n" % (e.code, e.message))
         return 3
     except OSError as e:

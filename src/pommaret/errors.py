@@ -50,14 +50,6 @@ class NotQuasiStable(PommaretError):
     code = "not-quasi-stable"
 
 
-class NotStable(PommaretError):
-    code = "not-stable"
-
-
-class NotMember(PommaretError):
-    code = "not-member"
-
-
 class DegreeOutOfRange(PommaretError):
     code = "degree-out-of-range"
 

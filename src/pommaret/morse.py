@@ -29,8 +29,6 @@ from .errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
 from .monomials import Monomial
 from .resolution import FreeComplex, Symbol, composite_terms, unit_entries
 
-_SYMBOL_KINDS = ("pommaret", "eliahou-kervaire")
-
 
 @dataclass(frozen=True)
 class Pair:
@@ -138,7 +136,7 @@ def build_matching_V(cplx):
     endpoints were not used by any V_j, j > i, nor earlier in V_i (greedy,
     in generator order).
     """
-    if cplx.provenance not in _SYMBOL_KINDS or cplx.basis is None:
+    if cplx.provenance != "pommaret" or cplx.basis is None:
         raise NotPSComplex("matching V needs a symbol resolution")
     basis = cplx.basis
     lookup = []
@@ -365,7 +363,7 @@ def minimize(cplx, trace=False):
     pair at a time, checking d o d = 0 after each.  After V the sweep can
     still find unit entries that fill-in created; the count is reported.
     """
-    if cplx.provenance in _SYMBOL_KINDS:
+    if cplx.provenance == "pommaret":
         matching = build_matching_V(cplx)
     else:
         matching = Matching(())

@@ -19,9 +19,7 @@ from itertools import combinations
 from math import comb
 from operator import add
 
-from .errors import (ArityMismatch, BrokenInvariant, DegreeOutOfRange,
-                     NotMember, NotStable)
-from .ideals import pommaret_basis
+from .errors import ArityMismatch, DegreeOutOfRange
 
 
 class Symbol(namedtuple("Symbol", "alpha u")):
@@ -226,7 +224,9 @@ def expected_ranks(basis):
     return tuple(out)
 
 
-def _symbol_complex(basis, provenance):
+def ps_complex(basis):
+    """The cone resolution of the basis's ideal; minimal iff the ideal is
+    stable."""
     ring = basis.ring
     levels = []
     lookup = []
@@ -252,40 +252,8 @@ def _symbol_complex(basis, provenance):
                     column[below[rewritten]] = (-sign, t)
             cols[cidx] = column
         diffs.append(cols)
-    return FreeComplex(ring, basis.ideal, levels, diffs, provenance,
+    return FreeComplex(ring, basis.ideal, levels, diffs, "pommaret",
                        basis=basis)
-
-
-def ps_complex(basis):
-    """The cone resolution of the basis's ideal; minimal iff the ideal is
-    stable."""
-    return _symbol_complex(basis, "pommaret")
-
-
-def ek_sgn(i, u):
-    """+1 iff the number of elements of u that are >= i is odd."""
-    return 1 if sum(1 for j in u if j >= i) % 2 == 1 else -1
-
-
-def ek_complex(ideal):
-    """Minimal resolution of a stable ideal: the symbol complex of its
-    Pommaret basis, which for a stable ideal is its minimal generators,
-    under the ``eliahou-kervaire`` provenance label."""
-    if not ideal.is_stable():
-        raise NotStable("%r is not stable" % ideal)
-    basis = pommaret_basis(ideal)
-    if set(basis.elements) != set(ideal.gens):
-        raise BrokenInvariant("completion of stable %r added elements" % ideal)
-    return _symbol_complex(basis, "eliahou-kervaire")
-
-
-def decompose_beg_end(basis, m):
-    """Split a member as m = beg * end with beg the involutive divisor in
-    the basis and end its multiplicative cofactor."""
-    beg = basis.involutive_divisor(m)
-    if beg is None:
-        raise NotMember("%s is not in the ideal" % m)
-    return beg, m / beg
 
 
 # --- the Taylor resolution --------------------------------------------------

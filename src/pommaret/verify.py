@@ -144,14 +144,6 @@ def check_complex(cplx):
 # --- strand exactness ---------------------------------------------------------
 
 
-@dataclass
-class StrandComplex:
-    """One multidegree strand: per-level surviving generator indices."""
-    mu: object
-    selected: list
-    target_dim: int
-
-
 def _strand_selector(cplx):
     """select(mu) -> (selected, target_dim) for exponent tuples mu.
 
@@ -172,17 +164,6 @@ def _strand_selector(cplx):
         target = 1 if any(all(map(le, e, mu)) for e in gens) else 0
         return selected, target
     return select
-
-
-def _check_arity(cplx, mu):
-    if mu.ring.n != cplx.ring.n:
-        raise ArityMismatch("monomials from different rings")
-
-
-def strand(cplx, mu):
-    _check_arity(cplx, mu)
-    selected, target = _strand_selector(cplx)(mu.exps)
-    return StrandComplex(mu, selected, target)
 
 
 def _fraction_levels(cplx):
@@ -215,14 +196,14 @@ def _strand_matrix(cplx, i, rows, cols, fractions):
     return out
 
 
-def _strand_verdict(cplx, select, fractions, mu, ring):
+def _strand_verdict(cplx, select, fractions, mu):
     """Rank conditions for exactness of the strand at the exponent tuple
-    mu; returns (ok, detail).  ``ring`` only names mu in a failure."""
+    mu; returns (ok, detail)."""
     sel, target = select(mu)
     sizes = [len(s) for s in sel]
     # augmentation strand: a single row of ones over the level-0 survivors
     if target and not sizes[0]:
-        return False, {"mu": str(ring.monomial(mu)),
+        return False, {"mu": str(cplx.ring.monomial(mu)),
                        "position": "augmentation",
                        "reason": "member without covering generator"}
     ranks = [target]
@@ -232,17 +213,10 @@ def _strand_verdict(cplx, select, fractions, mu, ring):
     ranks.append(0)
     for i in range(len(sel)):
         if ranks[i] + ranks[i + 1] != sizes[i]:
-            return False, {"mu": str(ring.monomial(mu)), "position": i,
+            return False, {"mu": str(cplx.ring.monomial(mu)), "position": i,
                            "size": sizes[i], "ranks": (ranks[i],
                                                        ranks[i + 1])}
     return True, None
-
-
-def check_strand(cplx, mu):
-    """Rank conditions for exactness of one strand; returns (ok, detail)."""
-    _check_arity(cplx, mu)
-    return _strand_verdict(cplx, _strand_selector(cplx),
-                           _fraction_levels(cplx), mu.exps, mu.ring)
 
 
 @dataclass
@@ -256,8 +230,10 @@ class ExactnessReport:
     axioms: ComplexReport = None
 
 
-def _lattice_exps(cplx, cap):
-    """``lcm_lattice`` on exponent tuples."""
+def lcm_lattice(cplx, cap):
+    """Lcm closure of all generator multidegrees as exponent tuples:
+    generator multidegrees first (by degree, then exponents), then new
+    joins in discovery order, truncated at cap points."""
     if cap < 1:
         # a shorter lattice would still yield a verdict, over too few strands
         raise ValueError("strand cap must be at least 1, got %r" % (cap,))
@@ -280,26 +256,18 @@ def _lattice_exps(cplx, cap):
     return points[:cap], capped
 
 
-def lcm_lattice(cplx, cap):
-    """Lcm closure of all generator multidegrees, generator multidegrees
-    first (by degree, then exponents), then new joins in discovery order,
-    truncated at cap points."""
-    points, capped = _lattice_exps(cplx, cap)
-    return [cplx.ring.monomial(e) for e in points], capped
-
-
 def check_exactness(cplx, cap=20000):
     """Strand-by-strand exactness over the lcm lattice."""
     base = check_complex(cplx)
     if not base.ok:
         raise NotAComplex("d o d = 0 fails; exactness is meaningless: %r"
                           % base.failures[:3])
-    points, capped = _lattice_exps(cplx, cap)
+    points, capped = lcm_lattice(cplx, cap)
     select = _strand_selector(cplx)
     fractions = _fraction_levels(cplx)
     failures = []
     for mu in points:
-        ok, detail = _strand_verdict(cplx, select, fractions, mu, cplx.ring)
+        ok, detail = _strand_verdict(cplx, select, fractions, mu)
         if not ok:
             failures.append(detail)
     return ExactnessReport(not failures, len(points), capped, failures,

@@ -211,6 +211,77 @@ def random_stable(seed):
     return MonomialIdeal(ring, minimal_generators(work))
 
 
+def ek_sign(k, u):
+    """Eliahou-Kervaire sign of extracting x_k from u: +1 iff the number
+    of elements of u that are >= k is odd."""
+    return 1 if sum(1 for j in u if j >= k) % 2 == 1 else -1
+
+
+def ek_differential(ideal):
+    """Classical Eliahou-Kervaire resolution of a stable ideal, built from
+    its minimal generators alone (Eliahou-Kervaire, J. Algebra 1990).
+
+    Generators of F_i are pairs (g, u): g the exponent tuple of a minimal
+    generator, u a set of i variables above cls(g).  x_k g (k > cls(g))
+    splits as t * b(x_k g) with b(m) the one generator g' | m whose
+    quotient lives in x_1..x_cls(g'), and
+
+        d(g, u) = sum over k in u of ek_sign(k, u) * (x_k (g, u - k)
+                                     - t (b(x_k g), u - k)),
+
+    dropping a rewritten pair whose u - k meets x_1..x_cls(b(x_k g)).
+    Returns one dict per level {(g, u): {(g', u'): (coeff, exps)}}; level
+    0 maps each generator to {}.
+    """
+    n = ideal.ring.n
+    gens = [g.exps for g in ideal.gens]
+
+    def cls(e):
+        return next(k for k, x in enumerate(e, start=1) if x)
+
+    def b(m):
+        found = [g for g in gens
+                 if all(x <= y for x, y in zip(g, m))
+                 and g[cls(g):] == m[cls(g):]]
+        if len(found) != 1:
+            raise ValueError("%r has %d EK divisors" % (m, len(found)))
+        return found[0]
+
+    levels = [dict() for _ in range(n)]
+    for g in gens:
+        for i in range(n - cls(g) + 1):
+            for u in itertools.combinations(range(cls(g) + 1, n + 1), i):
+                column = {}
+                for k in u:
+                    rest = tuple(j for j in u if j != k)
+                    sign = ek_sign(k, u)
+                    xk = tuple(int(j == k) for j in range(1, n + 1))
+                    column[(g, rest)] = (sign, xk)
+                    h = b(tuple(map(sum, zip(g, xk))))
+                    if all(j > cls(h) for j in rest):
+                        t = tuple(x + y - z for x, y, z in zip(g, xk, h))
+                        column[(h, rest)] = (-sign, t)
+                levels[i][(g, u)] = column
+    return [level for level in levels if level]
+
+
+def symbol_differential(cplx):
+    """A symbol complex in the form of ``ek_differential``: basis indices
+    replaced by the exponent tuples of the basis elements."""
+    elements = cplx.basis.elements
+
+    def pair(gen):
+        return (elements[gen.key.alpha].exps, gen.key.u)
+
+    out = [{pair(g): {} for g in cplx.levels[0]}]
+    for i in range(1, len(cplx.levels)):
+        below = cplx.levels[i - 1]
+        out.append({pair(g): {pair(below[row]): (c, m.exps)
+                              for row, (c, m) in cplx.column(i, col).items()}
+                    for col, g in enumerate(cplx.levels[i])})
+    return out
+
+
 def reference_match(cplx, ref_levels, ref_entries):
     """Compare a complex against frozen reference matrices.
 

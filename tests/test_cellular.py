@@ -235,6 +235,30 @@ def test_supports_check_detects_corruption(ideal_a):
     assert any("support" in f for f in report.failures)
 
 
+def test_supports_check_detects_cell_corruption(ideal_b):
+    basis = pommaret_basis(ideal_b)
+    cplx = ps_complex(basis)
+
+    cells = build_cell_complex(basis)
+    edge = cells.cells[1][0]
+    edge.vertices = tuple(v for v in edge.vertices if v != edge.alpha)
+    report = supports_check(cells, cplx)
+    assert not report.ok
+    assert "cell %r does not contain its own vertex" % (edge.key(),) \
+        in report.failures
+    assert "facet %r has vertices outside %r" % ((edge.alpha, ()),
+                                                 edge.key()) \
+        in report.failures
+
+    cells = build_cell_complex(basis)
+    square = cells.cells[2][0]
+    square.boundary = list(square.boundary) + [((99, ()), 1)]
+    report = supports_check(cells, cplx)
+    assert not report.ok
+    assert "facet (99, ()) of %r is not a cell" % (square.key(),) \
+        in report.failures
+
+
 def test_supports_check_on_exponent_tuples(ideal_a, monkeypatch):
     basis = pommaret_basis(ideal_a)
     cells = build_cell_complex(basis)

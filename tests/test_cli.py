@@ -70,6 +70,14 @@ def test_parse_errors_carry_position():
         cli.parse_ideal("vars 2\n[one, two]\n")
     with pytest.raises(IdealSyntaxError):
         cli.parse_ideal("vars 3\nnames x, y\nx^2\n")
+    # names that would make the file ambiguous: two names for one
+    # variable, or a name that reads as the unit monomial
+    for text, col in (("vars 2\nnames a,a\na^2\na^3\n", 9),
+                      ("vars 2\nnames 1,y\n[1,0]\n", 7),
+                      ("vars 2\nnames  x, y z\nx\n", 11)):
+        with pytest.raises(IdealSyntaxError) as e:
+            cli.parse_ideal(text)
+        assert (e.value.line, e.value.col) == (2, col)
     with pytest.raises(IdealSyntaxError):
         cli.parse_ideal("vars 0\n")
     with pytest.raises(IdealSyntaxError):
@@ -106,7 +114,6 @@ def _stdlib_json(doc):
 
 def test_json_writer_matches_stdlib(tmp_path, capsys):
     texts = [A_TEXT, B_TEXT]
-    # stable ideals too, so that --variant ek has documents
     for ideal in (random_quasi_stable(3, 3, 4, 3),
                   random_quasi_stable(9, 4, 3, 2),
                   random_quasi_stable(21, 4, 4, 4),
@@ -114,27 +121,20 @@ def test_json_writer_matches_stdlib(tmp_path, capsys):
         texts.append("vars %d\n" % ideal.ring.n + "".join(
             "[%s]\n" % ",".join(map(str, g.exps)) for g in ideal.gens))
     commands = (["basis"], ["pgraph"], ["resolution", "--variant", "ps"],
-                ["resolution", "--variant", "taylor"],
-                ["resolution", "--variant", "ek"], ["cellular"],
+                ["resolution", "--variant", "taylor"], ["cellular"],
                 ["minimize"], ["betti"], ["verify"])
-    checked = stable_count = 0
+    checked = 0
     for i, text in enumerate(texts):
         path = write(tmp_path, "%d.ideal" % i, text)
-        stable = cli.parse_ideal(text).is_stable()
-        stable_count += stable
         for command in commands:
             code = cli.main([command[0], path, "--format", "json"]
                             + command[1:])
             out = capsys.readouterr().out
-            if command[-1] == "ek" and not stable:
-                assert code == 3 and out == ""
-                continue
             assert code == 0
             # the documents hold only types json reads back exactly
             assert out == _stdlib_json(json.loads(out))
             checked += 1
-    assert stable_count >= 2
-    assert checked == 8 * len(texts) + stable_count
+    assert checked == 8 * len(texts)
     halved = halve_generator(ps_complex(pommaret_basis(make_ideal_b())), 1, 0)
     halved_doc = halved.to_json_dict()
     assert any("/" in str(e["coeff"]) for e in halved_doc["differentials"][0])
@@ -191,9 +191,13 @@ def test_resolution_variants(tmp_path, capsys):
                      "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["modules"][1][0]["face"] == [0, 1]
-    # <x1^2, x2^3> is not stable
-    assert cli.main(["resolution", path, "--variant", "ek"]) == 3
-    assert "[not-stable]" in capsys.readouterr().err
+    # the symbol complex of a stable ideal is its EK resolution; there is
+    # no separate variant
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["resolution", path, "--variant", "ek"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'ek'" in captured.err and captured.out == ""
 
 
 def test_cellular_formats(tmp_path, capsys):
@@ -341,16 +345,23 @@ def test_exit_codes(tmp_path, capsys):
             assert captured.err == "error: %s has no dot format\n" % command
             assert captured.out == ""
     assert not trace.exists()
-    # a strand cap below 1 would report a check over no strands as passed
-    for argv in (["verify", b_path, "--strand-cap=0"],
-                 ["verify", b_path, "--strand-cap=-1"],
-                 ["verify", b_path, "--format", "json", "--strand-cap", "0"],
-                 ["random-test", "--count", "1", "--strand-cap=-3"]):
+    # a strand cap or case count below 1 would report a check that did not
+    # run as passed, and no generator has degree 0
+    for option, argv in (
+            ("strand-cap", ["verify", b_path, "--strand-cap=0"]),
+            ("strand-cap", ["verify", b_path, "--strand-cap=-1"]),
+            ("strand-cap", ["verify", b_path, "--format", "json",
+                            "--strand-cap", "0"]),
+            ("strand-cap", ["random-test", "--count", "1",
+                            "--strand-cap=-3"]),
+            ("count", ["random-test", "--count", "0"]),
+            ("count", ["random-test", "--count", "-3"]),
+            ("max-deg", ["random-test", "--count", "1", "--max-deg", "0"])):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert "--strand-cap: must be at least 1" in captured.err
+        assert "--%s: must be at least 1" % option in captured.err
         assert captured.out == ""
 
 

@@ -74,3 +74,10 @@ def test_no_indented_json_dumps_in_package():
                 and any(k.arg == "indent" for k in node.keywords)):
             found.append("%s:%d" % (path.name, node.lineno))
     assert not found
+
+
+def test_public_names_are_documented():
+    """Every exported name is named, in backticks, in the README."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert [name for name in pommaret.__all__
+            if "`%s`" % name not in readme] == []

@@ -1,14 +1,13 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_ideal, random_stable, reference_match
-from pommaret import (BettiTable, Symbol, betti_table, decompose_beg_end,
-                      ek_complex, ek_sgn, expected_ranks, pommaret_basis,
-                      ps_complex, ps_generators, render_differential,
-                      taylor_complex)
-from pommaret.errors import DegreeOutOfRange, NotMember, NotStable
+from helpers import (ek_differential, ek_sign, random_ideal, random_stable,
+                     reference_match, symbol_differential)
+from pommaret import (BettiTable, Symbol, betti_table, expected_ranks,
+                      pommaret_basis, ps_complex, ps_generators,
+                      render_differential, taylor_complex)
+from pommaret.errors import DegreeOutOfRange
 from pommaret.resolution import _coeff_json, coeff_text
 
 
@@ -111,22 +110,31 @@ def test_homogeneity(ideal_b):
             assert dst * m == src
 
 
-def test_ek_sign_rule():
-    assert ek_sgn(2, (2, 3)) == -1
-    assert ek_sgn(3, (2, 3)) == 1
-    assert ek_sgn(1, (1,)) == 1
-    # agreement with the alternating sign used by the differential
-    rng = random.Random(5)
-    for _ in range(100):
-        u = tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 5))))
-        i = len(u)
-        for j, k in enumerate(u):
-            ps_sign = 1 if (i - 1 - j) % 2 == 0 else -1
-            assert ek_sgn(k, u) == ps_sign
+def test_ek_sign_rule(ideal_b):
+    assert ek_sign(2, (2, 3)) == -1
+    assert ek_sign(3, (2, 3)) == 1
+    assert ek_sign(1, (1,)) == 1
+    # the differential extracts x_k from [h, u] with the EK sign
+    for ideal in [ideal_b] + [random_stable(seed) for seed in range(10)]:
+        cplx = ps_complex(pommaret_basis(ideal))
+        for i in range(1, len(cplx.levels)):
+            below = {g.key: row for row, g in enumerate(cplx.levels[i - 1])}
+            for col, g in enumerate(cplx.levels[i]):
+                alpha, u = g.key
+                column = cplx.column(i, col)
+                for k in u:
+                    face = Symbol(alpha, tuple(j for j in u if j != k))
+                    assert column[below[face]] == (ek_sign(k, u),
+                                                   ideal.ring.variable(k))
 
 
 def test_ek_complex_stable(ideal_stable2):
-    cplx = ek_complex(ideal_stable2)
+    for seed in range(500, 520):
+        ideal = random_stable(seed)
+        assert (symbol_differential(ps_complex(pommaret_basis(ideal)))
+                == ek_differential(ideal)), seed
+    cplx = ps_complex(pommaret_basis(ideal_stable2))
+    assert symbol_differential(cplx) == ek_differential(ideal_stable2)
     assert cplx.ranks() == (2, 1)
     assert not cplx.unit_entries()
     r = ideal_stable2.ring
@@ -137,24 +145,6 @@ def test_ek_complex_stable(ideal_stable2):
     column = cplx.column(1, 0)
     assert column[lookup[Symbol(i_x, ())]] == (1, r.variable(2))
     assert column[lookup[Symbol(i_y, ())]] == (-1, r.monomial((2, 0)))
-
-
-def test_ek_requires_stable(ideal_a):
-    with pytest.raises(NotStable):
-        ek_complex(ideal_a)
-
-
-def test_ek_equals_cone_resolution_on_stable_ideals():
-    for seed in range(20):
-        ideal = random_stable(seed + 500)
-        a = ek_complex(ideal)
-        b = ps_complex(pommaret_basis(ideal))
-        assert a.ranks() == b.ranks()
-        assert [[g.key for g in lv] for lv in a.levels] == \
-               [[g.key for g in lv] for lv in b.levels]
-        for i in range(1, len(a.levels)):
-            assert a.diffs[i] == b.diffs[i]
-        assert not a.unit_entries()
 
 
 def test_taylor_complex(ideal_a):
@@ -176,26 +166,6 @@ def test_taylor_complex(ideal_a):
                 for j in g.key.gens[1:]:
                     md = md.lcm(ideal.gens[j])
                 assert g.multidegree == md
-
-
-def test_decompose_beg_end(ideal_a):
-    basis = pommaret_basis(ideal_a)
-    r = ideal_a.ring
-    beg, end = decompose_beg_end(basis, r.monomial((2, 5)))
-    assert beg.exps == (0, 3) and end.exps == (2, 2)
-    beg, end = decompose_beg_end(basis, r.monomial((3, 1)))
-    assert beg.exps == (2, 1) and end.exps == (1, 0)
-    with pytest.raises(NotMember):
-        decompose_beg_end(basis, r.monomial((1, 1)))
-    # end always lives in the multiplicative variables of beg
-    rng = random.Random(2)
-    for _ in range(100):
-        m = r.monomial((rng.randint(0, 6), rng.randint(0, 6)))
-        if not ideal_a.contains(m):
-            continue
-        beg, end = decompose_beg_end(basis, m)
-        assert beg * end == m
-        assert all(end.exps[j] == 0 for j in range(beg.cls, r.n))
 
 
 def test_betti_table_counts(ideal_a):

@@ -6,12 +6,14 @@ import pytest
 from helpers import (dense_rank, halve_generator, random_stable, rp2_ideal,
                      strand_oracle)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
-                      check_complex, check_exactness, check_strand,
-                      ek_complex, exact_rank, homological_invariants,
-                      lcm_lattice, minimize, oracle_betti, pommaret_basis,
-                      ps_complex, random_quasi_stable, strand, taylor_complex)
+                      check_complex, check_exactness, exact_rank,
+                      homological_invariants, lcm_lattice, minimize,
+                      oracle_betti, pommaret_basis, ps_complex,
+                      random_quasi_stable, taylor_complex)
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
+from pommaret.verify import (_fraction_levels, _strand_selector,
+                             _strand_verdict)
 
 
 def test_exact_rank_against_dense_oracle():
@@ -51,7 +53,7 @@ def test_check_complex_accepts(ideal_a, ideal_b):
         assert check_complex(ps_complex(basis)).ok
         assert check_complex(taylor_complex(ideal)).ok
         assert check_complex(minimize(ps_complex(basis))).ok
-    assert check_complex(ek_complex(random_stable(3))).ok
+    assert check_complex(ps_complex(pommaret_basis(random_stable(3)))).ok
 
 
 def _corrupt(cplx, level, mutate):
@@ -198,16 +200,17 @@ def test_kernel_rejects_mixed_arity(level):
 
 def test_strand_selection(ideal_a):
     cplx = ps_complex(pommaret_basis(ideal_a))
-    r = ideal_a.ring
-    st = strand(cplx, r.monomial((2, 1)))
-    assert st.target_dim == 1
-    assert [len(s) for s in st.selected] == [2, 1]
-    ok, detail = check_strand(cplx, r.monomial((2, 1)))
+    select = _strand_selector(cplx)
+    fractions = _fraction_levels(cplx)
+    selected, target = select((2, 1))
+    assert target == 1
+    assert [len(s) for s in selected] == [2, 1]
+    ok, detail = _strand_verdict(cplx, select, fractions, (2, 1))
     assert ok and detail is None
-    st = strand(cplx, r.monomial((1, 1)))
-    assert st.target_dim == 0
-    assert [len(s) for s in st.selected] == [0, 0]
-    ok, _ = check_strand(cplx, r.monomial((1, 1)))
+    selected, target = select((1, 1))
+    assert target == 0
+    assert [len(s) for s in selected] == [0, 0]
+    ok, _ = _strand_verdict(cplx, select, fractions, (1, 1))
     assert ok
 
 
@@ -215,13 +218,12 @@ def test_lcm_lattice(ideal_a, ideal_b):
     cplx = ps_complex(pommaret_basis(ideal_a))
     points, capped = lcm_lattice(cplx, 1000)
     assert not capped
-    exps = {m.exps for m in points}
-    assert exps == {(2, 0), (2, 1), (2, 2), (0, 3), (2, 3)}
+    assert set(points) == {(2, 0), (2, 1), (2, 2), (0, 3), (2, 3)}
     # generator multidegrees come first, in degree order
-    assert points[0].exps == (2, 0)
+    assert points[0] == (2, 0)
     for a in points:
         for b in points:
-            assert a.lcm(b) in set(points)
+            assert tuple(map(max, a, b)) in set(points)
     big = ps_complex(pommaret_basis(ideal_b))
     points, capped = lcm_lattice(big, 5)
     assert capped and len(points) == 5
@@ -280,20 +282,30 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
     halved = halve_generator(big, 1, 0)
     assert any(isinstance(c, Fraction)
                for c, _m in halved.diffs[1][0].values())
+    # x1^2*x2 is a member that the one level-0 generator, x2^3, misses
+    r = ideal_a.ring
+    uncovered = FreeComplex(r, ideal_a,
+                            [[Gen("a", r.monomial((0, 3)), "a")],
+                             [Gen("b", r.monomial((2, 1)), "b")]],
+                            [None, {0: {}}], "custom")
     cases += [(chopped, 20000), (big, 5), (halved, 20000),
               (minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))),
-               20000)]
+               20000), (uncovered, 20000)]
     reports = []
     for cplx, cap in cases:
         report = check_exactness(cplx, cap=cap)
         assert ((report.strands_checked, report.capped, report.failures)
                 == strand_oracle(cplx, cap))
         reports.append(report)
-    chopped_report, capped_report, halved_report, rp2_report = reports[-4:]
+    (chopped_report, capped_report, halved_report, rp2_report,
+     uncovered_report) = reports[-5:]
     assert not chopped_report.ok and chopped_report.failures
     assert capped_report.capped and capped_report.strands_checked == 5
     assert halved_report.ok and halved_report.strands_checked == 27
     assert rp2_report.ok
+    assert uncovered_report.failures[0] == {
+        "mu": "x1^2*x2", "position": "augmentation",
+        "reason": "member without covering generator"}
 
 
 def test_strand_check_builds_no_monomial(ideal_b, monkeypatch):
