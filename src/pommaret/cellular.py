@@ -178,7 +178,7 @@ def _make_cell(basis, memo, alpha, tau):
         boundary.append((face, sign))
         if rewritten is not None:
             boundary.append((rewritten, -sign))
-    label = symbol_multidegree(basis, alpha, tau)
+    label = basis.ring.monomial(symbol_multidegree(basis, alpha, tau))
     return Cell(alpha, tau, label, tuple(sorted(verts)), boundary,
                 factorial(len(tau)) - orders)
 
@@ -211,7 +211,7 @@ def supports_check(cellcomplex, cplx):
             (cell.key(), cell, gen)
             for layer, level in zip(cellcomplex.cells, cplx.levels)
             for cell, gen in zip(layer, level)):
-        if gen.multidegree != cell.label:
+        if gen.multidegree != cell.label.exps:
             failures.append("label of %r is not the symbol multidegree" % (key,))
         lcm = basis.elements[cell.vertices[0]].exps
         for v in cell.vertices[1:]:
@@ -252,7 +252,7 @@ def supports_check(cellcomplex, cplx):
                 if min(quotient) < 0:
                     raise ArityMismatch("%s does not divide %s"
                                         % (facet.label, cell.label))
-                if m.exps != quotient:
+                if m != quotient:
                     failures.append("entry monomial at %r -> %r is not the "
                                     "label quotient" % (key, fkey))
                 if abs(c) != 1:

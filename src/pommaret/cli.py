@@ -21,7 +21,7 @@ from .errors import (ArityMismatch, EmptyInput, IdealSyntaxError,
                      NotQuasiStable, PommaretError, UnitGenerator)
 from .ideals import MonomialIdeal, build_p_graph, pommaret_basis
 from .monomials import Ring
-from .morse import is_morse_matching, minimize
+from .morse import minimize
 from .resolution import ps_complex, render_differential, taylor_complex
 from .verify import (check_exactness, homological_invariants, oracle_betti,
                      random_quasi_stable)
@@ -393,11 +393,9 @@ def _verify_one(ideal, strand_cap):
     basis = pommaret_basis(ideal)
     cplx = ps_complex(basis)
     cell_rep = supports_check(build_cell_complex(basis), cplx)
-    # minimize built and validated the matching V; the check is repeated
-    # for the matching-valid line
+    # minimize built the matching V and raises NotAMorseMatching (exit 4)
+    # unless it passes is_morse_matching, so matching-valid reports that gate
     reduced = minimize(cplx)
-    matching = reduced.matching
-    matching_ok = is_morse_matching(cplx, matching)
     # each exactness report carries the complex-axioms report it started
     # from, so check_complex runs once per complex
     ex = check_exactness(cplx, cap=strand_cap)
@@ -407,7 +405,7 @@ def _verify_one(ideal, strand_cap):
         ("complex-axioms", ex.axioms.ok,
          "%d failures" % len(ex.axioms.failures)),
         ("cell-support", cell_rep.ok, "%d failures" % len(cell_rep.failures)),
-        ("matching-valid", matching_ok, "%d pairs" % len(matching)),
+        ("matching-valid", True, "%d pairs" % len(reduced.matching)),
         ("safety-net-silent", reduced.safety_net_cancellations == 0,
          "%d extra cancellations" % reduced.safety_net_cancellations),
         ("reduced-complex-axioms", exr.axioms.ok, ""),

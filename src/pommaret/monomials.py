@@ -39,6 +39,16 @@ class Ring:
             raise ArityMismatch("variable index %d outside 1..%d" % (i, self.n))
         return Monomial(self, tuple(int(j == i) for j in range(1, self.n + 1)))
 
+    def text(self, exps):
+        """Display form of an exponent tuple: ``x1^2*x3``, or ``1``."""
+        parts = []
+        for name, e in zip(self.names, exps):
+            if e == 1:
+                parts.append(name)
+            elif e:
+                parts.append("%s^%d" % (name, e))
+        return "*".join(parts) or "1"
+
     def __eq__(self, other):
         return isinstance(other, Ring) and self.n == other.n
 
@@ -154,15 +164,7 @@ class Monomial:
         return (self.degree(), self.exps) < (other.degree(), other.exps)
 
     def __str__(self):
-        if self.is_unit():
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exps):
-            if e == 1:
-                parts.append(self.ring.names[i])
-            elif e > 1:
-                parts.append("%s^%d" % (self.ring.names[i], e))
-        return "*".join(parts)
+        return self.ring.text(self.exps)
 
     def __repr__(self):
         return "Monomial(%s)" % str(self)

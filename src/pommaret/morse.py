@@ -26,7 +26,6 @@ from operator import add
 
 from .errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                      NotAMorseMatching, NotPSComplex)
-from .monomials import Monomial
 from .resolution import FreeComplex, Symbol, composite_terms, unit_entries
 
 
@@ -107,7 +106,7 @@ def _has_cycle(cplx, matching, level):
 
 
 def _is_unit(entry):
-    return entry is not None and entry[1].is_unit() and entry[0] != 0
+    return entry is not None and entry[0] != 0 and not any(entry[1])
 
 
 def is_morse_matching(cplx, matching):
@@ -201,12 +200,11 @@ class _Reducer:
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
         self.trace = [] if trace else None
-        self.products = {}  # exponent tuple -> its Monomial, shared
         self.cancelled = 0
         self.dirty = set()  # (level, col) changed since the last check
         self.level = None   # level of the last cancellation
 
-    def _set(self, level, col, row, coeff, mono):
+    def _set(self, level, col, row, coeff, exps):
         column = self.cols[level].setdefault(col, {})
         if coeff == 0:
             if row in column:
@@ -215,7 +213,7 @@ class _Reducer:
         else:
             if isinstance(coeff, Fraction) and coeff.denominator == 1:
                 coeff = int(coeff)
-            column[row] = (coeff, mono)
+            column[row] = (coeff, exps)
             self.row_index[level].setdefault(row, set()).add(col)
 
     def cancel(self, pair):
@@ -230,31 +228,26 @@ class _Reducer:
                               % (level, s, t))
         lam_c = lam[0]
         source_col = cols[s]
-        fill = [(row, sc, sm.exps) for row, (sc, sm) in source_col.items()
+        fill = [(row, sc, se) for row, (sc, se) in source_col.items()
                 if row != t]
         upper = (self.row_index[level + 1] if level + 1 < len(self.cols)
                  else {})
         touched = []
         for c in sorted(self.row_index[level].get(t, set()) - {s}):
             column = cols[c]
-            alpha_c, alpha_m = column[t]
+            alpha_c, ae = column[t]
             if lam_c in (1, -1):
                 q = alpha_c * lam_c
             else:
                 q = Fraction(alpha_c, lam_c)
-            ae = alpha_m.exps
             for row, sc, se in fill:
                 if len(se) != len(ae):
                     raise ArityMismatch("monomials from different rings")
                 exps = tuple(map(add, ae, se))
                 old = column.get(row)
                 if old is None:
-                    mono = self.products.get(exps)
-                    if mono is None:
-                        mono = self.products[exps] = Monomial(alpha_m.ring,
-                                                              exps)
-                    self._set(level, c, row, -q * sc, mono)
-                elif old[1].exps != exps:
+                    self._set(level, c, row, -q * sc, exps)
+                elif old[1] != exps:
                     raise BrokenInvariant("inhomogeneous correction")
                 else:
                     self._set(level, c, row, old[0] - q * sc, old[1])

@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add
+from operator import add, sub
 
 from .errors import ArityMismatch, DegreeOutOfRange
 
@@ -52,7 +52,9 @@ class FreeComplex:
 
     ``levels[i]`` lists the generators of F_i; ``diffs[i]`` (i >= 1) holds
     the differential F_i -> F_{i-1} as sparse columns
-    {col: {row: (coeff, monomial)}}.  The augmentation F_0 -> I sends each
+    {col: {row: (coeff, exps)}}, exps the exponent tuple of the entry's
+    monomial.  Generator multidegrees are exponent tuples too, and
+    ``ring.text`` displays both.  The augmentation F_0 -> I sends each
     level-0 generator to its multidegree with coefficient 1 and is left
     implicit.  Complexes are frozen once built.
     """
@@ -76,11 +78,11 @@ class FreeComplex:
         return tuple(len(lv) for lv in self.levels)
 
     def entry(self, i, row, col):
-        """(coeff, monomial) of d_i at (row, col), or None."""
+        """(coeff, exps) of d_i at (row, col), or None."""
         return self.diffs[i].get(col, {}).get(row)
 
     def entries(self, i):
-        """All nonzero entries of d_i as (row, col, coeff, monomial)."""
+        """All nonzero entries of d_i as (row, col, coeff, exps)."""
         for col, column in sorted(self.diffs[i].items()):
             for row, (c, m) in sorted(column.items()):
                 yield row, col, c, m
@@ -89,7 +91,7 @@ class FreeComplex:
         return self.diffs[i].get(col, {})
 
     def unit_entries(self):
-        """Entries that are invertible scalars (monomial 1, coeff != 0)."""
+        """Entries that are invertible scalars (exponents 0, coeff != 0)."""
         return unit_entries(self.diffs)
 
     def to_json_dict(self):
@@ -97,7 +99,7 @@ class FreeComplex:
         for level in self.levels:
             entries = []
             for g in level:
-                rec = {"multidegree": list(g.multidegree.exps)}
+                rec = {"multidegree": list(g.multidegree)}
                 if isinstance(g.key, Symbol):
                     rec["h"] = list(
                         self.basis.elements[g.key.alpha].exps)
@@ -112,7 +114,7 @@ class FreeComplex:
             for row, col, c, m in self.entries(i):
                 entries.append({"row": row, "col": col,
                                 "coeff": _coeff_json(c),
-                                "mono": list(m.exps)})
+                                "mono": list(m)})
             diffs.append(entries)
         return {"n": self.ring.n, "modules": mods, "differentials": diffs}
 
@@ -121,13 +123,13 @@ class FreeComplex:
 
 
 def unit_entries(diffs):
-    """(level, row, col, coeff) of every invertible scalar entry (monomial
-    1, coeff != 0) of sparse differentials, by level, column, then row."""
+    """(level, row, col, coeff) of every invertible scalar entry (exponents
+    0, coeff != 0) of sparse differentials, by level, column, then row."""
     out = []
     for i in range(1, len(diffs)):
         for col, column in sorted(diffs[i].items()):
             for row, (c, m) in sorted(column.items()):
-                if m.is_unit() and c != 0:
+                if c != 0 and not any(m):
                     out.append((i, row, col, c))
     return out
 
@@ -137,24 +139,22 @@ def composite_terms(levels, diffs, i, col):
     augmentation o d_1 when i = 1, as {(row, exps): coeff}; the row of an
     augmentation term is None.  Rows outside F_{i-1} are skipped.
 
-    Products are sums of exponent tuples; no Monomial is built.  Operands
-    of different lengths raise ArityMismatch, as Monomial products do."""
+    Products are sums of exponent tuples; operands of different lengths
+    raise ArityMismatch."""
     acc = {}
     get = acc.get
     n_rows = len(levels[i - 1])
-    for row, (c1, m1) in diffs[i].get(col, {}).items():
+    for row, (c1, e1) in diffs[i].get(col, {}).items():
         if not 0 <= row < n_rows:
             continue
-        e1 = m1.exps
         if i >= 2:
-            for row2, (c2, m2) in diffs[i - 1].get(row, {}).items():
-                e2 = m2.exps
+            for row2, (c2, e2) in diffs[i - 1].get(row, {}).items():
                 if len(e2) != len(e1):
                     raise ArityMismatch("monomials from different rings")
                 key = (row2, tuple(map(add, e1, e2)))
                 acc[key] = get(key, 0) + c1 * c2
         else:
-            e2 = levels[0][row].multidegree.exps
+            e2 = levels[0][row].multidegree
             if len(e2) != len(e1):
                 raise ArityMismatch("monomials from different rings")
             key = (None, tuple(map(add, e1, e2)))
@@ -185,7 +185,7 @@ def symbol_multidegree(basis, alpha, u):
     exps = list(basis.elements[alpha].exps)
     for k in u:
         exps[k - 1] += 1
-    return basis.ring.monomial(exps)
+    return tuple(exps)
 
 
 def ps_generators(basis, i):
@@ -237,7 +237,8 @@ def ps_complex(basis):
                     symbol_text(basis, s.alpha, s.u)) for s in syms]
         levels.append(gens)
         lookup.append({s: j for j, s in enumerate(syms)})
-    xs = [None] + [ring.variable(k) for k in range(1, ring.n + 1)]
+    xs = [None] + [tuple(int(j == k) for j in range(1, ring.n + 1))
+                   for k in range(1, ring.n + 1)]
     diffs = [None]
     for i in range(1, top + 1):
         below = lookup[i - 1]
@@ -249,7 +250,7 @@ def ps_complex(basis):
                 sign = 1 if (i - 1 - j) % 2 == 0 else -1
                 column[below[face]] = (sign, xs[k])
                 if rewritten is not None:
-                    column[below[rewritten]] = (-sign, t)
+                    column[below[rewritten]] = (-sign, t.exps)
             cols[cidx] = column
         diffs.append(cols)
     return FreeComplex(ring, basis.ideal, levels, diffs, "pommaret",
@@ -271,9 +272,9 @@ def taylor_complex(ideal):
         level = []
         table = {}
         for face in combinations(range(m), i + 1):
-            md = gens[face[0]]
+            md = gens[face[0]].exps
             for g in face[1:]:
-                md = md.lcm(gens[g])
+                md = tuple(map(max, md, gens[g].exps))
             mds[face] = md
             text = "{" + ", ".join(str(gens[g]) for g in face) + "}"
             table[face] = len(level)
@@ -287,9 +288,10 @@ def taylor_complex(ideal):
             face = g.key.gens
             column = {}
             for j in range(len(face)):
-                sub = face[:j] + face[j + 1:]
+                rest = face[:j] + face[j + 1:]
                 sign = 1 if j % 2 == 0 else -1
-                column[lookup[i - 1][sub]] = (sign, mds[face] / mds[sub])
+                column[lookup[i - 1][rest]] = (
+                    sign, tuple(map(sub, mds[face], mds[rest])))
             cols[cidx] = column
         diffs.append(cols)
     return FreeComplex(ring, ideal, levels, diffs, "taylor")
@@ -319,7 +321,7 @@ class BettiTable:
                 and self.by_degree == other.by_degree
                 and self.by_multidegree == other.by_multidegree)
 
-    def render(self, names=None):
+    def render(self):
         lines = []
         for (i, j) in sorted(self.by_degree):
             lines.append("beta_%d,%d = %d" % (i, j, self.by_degree[(i, j)]))
@@ -331,9 +333,9 @@ def betti_table(cplx):
     by_md = {}
     for i, level in enumerate(cplx.levels):
         for g in level:
-            j = g.multidegree.degree()
+            j = sum(g.multidegree)
             by_degree[(i, j)] = by_degree.get((i, j), 0) + 1
-            key = (i, g.multidegree.exps)
+            key = (i, g.multidegree)
             by_md[key] = by_md.get(key, 0) + 1
     return BettiTable(by_degree, by_md)
 
@@ -341,13 +343,14 @@ def betti_table(cplx):
 # --- text rendering -----------------------------------------------------------
 
 
-def coeff_text(c, m):
-    if m.is_unit():
+def coeff_text(c, mono):
+    """Display form of an entry, given the text of its monomial."""
+    if mono == "1":
         body = str(abs(c))
     elif abs(c) == 1:
-        body = str(m)
+        body = mono
     else:
-        body = "%s*%s" % (abs(c), m)
+        body = "%s*%s" % (abs(c), mono)
     return ("-" if c < 0 else "") + body
 
 
@@ -364,7 +367,8 @@ def render_differential(cplx, i):
     for r in range(len(rows)):
         for c in range(len(cols)):
             e = cplx.entry(i, r, c)
-            grid[r + 1][c + 1] = coeff_text(*e) if e else "."
+            grid[r + 1][c + 1] = (coeff_text(e[0], cplx.ring.text(e[1]))
+                                  if e else ".")
     widths = [max(len(grid[r][c]) for r in range(len(grid)))
               for c in range(len(grid[0]))]
     lines = []

@@ -8,8 +8,8 @@ count (the composite is already known to vanish).  Only multidegrees in the
 lcm lattice of the generator multidegrees can carry homology, so the sweep
 runs over that lattice, optionally capped.
 
-The sweep works on exponent tuples and builds no ``Monomial``: the lattice
-joins tuples, each level's generators are grouped by multidegree once per
+Multidegrees and differential entries are exponent tuples: the lattice
+joins them, each level's generators are grouped by multidegree once per
 complex, and a strand keeps the groups whose multidegree divides mu.
 ``exact_rank`` pivots on a +-1 entry of the shortest row that has one and
 touches only the rows that hold the pivot column.
@@ -120,16 +120,16 @@ def check_complex(cplx):
             if c == 0:
                 failures.append({"kind": "zero-entry", "level": i,
                                  "row": row, "col": col})
-            src = cplx.levels[i][col].multidegree.exps
-            dst = cplx.levels[i - 1][row].multidegree.exps
-            if len(dst) != len(src):
+            src = cplx.levels[i][col].multidegree
+            dst = cplx.levels[i - 1][row].multidegree
+            if not len(dst) == len(src) == len(m):
                 raise ArityMismatch("monomials from different rings")
-            # src / dst == m on exponent tuples; m has no negative
-            # exponent, so equality also proves dst | src
-            if tuple(map(sub, src, dst)) != m.exps:
+            # src / dst == m on exponent tuples, with m free of negative
+            # exponents, so that equality also proves dst | src
+            if min(m) < 0 or tuple(map(sub, src, dst)) != m:
                 failures.append({"kind": "inhomogeneous", "level": i,
                                  "row": row, "col": col,
-                                 "mono": str(m)})
+                                 "mono": cplx.ring.text(m)})
     for i in range(1, len(cplx.levels)):
         for col in sorted(cplx.diffs[i]):
             terms = composite_terms(cplx.levels, cplx.diffs, i, col)
@@ -154,7 +154,7 @@ def _strand_selector(cplx):
     for level in cplx.levels:
         by_exps = {}
         for j, g in enumerate(level):
-            by_exps.setdefault(g.multidegree.exps, []).append(j)
+            by_exps.setdefault(g.multidegree, []).append(j)
         groups.append(list(by_exps.items()))
     gens = [g.exps for g in cplx.ideal.gens]
 
@@ -203,7 +203,7 @@ def _strand_verdict(cplx, select, fractions, mu):
     sizes = [len(s) for s in sel]
     # augmentation strand: a single row of ones over the level-0 survivors
     if target and not sizes[0]:
-        return False, {"mu": str(cplx.ring.monomial(mu)),
+        return False, {"mu": cplx.ring.text(mu),
                        "position": "augmentation",
                        "reason": "member without covering generator"}
     ranks = [target]
@@ -213,7 +213,7 @@ def _strand_verdict(cplx, select, fractions, mu):
     ranks.append(0)
     for i in range(len(sel)):
         if ranks[i] + ranks[i + 1] != sizes[i]:
-            return False, {"mu": str(cplx.ring.monomial(mu)), "position": i,
+            return False, {"mu": cplx.ring.text(mu), "position": i,
                            "size": sizes[i], "ranks": (ranks[i],
                                                        ranks[i + 1])}
     return True, None
@@ -237,7 +237,7 @@ def lcm_lattice(cplx, cap):
     if cap < 1:
         # a shorter lattice would still yield a verdict, over too few strands
         raise ValueError("strand cap must be at least 1, got %r" % (cap,))
-    seeds = sorted({g.multidegree.exps for level in cplx.levels
+    seeds = sorted({g.multidegree for level in cplx.levels
                     for g in level}, key=lambda e: (sum(e), e))
     if len({len(e) for e in seeds}) > 1:
         raise ArityMismatch("monomials from different rings")

@@ -67,13 +67,15 @@ def strand_oracle(cplx, cap=20000):
     """Reference strand check: (strands_checked, capped, failures) in the
     form of ``check_exactness``.
 
-    The lcm closure joins with ``Monomial.lcm`` in the documented order
-    (generator multidegrees by degree, then new joins in discovery order,
-    cut at cap points), generators are picked with ``Monomial.divides``,
-    and ranks are dense ranks over Fraction, so fraction entries need no
-    clearing.
+    Multidegrees are wrapped as ``Monomial``s: the lcm closure joins with
+    ``Monomial.lcm`` in the documented order (generator multidegrees by
+    degree, then new joins in discovery order, cut at cap points),
+    generators are picked with ``Monomial.divides``, and ranks are dense
+    ranks over Fraction, so fraction entries need no clearing.
     """
-    seeds = sorted({g.multidegree for level in cplx.levels for g in level},
+    mds = [[cplx.ring.monomial(g.multidegree) for g in level]
+           for level in cplx.levels]
+    seeds = sorted({md for level in mds for md in level},
                    key=lambda m: (m.degree(), m.exps))
     points = list(seeds)
     seen = set(points)
@@ -89,8 +91,8 @@ def strand_oracle(cplx, cap=20000):
     points = points[:cap]
     failures = []
     for mu in points:
-        sel = [[j for j, g in enumerate(level) if g.multidegree.divides(mu)]
-               for level in cplx.levels]
+        sel = [[j for j, md in enumerate(level) if md.divides(mu)]
+               for level in mds]
         member = int(any(g.divides(mu) for g in cplx.ideal.gens))
         ones = [{c: 1 for c in range(len(sel[0]))}] if member else []
         if dense_rank(ones, len(sel[0])) != member:
@@ -276,7 +278,7 @@ def symbol_differential(cplx):
     out = [{pair(g): {} for g in cplx.levels[0]}]
     for i in range(1, len(cplx.levels)):
         below = cplx.levels[i - 1]
-        out.append({pair(g): {pair(below[row]): (c, m.exps)
+        out.append({pair(g): {pair(below[row]): (c, m)
                               for row, (c, m) in cplx.column(i, col).items()}
                     for col, g in enumerate(cplx.levels[i])})
     return out
@@ -295,13 +297,13 @@ def reference_match(cplx, ref_levels, ref_entries):
         return False, "length differs"
     where = []
     for i, level in enumerate(cplx.levels):
-        mine = sorted(g.multidegree.exps for g in level)
+        mine = sorted(g.multidegree for g in level)
         ref = sorted(ref_levels[i])
         if mine != ref:
             return False, "level %d multidegrees differ" % i
         if len(set(ref)) != len(ref):
             return False, "reference level %d is ambiguous" % i
-        where.append({g.multidegree.exps: j for j, g in enumerate(level)})
+        where.append({g.multidegree: j for j, g in enumerate(level)})
     ref_by_col = {}
     for (lvl, col_md, row_md, coeff, mono) in ref_entries:
         ref_by_col.setdefault((lvl, col_md), {})[row_md] = (coeff,
@@ -314,7 +316,7 @@ def reference_match(cplx, ref_levels, ref_entries):
             col = cplx.diffs[lvl].get(where[lvl][col_md], {})
             mine = {}
             for row, (c, m) in col.items():
-                mine[cplx.levels[lvl - 1][row].multidegree.exps] = (c, m.exps)
+                mine[cplx.levels[lvl - 1][row].multidegree] = (c, m)
             ref_col = ref_by_col.get((lvl, col_md), {})
             if set(mine) != set(ref_col):
                 return False, "support of %r at level %d" % (col_md, lvl)

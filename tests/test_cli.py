@@ -299,6 +299,28 @@ def test_verify_builds_the_matching_once(tmp_path, capsys, monkeypatch):
     assert calls == ["pommaret"]
 
 
+def test_verify_checks_the_matching_once(tmp_path, capsys, monkeypatch):
+    # minimize checks the matching V on the symbol complex before it
+    # cancels a pair; the matching-valid line reports that check, and the
+    # Taylor route of betti-vs-oracle checks its own empty matching
+    import pommaret.morse
+    calls = []
+    check = pommaret.morse.is_morse_matching
+
+    def counting_check(cplx, matching):
+        calls.append(cplx.provenance)
+        return check(cplx, matching)
+
+    monkeypatch.setattr(pommaret.morse, "is_morse_matching", counting_check)
+    monkeypatch.setattr(cli, "is_morse_matching", counting_check,
+                        raising=False)
+    path = write(tmp_path, "b.ideal", B_TEXT)
+    assert cli.main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "matching-valid           ok  (18 pairs)" in out
+    assert calls == ["pommaret", "taylor"]
+
+
 def test_random_test_command(capsys):
     assert cli.main(["random-test", "--count", "2",
                      "--strand-cap", "200"]) == 0

@@ -133,6 +133,8 @@ def test_str_and_repr():
     assert str(r.monomial((0, 1, 0))) == "y"
     assert str(r.unit()) == "1"
     assert "x^2*z" in repr(r.monomial((2, 0, 1)))
+    # the same text for bare exponent tuples
+    assert r.text((2, 0, 1)) == "x^2*z" and r.text((0, 0, 0)) == "1"
 
 
 def test_hash_and_order():

@@ -1,8 +1,9 @@
 from itertools import combinations
+from operator import add
 
 import pytest
 
-from helpers import random_ideal, random_stable, reference_match, rp2_ideal
+from helpers import random_ideal, random_stable, reference_match
 from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, check_exactness,
                       is_morse_matching, minimize, morse_reduce, oracle_betti,
@@ -10,7 +11,6 @@ from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       taylor_complex)
 from pommaret.errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                              NotAMorseMatching, NotPSComplex)
-from pommaret.monomials import Monomial
 from pommaret.morse import _Reducer
 
 
@@ -74,12 +74,12 @@ def _toy_two_cycle():
     pairs closes an alternating cycle."""
     from pommaret import MonomialIdeal, Ring
     r = Ring(1)
-    x = r.monomial((1,))
-    ideal = MonomialIdeal(r, [x])
+    ideal = MonomialIdeal(r, [r.monomial((1,))])
+    x = (1,)
     levels = [[Gen("b", x, "b"), Gen("b'", x, "b'")],
               [Gen("a", x, "a"), Gen("a'", x, "a'")]]
-    diffs = [None, {0: {0: (1, r.unit()), 1: (-1, r.unit())},
-                    1: {0: (1, r.unit()), 1: (-1, r.unit())}}]
+    diffs = [None, {0: {0: (1, (0,)), 1: (-1, (0,))},
+                    1: {0: (1, (0,)), 1: (-1, (0,))}}]
     return FreeComplex(r, ideal, levels, diffs, "custom")
 
 
@@ -211,34 +211,22 @@ def test_every_defect_that_changes_the_result_is_caught(ideal_b, monkeypatch,
     assert raised
 
 
-def test_fill_in_multiplies_no_monomial(ideal_b, monkeypatch):
-    # fill-in products are sums of exponent tuples
-    def no_product(self, other):
-        raise AssertionError("Monomial product in the reducer")
-
-    monkeypatch.setattr(Monomial, "__mul__", no_product)
-    reduced = minimize(ps_complex(pommaret_basis(ideal_b)))
-    assert reduced.ranks() == (4, 5, 2)
-    reduced = minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3))))
-    assert reduced.ranks() == (10, 15, 6)
-
-
 @pytest.mark.parametrize("wide", ["corrected", "source"])
 def test_fill_in_rejects_mixed_arity(wide):
     # F_1 = <a, b>, F_0 = <p, q>, d a = p - q, d b = y p; cancelling a -> p
     # gives b the fill-in entry y q, and one factor of that product comes
     # from Ring(4)
     r3 = Ring(3)
-    x, y = r3.variable(1), r3.variable(2)
-    ideal = MonomialIdeal(r3, [x])
+    x, y, unit = (1, 0, 0), (0, 1, 0), (0, 0, 0)
+    ideal = MonomialIdeal(r3, [r3.variable(1)])
     levels = [[Gen("p", x, "p"), Gen("q", x, "q")],
-              [Gen("a", x, "a"), Gen("b", x * y, "b")]]
-    diffs = [None, {0: {0: (1, r3.unit()), 1: (-1, r3.unit())},
+              [Gen("a", x, "a"), Gen("b", (1, 1, 0), "b")]]
+    diffs = [None, {0: {0: (1, unit), 1: (-1, unit)},
                     1: {0: (1, y)}}]
     if wide == "corrected":
-        diffs[1][1][0] = (1, Ring(4).variable(2))
+        diffs[1][1][0] = (1, (0, 1, 0, 0))      # x2 of Ring(4)
     else:
-        diffs[1][0][1] = (-1, Ring(4).unit())
+        diffs[1][0][1] = (-1, (0, 0, 0, 0))     # the unit of Ring(4)
     reducer = _Reducer(FreeComplex(r3, ideal, levels, diffs, "custom"))
     with pytest.raises(ArityMismatch):
         reducer.cancel(Pair(1, 0, 0, 0))
@@ -346,5 +334,5 @@ def test_minimize_preserves_multidegrees():
             for row, col, c, m in reduced.entries(i):
                 src = reduced.levels[i][col].multidegree
                 dst = reduced.levels[i - 1][row].multidegree
-                assert dst * m == src
-                assert not m.is_unit()
+                assert tuple(map(add, dst, m)) == src
+                assert any(m)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -66,12 +67,11 @@ def test_differential_of_a_two_set_symbol(ideal_b):
     col = lookup[Symbol(0, (2, 3))]
     low = {g.key: i for i, g in enumerate(cplx.levels[1])}
     column = cplx.column(2, col)
-    r = ideal_b.ring
     want = {
-        low[Symbol(0, (2,))]: (1, r.variable(3)),
-        low[Symbol(0, (3,))]: (-1, r.variable(2)),
-        low[Symbol(1, (3,))]: (1, r.unit()),
-        low[Symbol(4, (2,))]: (-1, r.unit()),
+        low[Symbol(0, (2,))]: (1, (0, 0, 1)),
+        low[Symbol(0, (3,))]: (-1, (0, 1, 0)),
+        low[Symbol(1, (3,))]: (1, (0, 0, 0)),
+        low[Symbol(4, (2,))]: (-1, (0, 0, 0)),
     }
     assert column == want
 
@@ -89,9 +89,9 @@ def test_dropped_rewrite_terms(ideal_b):
     low = {g.key: i for i, g in enumerate(cplx.levels[1])}
     column = cplx.column(2, lookup[Symbol(a, (2, 3))])
     want = {
-        low[Symbol(a, (3,))]: (-1, r.variable(2)),
-        low[Symbol(b, (3,))]: (1, r.unit()),
-        low[Symbol(a, (2,))]: (1, r.variable(3)),
+        low[Symbol(a, (3,))]: (-1, (0, 1, 0)),
+        low[Symbol(b, (3,))]: (1, (0, 0, 0)),
+        low[Symbol(a, (2,))]: (1, (0, 0, 1)),
     }
     assert column == want
     assert all(cplx.levels[1][row].key.alpha != z3 for row in column)
@@ -107,7 +107,7 @@ def test_homogeneity(ideal_b):
         for row, col, c, m in cplx.entries(i):
             src = cplx.levels[i][col].multidegree
             dst = cplx.levels[i - 1][row].multidegree
-            assert dst * m == src
+            assert tuple(map(add, dst, m)) == src
 
 
 def test_ek_sign_rule(ideal_b):
@@ -124,8 +124,8 @@ def test_ek_sign_rule(ideal_b):
                 column = cplx.column(i, col)
                 for k in u:
                     face = Symbol(alpha, tuple(j for j in u if j != k))
-                    assert column[below[face]] == (ek_sign(k, u),
-                                                   ideal.ring.variable(k))
+                    assert column[below[face]] == (
+                        ek_sign(k, u), ideal.ring.variable(k).exps)
 
 
 def test_ek_complex_stable(ideal_stable2):
@@ -143,16 +143,15 @@ def test_ek_complex_stable(ideal_stable2):
     i_x = basis.index(r.monomial((2, 0)))
     i_y = basis.index(r.monomial((0, 1)))
     column = cplx.column(1, 0)
-    assert column[lookup[Symbol(i_x, ())]] == (1, r.variable(2))
-    assert column[lookup[Symbol(i_y, ())]] == (-1, r.monomial((2, 0)))
+    assert column[lookup[Symbol(i_x, ())]] == (1, (0, 1))
+    assert column[lookup[Symbol(i_y, ())]] == (-1, (2, 0))
 
 
 def test_taylor_complex(ideal_a):
     cplx = taylor_complex(ideal_a)
     assert cplx.ranks() == (2, 1)
     column = cplx.column(1, 0)
-    r = ideal_a.ring
-    assert column == {0: (-1, r.monomial((0, 3))), 1: (1, r.monomial((2, 0)))}
+    assert column == {0: (-1, (0, 3)), 1: (1, (2, 0))}
     # face multidegrees are lcms and ranks are binomials
     import math
     for seed in range(10):
@@ -165,7 +164,7 @@ def test_taylor_complex(ideal_a):
                 md = ideal.gens[g.key.gens[0]]
                 for j in g.key.gens[1:]:
                     md = md.lcm(ideal.gens[j])
-                assert g.multidegree == md
+                assert g.multidegree == md.exps
 
 
 def test_betti_table_counts(ideal_a):
@@ -193,9 +192,10 @@ def test_render_and_json(ideal_a):
     assert len(doc["differentials"]) == 1
     tay = taylor_complex(ideal_a).to_json_dict()
     assert tay["modules"][1][0]["face"] == [0, 1]
-    assert coeff_text(-1, ideal_a.ring.variable(2)) == "-x2"
-    assert coeff_text(2, ideal_a.ring.unit()) == "2"
-    assert coeff_text(-3, ideal_a.ring.variable(1)) == "-3*x1"
+    text = ideal_a.ring.text
+    assert coeff_text(-1, text((0, 1))) == "-x2"
+    assert coeff_text(2, text((0, 0))) == "2"
+    assert coeff_text(-3, text((1, 0))) == "-3*x1"
     assert _coeff_json(Fraction(3, 2)) == "3/2"
     assert _coeff_json(Fraction(4, 2)) == 2
     assert _coeff_json(-5) == -5

@@ -6,10 +6,10 @@ import pytest
 from helpers import (dense_rank, halve_generator, random_stable, rp2_ideal,
                      strand_oracle)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
-                      check_complex, check_exactness, exact_rank,
-                      homological_invariants, lcm_lattice, minimize,
-                      oracle_betti, pommaret_basis, ps_complex,
-                      random_quasi_stable, taylor_complex)
+                      build_cell_complex, check_complex, check_exactness,
+                      exact_rank, homological_invariants, lcm_lattice,
+                      minimize, oracle_betti, pommaret_basis, ps_complex,
+                      random_quasi_stable, supports_check, taylor_complex)
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
 from pommaret.verify import (_fraction_levels, _strand_selector,
@@ -85,8 +85,8 @@ def test_check_complex_locates_failures(ideal_b):
         col = sorted(level_cols)[0]
         row = sorted(level_cols[col])[0]
         c, m = level_cols[col][row]
-        level_cols[col][row] = (c, m * m if not m.is_unit()
-                                else m.ring.variable(1))
+        level_cols[col][row] = (c, tuple(2 * e for e in m) if any(m)
+                                else (1,) + m[1:])
 
     report = check_complex(_corrupt(good, 1, wreck_mono))
     assert not report.ok
@@ -97,15 +97,22 @@ def test_check_complex_locates_failures(ideal_b):
     col = sorted(good.diffs[1])[0]
     src = good.levels[1][col].multidegree
     row = next(r for r, g in enumerate(good.levels[0])
-               if not g.multidegree.divides(src))
+               if any(a > b for a, b in zip(g.multidegree, src)))
     report = check_complex(_corrupt(good, 1, lambda cols: cols[col].update(
-        {row: (1, good.ring.unit())})))
+        {row: (1, (0, 0, 0))})))
     assert {"kind": "inhomogeneous", "level": 1, "row": row, "col": col,
             "mono": "1"} in report.failures
+    # the same row with src - dst as its entry: the difference has a
+    # negative exponent, so it is not a monomial and proves no divisibility
+    diff = tuple(a - b for a, b in zip(src, good.levels[0][row].multidegree))
+    report = check_complex(_corrupt(good, 1, lambda cols: cols[col].update(
+        {row: (1, diff)})))
+    assert any(f["kind"] == "inhomogeneous" and f["row"] == row
+               and f["col"] == col for f in report.failures)
 
     def bad_row(level_cols):
         col = sorted(level_cols)[0]
-        level_cols[col][999] = (1, good.ring.unit())
+        level_cols[col][999] = (1, (0, 0, 0))
 
     report = check_complex(_corrupt(good, 1, bad_row))
     assert any(f["kind"] == "index" for f in report.failures)
@@ -138,19 +145,21 @@ def test_augmentation_composite_detected(ideal_a):
 
 def _reference_terms(cplx, i, col):
     # the kernel's contract computed with Monomial products
+    mono = cplx.ring.monomial
     acc = {}
     for row, (c1, m1) in cplx.diffs[i].get(col, {}).items():
         if i >= 2:
             for row2, (c2, m2) in cplx.diffs[i - 1].get(row, {}).items():
-                key = (row2, (m1 * m2).exps)
+                key = (row2, (mono(m1) * mono(m2)).exps)
                 acc[key] = acc.get(key, 0) + c1 * c2
         else:
-            key = (None, (m1 * cplx.levels[0][row].multidegree).exps)
+            key = (None, (mono(m1) * mono(cplx.levels[0][row].multidegree))
+                   .exps)
             acc[key] = acc.get(key, 0) + c1
     return {key: value for key, value in acc.items() if value != 0}
 
 
-def test_kernel_builds_no_monomial(ideal_b, monkeypatch):
+def test_kernel_matches_monomial_products(ideal_b):
     good = ps_complex(pommaret_basis(ideal_b))
 
     def flip_first(level_cols):
@@ -164,18 +173,9 @@ def test_kernel_builds_no_monomial(ideal_b, monkeypatch):
                for i in range(1, len(cplx.levels)) for col in cplx.diffs[i]]
     want = [_reference_terms(*case) for case in columns]
     assert any(want)
-    built = []
-    init = Monomial.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(Monomial, "__init__", counting_init)
     got = [composite_terms(cplx.levels, cplx.diffs, i, col)
            for cplx, i, col in columns]
     assert check_complex(good).ok
-    assert built == []
     assert got == want
 
 
@@ -184,12 +184,13 @@ def test_kernel_rejects_mixed_arity(level):
     # one entry of d_level comes from Ring(4), everything else from Ring(3):
     # the kernel must refuse it, not return a key cut to three exponents
     r3 = Ring(3)
-    levels = [[Gen("a", r3.monomial((1, 0, 0)), "a")],
-              [Gen("b", r3.monomial((1, 1, 0)), "b")],
-              [Gen("c", r3.monomial((1, 1, 1)), "c")]]
-    diffs = [None, {0: {0: (1, r3.variable(2))}},
-             {0: {0: (1, r3.variable(3))}}]
-    diffs[level][0][0] = (1, Ring(4).variable(level + 1))
+    levels = [[Gen("a", (1, 0, 0), "a")],
+              [Gen("b", (1, 1, 0), "b")],
+              [Gen("c", (1, 1, 1), "c")]]
+    diffs = [None, {0: {0: (1, (0, 1, 0))}},
+             {0: {0: (1, (0, 0, 1))}}]
+    # x_{level+1} of Ring(4)
+    diffs[level][0][0] = (1, tuple(int(j == level) for j in range(4)))
     with pytest.raises(ArityMismatch):
         composite_terms(levels, diffs, level, 0)
     cplx = FreeComplex(r3, MonomialIdeal(r3, [r3.variable(1)]), levels,
@@ -285,8 +286,8 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
     # x1^2*x2 is a member that the one level-0 generator, x2^3, misses
     r = ideal_a.ring
     uncovered = FreeComplex(r, ideal_a,
-                            [[Gen("a", r.monomial((0, 3)), "a")],
-                             [Gen("b", r.monomial((2, 1)), "b")]],
+                            [[Gen("a", (0, 3), "a")],
+                             [Gen("b", (2, 1), "b")]],
                             [None, {0: {}}], "custom")
     cases += [(chopped, 20000), (big, 5), (halved, 20000),
               (minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))),
@@ -308,9 +309,12 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
         "reason": "member without covering generator"}
 
 
-def test_strand_check_builds_no_monomial(ideal_b, monkeypatch):
-    cplx = ps_complex(pommaret_basis(ideal_b))
-    cases = [cplx, minimize(cplx)]
+def test_complex_stages_build_no_monomial(ideal_b, monkeypatch):
+    # differential entries and generator multidegrees are exponent tuples:
+    # from the symbol complex through the reduction and the strand check,
+    # the only Monomials built are the cell labels, one per cell
+    basis = pommaret_basis(ideal_b)
+    rp2 = rp2_ideal((6, 2, 1, 5, 4, 3))
     built = []
     init = Monomial.__init__
 
@@ -319,7 +323,15 @@ def test_strand_check_builds_no_monomial(ideal_b, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Monomial, "__init__", counting_init)
-    reports = [check_exactness(c) for c in cases]
+    cplx = ps_complex(basis)
+    cells = build_cell_complex(basis)
+    assert len(built) == sum(cells.counts())
+    del built[:]
+    assert supports_check(cells, cplx).ok
+    reduced = minimize(cplx)
+    assert reduced.ranks() == (4, 5, 2)
+    assert minimize(taylor_complex(rp2)).ranks() == (10, 15, 6)
+    reports = [check_exactness(c) for c in (cplx, reduced)]
     assert built == []
     assert [(r.ok, r.strands_checked) for r in reports] == [(True, 27),
                                                              (True, 13)]
