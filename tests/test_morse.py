@@ -3,7 +3,7 @@ from operator import add
 
 import pytest
 
-from helpers import random_ideal, random_stable, reference_match
+from helpers import random_ideal, random_stable, reference_match, rp2_ideal
 from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, check_exactness,
                       is_morse_matching, minimize, morse_reduce, oracle_betti,
@@ -11,6 +11,7 @@ from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       taylor_complex)
 from pommaret.errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                              NotAMorseMatching, NotPSComplex)
+from pommaret.monomials import Monomial
 from pommaret.morse import _Reducer
 
 
@@ -209,6 +210,24 @@ def test_every_defect_that_changes_the_result_is_caught(ideal_b, monkeypatch,
                 continue
             assert got == want, (mode, k)
     assert raised
+
+
+def test_fill_in_multiplies_no_monomial(ideal_b, monkeypatch):
+    # fill-in products are sums of exponent tuples: the reducer builds no
+    # Monomial at all
+    symbol = ps_complex(pommaret_basis(ideal_b))
+    taylor = taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    assert minimize(symbol).ranks() == (4, 5, 2)
+    assert minimize(taylor).ranks() == (10, 15, 6)
+    assert built == []
 
 
 @pytest.mark.parametrize("wide", ["corrected", "source"])

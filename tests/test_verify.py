@@ -311,10 +311,9 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
 
 def test_complex_stages_build_no_monomial(ideal_b, monkeypatch):
     # differential entries and generator multidegrees are exponent tuples:
-    # from the symbol complex through the reduction and the strand check,
-    # the only Monomials built are the cell labels, one per cell
+    # building the symbol complex and checking the cells against it build
+    # no Monomial, and the cell complex builds one per cell, its label
     basis = pommaret_basis(ideal_b)
-    rp2 = rp2_ideal((6, 2, 1, 5, 4, 3))
     built = []
     init = Monomial.__init__
 
@@ -328,10 +327,21 @@ def test_complex_stages_build_no_monomial(ideal_b, monkeypatch):
     assert len(built) == sum(cells.counts())
     del built[:]
     assert supports_check(cells, cplx).ok
-    reduced = minimize(cplx)
-    assert reduced.ranks() == (4, 5, 2)
-    assert minimize(taylor_complex(rp2)).ranks() == (10, 15, 6)
-    reports = [check_exactness(c) for c in (cplx, reduced)]
+    assert built == []
+
+
+def test_strand_check_builds_no_monomial(ideal_b, monkeypatch):
+    cplx = ps_complex(pommaret_basis(ideal_b))
+    cases = [cplx, minimize(cplx)]
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    reports = [check_exactness(c) for c in cases]
     assert built == []
     assert [(r.ok, r.strands_checked) for r in reports] == [(True, 27),
                                                              (True, 13)]
