@@ -199,10 +199,23 @@ class _Reducer:
             self.cols.append(level_cols)
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
+        # unit entries once tracked, keyed (-level, col, row): the sweep
+        # cancels the least key first
+        self.units = None
         self.trace = [] if trace else None
         self.cancelled = 0
         self.dirty = set()  # (level, col) changed since the last check
         self.level = None   # level of the last cancellation
+
+    def track_units(self):
+        """Keep ``units`` up to date from now on, starting from a scan."""
+        self.units = {(-level, col, row)
+                      for level, row, col, _ in unit_entries(self.cols)}
+
+    def _drop(self, level, row, col):
+        """Forget the unit entry (level, row, col), if tracked."""
+        if self.units is not None:
+            self.units.discard((-level, col, row))
 
     def _set(self, level, col, row, coeff, exps):
         column = self.cols[level].setdefault(col, {})
@@ -210,11 +223,14 @@ class _Reducer:
             if row in column:
                 del column[row]
                 self.row_index[level][row].discard(col)
+                self._drop(level, row, col)
         else:
             if isinstance(coeff, Fraction) and coeff.denominator == 1:
                 coeff = int(coeff)
             column[row] = (coeff, exps)
             self.row_index[level].setdefault(row, set()).add(col)
+            if self.units is not None and not any(exps):
+                self.units.add((-level, col, row))
 
     def cancel(self, pair):
         level, s, t = pair.level, pair.source, pair.target
@@ -259,17 +275,21 @@ class _Reducer:
             # the t entry of every corrected column cancels exactly
             del column[t]
             self.row_index[level][t].discard(c)
+            self._drop(level, t, c)
         # drop the source column and the target's own column
         for row in list(source_col):
             self.row_index[level][row].discard(s)
+            self._drop(level, row, s)
         del cols[s]
         if level - 1 >= 1 and t in self.cols[level - 1]:
             for row in list(self.cols[level - 1][t]):
                 self.row_index[level - 1][row].discard(t)
+                self._drop(level - 1, row, t)
             del self.cols[level - 1][t]
         # the columns one level up lose the dead source row
         for c in upper.pop(s, ()):
             del self.cols[level + 1][c][s]
+            self._drop(level + 1, s, c)
             self.dirty.add((level + 1, c))
         self.alive[level].discard(s)
         self.alive[level - 1].discard(t)
@@ -361,12 +381,11 @@ def minimize(cplx, trace=False):
     else:
         matching = Matching(())
     reducer = _cancel_matching(cplx, matching, trace)
-    while True:
-        units = unit_entries(reducer.cols)
-        if not units:
-            break
+    reducer.track_units()
+    while reducer.units:
         # highest level first, then lowest column, then lowest row
-        level, row, col, _ = min(units, key=lambda u: (-u[0], u[2], u[1]))
+        minus_level, col, row = min(reducer.units)
+        level = -minus_level
         # a single reversed edge cannot close an alternating cycle
         reducer.cancel(Pair(level, col, row, 0))
         reducer._local_check()

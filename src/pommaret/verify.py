@@ -8,18 +8,23 @@ count (the composite is already known to vanish).  Only multidegrees in the
 lcm lattice of the generator multidegrees can carry homology, so the sweep
 runs over that lattice, optionally capped.
 
-Multidegrees and differential entries are exponent tuples: the lattice
-joins them, each level's generators are grouped by multidegree once per
-complex, and a strand keeps the groups whose multidegree divides mu.
-``exact_rank`` pivots on a +-1 entry of the shortest row that has one and
-touches only the rows that hold the pivot column.
+The sweep runs on integers built once per complex: lattice points are bit
+codes over each variable's distinct exponents (a join is one OR), strand
+selection ANDs one prefix bitmask per variable, and the integer columns of
+every d_i are handed whole to ``exact_rank`` as the rows of the transposed
+strand matrix.  No row filter is needed, because ``check_complex`` has
+proven every entry homogeneous with nonnegative exponents, so each row of
+a selected column divides mu too.  ``exact_rank`` pivots on a +-1 entry of
+the shortest row that has one and touches only the rows that hold the
+pivot column.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import le, sub
+from operator import sub
 
 from .errors import ArityMismatch, BrokenInvariant, NotAComplex, NotMinimal
 from .ideals import MonomialIdeal
@@ -144,59 +149,78 @@ def check_complex(cplx):
 # --- strand exactness ---------------------------------------------------------
 
 
-def _strand_selector(cplx):
-    """select(mu) -> (selected, target_dim) for exponent tuples mu.
-
-    Each level's generators are grouped by multidegree once; a strand keeps
-    the groups whose multidegree divides mu, and mu lies in the ideal when
-    a minimal generator divides it."""
-    groups = []
-    for level in cplx.levels:
-        by_exps = {}
-        for j, g in enumerate(level):
-            by_exps.setdefault(g.multidegree, []).append(j)
-        groups.append(list(by_exps.items()))
-    gens = [g.exps for g in cplx.ideal.gens]
-
-    def select(mu):
-        selected = [sorted(j for e, js in level if all(map(le, e, mu))
-                           for j in js) for level in groups]
-        target = 1 if any(all(map(le, e, mu)) for e in gens) else 0
-        return selected, target
-    return select
-
-
-def _fraction_levels(cplx):
-    """Levels whose differential holds a Fraction entry (reduced complexes
-    after a non-unit pivot)."""
-    return {i for i in range(1, len(cplx.levels))
-            if any(isinstance(c, Fraction)
-                   for column in cplx.diffs[i].values()
-                   for c, _m in column.values())}
-
-
-def _strand_matrix(cplx, i, rows, cols, fractions):
-    """Integer rows of d_i restricted to the strand; on a level in
-    ``fractions``, fraction entries are cleared per column (column scaling
-    keeps the rank)."""
-    pos = {r: k for k, r in enumerate(rows)}
-    out = [dict() for _ in rows]
-    diff = cplx.diffs[i]
-    for cidx, col in enumerate(cols):
-        entries = [(pos[r], c) for r, (c, _m) in diff.get(col, {}).items()
-                   if r in pos]
-        if i in fractions:
-            scale = 1
-            for _, c in entries:
-                if isinstance(c, Fraction):
-                    scale = lcm(scale, c.denominator)
-            entries = [(k, int(c * scale)) for k, c in entries]
-        for k, c in entries:
-            out[k][cidx] = c
+def _bits(mask):
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _strand_verdict(cplx, select, fractions, mu):
+def _strand_selector(cplx, n):
+    """select(mu) -> (selected, target) for exponent tuples mu of length n.
+
+    Every generator of every level, and then every minimal generator of the
+    ideal, owns one bit.  For each variable the distinct exponents are
+    sorted and mask k holds the generators whose exponent is among the
+    first k; a strand ANDs the n masks that bisect_right picks for mu, so
+    it keeps exactly the generators that divide mu, each level's in index
+    order.  mu lies in the ideal when a minimal generator's bit survives."""
+    exps = []
+    spans = []  # per level: offset of its first bit, mask of its width
+    for level in cplx.levels:
+        spans.append((len(exps), (1 << len(level)) - 1))
+        exps += [g.multidegree for g in level]
+    ideal_off = len(exps)
+    exps += [g.exps for g in cplx.ideal.gens]
+    if any(len(e) != n for e in exps):
+        raise ArityMismatch("monomials from different rings")
+    index = []
+    for v in range(n):
+        by_value = {}
+        for bit, e in enumerate(exps):
+            by_value[e[v]] = by_value.get(e[v], 0) | 1 << bit
+        values = sorted(by_value)
+        masks = [0]
+        for x in values:
+            masks.append(masks[-1] | by_value[x])
+        index.append((values, masks))
+    full = (1 << len(exps)) - 1
+
+    def select(mu):
+        mask = full
+        for (values, masks), x in zip(index, mu):
+            mask &= masks[bisect_right(values, x)]
+        selected = [_bits(mask >> off & width) for off, width in spans]
+        return selected, 1 if mask >> ideal_off else 0
+    return select
+
+
+def _integer_columns(cplx):
+    """Column j of d_i as {row: integer coefficient} for every level i,
+    built once per complex; Fraction entries (reduced complexes after a
+    non-unit pivot) are cleared per column, and column scaling keeps every
+    rank."""
+    cols = [None]
+    for i in range(1, len(cplx.levels)):
+        diff = cplx.diffs[i]
+        level = []
+        for j in range(len(cplx.levels[i])):
+            column = {r: c for r, (c, _m) in diff.get(j, {}).items()}
+            scale = 1
+            for c in column.values():
+                if isinstance(c, Fraction):
+                    scale = lcm(scale, c.denominator)
+            if scale != 1:
+                column = {r: int(c * scale) for r, c in column.items()}
+            level.append(column)
+        cols.append(level)
+    return cols
+
+
+def _strand_verdict(cplx, select, cols, mu):
     """Rank conditions for exactness of the strand at the exponent tuple
     mu; returns (ok, detail)."""
     sel, target = select(mu)
@@ -208,8 +232,13 @@ def _strand_verdict(cplx, select, fractions, mu):
                        "reason": "member without covering generator"}
     ranks = [target]
     for i in range(1, len(sel)):
-        ranks.append(exact_rank(_strand_matrix(cplx, i, sel[i - 1], sel[i],
-                                               fractions)))
+        if sel[i] and sel[i - 1]:
+            # whole columns, no row filter: check_complex passed, so every
+            # row of a selected column has a multidegree dividing mu
+            level = cols[i]
+            ranks.append(exact_rank([level[j] for j in sel[i]]))
+        else:
+            ranks.append(0)
     ranks.append(0)
     for i in range(len(sel)):
         if ranks[i] + ranks[i + 1] != sizes[i]:
@@ -233,7 +262,14 @@ class ExactnessReport:
 def lcm_lattice(cplx, cap):
     """Lcm closure of all generator multidegrees as exponent tuples:
     generator multidegrees first (by degree, then exponents), then new
-    joins in discovery order, truncated at cap points."""
+    joins in discovery order, truncated at cap points.
+
+    Joins only ever take exponents the generators already have, so each
+    variable's exponents are ranked and a point is coded as one integer
+    holding, per variable, a field of (number of distinct exponents - 1)
+    bits whose lowest rank bits are set.  The join of two points is then
+    the OR of their codes, and only the points past the generators are
+    decoded, from the length of each field."""
     if cap < 1:
         # a shorter lattice would still yield a verdict, over too few strands
         raise ValueError("strand cap must be at least 1, got %r" % (cap,))
@@ -241,19 +277,32 @@ def lcm_lattice(cplx, cap):
                     for g in level}, key=lambda e: (sum(e), e))
     if len({len(e) for e in seeds}) > 1:
         raise ArityMismatch("monomials from different rings")
-    points = list(seeds)
-    seen = set(points)
+    fields = []  # per variable: offset, field mask, exponents by rank
+    width = 0
+    for values in map(sorted, map(set, zip(*seeds))):
+        fields.append((width, (1 << len(values) - 1) - 1, values))
+        width += len(values) - 1
+    ranks = [{x: k for k, x in enumerate(values)} for _, _, values in fields]
+    codes = []
+    for e in seeds:
+        code = 0
+        for (off, _, _), rank, x in zip(fields, ranks, e):
+            code |= ((1 << rank[x]) - 1) << off
+        codes.append(code)
+    seen = set(codes)
     j = 1
-    while j < len(points) and len(points) < cap:
-        base = points[j]
-        for k in range(j):
-            e = tuple(map(max, base, points[k]))
-            if e not in seen:
-                seen.add(e)
-                points.append(e)
+    while j < len(codes) and len(codes) < cap:
+        for code in map(codes[j].__or__, codes[:j]):
+            if code not in seen:
+                seen.add(code)
+                codes.append(code)
         j += 1
-    capped = len(points) > cap or j < len(points)
-    return points[:cap], capped
+    capped = len(codes) > cap or j < len(codes)
+    points = seeds[:cap]
+    for code in codes[len(seeds):cap]:
+        points.append(tuple(values[(code >> off & mask).bit_length()]
+                            for off, mask, values in fields))
+    return points, capped
 
 
 def check_exactness(cplx, cap=20000):
@@ -263,13 +312,14 @@ def check_exactness(cplx, cap=20000):
         raise NotAComplex("d o d = 0 fails; exactness is meaningless: %r"
                           % base.failures[:3])
     points, capped = lcm_lattice(cplx, cap)
-    select = _strand_selector(cplx)
-    fractions = _fraction_levels(cplx)
     failures = []
-    for mu in points:
-        ok, detail = _strand_verdict(cplx, select, fractions, mu)
-        if not ok:
-            failures.append(detail)
+    if points:
+        select = _strand_selector(cplx, len(points[0]))
+        cols = _integer_columns(cplx)
+        for mu in points:
+            ok, detail = _strand_verdict(cplx, select, cols, mu)
+            if not ok:
+                failures.append(detail)
     return ExactnessReport(not failures, len(points), capped, failures,
                            base)
 

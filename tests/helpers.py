@@ -63,19 +63,14 @@ def dense_rank(rows, ncols):
     return rank
 
 
-def strand_oracle(cplx, cap=20000):
-    """Reference strand check: (strands_checked, capped, failures) in the
-    form of ``check_exactness``.
+def reference_lattice(cplx, cap):
+    """Reference ``lcm_lattice``: the same closure, on ``Monomial``s.
 
-    Multidegrees are wrapped as ``Monomial``s: the lcm closure joins with
-    ``Monomial.lcm`` in the documented order (generator multidegrees by
-    degree, then new joins in discovery order, cut at cap points),
-    generators are picked with ``Monomial.divides``, and ranks are dense
-    ranks over Fraction, so fraction entries need no clearing.
-    """
-    mds = [[cplx.ring.monomial(g.multidegree) for g in level]
-           for level in cplx.levels]
-    seeds = sorted({md for level in mds for md in level},
+    Generator multidegrees by degree, then exponents; then the joins
+    ``Monomial.lcm`` finds, in discovery order, cut at cap points.  Returns
+    (points as exponent tuples, capped)."""
+    seeds = sorted({cplx.ring.monomial(g.multidegree)
+                    for level in cplx.levels for g in level},
                    key=lambda m: (m.degree(), m.exps))
     points = list(seeds)
     seen = set(points)
@@ -88,7 +83,22 @@ def strand_oracle(cplx, cap=20000):
                 points.append(m)
         j += 1
     capped = len(points) > cap or j < len(points)
-    points = points[:cap]
+    return [m.exps for m in points[:cap]], capped
+
+
+def strand_oracle(cplx, cap=20000):
+    """Reference strand check: (strands_checked, capped, failures) in the
+    form of ``check_exactness``.
+
+    Multidegrees are wrapped as ``Monomial``s: the lcm closure is
+    ``reference_lattice``, generators are picked with
+    ``Monomial.divides``, and ranks are dense ranks over Fraction, so
+    fraction entries need no clearing.
+    """
+    mds = [[cplx.ring.monomial(g.multidegree) for g in level]
+           for level in cplx.levels]
+    exps, capped = reference_lattice(cplx, cap)
+    points = [cplx.ring.monomial(e) for e in exps]
     failures = []
     for mu in points:
         sel = [[j for j, md in enumerate(level) if md.divides(mu)]

@@ -13,6 +13,7 @@ from pommaret.errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                              NotAMorseMatching, NotPSComplex)
 from pommaret.monomials import Monomial
 from pommaret.morse import _Reducer
+from pommaret.resolution import unit_entries
 
 
 def test_matching_rejects_reuse():
@@ -308,6 +309,38 @@ def test_safety_net_sweep_on_symbol_complex():
         ("[x1^2*x5, x3*x4]", "[x1^2*x3*x4, x5]")]
     assert not reduced.unit_entries()
     assert betti_table(reduced) == oracle_betti(ideal)
+
+
+def test_tracked_unit_entries_match_a_full_scan(ideal_b, monkeypatch):
+    # the sweep picks from a set of unit entries kept up to date by the
+    # reducer; after every sweep cancellation it must equal a full scan
+    cancel = _Reducer.cancel
+    checked = []
+
+    def checked_cancel(self, pair):
+        cancel(self, pair)
+        if self.units is not None:
+            checked.append(pair)
+            assert self.units == {(-level, col, row) for level, row, col, _
+                                  in unit_entries(self.cols)}
+
+    monkeypatch.setattr(_Reducer, "cancel", checked_cancel)
+    cases = [taylor_complex(ideal_b),
+             ps_complex(pommaret_basis(random_quasi_stable(2520, 5, 4, 6))),
+             taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))]
+    sweeps = [minimize(cplx).safety_net_cancellations for cplx in cases]
+    assert sweeps == [2, 2, 496]
+    assert len(checked) == sum(sweeps)
+    # the sweep only cancels at the highest level holding a unit, so a
+    # dead source row one level up never held one; cancelling the lowest
+    # unit first meets such rows
+    del checked[:]
+    reducer = _Reducer(cases[2])
+    reducer.track_units()
+    while reducer.units:
+        minus_level, col, row = max(reducer.units)
+        reducer.cancel(Pair(-minus_level, col, row, 0))
+    assert len(checked) == 496
 
 
 @pytest.mark.parametrize("relabel, corrects", [

@@ -1,18 +1,20 @@
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from helpers import (dense_rank, halve_generator, random_stable, rp2_ideal,
-                     strand_oracle)
+from helpers import (dense_rank, halve_generator, random_stable,
+                     reference_lattice, rp2_ideal, strand_oracle)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
-                      build_cell_complex, check_complex, check_exactness,
+                      build_cell_complex, cli, check_complex, check_exactness,
                       exact_rank, homological_invariants, lcm_lattice,
                       minimize, oracle_betti, pommaret_basis, ps_complex,
                       random_quasi_stable, supports_check, taylor_complex)
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
-from pommaret.verify import (_fraction_levels, _strand_selector,
+from pommaret.verify import (_integer_columns, _strand_selector,
                              _strand_verdict)
 
 
@@ -201,17 +203,17 @@ def test_kernel_rejects_mixed_arity(level):
 
 def test_strand_selection(ideal_a):
     cplx = ps_complex(pommaret_basis(ideal_a))
-    select = _strand_selector(cplx)
-    fractions = _fraction_levels(cplx)
+    select = _strand_selector(cplx, 2)
+    cols = _integer_columns(cplx)
     selected, target = select((2, 1))
     assert target == 1
     assert [len(s) for s in selected] == [2, 1]
-    ok, detail = _strand_verdict(cplx, select, fractions, (2, 1))
+    ok, detail = _strand_verdict(cplx, select, cols, (2, 1))
     assert ok and detail is None
     selected, target = select((1, 1))
     assert target == 0
     assert [len(s) for s in selected] == [0, 0]
-    ok, _ = _strand_verdict(cplx, select, fractions, (1, 1))
+    ok, _ = _strand_verdict(cplx, select, cols, (1, 1))
     assert ok
 
 
@@ -230,6 +232,118 @@ def test_lcm_lattice(ideal_a, ideal_b):
     assert capped and len(points) == 5
     points, capped = lcm_lattice(big, 10 ** 6)
     assert not capped and len(points) == 27
+
+
+def _wide_alphabet_complexes():
+    # exponents up to 12 in two and three variables: many distinct values
+    # per variable, so every lattice code has wide fields
+    out = []
+    for seed in range(20):
+        ideal = random_quasi_stable(seed, 2 + seed % 2, 9 + seed % 4,
+                                    1 + seed % 3)
+        cplx = ps_complex(pommaret_basis(ideal))
+        out += [cplx, minimize(cplx)]
+        if len(ideal.gens) <= 7:
+            out.append(taylor_complex(ideal))
+    return out
+
+
+def test_lcm_lattice_matches_reference():
+    # same points in the same order, and the same capped flag, at every cap
+    # up to one past the full lattice
+    sizes = []
+    for cplx in _wide_alphabet_complexes():
+        full, capped = reference_lattice(cplx, 10 ** 6)
+        assert not capped
+        sizes.append(len(full))
+        for cap in range(1, len(full) + 2):
+            assert lcm_lattice(cplx, cap) == reference_lattice(cplx, cap)
+    assert max(sizes) > 50
+
+
+def test_strand_selector_matches_divisibility_scan(ideal_b):
+    rng = random.Random(5)
+    cases = _wide_alphabet_complexes()[:12] + [
+        ps_complex(pommaret_basis(ideal_b)), taylor_complex(ideal_b)]
+    for cplx in cases:
+        n = cplx.ring.n
+        top = max(max(g.multidegree) for level in cplx.levels
+                  for g in level)
+        select = _strand_selector(cplx, n)
+        mus = [(0,) * n, (top + 1,) * n, (10 ** 9,) * n]
+        mus += [tuple(rng.randint(0, top + 1) for _ in range(n))
+                for _ in range(40)]
+        for mu in mus:
+            want = [[j for j, g in enumerate(level)
+                     if all(a <= b for a, b in zip(g.multidegree, mu))]
+                    for level in cplx.levels]
+            member = any(all(a <= b for a, b in zip(g.exps, mu))
+                         for g in cplx.ideal.gens)
+            assert select(mu) == (want, int(member))
+        # nothing divides 1, everything divides a large enough mu
+        assert select((0,) * n) == ([[] for _ in cplx.levels], 0)
+        assert select((top + 1,) * n) == (
+            [list(range(len(level))) for level in cplx.levels], 1)
+
+
+def test_unfiltered_strand_columns_need_homogeneity():
+    # the Koszul syzygy of x1^2, x2^2 with its source multidegree cut to
+    # x1^2*x2: d o d = 0 still holds, but the row x2^2 does not divide the
+    # column's multidegree, so the strand at x1^2*x2 selects the column
+    # without that row.  Strand columns are not filtered by row, so
+    # check_exactness must refuse the complex before any strand.
+    r = Ring(2)
+    ideal = MonomialIdeal(r, [r.monomial([2, 0]), r.monomial([0, 2])])
+    levels = [[Gen("a", (2, 0), "a"), Gen("b", (0, 2), "b")],
+              [Gen("ab", (2, 2), "ab")]]
+    diffs = [None, {0: {0: (1, (0, 2)), 1: (-1, (2, 0))}}]
+    good = FreeComplex(r, ideal, levels, diffs, "custom")
+    assert check_exactness(good).ok
+    levels[1] = [Gen("ab", (2, 1), "ab")]
+    bad = FreeComplex(r, ideal, levels, diffs, "custom")
+    assert [f["kind"] for f in check_complex(bad).failures] == [
+        "inhomogeneous", "inhomogeneous"]
+    selected, _ = _strand_selector(bad, 2)((2, 1))
+    assert selected == [[0], [0]]
+    assert set(_integer_columns(bad)[1][0]) == {0, 1}
+    with pytest.raises(NotAComplex):
+        check_exactness(bad)
+
+
+@pytest.mark.parametrize("gens, checks", [
+    ([(10 ** 8, 0), (0, 1)],
+     ["0 pairs", "3 strands", "3 strands", "pd=1 reg=100000000"]),
+    ([(10 ** 8, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 1)],
+     ["9 pairs", "23 strands", "14 strands", "pd=2 reg=100000002"])])
+def test_huge_exponents(tmp_path, capsys, gens, checks):
+    # lattice codes and selection masks index each variable's distinct
+    # exponents, never the exponents themselves
+    ring = Ring(len(gens[0]))
+    path = tmp_path / "ideal.txt"
+    path.write_text("vars %d\n" % ring.n + "".join(
+        "[%s]\n" % ",".join(map(str, g)) for g in gens))
+    assert cli.main(["verify", str(path), "--format", "json"]) == 0
+    pairs, strands, reduced_strands, pd_reg = checks
+    details = ["0 failures", "0 failures", pairs, "0 extra cancellations",
+               "", "", strands, reduced_strands, pd_reg, ""]
+    names = ["complex-axioms", "cell-support", "matching-valid",
+             "safety-net-silent", "reduced-complex-axioms",
+             "reduced-minimal", "exactness", "reduced-exactness",
+             "pd-reg-consistent", "betti-vs-oracle"]
+    assert json.loads(capsys.readouterr().out) == {
+        "checks": [{"name": n, "ok": True, "detail": d}
+                   for n, d in zip(names, details)],
+        "ok": True}
+    cplx = ps_complex(pommaret_basis(
+        MonomialIdeal(ring, [ring.monomial(g) for g in gens])))
+    for c in (cplx, minimize(cplx)):
+        tracemalloc.start()
+        try:
+            assert check_exactness(c).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
 
 def test_strand_cap_below_one_is_rejected(ideal_b):
