@@ -10,13 +10,20 @@ runs over that lattice, optionally capped.
 
 The sweep runs on integers built once per complex: lattice points are bit
 codes over each variable's distinct exponents (a join is one OR), strand
-selection ANDs one prefix bitmask per variable, and the integer columns of
-every d_i are handed whole to ``exact_rank`` as the rows of the transposed
-strand matrix.  No row filter is needed, because ``check_complex`` has
-proven every entry homogeneous with nonnegative exponents, so each row of
-a selected column divides mu too.  ``exact_rank`` pivots on a +-1 entry of
-the shortest row that has one and touches only the rows that hold the
-pivot column.
+selection ANDs one prefix bitmask per variable, and every column of every
+d_i is a GF(2) bit column (bit r set where the integer entry in row r is
+odd).  No row filter is needed, because ``check_complex`` has proven every
+entry homogeneous with nonnegative exponents, so each row of a selected
+column divides mu too.
+
+Each strand is first certified over GF(2).  ``check_complex`` has proven
+d o d = 0 over Z, so rank_Q(d_i) + rank_Q(d_{i+1}) <= size_i at every
+position, and rank_2 <= rank_Q holds for every integer matrix (a nonzero
+minor mod 2 is a nonzero minor).  Hence rank_2(d_i) + rank_2(d_{i+1}) =
+size_i at every position proves the strand exact over Q.  Only a strand
+that falls short (torsion such as RP^2's, or a complex that is not exact)
+takes the exact route, ``exact_rank`` on integer columns that are built on
+the first such strand; that route alone can report a failure.
 """
 
 import random
@@ -47,6 +54,10 @@ def exact_rank(rows):
     change the rank.  A column -> rows index limits each step to the rows
     that hold the pivot column, and those rows are updated in place.  The
     input rows are not modified.
+
+    ``check_exactness`` calls it only on strands whose GF(2) ranks fall
+    short of the certificate: there rank_2 < rank_Q may hide an exact
+    strand, and only exact ranks can tell it from a failing one.
     """
     live = {}
     where = {}
@@ -97,6 +108,24 @@ def exact_rank(rows):
             if not r:
                 del live[k]
     return rank
+
+
+def _gf2_rank(columns, cap):
+    """Rank over GF(2) of bit columns (one int per column, bit r for row
+    r), or cap once it reaches cap: an XOR basis keyed by each vector's
+    highest set bit."""
+    basis = {}
+    for v in columns:
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                if len(basis) == cap:
+                    return cap
+                break
+            v ^= b
+    return len(basis)
 
 
 # --- complex axioms ----------------------------------------------------------
@@ -198,31 +227,61 @@ def _strand_selector(cplx, n):
     return select
 
 
-def _integer_columns(cplx):
-    """Column j of d_i as {row: integer coefficient} for every level i,
-    built once per complex; Fraction entries (reduced complexes after a
-    non-unit pivot) are cleared per column, and column scaling keeps every
-    rank."""
-    cols = [None]
-    for i in range(1, len(cplx.levels)):
-        diff = cplx.diffs[i]
-        level = []
-        for j in range(len(cplx.levels[i])):
-            column = {r: c for r, (c, _m) in diff.get(j, {}).items()}
-            scale = 1
-            for c in column.values():
-                if isinstance(c, Fraction):
-                    scale = lcm(scale, c.denominator)
-            if scale != 1:
-                column = {r: int(c * scale) for r, c in column.items()}
-            level.append(column)
-        cols.append(level)
-    return cols
+def _integer_column(column):
+    """{row: integer} for one column {row: (coefficient, monomial)} of a
+    differential.  Fraction entries (reduced complexes after a non-unit
+    pivot) are cleared, and scaling a column keeps every rank."""
+    ints = {r: c for r, (c, _m) in column.items()}
+    scale = 1
+    for c in ints.values():
+        if isinstance(c, Fraction):
+            scale = lcm(scale, c.denominator)
+    if scale != 1:
+        ints = {r: int(c * scale) for r, c in ints.items()}
+    return ints
+
+
+def _parity_column(column):
+    """The GF(2) bit column of ``_integer_column(column)``: bit r is set
+    where row r holds an odd entry."""
+    bits = 0
+    for r, c in _integer_column(column).items():
+        if c % 2:
+            bits |= 1 << r
+    return bits
+
+
+def _columns(cplx, build):
+    """build(column j of d_i) for every column of every level i >= 1,
+    indexed [i][j]; built once per complex."""
+    return [None] + [[build(cplx.diffs[i].get(j, {}))
+                      for j in range(len(cplx.levels[i]))]
+                     for i in range(1, len(cplx.levels))]
+
+
+def _certified(sel, target, bits):
+    """True when GF(2) ranks prove the strand exact.
+
+    Going up the levels, d_i must reach rank size_{i-1} - rank(d_{i-1}).
+    d o d = 0 mod 2 bounds it by that, so elimination stops there, and a
+    level that must have rank 0 has it without any.  Whole columns, no
+    row filter: every row of a selected column is in the strand."""
+    rank = target
+    for i in range(1, len(sel)):
+        need = len(sel[i - 1]) - rank
+        if need > 0 and sel[i]:
+            level = bits[i]
+            rank = _gf2_rank([level[j] for j in sel[i]], need)
+        else:
+            rank = 0
+        if rank != need:
+            return False
+    return rank == len(sel[-1])
 
 
 def _strand_verdict(cplx, select, cols, mu):
     """Rank conditions for exactness of the strand at the exponent tuple
-    mu; returns (ok, detail)."""
+    mu, from exact ranks on integer columns; returns (ok, detail)."""
     sel, target = select(mu)
     sizes = [len(s) for s in sel]
     # augmentation strand: a single row of ones over the level-0 survivors
@@ -306,7 +365,9 @@ def lcm_lattice(cplx, cap):
 
 
 def check_exactness(cplx, cap=20000):
-    """Strand-by-strand exactness over the lcm lattice."""
+    """Strand-by-strand exactness over the lcm lattice: GF(2) ranks
+    certify a strand, and only a strand they leave short is decided by
+    ``_strand_verdict``'s exact ranks (see the module docstring)."""
     base = check_complex(cplx)
     if not base.ok:
         raise NotAComplex("d o d = 0 fails; exactness is meaningless: %r"
@@ -315,8 +376,13 @@ def check_exactness(cplx, cap=20000):
     failures = []
     if points:
         select = _strand_selector(cplx, len(points[0]))
-        cols = _integer_columns(cplx)
+        bits = _columns(cplx, _parity_column)
+        cols = None
         for mu in points:
+            if _certified(*select(mu), bits):
+                continue
+            if cols is None:
+                cols = _columns(cplx, _integer_column)
             ok, detail = _strand_verdict(cplx, select, cols, mu)
             if not ok:
                 failures.append(detail)

@@ -63,6 +63,23 @@ def dense_rank(rows, ncols):
     return rank
 
 
+def dense_rank_gf2(rows, ncols):
+    """Reference rank over GF(2): each integer entry taken mod 2, then
+    dense Gaussian elimination on lists of bits."""
+    mat = [[r.get(c, 0) % 2 for c in range(ncols)] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                mat[i] = [a ^ b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
 def reference_lattice(cplx, cap):
     """Reference ``lcm_lattice``: the same closure, on ``Monomial``s.
 
@@ -197,6 +214,26 @@ def random_ideal(seed, n=None, max_deg=4, count=3):
     ring = Ring(n)
     mons = random_monomials(rng, ring, max(count, 1), max_deg)
     return MonomialIdeal(ring, mons)
+
+
+def positive_dimensional_ideals(seed=2024, count=24):
+    """Seeded quasi-stable ideals in x2..xn only, which
+    ``random_quasi_stable`` never draws: a pure power of each of x2..xn
+    forces quasi-stability, and every basis element has class >= 2."""
+    rng = random.Random(seed)
+    ideals = []
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        gens = [tuple(rng.randint(1, 3) if i == j else 0 for i in range(n))
+                for j in range(1, n)]
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * n
+            for i in rng.choices(range(1, n), k=rng.randint(1, 3)):
+                e[i] += 1
+            gens.append(tuple(e))
+        ring = Ring(n)
+        ideals.append(MonomialIdeal(ring, [ring.monomial(g) for g in gens]))
+    return ideals
 
 
 def random_stable(seed):

@@ -1,10 +1,9 @@
-import random
 from itertools import permutations
 
 import pytest
 
 import pommaret.cellular
-from helpers import random_ideal
+from helpers import positive_dimensional_ideals, random_ideal
 from pommaret import (FreeComplex, MonomialIdeal, PommaretBasis,
                       Ring, build_cell_complex, chain_vertices, expected_ranks,
                       pommaret_basis, ps_complex, random_quasi_stable,
@@ -129,19 +128,7 @@ def test_walk_unions_on_positive_dimensional_ideals():
                    (0, 0, 0, 0, 0, 2)]),
         _ideal(4, [(1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
     ]
-    # seeded draws in x2..xn only: a pure power of each of x2..xn forces
-    # quasi-stability, and every basis element has class >= 2
-    rng = random.Random(2024)
-    for _ in range(24):
-        n = rng.randint(4, 6)
-        gens = [tuple(rng.randint(1, 3) if i == j else 0 for i in range(n))
-                for j in range(1, n)]
-        for _ in range(rng.randint(1, 4)):
-            e = [0] * n
-            for i in rng.choices(range(1, n), k=rng.randint(1, 3)):
-                e[i] += 1
-            gens.append(tuple(e))
-        ideals.append(_ideal(n, gens))
+    ideals += positive_dimensional_ideals()
     ds = set()
     for ideal in ideals:
         basis = pommaret_basis(ideal)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (dense_rank, halve_generator, random_stable,
+import pommaret.verify
+from helpers import (dense_rank, dense_rank_gf2, halve_generator,
+                     positive_dimensional_ideals, random_stable,
                      reference_lattice, rp2_ideal, strand_oracle)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       build_cell_complex, cli, check_complex, check_exactness,
@@ -14,8 +16,8 @@ from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       random_quasi_stable, supports_check, taylor_complex)
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
-from pommaret.verify import (_integer_columns, _strand_selector,
-                             _strand_verdict)
+from pommaret.verify import (_columns, _gf2_rank, _integer_column,
+                             _strand_selector, _strand_verdict)
 
 
 def test_exact_rank_against_dense_oracle():
@@ -47,6 +49,92 @@ def test_exact_rank_edge_cases():
     assert exact_rank([{}, {}]) == 0
     assert exact_rank([{0: 3}, {0: -6}]) == 1
     assert exact_rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {0: 0, 1: 1}]) == 2
+
+
+def test_gf2_rank_against_dense_oracle():
+    # the certificate rests on rank_2 <= rank_Q for integer matrices
+    rng = random.Random(23)
+    for _ in range(300):
+        nrows = rng.randint(0, 12)
+        ncols = rng.randint(1, 12)
+        density = rng.choice([0.1, 0.3, 0.6])
+        rows = []
+        for _ in range(nrows):
+            row = {c: rng.randint(-2, 2) for c in range(ncols)
+                   if rng.random() < density}
+            rows.append({c: v for c, v in row.items() if v})
+        columns = [sum(1 << r for r, row in enumerate(rows)
+                       if row.get(c, 0) % 2) for c in range(ncols)]
+        rank2 = _gf2_rank(columns, ncols)
+        assert rank2 == dense_rank_gf2(rows, ncols)
+        assert rank2 <= exact_rank(rows)
+        assert _gf2_rank(columns, 1) == min(rank2, 1)
+    assert _gf2_rank([], 1) == _gf2_rank([0, 0], 2) == 0
+    assert _gf2_rank([0b11, 0b01, 0b10], 3) == 2
+    # [[1, 1], [1, -1]] has determinant -2: rank 2 over Q, 1 over GF(2)
+    assert exact_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
+    assert _gf2_rank([0b11, 0b11], 2) == 1
+
+
+def _spy_exact_route(monkeypatch):
+    """Record the mu of every strand that check_exactness hands to the
+    exact route."""
+    seen = []
+    verdict = pommaret.verify._strand_verdict
+
+    def spy(cplx, select, cols, mu):
+        seen.append(mu)
+        return verdict(cplx, select, cols, mu)
+
+    monkeypatch.setattr(pommaret.verify, "_strand_verdict", spy)
+    return seen
+
+
+def test_exact_fallback_decides_what_gf2_cannot(ideal_a, ideal_b,
+                                                monkeypatch):
+    # RP^2 has 2-torsion: one strand of its minimized Taylor complex is
+    # exact over Q but not over GF(2), so it alone takes the exact route
+    seen = _spy_exact_route(monkeypatch)
+    rp2 = minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3))))
+    report = check_exactness(rp2)
+    assert seen == [(1, 1, 1, 1, 1, 1)]
+    assert report.ok and report.strands_checked == 32
+    assert (32, False, []) == strand_oracle(rp2)
+    # failures come only from the exact route, with its detail
+    del seen[:]
+    basis = pommaret_basis(ideal_a)
+    chopped = FreeComplex(basis.ring, ideal_a, [ps_complex(basis).levels[0]],
+                          [None], "custom", basis=basis)
+    report = check_exactness(chopped)
+    assert not report.ok
+    assert report.failures == [
+        {"mu": "x1^2*x2", "position": 0, "size": 2, "ranks": (1, 0)},
+        {"mu": "x1^2*x2^2", "position": 0, "size": 3, "ranks": (1, 0)},
+        {"mu": "x1^2*x2^3", "position": 0, "size": 4, "ranks": (1, 0)}]
+    assert len(seen) == len(report.failures)
+    assert (report.strands_checked, report.capped,
+            report.failures) == strand_oracle(chopped)
+    halved = halve_generator(ps_complex(pommaret_basis(ideal_b)), 1, 0)
+    report = check_exactness(halved)
+    assert report.ok and (report.strands_checked, report.capped,
+                          report.failures) == strand_oracle(halved)
+
+
+def test_certificate_agrees_with_exact_route(monkeypatch):
+    # positive-dimensional ideals that are not stable: no strand falls
+    # back, and forcing every strand onto the exact route (a GF(2) rank of
+    # 0 certifies only strands with nothing to rank) changes no report
+    cases = []
+    for ideal in positive_dimensional_ideals():
+        cplx = ps_complex(pommaret_basis(ideal))
+        cases += [cplx, minimize(cplx)]
+    seen = _spy_exact_route(monkeypatch)
+    reports = [check_exactness(cplx) for cplx in cases]
+    assert seen == [] and all(r.ok for r in reports)
+    monkeypatch.setattr(pommaret.verify, "_gf2_rank",
+                        lambda columns, cap: 0)
+    assert [check_exactness(cplx) for cplx in cases] == reports
+    assert len(seen) > len(cases)
 
 
 def test_check_complex_accepts(ideal_a, ideal_b):
@@ -204,7 +292,7 @@ def test_kernel_rejects_mixed_arity(level):
 def test_strand_selection(ideal_a):
     cplx = ps_complex(pommaret_basis(ideal_a))
     select = _strand_selector(cplx, 2)
-    cols = _integer_columns(cplx)
+    cols = _columns(cplx, _integer_column)
     selected, target = select((2, 1))
     assert target == 1
     assert [len(s) for s in selected] == [2, 1]
@@ -305,7 +393,7 @@ def test_unfiltered_strand_columns_need_homogeneity():
         "inhomogeneous", "inhomogeneous"]
     selected, _ = _strand_selector(bad, 2)((2, 1))
     assert selected == [[0], [0]]
-    assert set(_integer_columns(bad)[1][0]) == {0, 1}
+    assert set(_columns(bad, _integer_column)[1][0]) == {0, 1}
     with pytest.raises(NotAComplex):
         check_exactness(bad)
 
