@@ -114,17 +114,13 @@ class _ConeIndex:
         c = m.cls
         self.buckets.setdefault((c, m.exps[c:]), []).append(m)
 
-    def divisor(self, m):
-        """Some involutive divisor of m among the elements, or None."""
+    def divisors(self, m):
+        """The involutive divisors of m among the elements, by class."""
         exps = m.exps
         for c in range(1, self.n + 1):
-            bucket = self.buckets.get((c, exps[c:]))
-            if not bucket:
-                continue
-            for h in bucket:
+            for h in self.buckets.get((c, exps[c:]), ()):
                 if all(h.exps[j] <= exps[j] for j in range(c)):
-                    return h
-        return None
+                    yield h
 
 
 class PommaretBasis:
@@ -153,7 +149,7 @@ class PommaretBasis:
         for a, h in enumerate(self.elements):
             for k in h.nonmultiplicative():
                 m = h.times_var(k)
-                div = self._cones.divisor(m)
+                div = next(self._cones.divisors(m), None)
                 if div is None:
                     raise NotQuasiStable(
                         "no involutive divisor for %s" % m)
@@ -182,26 +178,31 @@ class PommaretBasis:
 
     def involutive_divisor(self, m):
         """The unique basis element involutively dividing m, or None."""
-        return self._cones.divisor(m)
+        return next(self._cones.divisors(m), None)
 
     def contains(self, m):
-        return self._cones.divisor(m) is not None
+        return next(self._cones.divisors(m), None) is not None
 
     def _check_linear_quotients(self):
         # each colon ideal <h_{a+1},...> : h_a must be generated by exactly
-        # the nonmultiplicative variables of h_a; guards the element order
+        # the nonmultiplicative variables of h_a: no a < b may have h_b[j]
+        # <= h_a[j] at every j > cls(h_a).  Given delta targets above their
+        # sources and classes that never fall, that holds iff the cones are
+        # disjoint.  A violation with equal classes makes h_a an involutive
+        # divisor of h_b; with cls(h_b) > cls(h_a), h_b | h_a, and walking
+        # h_b up to h_a one variable at a time stays in a cone or follows
+        # delta to a later element, ending at an index >= b whose cone
+        # holds h_a.  Conversely, h_a involutively dividing h_b != h_a
+        # violates the pair (a, b) or, when b < a, the pair (b, a).
         for (a, k), (b, t) in self.delta.items():
             if b <= a:
                 raise BrokenInvariant(
                     "order broken: x%d sends element %d to %d" % (k, a, b))
-        n = self.ring.n
-        for a, h in enumerate(self.elements):
-            c = h.cls
-            for g in self.elements[a + 1:]:
-                if not any(g.exps[j] > h.exps[j] for j in range(c, n)):
-                    raise BrokenInvariant(
-                        "colon generator %s : %s has no nonmultiplicative "
-                        "variable" % (g, h))
+        if list(self.classes) != sorted(self.classes):
+            raise BrokenInvariant("classes fall along the element order")
+        for h in self.elements:
+            if list(self._cones.divisors(h)) != [h]:
+                raise BrokenInvariant("cones overlap at %s" % h)
 
     def __repr__(self):
         return "PommaretBasis[%s]" % ", ".join(str(h) for h in self.elements)
@@ -236,7 +237,7 @@ def pommaret_basis(ideal):
     while queue:
         deg, exps = heapq.heappop(queue)
         m = Monomial(ideal.ring, exps)
-        if cones.divisor(m) is not None:
+        if next(cones.divisors(m), None) is not None:
             continue
         if deg > cap:  # unreachable given the guard above
             raise NotQuasiStable("completion passed the degree cap")

@@ -10,10 +10,14 @@ with the same homology.
 The distinguished matching V pairs [h, u] with [h', u minus x_i] whenever
 extracting the nonmultiplicative variable x_i rewrites with factor t = 1,
 sweeping variables from x_n downward and skipping generators already
-matched.  On most symbol resolutions this matching alone leaves the minimal
-resolution behind, but not on all: cancellation can create unit entries by
-fill-in that V does not pair (``random_quasi_stable(2520, 5, 4, 6)`` is
-one), and ``minimize`` then cancels them in a safety-net sweep.
+matched.  Those rewritten terms are exactly the unit entries of a symbol
+resolution, so V is read from the complex's unit entries, not from the
+rewrite map.  On most symbol resolutions this matching alone leaves the
+minimal resolution behind, but not on all: cancellation can create unit
+entries by fill-in that V does not pair (``random_quasi_stable(2520, 5,
+4, 6)`` is one), and ``minimize`` then cancels them in a safety-net sweep,
+always the least live unit (highest level, then column, then row), taken
+from a lazy heap.
 
 All the pairs of one homological degree form one block of elimination; its
 result does not depend on the order of the pairs inside it, so d o d = 0
@@ -22,11 +26,12 @@ is checked on the columns a block changed once the block is done.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add
 
 from .errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                      NotAMorseMatching, NotPSComplex)
-from .resolution import FreeComplex, Symbol, composite_terms, unit_entries
+from .resolution import FreeComplex, composite_terms, unit_entries
 
 
 @dataclass(frozen=True)
@@ -131,38 +136,30 @@ def is_morse_matching(cplx, matching):
 def build_matching_V(cplx):
     """The unit-rewrite matching on a symbol resolution.
 
-    Variables are processed from x_n down; an edge joins V_i when its
-    endpoints were not used by any V_j, j > i, nor earlier in V_i (greedy,
-    in generator order).
+    Its candidates are the unit entries, in a symbol resolution exactly the
+    rewritten terms with t = 1, each extracting the variable of the
+    column's u that the row's u lacks (a unit whose row is not u minus one
+    variable is left to the safety-net sweep).  Variables are processed
+    from x_n down; an edge joins V_i when its endpoints were not used by
+    any V_j, j > i, nor earlier in V_i (greedy, in generator order).
     """
     if cplx.provenance != "pommaret" or cplx.basis is None:
         raise NotPSComplex("matching V needs a symbol resolution")
-    basis = cplx.basis
-    lookup = []
-    for level in cplx.levels:
-        lookup.append({g.key: i for i, g in enumerate(level)})
+    candidates = []
+    for level, row, col, _ in cplx.unit_entries():
+        u = cplx.levels[level][col].key.u
+        rest = cplx.levels[level - 1][row].key.u
+        extracted = [k for k in u if k not in rest]
+        if len(extracted) == 1 and len(rest) == len(u) - 1:
+            candidates.append((-extracted[0], level, col, row))
     matched = set()
     pairs = []
-    for var in range(basis.ring.n, basis.d, -1):
-        for level in range(1, cplx.length + 1):
-            for col, gen in enumerate(cplx.levels[level]):
-                sym = gen.key
-                if var not in sym.u or (level, col) in matched:
-                    continue
-                beta, t = basis.delta[(sym.alpha, var)]
-                if not t.is_unit():
-                    continue
-                rest = tuple(k for k in sym.u if k != var)
-                target = Symbol(beta, rest)
-                row = lookup[level - 1].get(target)
-                if row is None or (level - 1, row) in matched:
-                    continue
-                entry = cplx.entry(level, row, col)
-                if not _is_unit(entry):
-                    continue
-                pairs.append(Pair(level, col, row, var))
-                matched.add((level, col))
-                matched.add((level - 1, row))
+    for minus_var, level, col, row in sorted(candidates):
+        if (level, col) in matched or (level - 1, row) in matched:
+            continue
+        pairs.append(Pair(level, col, row, -minus_var))
+        matched.add((level, col))
+        matched.add((level - 1, row))
     return Matching(pairs)
 
 
@@ -199,8 +196,8 @@ class _Reducer:
             self.cols.append(level_cols)
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
-        # unit entries once tracked, keyed (-level, col, row): the sweep
-        # cancels the least key first
+        # once tracked, a heap of keys (-level, col, row) holding every
+        # unit entry, plus stale keys that ``least_unit`` skips
         self.units = None
         self.trace = [] if trace else None
         self.cancelled = 0
@@ -208,14 +205,22 @@ class _Reducer:
         self.level = None   # level of the last cancellation
 
     def track_units(self):
-        """Keep ``units`` up to date from now on, starting from a scan."""
-        self.units = {(-level, col, row)
-                      for level, row, col, _ in unit_entries(self.cols)}
+        """Keep ``units`` from now on, seeded from a scan; ``_set`` pushes
+        every unit entry it writes."""
+        self.units = [(-level, col, row)
+                      for level, row, col, _ in unit_entries(self.cols)]
+        heapify(self.units)
 
-    def _drop(self, level, row, col):
-        """Forget the unit entry (level, row, col), if tracked."""
-        if self.units is not None:
-            self.units.discard((-level, col, row))
+    def least_unit(self):
+        """The least key (-level, col, row) of a live unit entry, or None;
+        stale keys, whose entry has changed or gone, are dropped."""
+        units = self.units
+        while units:
+            minus_level, col, row = units[0]
+            if _is_unit(self.cols[-minus_level].get(col, {}).get(row)):
+                return units[0]
+            heappop(units)
+        return None
 
     def _set(self, level, col, row, coeff, exps):
         column = self.cols[level].setdefault(col, {})
@@ -223,14 +228,13 @@ class _Reducer:
             if row in column:
                 del column[row]
                 self.row_index[level][row].discard(col)
-                self._drop(level, row, col)
         else:
             if isinstance(coeff, Fraction) and coeff.denominator == 1:
                 coeff = int(coeff)
             column[row] = (coeff, exps)
             self.row_index[level].setdefault(row, set()).add(col)
             if self.units is not None and not any(exps):
-                self.units.add((-level, col, row))
+                heappush(self.units, (-level, col, row))
 
     def cancel(self, pair):
         level, s, t = pair.level, pair.source, pair.target
@@ -275,21 +279,17 @@ class _Reducer:
             # the t entry of every corrected column cancels exactly
             del column[t]
             self.row_index[level][t].discard(c)
-            self._drop(level, t, c)
         # drop the source column and the target's own column
-        for row in list(source_col):
+        for row in source_col:
             self.row_index[level][row].discard(s)
-            self._drop(level, row, s)
         del cols[s]
         if level - 1 >= 1 and t in self.cols[level - 1]:
-            for row in list(self.cols[level - 1][t]):
+            for row in self.cols[level - 1][t]:
                 self.row_index[level - 1][row].discard(t)
-                self._drop(level - 1, row, t)
             del self.cols[level - 1][t]
         # the columns one level up lose the dead source row
         for c in upper.pop(s, ()):
             del self.cols[level + 1][c][s]
-            self._drop(level + 1, s, c)
             self.dirty.add((level + 1, c))
         self.alive[level].discard(s)
         self.alive[level - 1].discard(t)
@@ -382,11 +382,10 @@ def minimize(cplx, trace=False):
         matching = Matching(())
     reducer = _cancel_matching(cplx, matching, trace)
     reducer.track_units()
-    while reducer.units:
-        # highest level first, then lowest column, then lowest row
-        minus_level, col, row = min(reducer.units)
-        level = -minus_level
+    # highest level first, then lowest column, then lowest row
+    while (key := reducer.least_unit()) is not None:
+        minus_level, col, row = key
         # a single reversed edge cannot close an alternating cycle
-        reducer.cancel(Pair(level, col, row, 0))
+        reducer.cancel(Pair(-minus_level, col, row, 0))
         reducer._local_check()
     return reducer.compact(matching)

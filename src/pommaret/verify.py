@@ -22,8 +22,11 @@ position, and rank_2 <= rank_Q holds for every integer matrix (a nonzero
 minor mod 2 is a nonzero minor).  Hence rank_2(d_i) + rank_2(d_{i+1}) =
 size_i at every position proves the strand exact over Q.  Only a strand
 that falls short (torsion such as RP^2's, or a complex that is not exact)
-takes the exact route, ``exact_rank`` on integer columns that are built on
-the first such strand; that route alone can report a failure.
+takes the exact route: ``exact_rank``, a plain fraction-free elimination,
+on integer columns that are built on the first such strand.  That route
+alone can report a failure, and it is rare (no strand of the verify
+workloads in ``perfbench`` reaches it), so it is kept simple rather than
+fast.
 """
 
 import random
@@ -45,68 +48,35 @@ from .resolution import (BettiTable, betti_table, composite_terms,
 
 
 def exact_rank(rows):
-    """Rank of a sparse integer matrix given as row dicts.
+    """Rank of a sparse integer matrix given as row dicts, by
+    fraction-free elimination.
 
-    Each step pivots on a +-1 entry of the shortest row that has one (a
-    pure integer row operation); only when no +-1 entry is left does it
-    take an entry of least absolute value and scale the rows it meets by
-    the pivot first, which keeps everything in integers and does not
-    change the rank.  A column -> rows index limits each step to the rows
-    that hold the pivot column, and those rows are updated in place.  The
-    input rows are not modified.
+    Each step pivots on the entry pv of least absolute value in the
+    shortest live row; every other row r with an entry a in the pivot
+    column becomes pv * r - a * (pivot row), which stays in the integers
+    and keeps the rank.  The input rows are not modified.
 
     ``check_exactness`` calls it only on strands whose GF(2) ranks fall
     short of the certificate: there rank_2 < rank_Q may hide an exact
     strand, and only exact ranks can tell it from a failing one.
     """
-    live = {}
-    where = {}
-    for k, r in enumerate(rows):
-        r = {c: v for c, v in r.items() if v}
-        if r:
-            live[k] = r
-            for c in r:
-                where.setdefault(c, set()).add(k)
+    live = [{c: v for c, v in r.items() if v} for r in rows]
     rank = 0
-    while live:
-        pk = None
-        size = len(where) + 1  # longer than any row
-        for k, r in live.items():
-            if len(r) < size:
-                for c, v in r.items():
-                    if v == 1 or v == -1:
-                        pk, pc, size = k, c, len(r)
-                        break
-        if pk is None:
-            _, _, pk, pc = min((abs(v), len(r), k, c)
-                               for k, r in live.items() for c, v in r.items())
-        prow = live.pop(pk)
+    while live := [r for r in live if r]:
+        prow = live.pop(min(range(len(live)), key=lambda k: len(live[k])))
+        pc = min(prow, key=lambda c: abs(prow[c]))
         pv = prow.pop(pc)
         rank += 1
-        hit = where.pop(pc)
-        hit.discard(pk)
-        for c in prow:
-            where[c].discard(pk)
-        for k in hit:
-            r = live[k]
-            a = r.pop(pc)
-            if pv == 1 or pv == -1:
-                f = a * pv
-            else:
-                for c in r:
-                    r[c] *= pv
-                f = a
-            for c, w in prow.items():
-                v = r.get(c, 0) - f * w
-                if v:
-                    if c not in r:
-                        where[c].add(k)
-                    r[c] = v
-                elif c in r:
-                    del r[c]
-                    where[c].discard(k)
-            if not r:
-                del live[k]
+        for k, r in enumerate(live):
+            a = r.pop(pc, 0)
+            if a:
+                r = live[k] = {c: pv * v for c, v in r.items()}
+                for c, w in prow.items():
+                    v = r.get(c, 0) - a * w
+                    if v:
+                        r[c] = v
+                    else:
+                        del r[c]
     return rank
 
 
@@ -279,26 +249,21 @@ def _certified(sel, target, bits):
     return rank == len(sel[-1])
 
 
-def _strand_verdict(cplx, select, cols, mu):
-    """Rank conditions for exactness of the strand at the exponent tuple
-    mu, from exact ranks on integer columns; returns (ok, detail)."""
-    sel, target = select(mu)
+def _strand_verdict(cplx, strand, cols, mu):
+    """Rank conditions for exactness of the strand (sel, target) that the
+    ``_strand_selector`` picks at the exponent tuple mu, from exact ranks
+    on integer columns; returns (ok, detail)."""
+    sel, target = strand
     sizes = [len(s) for s in sel]
     # augmentation strand: a single row of ones over the level-0 survivors
     if target and not sizes[0]:
         return False, {"mu": cplx.ring.text(mu),
                        "position": "augmentation",
                        "reason": "member without covering generator"}
-    ranks = [target]
-    for i in range(1, len(sel)):
-        if sel[i] and sel[i - 1]:
-            # whole columns, no row filter: check_complex passed, so every
-            # row of a selected column has a multidegree dividing mu
-            level = cols[i]
-            ranks.append(exact_rank([level[j] for j in sel[i]]))
-        else:
-            ranks.append(0)
-    ranks.append(0)
+    # whole columns, no row filter: check_complex passed, so every row of
+    # a selected column has a multidegree dividing mu
+    ranks = ([target] + [exact_rank([cols[i][j] for j in sel[i]])
+                         for i in range(1, len(sel))] + [0])
     for i in range(len(sel)):
         if ranks[i] + ranks[i + 1] != sizes[i]:
             return False, {"mu": cplx.ring.text(mu), "position": i,
@@ -379,11 +344,12 @@ def check_exactness(cplx, cap=20000):
         bits = _columns(cplx, _parity_column)
         cols = None
         for mu in points:
-            if _certified(*select(mu), bits):
+            strand = select(mu)
+            if _certified(*strand, bits):
                 continue
             if cols is None:
                 cols = _columns(cplx, _integer_column)
-            ok, detail = _strand_verdict(cplx, select, cols, mu)
+            ok, detail = _strand_verdict(cplx, strand, cols, mu)
             if not ok:
                 failures.append(detail)
     return ExactnessReport(not failures, len(points), capped, failures,

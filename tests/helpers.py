@@ -10,7 +10,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from pommaret import FreeComplex, MonomialIdeal, Ring, minimal_generators
+from pommaret import (FreeComplex, Matching, MonomialIdeal, Pair, Ring,
+                      minimal_generators)
 from pommaret.errors import PommaretError
 
 
@@ -437,3 +438,39 @@ def path_multidegree(graph, vertices):
         last_k = k
         md = md * t
     return md
+
+
+def reference_matching_V(cplx):
+    """Reference ``build_matching_V``: the pairs it must return, in order,
+    derived from the rewrite map instead of the complex's unit entries.
+
+    For x_n down to x_{d+1}, every generator [h_alpha, u] holding the
+    variable, in level then column order, is paired with the rewritten
+    symbol [h_beta, u minus x_k] when x_k h_alpha = t h_beta with t = 1,
+    that symbol is a generator, the entry between them is a unit and
+    neither endpoint is matched yet."""
+    basis = cplx.basis
+    lookup = [{g.key: i for i, g in enumerate(level)}
+              for level in cplx.levels]
+    matched = set()
+    pairs = []
+    for var in range(basis.ring.n, basis.d, -1):
+        for level in range(1, cplx.length + 1):
+            for col, gen in enumerate(cplx.levels[level]):
+                alpha, u = gen.key
+                if var not in u or (level, col) in matched:
+                    continue
+                beta, t = basis.delta[(alpha, var)]
+                if not t.is_unit():
+                    continue
+                rest = tuple(k for k in u if k != var)
+                row = lookup[level - 1].get((beta, rest))
+                if row is None or (level - 1, row) in matched:
+                    continue
+                entry = cplx.entry(level, row, col)
+                if entry is None or entry[0] == 0 or any(entry[1]):
+                    continue
+                pairs.append(Pair(level, col, row, var))
+                matched.add((level, col))
+                matched.add((level - 1, row))
+    return Matching(pairs)

@@ -1,15 +1,18 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from helpers import (NotAPath, NotNonMultiplicative, VariablesNotIncreasing,
                      delta_map, edge_between, make_ideal_a, make_ideal_b,
                      monomials_up_to, naive_completion, path_multidegree,
-                     random_ideal, random_stable)
-from pommaret import (MonomialIdeal, Ring, build_p_graph, minimal_generators,
-                      p_order_key, pommaret_basis)
-from pommaret.errors import EmptyInput, NotQuasiStable, UnitGenerator
+                     random_ideal, random_monomials, random_stable)
+from pommaret import (MonomialIdeal, PommaretBasis, Ring, build_p_graph,
+                      minimal_generators, p_order_key, pommaret_basis,
+                      random_quasi_stable)
+from pommaret.errors import (BrokenInvariant, EmptyInput, NotQuasiStable,
+                             UnitGenerator)
 
 
 def test_minimal_generators():
@@ -147,6 +150,59 @@ def test_linear_quotients():
             for g in basis.elements[a + 1:]:
                 assert any(g.exps[j] > h.exps[j]
                            for j in range(h.cls, n)), (h, g)
+
+
+def _pairwise_violation(elements, n):
+    """Some a < b in basis order with h_b[j] <= h_a[j] at every
+    nonmultiplicative variable of h_a: the colon-ideal condition fails."""
+    elems = sorted(elements, key=p_order_key)
+    return any(all(g.exps[j] <= h.exps[j] for j in range(h.cls, n))
+               for a, h in enumerate(elems) for g in elems[a + 1:])
+
+
+def test_corrupted_bases_fail_exactly_the_pairwise_condition():
+    # elements dropped, added or multiplied: wherever every nonmultiplicative
+    # product still has an involutive divisor, the basis is refused exactly
+    # when some pair breaks the colon-ideal condition
+    rng = random.Random(5)
+    verdicts = []
+    for seed in range(40):
+        ideal = random_quasi_stable(seed, 2 + seed % 3, 3, 2)
+        ring = ideal.ring
+        elements = pommaret_basis(ideal).elements
+        for _ in range(12):
+            corrupt = list(elements)
+            for _ in range(rng.randint(1, 2)):
+                k = rng.randrange(len(corrupt))
+                move = rng.randrange(3)
+                if move == 0 and len(corrupt) > 1:
+                    del corrupt[k]
+                elif move == 1:
+                    corrupt += random_monomials(rng, ring, 1, 4)
+                else:
+                    corrupt[k] = corrupt[k].times_var(rng.randint(1, ring.n))
+            try:
+                PommaretBasis(ideal, corrupt)
+                refused = False
+            except NotQuasiStable:
+                continue
+            except BrokenInvariant:
+                refused = True
+            assert refused == _pairwise_violation(corrupt, ring.n), corrupt
+            verdicts.append(refused)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 25
+
+
+def test_basis_with_thousands_of_elements_is_fast():
+    # the linear-quotient gate is one cone query per element, not one
+    # comparison per pair of elements
+    r = Ring(3)
+    ideal = MonomialIdeal(r, [r.monomial(e) for e in
+                              [(3, 0, 0), (0, 2, 0), (0, 0, 3000), (1, 1, 1)]])
+    start = time.perf_counter()
+    basis = pommaret_basis(ideal)
+    assert len(basis) == 9001
+    assert time.perf_counter() - start < 5
 
 
 def test_delta_map_guard(ideal_a):

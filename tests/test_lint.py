@@ -81,3 +81,13 @@ def test_public_names_are_documented():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     assert [name for name in pommaret.__all__
             if "`%s`" % name not in readme] == []
+
+
+def test_rewrite_map_read_only_where_it_is_built_or_walked():
+    """``basis.delta`` is read in the basis itself, in ``symbol_facets``
+    (the one holder of the dropped-term rule) and in the cell walk; the
+    Morse and verification layers read the complex instead."""
+    found = {path.name for path, node in _package_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "delta"}
+    assert found <= {"ideals.py", "resolution.py", "cellular.py"}
+    assert "resolution.py" in found

@@ -3,7 +3,8 @@ from operator import add
 
 import pytest
 
-from helpers import random_ideal, random_stable, reference_match, rp2_ideal
+from helpers import (positive_dimensional_ideals, random_ideal, random_stable,
+                     reference_match, reference_matching_V, rp2_ideal)
 from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, check_exactness,
                       is_morse_matching, minimize, morse_reduce, oracle_betti,
@@ -50,6 +51,37 @@ def test_matching_v_three_variables(ideal_b):
         beta, t = basis.delta[(src.alpha, p.var)]
         assert t.is_unit()
         assert dst == Symbol(beta, tuple(k for k in src.u if k != p.var))
+
+
+def test_matching_v_matches_the_rewrite_oracle(ideal_a, ideal_b):
+    # V read from the unit entries equals V derived from the rewrite map,
+    # pair for pair and in the same order
+    ideals = [ideal_a, ideal_b] + positive_dimensional_ideals()
+    ideals += [random_quasi_stable(seed, 2 + seed % 5, 3, 2 + seed % 3)
+               for seed in range(40)]
+    matched = 0
+    for ideal in ideals:
+        cplx = ps_complex(pommaret_basis(ideal))
+        v = build_matching_V(cplx)
+        assert v.pairs == reference_matching_V(cplx).pairs, ideal
+        matched += len(v)
+    assert matched > 1000
+
+
+def test_matching_v_leaves_stray_units_to_the_sweep():
+    # a unit entry whose row is not u minus one variable pairs nothing
+    cplx = ps_complex(pommaret_basis(random_quasi_stable(3, 4, 3, 3)))
+    col = next(c for c, g in enumerate(cplx.levels[2]) if g.key.u == (3, 4))
+    row = next(r for r, g in enumerate(cplx.levels[1]) if g.key.u == (2,))
+    diffs = list(cplx.diffs)
+    diffs[2] = dict(diffs[2])
+    diffs[2][col] = dict(diffs[2][col])
+    diffs[2][col][row] = (1, (0, 0, 0, 0))
+    stray = FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
+                        "pommaret", basis=cplx.basis)
+    assert (2, row, col, 1) in stray.unit_entries()
+    assert build_matching_V(stray).pairs == build_matching_V(cplx).pairs
+    assert build_matching_V(stray).pairs == reference_matching_V(stray).pairs
 
 
 def test_matching_v_requires_symbol_complex(ideal_a):
@@ -311,9 +343,16 @@ def test_safety_net_sweep_on_symbol_complex():
     assert betti_table(reduced) == oracle_betti(ideal)
 
 
+def _unit_keys(reducer):
+    """Sweep keys (-level, col, row) of a full scan for unit entries."""
+    return {(-level, col, row)
+            for level, row, col, _ in unit_entries(reducer.cols)}
+
+
 def test_tracked_unit_entries_match_a_full_scan(ideal_b, monkeypatch):
-    # the sweep picks from a set of unit entries kept up to date by the
-    # reducer; after every sweep cancellation it must equal a full scan
+    # the sweep picks from a heap of unit keys that the reducer pushes to;
+    # after every sweep cancellation it must hold every key of a full scan,
+    # and its next pick must be the least of them
     cancel = _Reducer.cancel
     checked = []
 
@@ -321,8 +360,9 @@ def test_tracked_unit_entries_match_a_full_scan(ideal_b, monkeypatch):
         cancel(self, pair)
         if self.units is not None:
             checked.append(pair)
-            assert self.units == {(-level, col, row) for level, row, col, _
-                                  in unit_entries(self.cols)}
+            scan = _unit_keys(self)
+            assert scan <= set(self.units)
+            assert self.least_unit() == min(scan, default=None)
 
     monkeypatch.setattr(_Reducer, "cancel", checked_cancel)
     cases = [taylor_complex(ideal_b),
@@ -333,12 +373,12 @@ def test_tracked_unit_entries_match_a_full_scan(ideal_b, monkeypatch):
     assert len(checked) == sum(sweeps)
     # the sweep only cancels at the highest level holding a unit, so a
     # dead source row one level up never held one; cancelling the lowest
-    # unit first meets such rows
+    # unit of a full scan first meets such rows
     del checked[:]
     reducer = _Reducer(cases[2])
     reducer.track_units()
-    while reducer.units:
-        minus_level, col, row = max(reducer.units)
+    while scan := _unit_keys(reducer):
+        minus_level, col, row = max(scan)
         reducer.cancel(Pair(-minus_level, col, row, 0))
     assert len(checked) == 496
 

@@ -38,7 +38,9 @@ def test_exact_rank_against_dense_oracle():
                 row = {c: factor * rng.randint(-5, 5) for c in range(ncols)
                        if rng.random() < density}
                 rows.append({c: v for c, v in row.items() if v})
+            before = [dict(r) for r in rows]
             assert exact_rank(rows) == dense_rank(rows, ncols)
+            assert rows == before  # the input rows are left as they were
             # no +-1 pivots available: scaled copy has the same rank
             doubled = [{c: 2 * v for c, v in r.items()} for r in rows]
             assert exact_rank(doubled) == dense_rank(rows, ncols)
@@ -82,9 +84,9 @@ def _spy_exact_route(monkeypatch):
     seen = []
     verdict = pommaret.verify._strand_verdict
 
-    def spy(cplx, select, cols, mu):
+    def spy(cplx, strand, cols, mu):
         seen.append(mu)
-        return verdict(cplx, select, cols, mu)
+        return verdict(cplx, strand, cols, mu)
 
     monkeypatch.setattr(pommaret.verify, "_strand_verdict", spy)
     return seen
@@ -296,12 +298,12 @@ def test_strand_selection(ideal_a):
     selected, target = select((2, 1))
     assert target == 1
     assert [len(s) for s in selected] == [2, 1]
-    ok, detail = _strand_verdict(cplx, select, cols, (2, 1))
+    ok, detail = _strand_verdict(cplx, (selected, target), cols, (2, 1))
     assert ok and detail is None
     selected, target = select((1, 1))
     assert target == 0
     assert [len(s) for s in selected] == [0, 0]
-    ok, _ = _strand_verdict(cplx, select, cols, (1, 1))
+    ok, _ = _strand_verdict(cplx, (selected, target), cols, (1, 1))
     assert ok
 
 
