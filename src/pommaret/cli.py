@@ -32,56 +32,43 @@ _FACTOR = re.compile(r"(%s)\s*(?:\^\s*(\d+))?$" % _NAME)
 
 def parse_ideal(text):
     """Parse an ideal file into a MonomialIdeal."""
-    ring = None
-    names = None
-    n = None
-    gens = []
     lines = text.splitlines()
-    header_done = False
+    content = []  # (lineno, line) of each line with text outside a comment
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if n is None:
-            m = re.match(r"vars\s+(\d+)$", stripped)
-            if not m:
-                raise IdealSyntaxError("expected 'vars <n>' header",
-                                       lineno, 1 + _indent(line))
-            n = int(m.group(1))
-            if n < 1:
-                raise IdealSyntaxError("need at least one variable",
-                                       lineno, 1 + _indent(line))
-            continue
-        if not header_done and stripped.startswith("names"):
-            parts = stripped[len("names"):].strip()
-            names = tuple(s.strip() for s in parts.split(","))
-            if len(names) != n or not all(names):
-                raise IdealSyntaxError(
-                    "expected %d comma-separated names" % n,
-                    lineno, 1 + _indent(line))
-            # a name must read back as one factor and name one variable
-            col = _indent(line) + len("names")
-            for k, name in enumerate(names):
-                col = line.index(name, col)
-                if not re.fullmatch(_NAME, name):
-                    raise IdealSyntaxError("bad variable name %r" % name,
-                                           lineno, 1 + col)
-                if name in names[:k]:
-                    raise IdealSyntaxError(
-                        "duplicate variable name %r" % name, lineno, 1 + col)
-                col += len(name)
-            header_done = True
-            ring = Ring(n, names)
-            continue
-        header_done = True
-        if ring is None:
-            ring = Ring(n)
-        gens.append(_parse_monomial(line, lineno, ring))
-    if n is None:
+        if line.strip():
+            content.append((lineno, line))
+    if not content:
         raise IdealSyntaxError("empty file", max(len(lines), 1), 1)
-    if ring is None:
-        ring = Ring(n)
+    lineno, line = content.pop(0)
+    m = re.match(r"vars\s+(\d+)$", line.strip())
+    if not m:
+        raise IdealSyntaxError("expected 'vars <n>' header",
+                               lineno, 1 + _indent(line))
+    n = int(m.group(1))
+    if n < 1:
+        raise IdealSyntaxError("need at least one variable",
+                               lineno, 1 + _indent(line))
+    names = None
+    if content and content[0][1].strip().startswith("names"):
+        lineno, line = content.pop(0)
+        col = _indent(line) + len("names")
+        names = tuple(s.strip() for s in line[col:].split(","))
+        if len(names) != n or not all(names):
+            raise IdealSyntaxError("expected %d comma-separated names" % n,
+                                   lineno, 1 + _indent(line))
+        # a name must read back as one factor and name one variable
+        for k, name in enumerate(names):
+            col = line.index(name, col)
+            if not re.fullmatch(_NAME, name):
+                raise IdealSyntaxError("bad variable name %r" % name,
+                                       lineno, 1 + col)
+            if name in names[:k]:
+                raise IdealSyntaxError(
+                    "duplicate variable name %r" % name, lineno, 1 + col)
+            col += len(name)
+    ring = Ring(n, names)
+    gens = [_parse_monomial(line, lineno, ring) for lineno, line in content]
     if not gens:
         raise EmptyInput("no generators in the ideal file")
     return MonomialIdeal(ring, gens)
@@ -134,56 +121,6 @@ def _parse_monomial(line, lineno, ring):
                                        lineno, col)
         exps[idx] += exp
     return ring.monomial(exps)
-
-
-def _at_least_1(text):
-    """argparse type of --strand-cap, --count and --max-deg: an integer of
-    at least 1, since a check over no strands or no cases would read as a
-    pass, and no generator has degree 0."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
-
-
-@functools.cache
-def _build_parser():
-    # built once per process; parse_args leaves the parser unchanged
-    p = argparse.ArgumentParser(
-        prog="pommaret",
-        description="Pommaret bases and minimal resolutions of "
-                    "quasi-stable monomial ideals.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, needs_file=True, **kw):
-        sp = sub.add_parser(name, **kw)
-        if needs_file:
-            sp.add_argument("path", help="ideal file")
-        sp.add_argument("--format", dest="fmt", default="text",
-                        choices=["text", "json", "dot"])
-        sp.add_argument("--out", default=None, help="write output here")
-        return sp
-
-    add("basis", help="Pommaret basis of the ideal")
-    add("pgraph", help="rewrite graph of the basis")
-    sp = add("resolution", help="a free resolution")
-    sp.add_argument("--variant", default="ps", choices=["ps", "taylor"])
-    add("cellular", help="supporting cell complex")
-    sp = add("minimize", help="minimal free resolution")
-    sp.add_argument("--trace", default=None,
-                    help="write one JSON line per cancellation here")
-    add("betti", help="Betti numbers, pd and regularity")
-    sp = add("verify", help="run the self-check suite")
-    sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
-                    default=20000)
-    sp = add("random-test", needs_file=False,
-             help="seeded end-to-end property checks")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=_at_least_1, default=25)
-    sp.add_argument("--max-deg", dest="max_deg", type=_at_least_1, default=5)
-    sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
-                    default=400)
-    return p
 
 
 def _emit(args, text):
@@ -362,10 +299,8 @@ def _cmd_minimize(args):
 
 
 def _cmd_betti(args):
-    ideal = _load(args)
-    basis = pommaret_basis(ideal)
-    reduced = minimize(ps_complex(basis))
-    report = homological_invariants(reduced, basis)
+    reduced = minimize(ps_complex(pommaret_basis(_load(args))))
+    report = homological_invariants(reduced)
     if args.fmt == "json":
         _emit(args, _json_text({
             "betti": {"%d,%d" % k: v
@@ -400,7 +335,7 @@ def _verify_one(ideal, strand_cap):
     # from, so check_complex runs once per complex
     ex = check_exactness(cplx, cap=strand_cap)
     exr = check_exactness(reduced, cap=strand_cap)
-    inv = homological_invariants(reduced, basis)
+    inv = homological_invariants(reduced)
     checks = [
         ("complex-axioms", ex.axioms.ok,
          "%d failures" % len(ex.axioms.failures)),
@@ -462,41 +397,78 @@ def _cmd_random_test(args):
     return 0 if bad == 0 else 4
 
 
-# each command with the output formats it has; a format it lacks is
-# rejected before any work is done
-_COMMANDS = {
-    "basis": (_cmd_basis, ("text", "json")),
-    "pgraph": (_cmd_pgraph, ("text", "json", "dot")),
-    "resolution": (_cmd_resolution, ("text", "json")),
-    "cellular": (_cmd_cellular, ("text", "json", "dot")),
-    "minimize": (_cmd_minimize, ("text", "json")),
-    "betti": (_cmd_betti, ("text", "json")),
-    "verify": (_cmd_verify, ("text", "json")),
-    "random-test": (_cmd_random_test, ("text",)),
-}
+def _at_least_1(text):
+    """argparse type of --strand-cap, --count and --max-deg: an integer of
+    at least 1, since a check over no strands or no cases would read as a
+    pass, and no generator has degree 0."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+@functools.cache
+def _build_parser():
+    # built once per process; parse_args leaves the parser unchanged
+    p = argparse.ArgumentParser(
+        prog="pommaret",
+        description="Pommaret bases and minimal resolutions of "
+                    "quasi-stable monomial ideals.")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, formats, summary, needs_file=True):
+        # every command takes every --format; main rejects one that is not
+        # among its formats before any work is done
+        sp = sub.add_parser(name, help=summary)
+        if needs_file:
+            sp.add_argument("path", help="ideal file")
+        sp.add_argument("--format", dest="fmt", default="text",
+                        choices=["text", "json", "dot"])
+        sp.add_argument("--out", default=None, help="write output here")
+        sp.set_defaults(handler=handler, formats=formats)
+        return sp
+
+    text_json = ("text", "json")
+    text_json_dot = ("text", "json", "dot")
+    add("basis", _cmd_basis, text_json, "Pommaret basis of the ideal")
+    add("pgraph", _cmd_pgraph, text_json_dot, "rewrite graph of the basis")
+    sp = add("resolution", _cmd_resolution, text_json, "a free resolution")
+    sp.add_argument("--variant", default="ps", choices=["ps", "taylor"])
+    add("cellular", _cmd_cellular, text_json_dot, "supporting cell complex")
+    sp = add("minimize", _cmd_minimize, text_json, "minimal free resolution")
+    sp.add_argument("--trace", default=None,
+                    help="write one JSON line per cancellation here")
+    add("betti", _cmd_betti, text_json, "Betti numbers, pd and regularity")
+    sp = add("verify", _cmd_verify, text_json, "run the self-check suite")
+    sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
+                    default=20000)
+    sp = add("random-test", _cmd_random_test, ("text",),
+             "seeded end-to-end property checks", needs_file=False)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--count", type=_at_least_1, default=25)
+    sp.add_argument("--max-deg", dest="max_deg", type=_at_least_1, default=5)
+    sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
+                    default=400)
+    return p
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    command, formats = _COMMANDS[args.command]
-    if args.fmt not in formats:
+    if args.fmt not in args.formats:
         sys.stderr.write("error: %s has no %s format\n"
                          % (args.command, args.fmt))
         return 2
     try:
-        return command(args)
-    except (IdealSyntaxError, EmptyInput, UnitGenerator, ArityMismatch) as e:
-        sys.stderr.write("error [%s]: %s\n" % (e.code, e.message))
-        return 2
-    except NotQuasiStable as e:
-        sys.stderr.write("error [%s]: %s\n" % (e.code, e.message))
-        return 3
+        return args.handler(args)
     except OSError as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
     except PommaretError as e:
         sys.stderr.write("error [%s]: %s\n" % (e.code, e.message))
-        return 4
+        if isinstance(e, (IdealSyntaxError, EmptyInput, UnitGenerator,
+                          ArityMismatch)):
+            return 2
+        return 3 if isinstance(e, NotQuasiStable) else 4
 
 
 if __name__ == "__main__":

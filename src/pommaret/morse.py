@@ -29,8 +29,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add
 
-from .errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
-                     NotAMorseMatching, NotPSComplex)
+from .errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
+                     NotPSComplex)
 from .resolution import FreeComplex, composite_terms, unit_entries
 
 
@@ -261,8 +261,6 @@ class _Reducer:
             else:
                 q = Fraction(alpha_c, lam_c)
             for row, sc, se in fill:
-                if len(se) != len(ae):
-                    raise ArityMismatch("monomials from different rings")
                 exps = tuple(map(add, ae, se))
                 old = column.get(row)
                 if old is None:

@@ -56,10 +56,22 @@ class FreeComplex:
     monomial.  Generator multidegrees are exponent tuples too, and
     ``ring.text`` displays both.  The augmentation F_0 -> I sends each
     level-0 generator to its multidegree with coefficient 1 and is left
-    implicit.  Complexes are frozen once built.
+    implicit.
+
+    Every exponent tuple, and the ideal's ring, has ``ring.n`` entries;
+    a complex that breaks this raises ArityMismatch when it is built.
+    Complexes are frozen once built, so the kernels that read them add
+    tuples without checking their lengths again.
     """
 
     def __init__(self, ring, ideal, levels, diffs, provenance, basis=None):
+        lengths = {len(m) for diff in diffs[1:] for column in diff.values()
+                   for _c, m in column.values()}
+        lengths.update(len(g.multidegree) for level in levels for g in level)
+        lengths.update(len(g.exps) for g in ideal.gens)
+        lengths.add(ideal.ring.n)
+        if lengths != {ring.n}:
+            raise ArityMismatch("monomials from different rings")
         self.ring = ring
         self.ideal = ideal
         self.levels = levels
@@ -139,8 +151,8 @@ def composite_terms(levels, diffs, i, col):
     augmentation o d_1 when i = 1, as {(row, exps): coeff}; the row of an
     augmentation term is None.  Rows outside F_{i-1} are skipped.
 
-    Products are sums of exponent tuples; operands of different lengths
-    raise ArityMismatch."""
+    Products are sums of exponent tuples, of equal length in any complex
+    that ``FreeComplex`` accepted."""
     acc = {}
     get = acc.get
     n_rows = len(levels[i - 1])
@@ -149,15 +161,10 @@ def composite_terms(levels, diffs, i, col):
             continue
         if i >= 2:
             for row2, (c2, e2) in diffs[i - 1].get(row, {}).items():
-                if len(e2) != len(e1):
-                    raise ArityMismatch("monomials from different rings")
                 key = (row2, tuple(map(add, e1, e2)))
                 acc[key] = get(key, 0) + c1 * c2
         else:
-            e2 = levels[0][row].multidegree
-            if len(e2) != len(e1):
-                raise ArityMismatch("monomials from different rings")
-            key = (None, tuple(map(add, e1, e2)))
+            key = (None, tuple(map(add, e1, levels[0][row].multidegree)))
             acc[key] = get(key, 0) + c1
     return {key: value for key, value in acc.items() if value != 0}
 

@@ -16,17 +16,21 @@ odd).  No row filter is needed, because ``check_complex`` has proven every
 entry homogeneous with nonnegative exponents, so each row of a selected
 column divides mu too.
 
-Each strand is first certified over GF(2).  ``check_complex`` has proven
-d o d = 0 over Z, so rank_Q(d_i) + rank_Q(d_{i+1}) <= size_i at every
-position, and rank_2 <= rank_Q holds for every integer matrix (a nonzero
-minor mod 2 is a nonzero minor).  Hence rank_2(d_i) + rank_2(d_{i+1}) =
-size_i at every position proves the strand exact over Q.  Only a strand
-that falls short (torsion such as RP^2's, or a complex that is not exact)
-takes the exact route: ``exact_rank``, a plain fraction-free elimination,
-on integer columns that are built on the first such strand.  That route
-alone can report a failure, and it is rare (no strand of the verify
-workloads in ``perfbench`` reaches it), so it is kept simple rather than
-fast.
+One walk, ``_rank_walk``, tests rank(d_i) + rank(d_{i+1}) = size_i at
+every position of a strand, with the rank routine it is given.  It runs
+first over GF(2).  ``check_complex`` has proven d o d = 0 over Z, so
+rank_Q(d_i) + rank_Q(d_{i+1}) <= size_i at every position, and rank_2 <=
+rank_Q holds for every integer matrix (a nonzero minor mod 2 is a nonzero
+minor).  Hence GF(2) ranks that meet size_i at every position prove the
+strand exact over Q.  Only a strand that falls short (torsion such as
+RP^2's, or a complex that is not exact) takes the exact route: the same
+walk with ``exact_rank``, a plain fraction-free elimination, on integer
+columns that are built on the first such strand.  That route alone can
+report a failure, and it is rare (no strand of the verify workloads in
+``perfbench`` reaches it), so it is kept simple rather than fast.
+
+Every complex checked its arity when it was built (see ``FreeComplex``),
+so nothing here checks it again.
 """
 
 import random
@@ -36,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from .errors import ArityMismatch, BrokenInvariant, NotAComplex, NotMinimal
+from .errors import BrokenInvariant, NotAComplex, NotMinimal
 from .ideals import MonomialIdeal
 from .monomials import Ring
 from .morse import minimize
@@ -126,8 +130,6 @@ def check_complex(cplx):
                                  "row": row, "col": col})
             src = cplx.levels[i][col].multidegree
             dst = cplx.levels[i - 1][row].multidegree
-            if not len(dst) == len(src) == len(m):
-                raise ArityMismatch("monomials from different rings")
             # src / dst == m on exponent tuples, with m free of negative
             # exponents, so that equality also proves dst | src
             if min(m) < 0 or tuple(map(sub, src, dst)) != m:
@@ -174,8 +176,6 @@ def _strand_selector(cplx, n):
         exps += [g.multidegree for g in level]
     ideal_off = len(exps)
     exps += [g.exps for g in cplx.ideal.gens]
-    if any(len(e) != n for e in exps):
-        raise ArityMismatch("monomials from different rings")
     index = []
     for v in range(n):
         by_value = {}
@@ -229,47 +229,44 @@ def _columns(cplx, build):
                      for i in range(1, len(cplx.levels))]
 
 
-def _certified(sel, target, bits):
-    """True when GF(2) ranks prove the strand exact.
+def _rank_walk(sel, target, columns, rank):
+    """None when the strand (sel, target) is exact, else (position,
+    (rank d_i, rank d_{i+1})) at the first position i where the two ranks
+    fall short of size_i.  d_0 is the augmentation, of rank target.
 
-    Going up the levels, d_i must reach rank size_{i-1} - rank(d_{i-1}).
-    d o d = 0 mod 2 bounds it by that, so elimination stops there, and a
-    level that must have rank 0 has it without any.  Whole columns, no
-    row filter: every row of a selected column is in the strand."""
-    rank = target
-    for i in range(1, len(sel)):
-        need = len(sel[i - 1]) - rank
-        if need > 0 and sel[i]:
-            level = bits[i]
-            rank = _gf2_rank([level[j] for j in sel[i]], need)
-        else:
-            rank = 0
-        if rank != need:
-            return False
-    return rank == len(sel[-1])
+    rank(vectors, cap) ranks the selected ``columns[i]`` of each d_i.
+    Going up the levels, d_i must reach need = size_{i-1} - rank(d_{i-1});
+    d o d = 0 bounds it by that, so rank may stop at need, and a level
+    that must have rank 0 has it without any.  Whole columns, no row
+    filter: every row of a selected column is in the strand."""
+    low = target
+    for i in range(1, len(sel) + 1):
+        need = len(sel[i - 1]) - low
+        high = 0
+        if need > 0 and i < len(sel) and sel[i]:
+            level = columns[i]
+            high = rank([level[j] for j in sel[i]], need)
+        if high != need:
+            return i - 1, (low, high)
+        low = high
+    return None
 
 
-def _strand_verdict(cplx, strand, cols, mu):
-    """Rank conditions for exactness of the strand (sel, target) that the
+def _strand_failure(cplx, strand, cols, mu):
+    """The failure of the strand (sel, target) that the
     ``_strand_selector`` picks at the exponent tuple mu, from exact ranks
-    on integer columns; returns (ok, detail)."""
+    on integer columns, or None when it is exact."""
     sel, target = strand
-    sizes = [len(s) for s in sel]
     # augmentation strand: a single row of ones over the level-0 survivors
-    if target and not sizes[0]:
-        return False, {"mu": cplx.ring.text(mu),
-                       "position": "augmentation",
-                       "reason": "member without covering generator"}
-    # whole columns, no row filter: check_complex passed, so every row of
-    # a selected column has a multidegree dividing mu
-    ranks = ([target] + [exact_rank([cols[i][j] for j in sel[i]])
-                         for i in range(1, len(sel))] + [0])
-    for i in range(len(sel)):
-        if ranks[i] + ranks[i + 1] != sizes[i]:
-            return False, {"mu": cplx.ring.text(mu), "position": i,
-                           "size": sizes[i], "ranks": (ranks[i],
-                                                       ranks[i + 1])}
-    return True, None
+    if target and not sel[0]:
+        return {"mu": cplx.ring.text(mu), "position": "augmentation",
+                "reason": "member without covering generator"}
+    short = _rank_walk(sel, target, cols, lambda rows, _cap: exact_rank(rows))
+    if short is None:
+        return None
+    position, ranks = short
+    return {"mu": cplx.ring.text(mu), "position": position,
+            "size": len(sel[position]), "ranks": ranks}
 
 
 @dataclass
@@ -299,8 +296,6 @@ def lcm_lattice(cplx, cap):
         raise ValueError("strand cap must be at least 1, got %r" % (cap,))
     seeds = sorted({g.multidegree for level in cplx.levels
                     for g in level}, key=lambda e: (sum(e), e))
-    if len({len(e) for e in seeds}) > 1:
-        raise ArityMismatch("monomials from different rings")
     fields = []  # per variable: offset, field mask, exponents by rank
     width = 0
     for values in map(sorted, map(set, zip(*seeds))):
@@ -332,7 +327,7 @@ def lcm_lattice(cplx, cap):
 def check_exactness(cplx, cap=20000):
     """Strand-by-strand exactness over the lcm lattice: GF(2) ranks
     certify a strand, and only a strand they leave short is decided by
-    ``_strand_verdict``'s exact ranks (see the module docstring)."""
+    ``_strand_failure``'s exact ranks (see the module docstring)."""
     base = check_complex(cplx)
     if not base.ok:
         raise NotAComplex("d o d = 0 fails; exactness is meaningless: %r"
@@ -345,13 +340,13 @@ def check_exactness(cplx, cap=20000):
         cols = None
         for mu in points:
             strand = select(mu)
-            if _certified(*strand, bits):
+            if _rank_walk(*strand, bits, _gf2_rank) is None:
                 continue
             if cols is None:
                 cols = _columns(cplx, _integer_column)
-            ok, detail = _strand_verdict(cplx, strand, cols, mu)
-            if not ok:
-                failures.append(detail)
+            failure = _strand_failure(cplx, strand, cols, mu)
+            if failure is not None:
+                failures.append(failure)
     return ExactnessReport(not failures, len(points), capped, failures,
                            base)
 
@@ -373,13 +368,13 @@ class InvariantReport:
                 and self.reg == self.reg_from_basis)
 
 
-def homological_invariants(cplx, basis=None):
+def homological_invariants(cplx):
     """Betti table, projective dimension and regularity of a minimal
-    complex, with the basis-side cross-checks."""
+    complex, with cross-checks against the basis it carries, if any."""
     units = cplx.unit_entries()
     if units:
         raise NotMinimal("unit entries remain: %r" % units[:3])
-    basis = basis if basis is not None else cplx.basis
+    basis = cplx.basis
     betti = betti_table(cplx)
     pd = max(i for i, level in enumerate(cplx.levels) if level)
     reg = max(j - i for (i, j) in betti.by_degree)

@@ -196,7 +196,7 @@ def test_criterion_5_invariants():
     ideal = make_ideal_b()
     basis = pommaret_basis(ideal)
     reduced = minimize(ps_complex(basis))
-    report = homological_invariants(reduced, basis)
+    report = homological_invariants(reduced)
     assert report.pd == 2 and report.pd_from_classes == 2
     assert report.reg == 6 and report.reg_from_basis == 6
     assert report.consistent
@@ -236,7 +236,7 @@ def test_criterion_6_random_sweep():
         assert ex.ok, (seed, ideal, ex.failures[:2])
         exr = check_exactness(reduced, cap=300)
         assert exr.ok, (seed, ideal, exr.failures[:2])
-        inv = homological_invariants(reduced, basis)
+        inv = homological_invariants(reduced)
         assert inv.consistent, (seed, ideal)
         assert betti_table(reduced) == oracle_betti(ideal), (seed, ideal)
         cases += 1

@@ -91,3 +91,25 @@ def test_rewrite_map_read_only_where_it_is_built_or_walked():
              if isinstance(node, ast.Attribute) and node.attr == "delta"}
     assert found <= {"ideals.py", "resolution.py", "cellular.py"}
     assert "resolution.py" in found
+
+
+def _raises_ring_mismatch(node):
+    exc = node.exc
+    return (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+            and exc.func.id == "ArityMismatch" and exc.args
+            and isinstance(exc.args[0], ast.Constant)
+            and exc.args[0].value == "monomials from different rings")
+
+
+def test_arity_checked_where_a_complex_is_built():
+    """Mixed rings are refused by ``Monomial`` and by ``FreeComplex`` when
+    a complex is built; the kernels that read a complex trust it."""
+    found = set()
+    for path, node in _package_nodes():
+        if isinstance(node, ast.FunctionDef):
+            found.update((path.name, node.name) for inner in ast.walk(node)
+                         if isinstance(inner, ast.Raise)
+                         and _raises_ring_mismatch(inner))
+    assert ("resolution.py", "__init__") in found
+    assert {name for name, _ in found} <= {"monomials.py", "resolution.py"}
+    assert "composite_terms" not in {fn for _, fn in found}

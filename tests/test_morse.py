@@ -263,11 +263,14 @@ def test_fill_in_multiplies_no_monomial(ideal_b, monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("wide", ["corrected", "source"])
+@pytest.mark.parametrize("wide", ["corrected", "source", "level-0",
+                                  "ideal"])
 def test_fill_in_rejects_mixed_arity(wide):
     # F_1 = <a, b>, F_0 = <p, q>, d a = p - q, d b = y p; cancelling a -> p
-    # gives b the fill-in entry y q, and one factor of that product comes
-    # from Ring(4)
+    # would give b the fill-in entry y q.  One tuple comes from Ring(4):
+    # an entry of either factor of that product, a level-0 multidegree, or
+    # the ideal's ring.  The complex is refused when it is built, so the
+    # reducer never meets it.
     r3 = Ring(3)
     x, y, unit = (1, 0, 0), (0, 1, 0), (0, 0, 0)
     ideal = MonomialIdeal(r3, [r3.variable(1)])
@@ -277,11 +280,15 @@ def test_fill_in_rejects_mixed_arity(wide):
                     1: {0: (1, y)}}]
     if wide == "corrected":
         diffs[1][1][0] = (1, (0, 1, 0, 0))      # x2 of Ring(4)
-    else:
+    elif wide == "source":
         diffs[1][0][1] = (-1, (0, 0, 0, 0))     # the unit of Ring(4)
-    reducer = _Reducer(FreeComplex(r3, ideal, levels, diffs, "custom"))
-    with pytest.raises(ArityMismatch):
-        reducer.cancel(Pair(1, 0, 0, 0))
+    elif wide == "level-0":
+        levels[0][1] = Gen("q", (1, 0, 0, 0), "q")
+    else:
+        r4 = Ring(4)
+        ideal = MonomialIdeal(r4, [r4.variable(1)])
+    with pytest.raises(ArityMismatch, match="monomials from different rings"):
+        FreeComplex(r3, ideal, levels, diffs, "custom")
 
 
 def test_minimize_two_variables(ideal_a):

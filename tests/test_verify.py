@@ -17,7 +17,7 @@ from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
 from pommaret.verify import (_columns, _gf2_rank, _integer_column,
-                             _strand_selector, _strand_verdict)
+                             _strand_failure, _strand_selector)
 
 
 def test_exact_rank_against_dense_oracle():
@@ -82,13 +82,13 @@ def _spy_exact_route(monkeypatch):
     """Record the mu of every strand that check_exactness hands to the
     exact route."""
     seen = []
-    verdict = pommaret.verify._strand_verdict
+    failure = pommaret.verify._strand_failure
 
     def spy(cplx, strand, cols, mu):
         seen.append(mu)
-        return verdict(cplx, strand, cols, mu)
+        return failure(cplx, strand, cols, mu)
 
-    monkeypatch.setattr(pommaret.verify, "_strand_verdict", spy)
+    monkeypatch.setattr(pommaret.verify, "_strand_failure", spy)
     return seen
 
 
@@ -271,24 +271,29 @@ def test_kernel_matches_monomial_products(ideal_b):
     assert got == want
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_kernel_rejects_mixed_arity(level):
-    # one entry of d_level comes from Ring(4), everything else from Ring(3):
-    # the kernel must refuse it, not return a key cut to three exponents
+@pytest.mark.parametrize("wide", [1, 2, 0, "ideal"])
+def test_kernel_rejects_mixed_arity(wide):
+    # one tuple comes from Ring(4), everything else from Ring(3): an entry
+    # of d_wide, a level-0 multidegree (wide = 0), or the ideal's ring.
+    # The complex is refused when it is built, so no kernel sees a key cut
+    # to three exponents.
     r3 = Ring(3)
+    ideal = MonomialIdeal(r3, [r3.variable(1)])
     levels = [[Gen("a", (1, 0, 0), "a")],
               [Gen("b", (1, 1, 0), "b")],
               [Gen("c", (1, 1, 1), "c")]]
     diffs = [None, {0: {0: (1, (0, 1, 0))}},
              {0: {0: (1, (0, 0, 1))}}]
-    # x_{level+1} of Ring(4)
-    diffs[level][0][0] = (1, tuple(int(j == level) for j in range(4)))
-    with pytest.raises(ArityMismatch):
-        composite_terms(levels, diffs, level, 0)
-    cplx = FreeComplex(r3, MonomialIdeal(r3, [r3.variable(1)]), levels,
-                       diffs, "custom")
-    with pytest.raises(ArityMismatch):
-        check_complex(cplx)
+    if wide == 0:
+        levels[0] = [Gen("a", (1, 0, 0, 0), "a")]
+    elif wide == "ideal":
+        r4 = Ring(4)
+        ideal = MonomialIdeal(r4, [r4.variable(1)])
+    else:
+        # x_{wide+1} of Ring(4)
+        diffs[wide][0][0] = (1, tuple(int(j == wide) for j in range(4)))
+    with pytest.raises(ArityMismatch, match="monomials from different rings"):
+        FreeComplex(r3, ideal, levels, diffs, "custom")
 
 
 def test_strand_selection(ideal_a):
@@ -298,13 +303,11 @@ def test_strand_selection(ideal_a):
     selected, target = select((2, 1))
     assert target == 1
     assert [len(s) for s in selected] == [2, 1]
-    ok, detail = _strand_verdict(cplx, (selected, target), cols, (2, 1))
-    assert ok and detail is None
+    assert _strand_failure(cplx, (selected, target), cols, (2, 1)) is None
     selected, target = select((1, 1))
     assert target == 0
     assert [len(s) for s in selected] == [0, 0]
-    ok, _ = _strand_verdict(cplx, (selected, target), cols, (1, 1))
-    assert ok
+    assert _strand_failure(cplx, (selected, target), cols, (1, 1)) is None
 
 
 def test_lcm_lattice(ideal_a, ideal_b):
@@ -562,20 +565,20 @@ def test_exactness_requires_a_complex(ideal_a):
 def test_homological_invariants(ideal_a, ideal_b):
     basis = pommaret_basis(ideal_a)
     reduced = minimize(ps_complex(basis))
-    report = homological_invariants(reduced, basis)
+    report = homological_invariants(reduced)
     assert report.pd == 1 and report.pd_from_classes == 1
     assert report.reg == 4 and report.reg_from_basis == 4
     assert report.consistent
     assert report.betti.by_degree == {(0, 2): 1, (0, 3): 1, (1, 5): 1}
 
     basis_b = pommaret_basis(ideal_b)
-    report = homological_invariants(minimize(ps_complex(basis_b)), basis_b)
+    report = homological_invariants(minimize(ps_complex(basis_b)))
     assert report.pd == 2 and report.reg == 6
     assert report.consistent
     assert report.betti.totals() == (4, 5, 2)
 
     with pytest.raises(NotMinimal):
-        homological_invariants(ps_complex(basis), basis)
+        homological_invariants(ps_complex(basis))
 
 
 def test_betti_oracle_route(ideal_a):
