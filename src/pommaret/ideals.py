@@ -8,8 +8,8 @@ minimal generators already form the basis.
 
 import heapq
 
-from .errors import (BrokenInvariant, EmptyInput, NotQuasiStable,
-                     UnitGenerator)
+from .errors import (ArityMismatch, BrokenInvariant, EmptyInput,
+                     NotQuasiStable, UnitGenerator)
 from .monomials import Monomial, p_order_key
 
 
@@ -21,6 +21,9 @@ class MonomialIdeal:
     def __init__(self, ring, generators):
         self.ring = ring
         self.gens = minimal_generators(generators)
+        for g in self.gens:
+            if g.ring.n != ring.n:
+                raise ArityMismatch("monomials from different rings")
 
     def contains(self, m):
         return any(g.divides(m) for g in self.gens)

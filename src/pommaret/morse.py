@@ -22,16 +22,21 @@ from a lazy heap.
 All the pairs of one homological degree form one block of elimination; its
 result does not depend on the order of the pairs inside it, so d o d = 0
 is checked on the columns a block changed once the block is done.
+
+Every complex was proven multigraded when it was built, and cancelling a
+unit pair keeps it so: an entry's monomial is fixed by the multidegrees of
+its row and column, and the elimination runs on coefficients alone
+(Batzies-Welker, J. reine angew. Math. 2002).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import sub
 
 from .errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
                      NotPSComplex)
-from .resolution import FreeComplex, composite_terms, unit_entries
+from .resolution import FreeComplex, composite_terms
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,10 @@ def _has_cycle(cplx, matching, level):
     Vertices are split by homological degree; a directed cycle must
     alternate matched (upward) and unmatched (downward) edges between two
     adjacent degrees, so acyclicity is checked per degree pair on the
-    column side only.
+    column side only.  Matched edges are units, which keep the multidegree,
+    and an unmatched edge between two classes strictly lowers it, so every
+    cycle stays inside one multidegree class: only the edges inside a class
+    are followed.
     """
     matched_cols = {}
     row_partner = {}
@@ -83,12 +91,13 @@ def _has_cycle(cplx, matching, level):
         if p.level == level:
             matched_cols[p.source] = p.target
             row_partner[p.target] = p.source
+    rows, cols = cplx.classes[level - 1], cplx.classes[level]
     successors = {}
     for col, column in cplx.diffs[level].items():
         succ = []
         for row in column:
-            if matched_cols.get(col) == row:
-                continue  # this edge is reversed, not outgoing
+            if rows[row] != cols[col] or matched_cols.get(col) == row:
+                continue  # leaves the class, or is reversed, not outgoing
             partner = row_partner.get(row)
             if partner is not None and partner != col:
                 succ.append(partner)
@@ -110,10 +119,6 @@ def _has_cycle(cplx, matching, level):
     return dropped < len(indegree)
 
 
-def _is_unit(entry):
-    return entry is not None and entry[0] != 0 and not any(entry[1])
-
-
 def is_morse_matching(cplx, matching):
     """True when the matching is along unit entries and reversing them
     leaves every degree-pair digraph acyclic."""
@@ -125,7 +130,8 @@ def is_morse_matching(cplx, matching):
     for p in matching.pairs:
         if not 1 <= p.level <= cplx.length:
             return False
-        if not _is_unit(cplx.entry(p.level, p.target, p.source)):
+        entry = cplx.entry(p.level, p.target, p.source)
+        if entry is None or entry[0] == 0 or any(entry[1]):
             return False
     for level in range(1, cplx.length + 1):
         if _has_cycle(cplx, matching, level):
@@ -178,22 +184,26 @@ class ReducedComplex(FreeComplex):
 class _Reducer:
     """Mutable sparse copy of a complex supporting pair cancellation.
 
+    Columns are {row: coeff}; an entry's monomial is rebuilt, as its
+    column's multidegree over its row's, only for the entries that survive
+    (``compact``).  ``cls`` is the complex's ``classes``, and an entry is a
+    unit when its coefficient is nonzero and its row and column share a
+    class.
+
     Each cancellation records the columns it changed; ``_local_check``
     proves d o d = 0 on them when the level of cancellation moves, and the
     callers run it once more after their last cancellation."""
 
     def __init__(self, cplx, trace=False):
         self.cplx = cplx
-        self.cols = [None]
+        self.cls = cplx.classes
+        self.cols = cplx.coefficients()
         self.row_index = [None]
-        for i in range(1, len(cplx.levels)):
-            level_cols = {}
+        for level_cols in self.cols[1:]:
             index = {}
-            for col, column in cplx.diffs[i].items():
-                level_cols[col] = dict(column)
+            for col, column in level_cols.items():
                 for row in column:
                     index.setdefault(row, set()).add(col)
-            self.cols.append(level_cols)
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
         # once tracked, a heap of keys (-level, col, row) holding every
@@ -207,23 +217,29 @@ class _Reducer:
     def track_units(self):
         """Keep ``units`` from now on, seeded from a scan; ``_set`` pushes
         every unit entry it writes."""
+        cls = self.cls
         self.units = [(-level, col, row)
-                      for level, row, col, _ in unit_entries(self.cols)]
+                      for level in range(1, len(self.cols))
+                      for col, column in self.cols[level].items()
+                      for row, c in column.items()
+                      if c != 0 and cls[level][col] == cls[level - 1][row]]
         heapify(self.units)
 
     def least_unit(self):
         """The least key (-level, col, row) of a live unit entry, or None;
-        stale keys, whose entry has changed or gone, are dropped."""
+        stale keys, whose entry has gone, are dropped.  A key names a unit
+        position, and positions keep their classes, so an entry still
+        there with a nonzero coefficient is a unit."""
         units = self.units
         while units:
             minus_level, col, row = units[0]
-            if _is_unit(self.cols[-minus_level].get(col, {}).get(row)):
+            if self.cols[-minus_level].get(col, {}).get(row):
                 return units[0]
             heappop(units)
         return None
 
-    def _set(self, level, col, row, coeff, exps):
-        column = self.cols[level].setdefault(col, {})
+    def _set(self, level, col, row, coeff):
+        column = self.cols[level][col]
         if coeff == 0:
             if row in column:
                 del column[row]
@@ -231,9 +247,10 @@ class _Reducer:
         else:
             if isinstance(coeff, Fraction) and coeff.denominator == 1:
                 coeff = int(coeff)
-            column[row] = (coeff, exps)
+            column[row] = coeff
             self.row_index[level].setdefault(row, set()).add(col)
-            if self.units is not None and not any(exps):
+            if (self.units is not None
+                    and self.cls[level][col] == self.cls[level - 1][row]):
                 heappush(self.units, (-level, col, row))
 
     def cancel(self, pair):
@@ -242,38 +259,29 @@ class _Reducer:
             self._local_check()
             self.level = level
         cols = self.cols[level]
-        lam = cols.get(s, {}).get(t)
-        if not _is_unit(lam):
+        lam_c = cols.get(s, {}).get(t)
+        if not lam_c or self.cls[level][s] != self.cls[level - 1][t]:
             raise NonUnitPair("pair (%d: %d -> %d) is not a unit entry"
                               % (level, s, t))
-        lam_c = lam[0]
         source_col = cols[s]
-        fill = [(row, sc, se) for row, (sc, se) in source_col.items()
-                if row != t]
+        fill = [(row, sc) for row, sc in source_col.items() if row != t]
         upper = (self.row_index[level + 1] if level + 1 < len(self.cols)
                  else {})
         touched = []
         for c in sorted(self.row_index[level].get(t, set()) - {s}):
             column = cols[c]
-            alpha_c, ae = column[t]
+            alpha_c = column[t]
             if lam_c in (1, -1):
                 q = alpha_c * lam_c
             else:
                 q = Fraction(alpha_c, lam_c)
-            for row, sc, se in fill:
-                exps = tuple(map(add, ae, se))
-                old = column.get(row)
-                if old is None:
-                    self._set(level, c, row, -q * sc, exps)
-                elif old[1] != exps:
-                    raise BrokenInvariant("inhomogeneous correction")
-                else:
-                    self._set(level, c, row, old[0] - q * sc, old[1])
+            for row, sc in fill:
+                self._set(level, c, row, column.get(row, 0) - q * sc)
             if fill:
                 self.dirty.add((level, c))
                 self.dirty.update((level + 1, u) for u in upper.get(c, ()))
                 if self.trace is not None:
-                    touched.extend((c, row) for row, _, _ in fill)
+                    touched.extend((c, row) for row, _ in fill)
             # the t entry of every corrected column cancels exactly
             del column[t]
             self.row_index[level][t].discard(c)
@@ -311,7 +319,7 @@ class _Reducer:
         self.dirty.clear()
 
     def _compose_check(self, level, col):
-        bad = composite_terms(self.cplx.levels, self.cols, level, col)
+        bad = composite_terms(self.cols, level, col)
         if bad:
             raise BrokenInvariant(
                 "cancellation broke d o d = 0 at level %d col %d: %r"
@@ -319,7 +327,8 @@ class _Reducer:
 
     def compact(self, matching):
         """The surviving complex, after checking d o d = 0 on every
-        column; cancellations beyond the matching's pairs were the
+        column, each entry's monomial rebuilt as its column's multidegree
+        over its row's; cancellations beyond the matching's pairs were the
         safety net's."""
         for level in range(1, len(self.cols)):
             for col in self.cols[level]:
@@ -333,11 +342,14 @@ class _Reducer:
             levels.append([level[j] for j in keep])
         diffs = [None]
         for i in range(1, len(levels)):
+            rows = cplx.levels[i - 1]
             cols = {}
             for col, column in self.cols[i].items():
+                src = cplx.levels[i][col].multidegree
                 cols[remap[i][col]] = {
-                    remap[i - 1][row]: entry
-                    for row, entry in column.items()}
+                    remap[i - 1][row]:
+                        (c, tuple(map(sub, src, rows[row].multidegree)))
+                    for row, c in column.items()}
             diffs.append(cols)
         while len(levels) > 1 and not levels[-1]:
             levels.pop()

@@ -17,9 +17,9 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add, sub
+from operator import sub
 
-from .errors import ArityMismatch, DegreeOutOfRange
+from .errors import ArityMismatch, DegreeOutOfRange, NotAComplex
 
 
 class Symbol(namedtuple("Symbol", "alpha u")):
@@ -58,18 +58,29 @@ class FreeComplex:
     level-0 generator to its multidegree with coefficient 1 and is left
     implicit.
 
-    Every exponent tuple, and the ideal's ring, has ``ring.n`` entries;
-    a complex that breaks this raises ArityMismatch when it is built.
-    Complexes are frozen once built, so the kernels that read them add
-    tuples without checking their lengths again.
+    Every complex is proven multigraded once, when it is built: every
+    exponent tuple, and the ideal's ring, has ``ring.n`` entries, or
+    ArityMismatch is raised; every entry lies inside its levels and its
+    exponents, none negative, are its column's multidegree minus its
+    row's, or NotAComplex is raised.  Complexes are frozen once built, so
+    the kernels that read one work on its coefficients alone.  The same
+    pass finds ``classes`` (per generator, an integer shared exactly by
+    the generators of its multidegree) and the unit entries.
     """
 
     def __init__(self, ring, ideal, levels, diffs, provenance, basis=None):
-        lengths = {len(m) for diff in diffs[1:] for column in diff.values()
-                   for _c, m in column.values()}
-        lengths.update(len(g.multidegree) for level in levels for g in level)
-        lengths.update(len(g.exps) for g in ideal.gens)
+        lengths = {len(g.multidegree) for level in levels for g in level}
         lengths.add(ideal.ring.n)
+        if lengths == {ring.n}:
+            try:
+                self.classes, self._units = _grading(levels, diffs, ring.n)
+            except NotAComplex:
+                # an entry from another ring is an arity fault first
+                lengths.update(len(m) for diff in diffs[1:]
+                               for column in diff.values()
+                               for _c, m in column.values())
+                if lengths == {ring.n}:
+                    raise
         if lengths != {ring.n}:
             raise ArityMismatch("monomials from different rings")
         self.ring = ring
@@ -102,9 +113,17 @@ class FreeComplex:
     def column(self, i, col):
         return self.diffs[i].get(col, {})
 
+    def coefficients(self):
+        """A fresh copy of the differentials as coefficient columns
+        {col: {row: coeff}}, the form ``composite_terms`` reads."""
+        return [None] + [{col: {row: c for row, (c, _m) in column.items()}
+                          for col, column in diff.items()}
+                         for diff in self.diffs[1:]]
+
     def unit_entries(self):
-        """Entries that are invertible scalars (exponents 0, coeff != 0)."""
-        return unit_entries(self.diffs)
+        """(level, row, col, coeff) of every invertible scalar entry
+        (exponents 0, coeff != 0), by level, column, then row."""
+        return list(self._units)
 
     def to_json_dict(self):
         mods = []
@@ -134,39 +153,85 @@ class FreeComplex:
         return "FreeComplex(%s, ranks=%r)" % (self.provenance, list(self.ranks()))
 
 
-def unit_entries(diffs):
-    """(level, row, col, coeff) of every invertible scalar entry (exponents
-    0, coeff != 0) of sparse differentials, by level, column, then row."""
-    out = []
-    for i in range(1, len(diffs)):
-        for col, column in sorted(diffs[i].items()):
-            for row, (c, m) in sorted(column.items()):
-                if c != 0 and not any(m):
-                    out.append((i, row, col, c))
-    return out
+def _grading(levels, diffs, n):
+    """(classes, units) of a multigraded complex, or NotAComplex.
+
+    A multidegree is coded as the integer sum of e_f * B**f, B a power of
+    two above eight times every generator exponent's absolute value;
+    ``classes`` holds the generators' codes.  Each distinct entry monomial
+    m is checked once (n exponents, none negative or above twice that
+    bound) and coded once.  Every field of column - row - m then lies
+    strictly between -B/2 and B/2, so the entry is homogeneous exactly
+    when code(column) - code(m) = code(row).  ``units`` lists (level, row,
+    col, coeff) of the entries with monomial 1 and coeff != 0, in order.
+    """
+    if len(diffs) != len(levels):
+        raise NotAComplex("%d differentials for %d levels"
+                          % (len(diffs) - 1, len(levels)))
+    mds = [g.multidegree for level in levels for g in level]
+    bound = max(max(map(max, mds), default=0),
+                -min(map(min, mds), default=0))
+    shift = (8 * bound + 8).bit_length()
+
+    def code(exps):
+        c = 0
+        for e in reversed(exps):
+            c = (c << shift) + e
+        return c
+
+    classes = [[code(g.multidegree) for g in level] for level in levels]
+    codes = {}
+    units = []
+    for i in range(1, len(levels)):
+        rows = classes[i - 1]
+        cols = classes[i]
+        n_rows = len(rows)
+        for col, column in diffs[i].items():
+            if not 0 <= col < len(cols):
+                raise NotAComplex("d_%d has column %r outside F_%d"
+                                  % (i, col, i))
+            src = cols[col]
+            for row, (c, m) in column.items():
+                if not 0 <= row < n_rows:
+                    raise NotAComplex("d_%d has row %r outside F_%d"
+                                      % (i, row, i - 1))
+                mc = codes.get(m)
+                if mc is None:
+                    if min(m, default=0) < 0:
+                        raise NotAComplex("entry (%d, %d) of d_%d has a "
+                                          "negative exponent" % (row, col, i))
+                    # no quotient of two generators has another length or
+                    # a larger exponent
+                    if len(m) == n and max(m) <= 2 * bound:
+                        mc = codes[m] = code(m)
+                if mc is None or src - mc != rows[row]:
+                    raise NotAComplex("entry (%d, %d) of d_%d is not its "
+                                      "column's multidegree over its row's"
+                                      % (row, col, i))
+                if not mc and c != 0:
+                    units.append((i, row, col, c))
+    units.sort(key=lambda u: (u[0], u[2], u[1]))
+    return classes, units
 
 
-def composite_terms(levels, diffs, i, col):
-    """Nonzero terms of d_{i-1} o d_i on column ``col`` of d_i, or of the
-    augmentation o d_1 when i = 1, as {(row, exps): coeff}; the row of an
-    augmentation term is None.  Rows outside F_{i-1} are skipped.
-
-    Products are sums of exponent tuples, of equal length in any complex
-    that ``FreeComplex`` accepted."""
+def composite_terms(diffs, i, col):
+    """Nonzero coefficients of d_{i-1} o d_i on column ``col`` of d_i as
+    {row of F_{i-2}: value}, or of the augmentation o d_1 (i = 1) as
+    {None: value}, on coefficient columns {col: {row: coeff}}.  In a
+    complex that ``FreeComplex`` accepted, every path from col to a row
+    carries the one monomial col's multidegree over the row's, so only
+    coefficients are summed."""
+    column = diffs[i].get(col, {})
+    if i == 1:
+        total = sum(column.values())
+        return {None: total} if total else {}
     acc = {}
     get = acc.get
-    n_rows = len(levels[i - 1])
-    for row, (c1, e1) in diffs[i].get(col, {}).items():
-        if not 0 <= row < n_rows:
-            continue
-        if i >= 2:
-            for row2, (c2, e2) in diffs[i - 1].get(row, {}).items():
-                key = (row2, tuple(map(add, e1, e2)))
-                acc[key] = get(key, 0) + c1 * c2
-        else:
-            key = (None, tuple(map(add, e1, levels[0][row].multidegree)))
-            acc[key] = get(key, 0) + c1
-    return {key: value for key, value in acc.items() if value != 0}
+    below = diffs[i - 1]
+    for row, c1 in column.items():
+        for row2, c2 in below.get(row, {}).items():
+            acc[row2] = get(row2, 0) + c1 * c2
+    return {row: value for row, value in acc.items() if value}
 
 
 def _coeff_json(c):

@@ -12,9 +12,9 @@ The sweep runs on integers built once per complex: lattice points are bit
 codes over each variable's distinct exponents (a join is one OR), strand
 selection ANDs one prefix bitmask per variable, and every column of every
 d_i is a GF(2) bit column (bit r set where the integer entry in row r is
-odd).  No row filter is needed, because ``check_complex`` has proven every
-entry homogeneous with nonnegative exponents, so each row of a selected
-column divides mu too.
+odd).  No row filter is needed: every complex was proven homogeneous,
+with nonnegative exponents, when it was built (see ``FreeComplex``), so
+each row of a selected column divides mu too.
 
 One walk, ``_rank_walk``, tests rank(d_i) + rank(d_{i+1}) = size_i at
 every position of a strand, with the rank routine it is given.  It runs
@@ -29,8 +29,8 @@ columns that are built on the first such strand.  That route alone can
 report a failure, and it is rare (no strand of the verify workloads in
 ``perfbench`` reaches it), so it is kept simple rather than fast.
 
-Every complex checked its arity when it was built (see ``FreeComplex``),
-so nothing here checks it again.
+Arity, indices and homogeneity were all checked when the complex was
+built, so nothing here checks them again.
 """
 
 import random
@@ -116,34 +116,29 @@ class ComplexReport:
 
 
 def check_complex(cplx):
-    """d o d = 0 (including the augmentation), homogeneity of every entry,
-    and index sanity; failures carry a located witness."""
-    failures = []
-    for i in range(1, len(cplx.levels)):
-        for row, col, c, m in cplx.entries(i):
-            if not (0 <= row < cplx.rank(i - 1) and 0 <= col < cplx.rank(i)):
-                failures.append({"kind": "index", "level": i,
-                                 "row": row, "col": col})
-                continue
-            if c == 0:
-                failures.append({"kind": "zero-entry", "level": i,
-                                 "row": row, "col": col})
-            src = cplx.levels[i][col].multidegree
-            dst = cplx.levels[i - 1][row].multidegree
-            # src / dst == m on exponent tuples, with m free of negative
-            # exponents, so that equality also proves dst | src
-            if min(m) < 0 or tuple(map(sub, src, dst)) != m:
-                failures.append({"kind": "inhomogeneous", "level": i,
-                                 "row": row, "col": col,
-                                 "mono": cplx.ring.text(m)})
-    for i in range(1, len(cplx.levels)):
-        for col in sorted(cplx.diffs[i]):
-            terms = composite_terms(cplx.levels, cplx.diffs, i, col)
-            for (target, exps), value in sorted(terms.items(),
-                                                key=lambda kv: str(kv[0])):
+    """d o d = 0, including the augmentation, and no zero entries;
+    failures carry a located witness.  ``FreeComplex`` proved indices and
+    homogeneity when the complex was built, so ``composite_terms`` runs on
+    the coefficients, and a witness's monomial is its column's multidegree
+    over its target's (or the column's own, against the augmentation)."""
+    levels = cplx.levels
+    coeffs = cplx.coefficients()
+    failures = [{"kind": "zero-entry", "level": i, "row": row, "col": col}
+                for i in range(1, len(levels))
+                for col, column in sorted(coeffs[i].items())
+                if 0 in column.values()
+                for row in sorted(r for r, c in column.items() if c == 0)]
+    for i in range(1, len(levels)):
+        for col in sorted(coeffs[i]):
+            src = levels[i][col].multidegree
+            terms = composite_terms(coeffs, i, col)
+            for target, value in sorted(terms.items(),
+                                        key=lambda kv: str(kv[0])):
+                mono = src if target is None else tuple(
+                    map(sub, src, levels[i - 2][target].multidegree))
                 failures.append({"kind": "composite", "level": i,
                                  "col": col, "target": target,
-                                 "mono": exps, "value": value})
+                                 "mono": mono, "value": value})
     return ComplexReport(not failures, failures)
 
 

@@ -474,3 +474,38 @@ def reference_matching_V(cplx):
                 matched.add((level, col))
                 matched.add((level - 1, row))
     return Matching(pairs)
+
+
+def reference_has_cycle(cplx, matching, level):
+    """Reference ``morse._has_cycle``: whether the digraph of d_level, on
+    the generators of both degrees and every entry (whatever its monomial),
+    has a directed cycle once the matched edges are reversed.  Unmatched
+    entries point from column to row, matched ones from row to column; a
+    depth-first search looks for an edge back into its own path."""
+    matched = {(p.source, p.target) for p in matching.pairs
+               if p.level == level}
+    out = {}
+    for col, column in cplx.diffs[level].items():
+        for row in column:
+            if (col, row) in matched:
+                out.setdefault(("row", row), []).append(("col", col))
+            else:
+                out.setdefault(("col", col), []).append(("row", row))
+    state = {}  # 1 while on the search path, 2 once finished
+    for root in sorted(out):
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(out[root]))]
+        while stack:
+            node, succ = stack[-1]
+            nxt = next(succ, None)
+            if nxt is None:
+                state[node] = 2
+                stack.pop()
+            elif state.get(nxt) == 1:
+                return True
+            elif nxt not in state:
+                state[nxt] = 1
+                stack.append((nxt, iter(out.get(nxt, ()))))
+    return False

@@ -8,7 +8,7 @@ from pommaret import (FreeComplex, MonomialIdeal, PommaretBasis,
                       Ring, build_cell_complex, chain_vertices, expected_ranks,
                       pommaret_basis, ps_complex, random_quasi_stable,
                       supports_check, taylor_complex)
-from pommaret.errors import (ArityMismatch, MismatchedBases,
+from pommaret.errors import (ArityMismatch, MismatchedBases, NotAComplex,
                              TauNotNonMultiplicative)
 
 
@@ -206,11 +206,17 @@ def test_supports_check_detects_corruption(ideal_a):
     assert not report.ok
     assert any("not a sign" in f for f in report.failures)
 
+    # a wrong entry monomial no longer makes a complex; a wrong cell label
+    # still disagrees with the entry monomials
     diffs = _deep_diffs(good)
     (row, (c, m)) = sorted(diffs[1][2].items())[0]
     diffs[1][2][row] = (c, tuple(2 * e for e in m) if any(m) else
                         (1,) + m[1:])
-    report = supports_check(cells, _copy_with_diffs(good, diffs))
+    with pytest.raises(NotAComplex):
+        _copy_with_diffs(good, diffs)
+    cell = cells.cells[1][2]
+    cell.label = cell.label * basis.ring.variable(1)
+    report = supports_check(cells, good)
     assert not report.ok
     assert any("label quotient" in f for f in report.failures)
 

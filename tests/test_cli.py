@@ -392,7 +392,7 @@ def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):
     # typed error's code, not a traceback
     import pommaret.morse
     monkeypatch.setattr(pommaret.morse, "composite_terms",
-                        lambda *args: {(0, (1, 0)): 1})
+                        lambda *args: {0: 1})
     path = write(tmp_path, "a.ideal", A_TEXT)
     assert cli.main(["betti", path]) == 4
     assert "error [broken-invariant]:" in capsys.readouterr().err

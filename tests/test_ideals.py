@@ -11,8 +11,8 @@ from helpers import (NotAPath, NotNonMultiplicative, VariablesNotIncreasing,
 from pommaret import (MonomialIdeal, PommaretBasis, Ring, build_p_graph,
                       minimal_generators, p_order_key, pommaret_basis,
                       random_quasi_stable)
-from pommaret.errors import (BrokenInvariant, EmptyInput, NotQuasiStable,
-                             UnitGenerator)
+from pommaret.errors import (ArityMismatch, BrokenInvariant, EmptyInput,
+                             NotQuasiStable, UnitGenerator)
 
 
 def test_minimal_generators():
@@ -29,6 +29,19 @@ def test_minimal_generators():
         minimal_generators([])
     with pytest.raises(UnitGenerator):
         minimal_generators([r.unit(), r.monomial((1, 0))])
+
+
+def test_ideal_refuses_generators_of_another_ring():
+    # generators from Ring(4) over Ring(3) agree with each other, so only
+    # the ring can tell; pommaret_basis used to report NotQuasiStable
+    r3, r4 = Ring(3), Ring(4)
+    for gens in ([r4.variable(1), r4.variable(2)], [r4.variable(4)]):
+        with pytest.raises(ArityMismatch,
+                           match="monomials from different rings"):
+            MonomialIdeal(r3, gens)
+    with pytest.raises(ArityMismatch, match="monomials from different rings"):
+        MonomialIdeal(r4, [Ring(2).variable(1)])
+    assert MonomialIdeal(r3, [r3.variable(1)]).gens == (r3.variable(1),)
 
 
 def test_contains_is_stable_under_reduction():

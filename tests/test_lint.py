@@ -102,8 +102,9 @@ def _raises_ring_mismatch(node):
 
 
 def test_arity_checked_where_a_complex_is_built():
-    """Mixed rings are refused by ``Monomial`` and by ``FreeComplex`` when
-    a complex is built; the kernels that read a complex trust it."""
+    """Mixed rings are refused by ``Monomial``, by ``MonomialIdeal`` and by
+    ``FreeComplex`` when an ideal or a complex is built; the kernels that
+    read a complex trust it."""
     found = set()
     for path, node in _package_nodes():
         if isinstance(node, ast.FunctionDef):
@@ -111,5 +112,40 @@ def test_arity_checked_where_a_complex_is_built():
                          if isinstance(inner, ast.Raise)
                          and _raises_ring_mismatch(inner))
     assert ("resolution.py", "__init__") in found
-    assert {name for name, _ in found} <= {"monomials.py", "resolution.py"}
+    assert ("ideals.py", "__init__") in found
+    assert {name for name, _ in found} <= {"monomials.py", "ideals.py",
+                                           "resolution.py"}
     assert "composite_terms" not in {fn for _, fn in found}
+
+
+def test_reducer_and_kernel_carry_coefficients_only():
+    """Every complex is proven multigraded when it is built, so the Morse
+    reducer's cancellation and the d o d = 0 kernel read no exponent
+    tuple: they build, add, subtract and compare none, unpack no
+    (coeff, exps) entry and read no multidegree."""
+    targets = {("morse.py", "cancel"), ("morse.py", "_set"),
+               ("resolution.py", "composite_terms")}
+    tuple_ops = {"add", "sub", "map", "tuple", "zip", "any", "all"}
+    seen = set()
+    found = []
+    for path, node in _package_nodes():
+        if not (isinstance(node, ast.FunctionDef)
+                and (path.name, node.name) in targets):
+            continue
+        seen.add((path.name, node.name))
+        for inner in ast.walk(node):
+            if isinstance(inner, (ast.For, ast.comprehension)):
+                nested = (isinstance(inner.target, ast.Tuple)
+                          and any(isinstance(e, ast.Tuple)
+                                  for e in inner.target.elts))
+            else:
+                nested = False
+            if (nested
+                    or isinstance(inner, ast.Name) and inner.id in tuple_ops
+                    or isinstance(inner, ast.Attribute)
+                    and inner.attr in ("multidegree", "exps")
+                    or isinstance(inner, ast.Subscript)
+                    and isinstance(inner.slice, ast.Constant)):
+                found.append("%s:%d" % (path.name, inner.lineno))
+    assert seen == targets
+    assert not found

@@ -1,10 +1,12 @@
+import random
 from itertools import combinations
 from operator import add
 
 import pytest
 
 from helpers import (positive_dimensional_ideals, random_ideal, random_stable,
-                     reference_match, reference_matching_V, rp2_ideal)
+                     reference_has_cycle, reference_match,
+                     reference_matching_V, rp2_ideal)
 from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, check_exactness,
                       is_morse_matching, minimize, morse_reduce, oracle_betti,
@@ -13,8 +15,7 @@ from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
 from pommaret.errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                              NotAMorseMatching, NotPSComplex)
 from pommaret.monomials import Monomial
-from pommaret.morse import _Reducer
-from pommaret.resolution import unit_entries
+from pommaret.morse import _has_cycle, _Reducer
 
 
 def test_matching_rejects_reuse():
@@ -69,14 +70,18 @@ def test_matching_v_matches_the_rewrite_oracle(ideal_a, ideal_b):
 
 
 def test_matching_v_leaves_stray_units_to_the_sweep():
-    # a unit entry whose row is not u minus one variable pairs nothing
-    cplx = ps_complex(pommaret_basis(random_quasi_stable(3, 4, 3, 3)))
-    col = next(c for c, g in enumerate(cplx.levels[2]) if g.key.u == (3, 4))
-    row = next(r for r, g in enumerate(cplx.levels[1]) if g.key.u == (2,))
+    # a unit entry whose row is not u minus one variable pairs nothing;
+    # a unit joins equal multidegrees, and these two symbols share one
+    cplx = ps_complex(pommaret_basis(random_quasi_stable(3, 5, 3, 3)))
+    col = next(c for c, g in enumerate(cplx.levels[2])
+               if g.text == "[x1*x2, x3*x5]")
+    row = next(r for r, g in enumerate(cplx.levels[1])
+               if g.text == "[x1*x3*x5, x2]")
     diffs = list(cplx.diffs)
     diffs[2] = dict(diffs[2])
     diffs[2][col] = dict(diffs[2][col])
-    diffs[2][col][row] = (1, (0, 0, 0, 0))
+    assert row not in diffs[2][col]
+    diffs[2][col][row] = (1, (0, 0, 0, 0, 0))
     stray = FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
                         "pommaret", basis=cplx.basis)
     assert (2, row, col, 1) in stray.unit_entries()
@@ -125,6 +130,46 @@ def test_morse_matching_cycle_detection():
     assert not is_morse_matching(cplx, [Pair(1, 0, 0, 0), Pair(1, 0, 1, 0)])
     with pytest.raises(NotAMorseMatching):
         morse_reduce(cplx, [Pair(1, 0, 0, 0), Pair(1, 1, 1, 0)])
+
+
+def _random_unit_matchings(cplx, rng, count):
+    """Seeded random maximal matchings along the unit entries of cplx."""
+    units = [(level, col, row) for level, row, col, _ in cplx.unit_entries()]
+    out = []
+    for _ in range(count):
+        rng.shuffle(units)
+        used = set()
+        pairs = []
+        for level, col, row in units:
+            if (level, col) not in used and (level - 1, row) not in used:
+                pairs.append(Pair(level, col, row, 0))
+                used.update({(level, col), (level - 1, row)})
+        out.append(Matching(pairs))
+    return out
+
+
+def test_per_class_acyclicity_matches_the_full_digraph():
+    # _has_cycle follows only the edges inside a multidegree class; the
+    # reference searches the whole digraph of both degrees
+    rng = random.Random(11)
+    toy = _toy_two_cycle()
+    cases = [(toy, [Matching([Pair(1, 0, 0, 0)]), Matching([Pair(1, 1, 1, 0)]),
+                    Matching([Pair(1, 0, 0, 0), Pair(1, 1, 1, 0)])])]
+    ideals = [random_quasi_stable(seed, 2 + seed % 4, 3 + seed % 2,
+                                  2 + seed % 4) for seed in range(40)]
+    for ideal in ideals + positive_dimensional_ideals():
+        cplx = ps_complex(pommaret_basis(ideal))
+        cases.append((cplx, [build_matching_V(cplx)]
+                      + _random_unit_matchings(cplx, rng, 8)))
+    verdicts = []
+    for cplx, matchings in cases:
+        for matching in matchings:
+            for level in range(1, cplx.length + 1):
+                got = _has_cycle(cplx, matching, level)
+                assert got == reference_has_cycle(cplx, matching, level)
+                verdicts.append(got)
+    assert verdicts[:3] == [False, False, True]
+    assert verdicts.count(True) > 10 and len(verdicts) > 1000
 
 
 def test_morse_matching_rejects_non_unit(ideal_a):
@@ -189,11 +234,11 @@ def test_step_check_catches_a_dropped_correction(ideal_b, monkeypatch,
     set_entry = _Reducer._set
     dropped = []
 
-    def dropping_set(self, lvl, col, row, coeff, mono):
+    def dropping_set(self, lvl, col, row, coeff):
         if lvl == level and not dropped:
             dropped.append((col, row))
             return
-        set_entry(self, lvl, col, row, coeff, mono)
+        set_entry(self, lvl, col, row, coeff)
 
     monkeypatch.setattr(_Reducer, "_set", dropping_set)
     with pytest.raises(BrokenInvariant) as info:
@@ -217,13 +262,13 @@ def test_every_defect_that_changes_the_result_is_caught(ideal_b, monkeypatch,
     calls = [0]
     mutate = [None, None]  # k, "drop" or "plus1"
 
-    def mutated_set(self, level, col, row, coeff, mono):
+    def mutated_set(self, level, col, row, coeff):
         calls[0] += 1
         if calls[0] == mutate[0]:
             if mutate[1] == "drop":
                 return
             coeff += 1
-        set_entry(self, level, col, row, coeff, mono)
+        set_entry(self, level, col, row, coeff)
 
     monkeypatch.setattr(_Reducer, "_set", mutated_set)
     reduced = minimize(cplx)
@@ -351,9 +396,16 @@ def test_safety_net_sweep_on_symbol_complex():
 
 
 def _unit_keys(reducer):
-    """Sweep keys (-level, col, row) of a full scan for unit entries."""
+    """Sweep keys (-level, col, row) of a full scan for unit entries:
+    nonzero coefficients between generators of equal multidegree, read
+    from the multidegrees rather than the reducer's class ids."""
+    levels = reducer.cplx.levels
     return {(-level, col, row)
-            for level, row, col, _ in unit_entries(reducer.cols)}
+            for level in range(1, len(reducer.cols))
+            for col, column in reducer.cols[level].items()
+            for row, c in column.items()
+            if c != 0 and (levels[level][col].multidegree
+                           == levels[level - 1][row].multidegree)}
 
 
 def test_tracked_unit_entries_match_a_full_scan(ideal_b, monkeypatch):

@@ -5,10 +5,10 @@ import pytest
 
 from helpers import (ek_differential, ek_sign, random_ideal, random_stable,
                      reference_match, symbol_differential)
-from pommaret import (BettiTable, Symbol, betti_table, expected_ranks,
-                      pommaret_basis, ps_complex, ps_generators,
-                      render_differential, taylor_complex)
-from pommaret.errors import DegreeOutOfRange
+from pommaret import (BettiTable, FreeComplex, Symbol, betti_table,
+                      expected_ranks, minimize, pommaret_basis, ps_complex,
+                      ps_generators, render_differential, taylor_complex)
+from pommaret.errors import DegreeOutOfRange, NotAComplex
 from pommaret.resolution import _coeff_json, coeff_text
 
 
@@ -145,6 +145,32 @@ def test_ek_complex_stable(ideal_stable2):
     column = cplx.column(1, 0)
     assert column[lookup[Symbol(i_x, ())]] == (1, (0, 1))
     assert column[lookup[Symbol(i_y, ())]] == (-1, (2, 0))
+
+
+def test_construction_finds_classes_and_units(ideal_b):
+    # unit entries are found while the complex is proven multigraded, and
+    # come out by level, column, then row whatever order the dicts hold
+    symbol = ps_complex(pommaret_basis(ideal_b))
+    backwards = [None] + [
+        {col: dict(reversed(list(diff[col].items())))
+         for col in reversed(list(diff))} for diff in symbol.diffs[1:]]
+    cases = [symbol, taylor_complex(ideal_b), minimize(symbol),
+             FreeComplex(symbol.ring, symbol.ideal, symbol.levels, backwards,
+                         "pommaret", basis=symbol.basis)]
+    for cplx in cases:
+        assert cplx.unit_entries() == [
+            (i, row, col, c) for i in range(1, len(cplx.levels))
+            for row, col, c, m in cplx.entries(i) if c != 0 and not any(m)]
+        pairs = [(g.multidegree, cls) for level, ids in
+                 zip(cplx.levels, cplx.classes) for g, cls in zip(level, ids)]
+        assert len(set(pairs)) == len({md for md, _ in pairs}) == len(
+            {cls for _, cls in pairs})
+    assert len(symbol.unit_entries()) == 27
+    # one differential per level above 0
+    for diffs in (symbol.diffs[:-1], symbol.diffs + [{}]):
+        with pytest.raises(NotAComplex, match="differentials for 3 levels"):
+            FreeComplex(symbol.ring, symbol.ideal, symbol.levels, diffs,
+                        "pommaret", basis=symbol.basis)
 
 
 def test_taylor_complex(ideal_a):

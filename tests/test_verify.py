@@ -173,6 +173,9 @@ def test_check_complex_locates_failures(ideal_b):
     assert kinds == {"composite"}
     assert all(f["level"] == 2 and f["col"] == 0 for f in report.failures)
 
+    # an entry whose monomial is not the column's multidegree over the
+    # row's, or that reaches outside its levels, makes no complex: it is
+    # refused when the complex is built, before any check can run
     def wreck_mono(level_cols):
         col = sorted(level_cols)[0]
         row = sorted(level_cols[col])[0]
@@ -180,34 +183,34 @@ def test_check_complex_locates_failures(ideal_b):
         level_cols[col][row] = (c, tuple(2 * e for e in m) if any(m)
                                 else (1,) + m[1:])
 
-    report = check_complex(_corrupt(good, 1, wreck_mono))
-    assert not report.ok
-    assert any(f["kind"] == "inhomogeneous" and f["level"] == 1
-               for f in report.failures)
+    with pytest.raises(NotAComplex, match="multidegree over its row's"):
+        _corrupt(good, 1, wreck_mono)
 
     # an entry in a row whose multidegree does not divide the column's
     col = sorted(good.diffs[1])[0]
     src = good.levels[1][col].multidegree
     row = next(r for r, g in enumerate(good.levels[0])
                if any(a > b for a, b in zip(g.multidegree, src)))
-    report = check_complex(_corrupt(good, 1, lambda cols: cols[col].update(
-        {row: (1, (0, 0, 0))})))
-    assert {"kind": "inhomogeneous", "level": 1, "row": row, "col": col,
-            "mono": "1"} in report.failures
+    with pytest.raises(NotAComplex,
+                       match=r"entry \(%d, %d\) of d_1 is not" % (row, col)):
+        _corrupt(good, 1, lambda cols: cols[col].update(
+            {row: (1, (0, 0, 0))}))
     # the same row with src - dst as its entry: the difference has a
     # negative exponent, so it is not a monomial and proves no divisibility
     diff = tuple(a - b for a, b in zip(src, good.levels[0][row].multidegree))
-    report = check_complex(_corrupt(good, 1, lambda cols: cols[col].update(
-        {row: (1, diff)})))
-    assert any(f["kind"] == "inhomogeneous" and f["row"] == row
-               and f["col"] == col for f in report.failures)
+    with pytest.raises(NotAComplex, match="negative exponent"):
+        _corrupt(good, 1, lambda cols: cols[col].update({row: (1, diff)}))
 
     def bad_row(level_cols):
         col = sorted(level_cols)[0]
         level_cols[col][999] = (1, (0, 0, 0))
 
-    report = check_complex(_corrupt(good, 1, bad_row))
-    assert any(f["kind"] == "index" for f in report.failures)
+    with pytest.raises(NotAComplex, match="row 999 outside F_0"):
+        _corrupt(good, 1, bad_row)
+    with pytest.raises(NotAComplex, match="row -1 outside F_1"):
+        _corrupt(good, 2, lambda cols: cols[0].update({-1: (1, (0, 0, 0))}))
+    with pytest.raises(NotAComplex, match="column 99 outside F_2"):
+        _corrupt(good, 2, lambda cols: cols.update({99: {}}))
 
     def zero_coeff(level_cols):
         col = sorted(level_cols)[0]
@@ -236,7 +239,8 @@ def test_augmentation_composite_detected(ideal_a):
 
 
 def _reference_terms(cplx, i, col):
-    # the kernel's contract computed with Monomial products
+    # d_{i-1} o d_i on one column with Monomial products, as
+    # {(row, exps): coeff} before zero sums are dropped
     mono = cplx.ring.monomial
     acc = {}
     for row, (c1, m1) in cplx.diffs[i].get(col, {}).items():
@@ -248,7 +252,7 @@ def _reference_terms(cplx, i, col):
             key = (None, (mono(m1) * mono(cplx.levels[0][row].multidegree))
                    .exps)
             acc[key] = acc.get(key, 0) + c1
-    return {key: value for key, value in acc.items() if value != 0}
+    return acc
 
 
 def test_kernel_matches_monomial_products(ideal_b):
@@ -263,9 +267,21 @@ def test_kernel_matches_monomial_products(ideal_b):
     cases = [good, _corrupt(good, 1, flip_first), _corrupt(good, 2, flip_first)]
     columns = [(cplx, i, col) for cplx in cases
                for i in range(1, len(cplx.levels)) for col in cplx.diffs[i]]
-    want = [_reference_terms(*case) for case in columns]
+    reference = [_reference_terms(*case) for case in columns]
+    # in a complex that could be built, every path to a target row carries
+    # one monomial, the column's multidegree over the row's, so the kernel
+    # may sum coefficients alone
+    for (cplx, i, col), terms in zip(columns, reference):
+        src = cplx.levels[i][col].multidegree
+        for row, exps in terms:
+            below = ((0,) * len(src) if row is None
+                     else cplx.levels[i - 2][row].multidegree)
+            assert exps == tuple(a - b for a, b in zip(src, below))
+    want = [{row: value for (row, _exps), value in terms.items() if value}
+            for terms in reference]
     assert any(want)
-    got = [composite_terms(cplx.levels, cplx.diffs, i, col)
+    coeffs = {id(cplx): cplx.coefficients() for cplx in cases}
+    got = [composite_terms(coeffs[id(cplx)], i, col)
            for cplx, i, col in columns]
     assert check_complex(good).ok
     assert got == want
@@ -382,9 +398,10 @@ def test_strand_selector_matches_divisibility_scan(ideal_b):
 def test_unfiltered_strand_columns_need_homogeneity():
     # the Koszul syzygy of x1^2, x2^2 with its source multidegree cut to
     # x1^2*x2: d o d = 0 still holds, but the row x2^2 does not divide the
-    # column's multidegree, so the strand at x1^2*x2 selects the column
-    # without that row.  Strand columns are not filtered by row, so
-    # check_exactness must refuse the complex before any strand.
+    # column's multidegree, so the strand at x1^2*x2 would select the
+    # column without that row.  Strand columns are not filtered by row, so
+    # such a complex must be refused before any strand: it is refused when
+    # it is built.
     r = Ring(2)
     ideal = MonomialIdeal(r, [r.monomial([2, 0]), r.monomial([0, 2])])
     levels = [[Gen("a", (2, 0), "a"), Gen("b", (0, 2), "b")],
@@ -393,14 +410,12 @@ def test_unfiltered_strand_columns_need_homogeneity():
     good = FreeComplex(r, ideal, levels, diffs, "custom")
     assert check_exactness(good).ok
     levels[1] = [Gen("ab", (2, 1), "ab")]
-    bad = FreeComplex(r, ideal, levels, diffs, "custom")
-    assert [f["kind"] for f in check_complex(bad).failures] == [
-        "inhomogeneous", "inhomogeneous"]
-    selected, _ = _strand_selector(bad, 2)((2, 1))
-    assert selected == [[0], [0]]
-    assert set(_columns(bad, _integer_column)[1][0]) == {0, 1}
-    with pytest.raises(NotAComplex):
-        check_exactness(bad)
+    with pytest.raises(NotAComplex, match="multidegree over its row's"):
+        FreeComplex(r, ideal, levels, diffs, "custom")
+    # the entry toward b given as the quotient (2, 1) / (0, 2) = (2, -1)
+    diffs = [None, {0: {0: (1, (0, 1)), 1: (-1, (2, -1))}}]
+    with pytest.raises(NotAComplex, match="negative exponent"):
+        FreeComplex(r, ideal, levels, diffs, "custom")
 
 
 @pytest.mark.parametrize("gens, checks", [
