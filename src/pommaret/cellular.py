@@ -24,7 +24,7 @@ memo counts the nondegenerate orders.
 """
 
 from math import factorial
-from operator import le, sub
+from operator import le
 
 from .errors import ArityMismatch, MismatchedBases, TauNotNonMultiplicative
 from .resolution import (Symbol, ps_generators, symbol_facets,
@@ -172,8 +172,7 @@ def _reach(basis, memo, v, rest):
 def _make_cell(basis, memo, alpha, tau):
     verts, orders = _reach(basis, memo, alpha, tau)
     boundary = []
-    for j, (_k, face, rewritten, _t) in enumerate(
-            symbol_facets(basis, alpha, tau)):
+    for j, (face, rewritten) in enumerate(symbol_facets(basis, alpha, tau)):
         sign = 1 if j % 2 else -1
         boundary.append((face, sign))
         if rewritten is not None:
@@ -190,9 +189,9 @@ def supports_check(cellcomplex, cplx):
     cells' symbols in the cells' order) raise MismatchedBases; value
     mismatches are returned as failure strings.  A per-generator sign
     choice reconciling every differential entry with the cell boundary sign
-    is searched for; its absence is a failure.  Labels are compared on
-    exponent tuples; a facet label that does not divide its cell's label
-    has no quotient and raises ArityMismatch.
+    is searched for; its absence is a failure.  Labels are compared with
+    the generator multidegrees, which fix every entry's monomial; a facet
+    label that does not divide its cell's label raises ArityMismatch.
     """
     basis = cellcomplex.basis
     if cplx.basis is not basis and (
@@ -240,21 +239,17 @@ def supports_check(cellcomplex, cplx):
         for col, cell in enumerate(layer):
             key = cell.key()
             centries = {fkey: s for fkey, s in cell.boundary}
-            dentries = {cplx.levels[i - 1][row].key: (row, c, m)
-                        for row, (c, m) in cplx.diffs[i].get(col, {}).items()}
+            dentries = {cplx.levels[i - 1][row].key: (row, c)
+                        for row, c in cplx.diffs[i].get(col, {}).items()}
             if set(centries) != set(dentries):
                 failures.append("support of %r differs from d-entries" % (key,))
                 continue
             for fkey, s in centries.items():
-                row, c, m = dentries[fkey]
+                row, c = dentries[fkey]
                 facet = cellcomplex.lookup[fkey]
-                quotient = tuple(map(sub, cell.label.exps, facet.label.exps))
-                if min(quotient) < 0:
+                if not all(map(le, facet.label.exps, cell.label.exps)):
                     raise ArityMismatch("%s does not divide %s"
                                         % (facet.label, cell.label))
-                if m != quotient:
-                    failures.append("entry monomial at %r -> %r is not the "
-                                    "label quotient" % (key, fkey))
                 if abs(c) != 1:
                     failures.append("entry coefficient at %r -> %r is not "
                                     "a sign" % (key, fkey))

@@ -25,14 +25,13 @@ is checked on the columns a block changed once the block is done.
 
 Every complex was proven multigraded when it was built, and cancelling a
 unit pair keeps it so: an entry's monomial is fixed by the multidegrees of
-its row and column, and the elimination runs on coefficients alone
-(Batzies-Welker, J. reine angew. Math. 2002).
+its row and column, so complexes store coefficients alone and the
+elimination runs on them (Batzies-Welker, J. reine angew. Math. 2002).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import sub
 
 from .errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
                      NotPSComplex)
@@ -127,11 +126,12 @@ def is_morse_matching(cplx, matching):
                     else Matching(matching))
     except NotAMorseMatching:
         return False
+    cls = cplx.classes
     for p in matching.pairs:
         if not 1 <= p.level <= cplx.length:
             return False
-        entry = cplx.entry(p.level, p.target, p.source)
-        if entry is None or entry[0] == 0 or any(entry[1]):
+        if (not cplx.diffs[p.level].get(p.source, {}).get(p.target)
+                or cls[p.level][p.source] != cls[p.level - 1][p.target]):
             return False
     for level in range(1, cplx.length + 1):
         if _has_cycle(cplx, matching, level):
@@ -184,11 +184,9 @@ class ReducedComplex(FreeComplex):
 class _Reducer:
     """Mutable sparse copy of a complex supporting pair cancellation.
 
-    Columns are {row: coeff}; an entry's monomial is rebuilt, as its
-    column's multidegree over its row's, only for the entries that survive
-    (``compact``).  ``cls`` is the complex's ``classes``, and an entry is a
-    unit when its coefficient is nonzero and its row and column share a
-    class.
+    Columns are {row: coeff}, as in ``FreeComplex.diffs``.  ``cls`` is the
+    complex's ``classes``, and an entry is a unit when its coefficient is
+    nonzero and its row and column share a class.
 
     Each cancellation records the columns it changed; ``_local_check``
     proves d o d = 0 on them when the level of cancellation moves, and the
@@ -197,7 +195,9 @@ class _Reducer:
     def __init__(self, cplx, trace=False):
         self.cplx = cplx
         self.cls = cplx.classes
-        self.cols = cplx.coefficients()
+        self.cols = [None] + [{col: dict(column)
+                               for col, column in diff.items()}
+                              for diff in cplx.diffs[1:]]
         self.row_index = [None]
         for level_cols in self.cols[1:]:
             index = {}
@@ -327,9 +327,8 @@ class _Reducer:
 
     def compact(self, matching):
         """The surviving complex, after checking d o d = 0 on every
-        column, each entry's monomial rebuilt as its column's multidegree
-        over its row's; cancellations beyond the matching's pairs were the
-        safety net's."""
+        column, its generators and entries renumbered; cancellations
+        beyond the matching's pairs were the safety net's."""
         for level in range(1, len(self.cols)):
             for col in self.cols[level]:
                 self._compose_check(level, col)
@@ -342,15 +341,10 @@ class _Reducer:
             levels.append([level[j] for j in keep])
         diffs = [None]
         for i in range(1, len(levels)):
-            rows = cplx.levels[i - 1]
-            cols = {}
-            for col, column in self.cols[i].items():
-                src = cplx.levels[i][col].multidegree
-                cols[remap[i][col]] = {
-                    remap[i - 1][row]:
-                        (c, tuple(map(sub, src, rows[row].multidegree)))
-                    for row, c in column.items()}
-            diffs.append(cols)
+            rows = remap[i - 1]
+            diffs.append({remap[i][col]: {rows[row]: c
+                                          for row, c in column.items()}
+                          for col, column in self.cols[i].items()})
         while len(levels) > 1 and not levels[-1]:
             levels.pop()
             diffs.pop()

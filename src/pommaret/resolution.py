@@ -51,38 +51,29 @@ class FreeComplex:
     """A complex of free modules F_top -> ... -> F_0 -> I.
 
     ``levels[i]`` lists the generators of F_i; ``diffs[i]`` (i >= 1) holds
-    the differential F_i -> F_{i-1} as sparse columns
-    {col: {row: (coeff, exps)}}, exps the exponent tuple of the entry's
-    monomial.  Generator multidegrees are exponent tuples too, and
-    ``ring.text`` displays both.  The augmentation F_0 -> I sends each
-    level-0 generator to its multidegree with coefficient 1 and is left
-    implicit.
+    the differential F_i -> F_{i-1} as sparse columns {col: {row: coeff}}.
+    Generator multidegrees are exponent tuples, and ``ring.text`` displays
+    them.  An entry stores its coefficient alone: its monomial is its
+    column's multidegree over its row's, derived by ``entry``, ``entries``
+    and ``column``.  The augmentation F_0 -> I sends each level-0
+    generator to its multidegree with coefficient 1 and is left implicit.
 
     Every complex is proven multigraded once, when it is built: every
-    exponent tuple, and the ideal's ring, has ``ring.n`` entries, or
+    multidegree, and the ideal's ring, has ``ring.n`` entries, or
     ArityMismatch is raised; every entry lies inside its levels and its
-    exponents, none negative, are its column's multidegree minus its
-    row's, or NotAComplex is raised.  Complexes are frozen once built, so
-    the kernels that read one work on its coefficients alone.  The same
-    pass finds ``classes`` (per generator, an integer shared exactly by
-    the generators of its multidegree) and the unit entries.
+    row's multidegree divides its column's, or NotAComplex is raised.
+    Complexes are frozen once built, so the kernels that read one work on
+    its coefficients alone.  The same pass finds ``classes`` (per
+    generator, an integer shared exactly by the generators of its
+    multidegree) and the unit entries.
     """
 
     def __init__(self, ring, ideal, levels, diffs, provenance, basis=None):
         lengths = {len(g.multidegree) for level in levels for g in level}
         lengths.add(ideal.ring.n)
-        if lengths == {ring.n}:
-            try:
-                self.classes, self._units = _grading(levels, diffs, ring.n)
-            except NotAComplex:
-                # an entry from another ring is an arity fault first
-                lengths.update(len(m) for diff in diffs[1:]
-                               for column in diff.values()
-                               for _c, m in column.values())
-                if lengths == {ring.n}:
-                    raise
         if lengths != {ring.n}:
             raise ArityMismatch("monomials from different rings")
+        self.classes, self._units = _grading(levels, diffs)
         self.ring = ring
         self.ideal = ideal
         self.levels = levels
@@ -102,27 +93,28 @@ class FreeComplex:
 
     def entry(self, i, row, col):
         """(coeff, exps) of d_i at (row, col), or None."""
-        return self.diffs[i].get(col, {}).get(row)
+        c = self.diffs[i].get(col, {}).get(row)
+        return None if c is None else (c, self._mono(i, row, col))
 
     def entries(self, i):
         """All nonzero entries of d_i as (row, col, coeff, exps)."""
         for col, column in sorted(self.diffs[i].items()):
-            for row, (c, m) in sorted(column.items()):
-                yield row, col, c, m
+            for row, c in sorted(column.items()):
+                yield row, col, c, self._mono(i, row, col)
 
     def column(self, i, col):
-        return self.diffs[i].get(col, {})
+        """Column col of d_i as {row: (coeff, exps)}."""
+        return {row: (c, self._mono(i, row, col))
+                for row, c in self.diffs[i].get(col, {}).items()}
 
-    def coefficients(self):
-        """A fresh copy of the differentials as coefficient columns
-        {col: {row: coeff}}, the form ``composite_terms`` reads."""
-        return [None] + [{col: {row: c for row, (c, _m) in column.items()}
-                          for col, column in diff.items()}
-                         for diff in self.diffs[1:]]
+    def _mono(self, i, row, col):
+        return tuple(map(sub, self.levels[i][col].multidegree,
+                         self.levels[i - 1][row].multidegree))
 
     def unit_entries(self):
         """(level, row, col, coeff) of every invertible scalar entry
-        (exponents 0, coeff != 0), by level, column, then row."""
+        (row and column of one multidegree, coeff != 0), by level,
+        column, then row."""
         return list(self._units)
 
     def to_json_dict(self):
@@ -153,17 +145,17 @@ class FreeComplex:
         return "FreeComplex(%s, ranks=%r)" % (self.provenance, list(self.ranks()))
 
 
-def _grading(levels, diffs, n):
+def _grading(levels, diffs):
     """(classes, units) of a multigraded complex, or NotAComplex.
 
     A multidegree is coded as the integer sum of e_f * B**f, B a power of
     two above eight times every generator exponent's absolute value;
-    ``classes`` holds the generators' codes.  Each distinct entry monomial
-    m is checked once (n exponents, none negative or above twice that
-    bound) and coded once.  Every field of column - row - m then lies
-    strictly between -B/2 and B/2, so the entry is homogeneous exactly
-    when code(column) - code(m) = code(row).  ``units`` lists (level, row,
-    col, coeff) of the entries with monomial 1 and coeff != 0, in order.
+    ``classes`` holds the generators' codes.  Every field of column - row
+    then lies strictly between -B/2 and B/2, so with G the code of
+    (B/2, ..., B/2) the sum code(column) + G - code(row) has no carries,
+    and the row's multidegree divides the column's exactly when that sum
+    keeps every bit of G.  ``units`` lists (level, row, col, coeff) of the
+    entries with coeff != 0 whose row and column share a class, in order.
     """
     if len(diffs) != len(levels):
         raise NotAComplex("%d differentials for %d levels"
@@ -180,7 +172,7 @@ def _grading(levels, diffs, n):
         return c
 
     classes = [[code(g.multidegree) for g in level] for level in levels]
-    codes = {}
+    half = code((1 << shift - 1,) * len(mds[0])) if mds else 0
     units = []
     for i in range(1, len(levels)):
         rows = classes[i - 1]
@@ -190,25 +182,17 @@ def _grading(levels, diffs, n):
             if not 0 <= col < len(cols):
                 raise NotAComplex("d_%d has column %r outside F_%d"
                                   % (i, col, i))
-            src = cols[col]
-            for row, (c, m) in column.items():
+            src = cols[col] + half
+            for row, c in column.items():
                 if not 0 <= row < n_rows:
                     raise NotAComplex("d_%d has row %r outside F_%d"
                                       % (i, row, i - 1))
-                mc = codes.get(m)
-                if mc is None:
-                    if min(m, default=0) < 0:
-                        raise NotAComplex("entry (%d, %d) of d_%d has a "
-                                          "negative exponent" % (row, col, i))
-                    # no quotient of two generators has another length or
-                    # a larger exponent
-                    if len(m) == n and max(m) <= 2 * bound:
-                        mc = codes[m] = code(m)
-                if mc is None or src - mc != rows[row]:
-                    raise NotAComplex("entry (%d, %d) of d_%d is not its "
-                                      "column's multidegree over its row's"
-                                      % (row, col, i))
-                if not mc and c != 0:
+                dst = rows[row]
+                if (src - dst) & half != half:
+                    raise NotAComplex("entry (%d, %d) of d_%d: its row's "
+                                      "multidegree does not divide its "
+                                      "column's" % (row, col, i))
+                if dst == cols[col] and c != 0:
                     units.append((i, row, col, c))
     units.sort(key=lambda u: (u[0], u[2], u[1]))
     return classes, units
@@ -217,10 +201,10 @@ def _grading(levels, diffs, n):
 def composite_terms(diffs, i, col):
     """Nonzero coefficients of d_{i-1} o d_i on column ``col`` of d_i as
     {row of F_{i-2}: value}, or of the augmentation o d_1 (i = 1) as
-    {None: value}, on coefficient columns {col: {row: coeff}}.  In a
-    complex that ``FreeComplex`` accepted, every path from col to a row
-    carries the one monomial col's multidegree over the row's, so only
-    coefficients are summed."""
+    {None: value}, on coefficient columns {col: {row: coeff}} such as
+    ``FreeComplex.diffs``.  In a complex that ``FreeComplex`` accepted,
+    every path from col to a row carries the one monomial col's
+    multidegree over the row's, so only coefficients are summed."""
     column = diffs[i].get(col, {})
     if i == 1:
         total = sum(column.values())
@@ -273,16 +257,18 @@ def ps_generators(basis, i):
 
 
 def symbol_facets(basis, alpha, u):
-    """For each variable x_k of u, in order: (k, (alpha, rest), rewritten, t)
+    """For each variable x_k of u, in order: ((alpha, rest), rewritten)
     with rest = u minus k and x_k h_alpha = t h_beta.  ``rewritten`` is
     (beta, rest), or None when rest meets the multiplicative variables of
-    h_beta and the rewritten term is dropped."""
+    h_beta and the rewritten term is dropped.  The entry monomials x_k and
+    t are (alpha, u)'s multidegree over the facets', so they are not
+    yielded."""
     classes = basis.classes
     for j, k in enumerate(u):
         rest = u[:j] + u[j + 1:]
-        beta, t = basis.delta[(alpha, k)]
+        beta = basis.delta[(alpha, k)][0]
         legal = all(v > classes[beta] for v in rest)
-        yield k, (alpha, rest), (beta, rest) if legal else None, t
+        yield (alpha, rest), (beta, rest) if legal else None
 
 
 def expected_ranks(basis):
@@ -309,20 +295,18 @@ def ps_complex(basis):
                     symbol_text(basis, s.alpha, s.u)) for s in syms]
         levels.append(gens)
         lookup.append({s: j for j, s in enumerate(syms)})
-    xs = [None] + [tuple(int(j == k) for j in range(1, ring.n + 1))
-                   for k in range(1, ring.n + 1)]
     diffs = [None]
     for i in range(1, top + 1):
         below = lookup[i - 1]
         cols = {}
         for cidx, g in enumerate(levels[i]):
             column = {}
-            for j, (k, face, rewritten, t) in enumerate(
+            for j, (face, rewritten) in enumerate(
                     symbol_facets(basis, *g.key)):
                 sign = 1 if (i - 1 - j) % 2 == 0 else -1
-                column[below[face]] = (sign, xs[k])
+                column[below[face]] = sign
                 if rewritten is not None:
-                    column[below[rewritten]] = (-sign, t.exps)
+                    column[below[rewritten]] = -sign
             cols[cidx] = column
         diffs.append(cols)
     return FreeComplex(ring, basis.ideal, levels, diffs, "pommaret",
@@ -339,7 +323,6 @@ def taylor_complex(ideal):
     m = len(gens)
     levels = []
     lookup = []
-    mds = {}
     for i in range(m):
         level = []
         table = {}
@@ -347,7 +330,6 @@ def taylor_complex(ideal):
             md = gens[face[0]].exps
             for g in face[1:]:
                 md = tuple(map(max, md, gens[g].exps))
-            mds[face] = md
             text = "{" + ", ".join(str(gens[g]) for g in face) + "}"
             table[face] = len(level)
             level.append(Gen(Face(face), md, text))
@@ -360,10 +342,8 @@ def taylor_complex(ideal):
             face = g.key.gens
             column = {}
             for j in range(len(face)):
-                rest = face[:j] + face[j + 1:]
-                sign = 1 if j % 2 == 0 else -1
-                column[lookup[i - 1][rest]] = (
-                    sign, tuple(map(sub, mds[face], mds[rest])))
+                column[lookup[i - 1][face[:j] + face[j + 1:]]] = (
+                    1 if j % 2 == 0 else -1)
             cols[cidx] = column
         diffs.append(cols)
     return FreeComplex(ring, ideal, levels, diffs, "taylor")

@@ -12,9 +12,9 @@ The sweep runs on integers built once per complex: lattice points are bit
 codes over each variable's distinct exponents (a join is one OR), strand
 selection ANDs one prefix bitmask per variable, and every column of every
 d_i is a GF(2) bit column (bit r set where the integer entry in row r is
-odd).  No row filter is needed: every complex was proven homogeneous,
-with nonnegative exponents, when it was built (see ``FreeComplex``), so
-each row of a selected column divides mu too.
+odd).  No row filter is needed: every complex was proven multigraded
+when it was built, each entry's row dividing its column (see
+``FreeComplex``), so each row of a selected column divides mu too.
 
 One walk, ``_rank_walk``, tests rank(d_i) + rank(d_{i+1}) = size_i at
 every position of a strand, with the rank routine it is given.  It runs
@@ -30,7 +30,8 @@ report a failure, and it is rare (no strand of the verify workloads in
 ``perfbench`` reaches it), so it is kept simple rather than fast.
 
 Arity, indices and homogeneity were all checked when the complex was
-built, so nothing here checks them again.
+built, and a complex stores each entry as its coefficient alone, so
+everything here reads coefficients and checks none of that again.
 """
 
 import random
@@ -119,19 +120,20 @@ def check_complex(cplx):
     """d o d = 0, including the augmentation, and no zero entries;
     failures carry a located witness.  ``FreeComplex`` proved indices and
     homogeneity when the complex was built, so ``composite_terms`` runs on
-    the coefficients, and a witness's monomial is its column's multidegree
-    over its target's (or the column's own, against the augmentation)."""
+    the stored coefficients, and a witness's monomial is its column's
+    multidegree over its target's (or the column's own, against the
+    augmentation)."""
     levels = cplx.levels
-    coeffs = cplx.coefficients()
+    diffs = cplx.diffs
     failures = [{"kind": "zero-entry", "level": i, "row": row, "col": col}
                 for i in range(1, len(levels))
-                for col, column in sorted(coeffs[i].items())
+                for col, column in sorted(diffs[i].items())
                 if 0 in column.values()
                 for row in sorted(r for r, c in column.items() if c == 0)]
     for i in range(1, len(levels)):
-        for col in sorted(coeffs[i]):
+        for col in sorted(diffs[i]):
             src = levels[i][col].multidegree
-            terms = composite_terms(coeffs, i, col)
+            terms = composite_terms(diffs, i, col)
             for target, value in sorted(terms.items(),
                                         key=lambda kv: str(kv[0])):
                 mono = src if target is None else tuple(
@@ -193,17 +195,17 @@ def _strand_selector(cplx, n):
 
 
 def _integer_column(column):
-    """{row: integer} for one column {row: (coefficient, monomial)} of a
-    differential.  Fraction entries (reduced complexes after a non-unit
-    pivot) are cleared, and scaling a column keeps every rank."""
-    ints = {r: c for r, (c, _m) in column.items()}
+    """{row: integer} for one column {row: coefficient} of a differential,
+    the column itself when it holds no fraction.  Fraction entries
+    (reduced complexes after a non-unit pivot) are cleared, and scaling a
+    column keeps every rank."""
     scale = 1
-    for c in ints.values():
+    for c in column.values():
         if isinstance(c, Fraction):
             scale = lcm(scale, c.denominator)
-    if scale != 1:
-        ints = {r: int(c * scale) for r, c in ints.items()}
-    return ints
+    if scale == 1:
+        return column
+    return {r: int(c * scale) for r, c in column.items()}
 
 
 def _parity_column(column):

@@ -154,12 +154,11 @@ def halve_generator(cplx, i, col):
     for lvl in range(1, len(cplx.levels)):
         diffs.append({c: dict(column)
                       for c, column in cplx.diffs[lvl].items()})
-    diffs[i][col] = {row: (Fraction(c, 2), m)
-                     for row, (c, m) in diffs[i][col].items()}
+    diffs[i][col] = {row: Fraction(c, 2)
+                     for row, c in diffs[i][col].items()}
     for column in diffs[i + 1].values():
         if col in column:
-            c, m = column[col]
-            column[col] = (2 * c, m)
+            column[col] *= 2
     return FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
                        cplx.provenance, basis=cplx.basis)
 
@@ -361,7 +360,7 @@ def reference_match(cplx, ref_levels, ref_entries):
         sign[(0, md)] = 1
     for lvl in range(1, len(ref_levels)):
         for col_md in ref_levels[lvl]:
-            col = cplx.diffs[lvl].get(where[lvl][col_md], {})
+            col = cplx.column(lvl, where[lvl][col_md])
             mine = {}
             for row, (c, m) in col.items():
                 mine[cplx.levels[lvl - 1][row].multidegree] = (c, m)

@@ -283,8 +283,7 @@ def test_criterion_8_negative_paths(tmp_path, capsys):
                       for i in range(1, len(good.levels))]
     col = sorted(diffs[2])[0]
     row = sorted(diffs[2][col])[0]
-    c, m = diffs[2][col][row]
-    diffs[2][col][row] = (-c, m)
+    diffs[2][col][row] = -diffs[2][col][row]
     bad = FreeComplex(good.ring, good.ideal, good.levels, diffs,
                       good.provenance, basis=good.basis)
     report = check_complex(bad)

@@ -1,4 +1,5 @@
 from itertools import permutations
+from operator import gt
 
 import pytest
 
@@ -200,25 +201,29 @@ def test_supports_check_detects_corruption(ideal_a):
     good = ps_complex(basis)
 
     diffs = _deep_diffs(good)
-    (row, (c, m)) = sorted(diffs[1][2].items())[0]
-    diffs[1][2][row] = (2 * c, m)              # coefficient not a sign
+    row = sorted(diffs[1][2])[0]
+    diffs[1][2][row] *= 2                      # coefficient not a sign
     report = supports_check(cells, _copy_with_diffs(good, diffs))
     assert not report.ok
     assert any("not a sign" in f for f in report.failures)
 
-    # a wrong entry monomial no longer makes a complex; a wrong cell label
-    # still disagrees with the entry monomials
-    diffs = _deep_diffs(good)
-    (row, (c, m)) = sorted(diffs[1][2].items())[0]
-    diffs[1][2][row] = (c, tuple(2 * e for e in m) if any(m) else
-                        (1,) + m[1:])
-    with pytest.raises(NotAComplex):
-        _copy_with_diffs(good, diffs)
+    # entry monomials are the generators' multidegrees over each other,
+    # so a wrong cell label disagrees with them through its generator's
+    # multidegree; an entry in a row that does not divide its column
+    # makes no complex
     cell = cells.cells[1][2]
     cell.label = cell.label * basis.ring.variable(1)
     report = supports_check(cells, good)
     assert not report.ok
-    assert any("label quotient" in f for f in report.failures)
+    assert report.failures[0] == (
+        "label of %r is not the symbol multidegree" % (cell.key(),))
+    src = good.levels[1][0].multidegree
+    row = next(r for r, g in enumerate(good.levels[0])
+               if any(map(gt, g.multidegree, src)))
+    diffs = _deep_diffs(good)
+    diffs[1][0][row] = 1
+    with pytest.raises(NotAComplex, match="does not divide"):
+        _copy_with_diffs(good, diffs)
 
     diffs = _deep_diffs(good)
     row = sorted(diffs[1][2])[0]
@@ -273,8 +278,7 @@ def test_supports_check_detects_sign_inconsistency(ideal_b):
     col = {g.key: i for i, g in enumerate(good.levels[1])}[Symbol(0, (2,))]
     row = {g.key: i for i, g in enumerate(good.levels[0])}[Symbol(0, ())]
     diffs = _deep_diffs(good)
-    c, m = diffs[1][col][row]
-    diffs[1][col][row] = (-c, m)
+    diffs[1][col][row] = -diffs[1][col][row]
     report = supports_check(cells, _copy_with_diffs(good, diffs))
     assert not report.ok
     assert any("sign choice" in f for f in report.failures)

@@ -1,9 +1,11 @@
-"""Frozen digests of the reducer's and the d o d = 0 check's outputs.
+"""Frozen digests of the complexes', the reducer's and the d o d = 0
+check's outputs.
 
 Each digest is the sha256 of one JSON line per record, keys sorted, over a
-fixed corpus.  They were taken from the program while its reducer and its
-d o d = 0 kernel still carried exponent tuples for every entry; the
-coefficient-only versions must give the same bytes.
+fixed corpus.  They were taken from the program while every stored entry
+still carried its exponent tuple, and while its reducer and its d o d = 0
+kernel still read them; with entries stored as coefficients and their
+monomials derived, the outputs must keep the same bytes.
 """
 
 import hashlib
@@ -13,12 +15,15 @@ import pytest
 
 from helpers import positive_dimensional_ideals, rp2_ideal
 from pommaret import (FreeComplex, check_complex, minimize, pommaret_basis,
-                      ps_complex, random_quasi_stable, taylor_complex)
+                      ps_complex, random_quasi_stable, render_differential,
+                      taylor_complex)
 
 # the reproducers of perfbench/README.md, "Known defect": V leaves unit
 # entries that fill-in created, and the safety-net sweep cancels them
 REPRODUCERS = [(31000, 4, 6, 8), (2520, 5, 4, 6), (3774, 5, 4, 6),
                (3452, 5, 6, 8), (115, 6, 4, 8)]
+# the second labelling of RP^2 divides by the -2 pivot when minimized
+RP2_LABELS = ((1, 2, 3, 4, 5, 6), (6, 2, 1, 5, 4, 3))
 
 
 def _digest(records):
@@ -40,15 +45,58 @@ def _minimized(complexes):
     return _digest(records), traces
 
 
-def _random_corpus():
-    for seed in range(400):
-        ideal = random_quasi_stable(seed, 2 + seed % 4, 2 + seed % 3,
-                                    1 + seed % 4)
-        yield ps_complex(pommaret_basis(ideal))
+def _ideals(corpus):
+    if corpus == "random":
+        return (random_quasi_stable(seed, 2 + seed % 4, 2 + seed % 3,
+                                    1 + seed % 4) for seed in range(400))
+    if corpus == "positive-dimensional":
+        return positive_dimensional_ideals()
+    if corpus == "reproducers":
+        return (random_quasi_stable(*args) for args in REPRODUCERS)
+    return (rp2_ideal(relabel) for relabel in RP2_LABELS)
 
 
 def _symbol(ideals):
     return (ps_complex(pommaret_basis(ideal)) for ideal in ideals)
+
+
+def _rendered(cplx):
+    """The JSON form of a complex, then the text grid of every d_i."""
+    return [cplx.to_json_dict()] + [render_differential(cplx, i)
+                                    for i in range(1, len(cplx.levels))]
+
+
+BUILT = {
+    "random":
+        "69bd546b1ee25ccf6b1fe3edd1c9ca18223a675f2e6c319147ee2d94303168cb",
+    "positive-dimensional":
+        "fee9d82c58062f167f77c554293e804aa66f7070cbf0c8e25a703b23dda473d7",
+    "reproducers":
+        "088fcba63a02ad54c6bb1b87bf38ce8a96764c16f3bcc27b87d748aa3aa6f103",
+    "rp2-taylor":
+        "56cba81fbff22537644d060624991d7ab034c44409834da9b39879dfc2da4bcf",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(BUILT))
+def test_built_complexes_are_frozen(corpus):
+    """Every entry monomial shown is derived from the multidegrees: the
+    JSON and text of each symbol complex, and the JSON of the Taylor
+    complex of each ideal with at most 8 generators (RP^2 is not
+    quasi-stable: its Taylor complexes, JSON and text)."""
+    records = []
+    taylor = 0
+    for ideal in _ideals(corpus):
+        if corpus == "rp2-taylor":
+            records += _rendered(taylor_complex(ideal))
+            taylor += 1
+            continue
+        records += _rendered(ps_complex(pommaret_basis(ideal)))
+        if len(ideal.gens) <= 8:
+            records.append(taylor_complex(ideal).to_json_dict())
+            taylor += 1
+    assert taylor
+    assert _digest(records) == BUILT[corpus]
 
 
 MINIMIZED = {
@@ -65,17 +113,10 @@ MINIMIZED = {
 
 @pytest.mark.parametrize("corpus", sorted(MINIMIZED))
 def test_minimize_outputs_are_frozen(corpus):
-    if corpus == "random":
-        complexes = _random_corpus()
-    elif corpus == "positive-dimensional":
-        complexes = _symbol(positive_dimensional_ideals())
-    elif corpus == "reproducers":
-        complexes = _symbol(random_quasi_stable(*args)
-                            for args in REPRODUCERS)
+    if corpus == "rp2-taylor":
+        complexes = map(taylor_complex, _ideals(corpus))
     else:
-        # the second labelling divides by the -2 pivot
-        complexes = [taylor_complex(rp2_ideal(relabel))
-                     for relabel in ((1, 2, 3, 4, 5, 6), (6, 2, 1, 5, 4, 3))]
+        complexes = _symbol(_ideals(corpus))
     digest, traces = _minimized(complexes)
     lambdas = {rec["lambda"] for trace in traces for rec in trace}
     if corpus == "reproducers":
@@ -94,8 +135,7 @@ def _flipped(cplx, level, col, row):
     """cplx with the sign of one entry of d_level flipped."""
     diffs = [None] + [{c: dict(column) for c, column in diff.items()}
                       for diff in cplx.diffs[1:]]
-    c, m = diffs[level][col][row]
-    diffs[level][col][row] = (-c, m)
+    diffs[level][col][row] = -diffs[level][col][row]
     return FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
                        cplx.provenance, basis=cplx.basis)
 
@@ -103,7 +143,7 @@ def _flipped(cplx, level, col, row):
 def _zeroed(cplx, level, col, row):
     diffs = [None] + [{c: dict(column) for c, column in diff.items()}
                       for diff in cplx.diffs[1:]]
-    diffs[level][col][row] = (0, diffs[level][col][row][1])
+    diffs[level][col][row] = 0
     return FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
                        cplx.provenance, basis=cplx.basis)
 

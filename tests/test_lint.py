@@ -119,11 +119,13 @@ def test_arity_checked_where_a_complex_is_built():
 
 
 def test_reducer_and_kernel_carry_coefficients_only():
-    """Every complex is proven multigraded when it is built, so the Morse
-    reducer's cancellation and the d o d = 0 kernel read no exponent
-    tuple: they build, add, subtract and compare none, unpack no
-    (coeff, exps) entry and read no multidegree."""
+    """Every complex is proven multigraded when it is built and stores
+    coefficients alone, so the Morse reducer's cancellation and
+    compaction and the d o d = 0 kernel read no exponent tuple: they
+    build, add, subtract and compare none, unpack no (coeff, exps) entry
+    and read no multidegree."""
     targets = {("morse.py", "cancel"), ("morse.py", "_set"),
+               ("morse.py", "compact"),
                ("resolution.py", "composite_terms")}
     tuple_ops = {"add", "sub", "map", "tuple", "zip", "any", "all"}
     seen = set()

@@ -81,7 +81,7 @@ def test_matching_v_leaves_stray_units_to_the_sweep():
     diffs[2] = dict(diffs[2])
     diffs[2][col] = dict(diffs[2][col])
     assert row not in diffs[2][col]
-    diffs[2][col][row] = (1, (0, 0, 0, 0, 0))
+    diffs[2][col][row] = 1
     stray = FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
                         "pommaret", basis=cplx.basis)
     assert (2, row, col, 1) in stray.unit_entries()
@@ -117,8 +117,7 @@ def _toy_two_cycle():
     x = (1,)
     levels = [[Gen("b", x, "b"), Gen("b'", x, "b'")],
               [Gen("a", x, "a"), Gen("a'", x, "a'")]]
-    diffs = [None, {0: {0: (1, (0,)), 1: (-1, (0,))},
-                    1: {0: (1, (0,)), 1: (-1, (0,))}}]
+    diffs = [None, {0: {0: 1, 1: -1}, 1: {0: 1, 1: -1}}]
     return FreeComplex(r, ideal, levels, diffs, "custom")
 
 
@@ -312,21 +311,20 @@ def test_fill_in_multiplies_no_monomial(ideal_b, monkeypatch):
                                   "ideal"])
 def test_fill_in_rejects_mixed_arity(wide):
     # F_1 = <a, b>, F_0 = <p, q>, d a = p - q, d b = y p; cancelling a -> p
-    # would give b the fill-in entry y q.  One tuple comes from Ring(4):
-    # an entry of either factor of that product, a level-0 multidegree, or
-    # the ideal's ring.  The complex is refused when it is built, so the
-    # reducer never meets it.
+    # would give b the fill-in entry y q.  One multidegree comes from
+    # Ring(4): of the corrected column b, of the cancelled source a, of a
+    # level-0 generator, or the ideal's ring.  The complex is refused when
+    # it is built, so the reducer never meets it.
     r3 = Ring(3)
-    x, y, unit = (1, 0, 0), (0, 1, 0), (0, 0, 0)
+    x = (1, 0, 0)
     ideal = MonomialIdeal(r3, [r3.variable(1)])
     levels = [[Gen("p", x, "p"), Gen("q", x, "q")],
               [Gen("a", x, "a"), Gen("b", (1, 1, 0), "b")]]
-    diffs = [None, {0: {0: (1, unit), 1: (-1, unit)},
-                    1: {0: (1, y)}}]
+    diffs = [None, {0: {0: 1, 1: -1}, 1: {0: 1}}]
     if wide == "corrected":
-        diffs[1][1][0] = (1, (0, 1, 0, 0))      # x2 of Ring(4)
+        levels[1][1] = Gen("b", (1, 1, 0, 0), "b")
     elif wide == "source":
-        diffs[1][0][1] = (-1, (0, 0, 0, 0))     # the unit of Ring(4)
+        levels[1][0] = Gen("a", (1, 0, 0, 0), "a")
     elif wide == "level-0":
         levels[0][1] = Gen("q", (1, 0, 0, 0), "q")
     else:

@@ -1,13 +1,14 @@
 from fractions import Fraction
-from operator import add
 
 import pytest
 
+import pommaret.resolution
 from helpers import (ek_differential, ek_sign, random_ideal, random_stable,
                      reference_match, symbol_differential)
 from pommaret import (BettiTable, FreeComplex, Symbol, betti_table,
-                      expected_ranks, minimize, pommaret_basis, ps_complex,
-                      ps_generators, render_differential, taylor_complex)
+                      check_complex, expected_ranks, minimize, pommaret_basis,
+                      ps_complex, ps_generators, random_quasi_stable,
+                      render_differential, taylor_complex)
 from pommaret.errors import DegreeOutOfRange, NotAComplex
 from pommaret.resolution import _coeff_json, coeff_text
 
@@ -102,12 +103,26 @@ def test_dropped_rewrite_terms(ideal_b):
 
 
 def test_homogeneity(ideal_b):
-    cplx = ps_complex(pommaret_basis(ideal_b))
-    for i in range(1, len(cplx.levels)):
-        for row, col, c, m in cplx.entries(i):
-            src = cplx.levels[i][col].multidegree
-            dst = cplx.levels[i - 1][row].multidegree
-            assert tuple(map(add, dst, m)) == src
+    # an entry's monomial is derived from the multidegrees; it must be the
+    # paper's: x_k toward [h, u - k], t toward [h', u - k] where
+    # x_k h = t h' in the rewrite map
+    for ideal in (ideal_b, random_quasi_stable(4, 4, 3, 3)):
+        basis = pommaret_basis(ideal)
+        cplx = ps_complex(basis)
+        ring = ideal.ring
+        for i in range(1, len(cplx.levels)):
+            below = {g.key: row for row, g in enumerate(cplx.levels[i - 1])}
+            for col, g in enumerate(cplx.levels[i]):
+                alpha, u = g.key
+                want = {}
+                for k in u:
+                    rest = tuple(j for j in u if j != k)
+                    want[below[Symbol(alpha, rest)]] = ring.variable(k).exps
+                    beta, t = basis.delta[(alpha, k)]
+                    if Symbol(beta, rest) in below:
+                        want[below[Symbol(beta, rest)]] = t.exps
+                assert {row: m for row, (_c, m)
+                        in cplx.column(i, col).items()} == want
 
 
 def test_ek_sign_rule(ideal_b):
@@ -147,7 +162,14 @@ def test_ek_complex_stable(ideal_stable2):
     assert column[lookup[Symbol(i_y, ())]] == (-1, (2, 0))
 
 
-def test_construction_finds_classes_and_units(ideal_b):
+def test_construction_finds_classes_and_units(ideal_a, ideal_b):
+    # every entry is stored as its coefficient alone
+    for ideal in (ideal_a, ideal_b):
+        symbol = ps_complex(pommaret_basis(ideal))
+        for cplx in (symbol, taylor_complex(ideal), minimize(symbol)):
+            assert all(type(c) in (int, Fraction)
+                       for diff in cplx.diffs[1:]
+                       for column in diff.values() for c in column.values())
     # unit entries are found while the complex is proven multigraded, and
     # come out by level, column, then row whatever order the dicts hold
     symbol = ps_complex(pommaret_basis(ideal_b))
@@ -171,6 +193,42 @@ def test_construction_finds_classes_and_units(ideal_b):
         with pytest.raises(NotAComplex, match="differentials for 3 levels"):
             FreeComplex(symbol.ring, symbol.ideal, symbol.levels, diffs,
                         "pommaret", basis=symbol.basis)
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_wrong_rewrite_target_is_still_caught(monkeypatch, step):
+    # entry monomials are derived, so nothing compares them with x_k and
+    # t.  Rewriting x_k [h, u] by the rewrite of another variable of u
+    # (the one step places away in u) must still be refused when the
+    # complex is built, or fail d o d = 0.  The rewrite is dropped when
+    # the wrong target is not a symbol, so some mutated complexes are
+    # built; where it is kept, the row never divides the column
+    def wrong_target(basis, alpha, u):
+        for j, k in enumerate(u):
+            rest = u[:j] + u[j + 1:]
+            beta = basis.delta[(alpha, u[(j + step) % len(u)])][0]
+            legal = all(v > basis.classes[beta] for v in rest)
+            yield (alpha, rest), (beta, rest) if legal else None
+
+    mutated = built = 0
+    for seed in range(60):
+        basis = pommaret_basis(random_quasi_stable(
+            seed, 3 + seed % 3, 3, 2 + seed % 3))
+        good = ps_complex(basis)
+        with monkeypatch.context() as m:
+            m.setattr(pommaret.resolution, "symbol_facets", wrong_target)
+            try:
+                bad = ps_complex(basis)
+            except NotAComplex:
+                mutated += 1
+                continue
+        if bad.diffs == good.diffs:
+            continue  # no rewrite changed
+        mutated += 1
+        built += 1
+        assert not check_complex(bad).ok, seed
+    assert mutated >= 40
+    assert built >= 1
 
 
 def test_taylor_complex(ideal_a):
