@@ -236,7 +236,7 @@ def _render_complex_text(cplx):
     lines = ["%s resolution, ranks %s" % (
         cplx.provenance, "  ".join(str(r) for r in cplx.ranks()))]
     for i, level in enumerate(cplx.levels):
-        lines.append("F_%d: %s" % (i, "  ".join(g.text for g in level)))
+        lines.append("F_%d: %s" % (i, "  ".join(map(cplx.text, level))))
     for i in range(1, len(cplx.levels)):
         lines.append("")
         lines.append(render_differential(cplx, i))
@@ -269,7 +269,7 @@ def _cmd_cellular(args):
                 lines.append("dim %d  [%s | %s]  label=%s  vertices={%s}" % (
                     c.dim, basis.elements[c.alpha],
                     "*".join(basis.ring.names[k - 1] for k in c.tau) or "1",
-                    c.label, verts))
+                    basis.ring.text(c.label), verts))
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -206,24 +206,15 @@ class _Reducer:
                     index.setdefault(row, set()).add(col)
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
-        # once tracked, a heap of keys (-level, col, row) holding every
-        # unit entry, plus stale keys that ``least_unit`` skips
-        self.units = None
+        # heap of keys (-level, col, row) of the units construction found and
+        # of every unit ``_set`` writes; ``least_unit`` drops stale keys
+        self.units = [(-level, col, row)
+                      for level, row, col, _ in cplx.unit_entries()]
+        heapify(self.units)
         self.trace = [] if trace else None
         self.cancelled = 0
         self.dirty = set()  # (level, col) changed since the last check
         self.level = None   # level of the last cancellation
-
-    def track_units(self):
-        """Keep ``units`` from now on, seeded from a scan; ``_set`` pushes
-        every unit entry it writes."""
-        cls = self.cls
-        self.units = [(-level, col, row)
-                      for level in range(1, len(self.cols))
-                      for col, column in self.cols[level].items()
-                      for row, c in column.items()
-                      if c != 0 and cls[level][col] == cls[level - 1][row]]
-        heapify(self.units)
 
     def least_unit(self):
         """The least key (-level, col, row) of a live unit entry, or None;
@@ -249,8 +240,7 @@ class _Reducer:
                 coeff = int(coeff)
             column[row] = coeff
             self.row_index[level].setdefault(row, set()).add(col)
-            if (self.units is not None
-                    and self.cls[level][col] == self.cls[level - 1][row]):
+            if self.cls[level][col] == self.cls[level - 1][row]:
                 heappush(self.units, (-level, col, row))
 
     def cancel(self, pair):
@@ -301,10 +291,11 @@ class _Reducer:
         self.alive[level - 1].discard(t)
         self.cancelled += 1
         if self.trace is not None:
+            cplx = self.cplx
             self.trace.append({
                 "level": level, "source": s, "target": t,
-                "source_text": self.cplx.levels[level][s].text,
-                "target_text": self.cplx.levels[level - 1][t].text,
+                "source_text": cplx.text(cplx.levels[level][s]),
+                "target_text": cplx.text(cplx.levels[level - 1][t]),
                 "var": pair.var, "lambda": lam_c,
                 "updated": sorted(touched),
             })
@@ -385,7 +376,6 @@ def minimize(cplx, trace=False):
     else:
         matching = Matching(())
     reducer = _cancel_matching(cplx, matching, trace)
-    reducer.track_units()
     # highest level first, then lowest column, then lowest row
     while (key := reducer.least_unit()) is not None:
         minus_level, col, row = key

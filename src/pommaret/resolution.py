@@ -11,6 +11,9 @@ variables of h') are dropped.
 For stable ideals the minimal generators are the basis and the same
 construction is the classical minimal resolution with signs
 sgn(x_i, u) = +1 iff |{j in u : j >= i}| is odd.
+
+A built complex stores no display text: ``FreeComplex.text`` and
+``Ring.text`` make it where output prints it.
 """
 
 from collections import namedtuple
@@ -34,17 +37,17 @@ class Face(namedtuple("Face", "gens")):
 
 
 class Gen:
-    """One free-module generator: hashable key, multidegree, display text."""
+    """One free-module generator: hashable key and multidegree, an
+    exponent tuple.  ``FreeComplex.text`` displays it."""
 
-    __slots__ = ("key", "multidegree", "text")
+    __slots__ = ("key", "multidegree")
 
-    def __init__(self, key, multidegree, text):
+    def __init__(self, key, multidegree):
         self.key = key
         self.multidegree = multidegree
-        self.text = text
 
     def __repr__(self):
-        return self.text
+        return "Gen(%r, %r)" % (self.key, self.multidegree)
 
 
 class FreeComplex:
@@ -52,11 +55,12 @@ class FreeComplex:
 
     ``levels[i]`` lists the generators of F_i; ``diffs[i]`` (i >= 1) holds
     the differential F_i -> F_{i-1} as sparse columns {col: {row: coeff}}.
-    Generator multidegrees are exponent tuples, and ``ring.text`` displays
-    them.  An entry stores its coefficient alone: its monomial is its
-    column's multidegree over its row's, derived by ``entry``, ``entries``
-    and ``column``.  The augmentation F_0 -> I sends each level-0
-    generator to its multidegree with coefficient 1 and is left implicit.
+    Generator multidegrees are exponent tuples; ``text`` and ``ring.text``
+    display generators and tuples where output prints them.  An entry
+    stores its coefficient alone: its monomial is its column's multidegree
+    over its row's, derived by ``entry``, ``entries`` and ``column``.  The
+    augmentation F_0 -> I sends each level-0 generator to its multidegree
+    with coefficient 1 and is left implicit.
 
     Every complex is proven multigraded once, when it is built: every
     multidegree, and the ideal's ring, has ``ring.n`` entries, or
@@ -110,6 +114,21 @@ class FreeComplex:
     def _mono(self, i, row, col):
         return tuple(map(sub, self.levels[i][col].multidegree,
                          self.levels[i - 1][row].multidegree))
+
+    def text(self, g):
+        """Display text of g from its key: ``[h, u]`` for a symbol,
+        ``{g1, g2, ...}`` for a Taylor face, else ``str(key)``."""
+        key = g.key
+        if isinstance(key, Face):
+            return "{%s}" % ", ".join(str(self.ideal.gens[i])
+                                      for i in key.gens)
+        if not isinstance(key, Symbol):
+            return str(key)
+        inside = str(self.basis.elements[key.alpha])
+        if key.u:
+            names = self.basis.ring.names
+            inside += ", " + "*".join(names[k - 1] for k in key.u)
+        return "[" + inside + "]"
 
     def unit_entries(self):
         """(level, row, col, coeff) of every invertible scalar entry
@@ -229,14 +248,6 @@ def _coeff_json(c):
 # --- symbol resolutions ----------------------------------------------------
 
 
-def symbol_text(basis, alpha, u):
-    names = basis.ring.names
-    inside = str(basis.elements[alpha])
-    if u:
-        inside += ", " + "*".join(names[k - 1] for k in u)
-    return "[" + inside + "]"
-
-
 def symbol_multidegree(basis, alpha, u):
     exps = list(basis.elements[alpha].exps)
     for k in u:
@@ -291,9 +302,7 @@ def ps_complex(basis):
     top = ring.n - basis.d
     for i in range(top + 1):
         syms = ps_generators(basis, i)
-        gens = [Gen(s, symbol_multidegree(basis, s.alpha, s.u),
-                    symbol_text(basis, s.alpha, s.u)) for s in syms]
-        levels.append(gens)
+        levels.append([Gen(s, symbol_multidegree(basis, *s)) for s in syms])
         lookup.append({s: j for j, s in enumerate(syms)})
     diffs = [None]
     for i in range(1, top + 1):
@@ -330,9 +339,8 @@ def taylor_complex(ideal):
             md = gens[face[0]].exps
             for g in face[1:]:
                 md = tuple(map(max, md, gens[g].exps))
-            text = "{" + ", ".join(str(gens[g]) for g in face) + "}"
             table[face] = len(level)
-            level.append(Gen(Face(face), md, text))
+            level.append(Gen(Face(face), md))
         levels.append(level)
         lookup.append(table)
     diffs = [None]
@@ -413,9 +421,9 @@ def render_differential(cplx, i):
     grid = [[""] * (len(cols) + 1) for _ in range(len(rows) + 1)]
     grid[0][0] = "d_%d" % i
     for c, g in enumerate(cols):
-        grid[0][c + 1] = g.text
+        grid[0][c + 1] = cplx.text(g)
     for r, g in enumerate(rows):
-        grid[r + 1][0] = g.text
+        grid[r + 1][0] = cplx.text(g)
     for r in range(len(rows)):
         for c in range(len(cols)):
             e = cplx.entry(i, r, c)

@@ -171,13 +171,13 @@ def test_criterion_4_matching_and_minimal_resolution():
         return cplx, v, minimize(cplx)
 
     cplx, v, reduced = pipeline()
-    edges = {(cplx.levels[p.level][p.source].text,
-              cplx.levels[p.level - 1][p.target].text, p.var)
+    edges = {(cplx.text(cplx.levels[p.level][p.source]),
+              cplx.text(cplx.levels[p.level - 1][p.target]), p.var)
              for p in v.pairs}
     assert {(s, t) for s, t, var in edges if var == 3} == V3_EDGES
     assert {(s, t) for s, t, var in edges if var == 2} == V2_EDGES
     assert len(v) == 18
-    assert [[g.text for g in lv] for lv in reduced.levels] == CRITICAL
+    assert [[reduced.text(g) for g in lv] for lv in reduced.levels] == CRITICAL
     assert reduced.ranks() == (4, 5, 2)
     assert reduced.safety_net_cancellations == 0
     assert not reduced.unit_entries()

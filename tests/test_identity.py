@@ -1,22 +1,27 @@
-"""Frozen digests of the complexes', the reducer's and the d o d = 0
-check's outputs.
+"""Frozen digests of the complexes', the reducer's, the d o d = 0
+check's and the printed outputs.
 
 Each digest is the sha256 of one JSON line per record, keys sorted, over a
 fixed corpus.  They were taken from the program while every stored entry
 still carried its exponent tuple, and while its reducer and its d o d = 0
 kernel still read them; with entries stored as coefficients and their
-monomials derived, the outputs must keep the same bytes.
+monomials derived, the outputs must keep the same bytes.  The digests of
+the printed outputs were taken while every generator still stored its
+display text and every cell label was a ``Monomial``; with both formatted
+only where output prints them, the printed bytes must stay the same.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
 from helpers import positive_dimensional_ideals, rp2_ideal
-from pommaret import (FreeComplex, check_complex, minimize, pommaret_basis,
-                      ps_complex, random_quasi_stable, render_differential,
-                      taylor_complex)
+from pommaret import (FreeComplex, check_complex, cli, minimize,
+                      pommaret_basis, ps_complex, random_quasi_stable,
+                      render_differential, taylor_complex)
 
 # the reproducers of perfbench/README.md, "Known defect": V leaves unit
 # entries that fill-in created, and the safety-net sweep cancels them
@@ -125,6 +130,42 @@ def test_minimize_outputs_are_frozen(corpus):
     elif corpus == "rp2-taylor":
         assert -2 in lambdas
     assert digest == MINIMIZED[corpus]
+
+
+PRINTED = {
+    "random":
+        "68c3f2d7c77c7ccab604d4c6f45a9d205d26f552ac3c63b04ea93fd5e1134fc9",
+    "positive-dimensional":
+        "d792eb7b16352a611e55ad8eaec4b37a755bc75727cbbab26501455246e0f9b9",
+    "reproducers":
+        "693e4ede0b8f9655fdacbb399c3ee740b0de97504d16014f2dbc9472c145c283",
+}
+
+
+def _printed(monkeypatch, ideal, *argv):
+    """Standard output of the CLI command argv run on ideal."""
+    monkeypatch.setattr(cli, "_load", lambda args: ideal)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([argv[0], "ideal-file"] + list(argv[1:])) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("corpus", sorted(PRINTED))
+def test_printed_outputs_are_frozen(corpus, monkeypatch):
+    """The text of the symbol complex, of its minimization and of the
+    Taylor complex (at most 8 generators), and the cell complex in every
+    format: generator texts, cell labels and the cellular grid."""
+    records = []
+    for ideal in _ideals(corpus):
+        records += [_printed(monkeypatch, ideal, "resolution"),
+                    _printed(monkeypatch, ideal, "minimize")]
+        if len(ideal.gens) <= 8:
+            records.append(_printed(monkeypatch, ideal, "resolution",
+                                    "--variant", "taylor"))
+        records += [_printed(monkeypatch, ideal, "cellular", "--format", fmt)
+                    for fmt in ("text", "json", "dot")]
+    assert _digest(records) == PRINTED[corpus]
 
 
 CHECKED = (

@@ -11,7 +11,7 @@ from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, check_exactness,
                       is_morse_matching, minimize, morse_reduce, oracle_betti,
                       pommaret_basis, ps_complex, random_quasi_stable,
-                      taylor_complex)
+                      render_differential, taylor_complex)
 from pommaret.errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                              NotAMorseMatching, NotPSComplex)
 from pommaret.monomials import Monomial
@@ -32,8 +32,8 @@ def test_matching_v_two_variables(ideal_a):
     cplx = ps_complex(pommaret_basis(ideal_a))
     v = build_matching_V(cplx)
     assert v.sizes_by_var() == {2: 2}
-    got = {(cplx.levels[p.level][p.source].text,
-            cplx.levels[p.level - 1][p.target].text) for p in v.pairs}
+    got = {(cplx.text(cplx.levels[p.level][p.source]),
+            cplx.text(cplx.levels[p.level - 1][p.target])) for p in v.pairs}
     assert got == {("[x1^2, x2]", "[x1^2*x2]"),
                    ("[x1^2*x2, x2]", "[x1^2*x2^2]")}
     assert is_morse_matching(cplx, v)
@@ -74,9 +74,9 @@ def test_matching_v_leaves_stray_units_to_the_sweep():
     # a unit joins equal multidegrees, and these two symbols share one
     cplx = ps_complex(pommaret_basis(random_quasi_stable(3, 5, 3, 3)))
     col = next(c for c, g in enumerate(cplx.levels[2])
-               if g.text == "[x1*x2, x3*x5]")
+               if cplx.text(g) == "[x1*x2, x3*x5]")
     row = next(r for r, g in enumerate(cplx.levels[1])
-               if g.text == "[x1*x3*x5, x2]")
+               if cplx.text(g) == "[x1*x3*x5, x2]")
     diffs = list(cplx.diffs)
     diffs[2] = dict(diffs[2])
     diffs[2][col] = dict(diffs[2][col])
@@ -115,8 +115,8 @@ def _toy_two_cycle():
     r = Ring(1)
     ideal = MonomialIdeal(r, [r.monomial((1,))])
     x = (1,)
-    levels = [[Gen("b", x, "b"), Gen("b'", x, "b'")],
-              [Gen("a", x, "a"), Gen("a'", x, "a'")]]
+    levels = [[Gen("b", x), Gen("b'", x)],
+              [Gen("a", x), Gen("a'", x)]]
     diffs = [None, {0: {0: 1, 1: -1}, 1: {0: 1, 1: -1}}]
     return FreeComplex(r, ideal, levels, diffs, "custom")
 
@@ -191,11 +191,16 @@ def test_reducer_refuses_non_unit_pair(ideal_a):
 
 def test_cancel_toy_pair():
     cplx = _toy_two_cycle()
-    reduced = morse_reduce(cplx, [Pair(1, 0, 0, 0)])
+    reduced = morse_reduce(cplx, [Pair(1, 0, 0, 0)], trace=True)
     assert reduced.ranks() == (1, 1)
     # the correction wipes the remaining column completely
     assert list(reduced.entries(1)) == []
     assert reduced.provenance == "reduced"
+    # a key that is neither a symbol nor a face is shown as itself
+    assert [(r["source_text"], r["target_text"]) for r in reduced.trace] \
+        == [("a", "b")]
+    assert render_differential(reduced, 1).split() == ["d_1", "a'", "b'",
+                                                       "."]
 
 
 def test_reduce_with_empty_matching(ideal_a):
@@ -318,15 +323,15 @@ def test_fill_in_rejects_mixed_arity(wide):
     r3 = Ring(3)
     x = (1, 0, 0)
     ideal = MonomialIdeal(r3, [r3.variable(1)])
-    levels = [[Gen("p", x, "p"), Gen("q", x, "q")],
-              [Gen("a", x, "a"), Gen("b", (1, 1, 0), "b")]]
+    levels = [[Gen("p", x), Gen("q", x)],
+              [Gen("a", x), Gen("b", (1, 1, 0))]]
     diffs = [None, {0: {0: 1, 1: -1}, 1: {0: 1}}]
     if wide == "corrected":
-        levels[1][1] = Gen("b", (1, 1, 0, 0), "b")
+        levels[1][1] = Gen("b", (1, 1, 0, 0))
     elif wide == "source":
-        levels[1][0] = Gen("a", (1, 0, 0, 0), "a")
+        levels[1][0] = Gen("a", (1, 0, 0, 0))
     elif wide == "level-0":
-        levels[0][1] = Gen("q", (1, 0, 0, 0), "q")
+        levels[0][1] = Gen("q", (1, 0, 0, 0))
     else:
         r4 = Ring(4)
         ideal = MonomialIdeal(r4, [r4.variable(1)])
@@ -358,7 +363,7 @@ def test_minimize_three_variables(ideal_b):
     assert not reduced.unit_entries()
     assert len(reduced.trace) == 18
     assert reduced.matching.sizes_by_var() == {3: 13, 2: 5}
-    critical = [[g.text for g in level] for level in reduced.levels]
+    critical = [[reduced.text(g) for g in level] for level in reduced.levels]
     assert critical == [
         ["[x^2]", "[y^4]", "[y^2*z^2]", "[z^3]"],
         ["[x^2*y^3, y]", "[x^2*y^2*z, z]", "[x^2*z^2, z]", "[y^4*z, z]",
@@ -407,33 +412,34 @@ def _unit_keys(reducer):
 
 
 def test_tracked_unit_entries_match_a_full_scan(ideal_b, monkeypatch):
-    # the sweep picks from a heap of unit keys that the reducer pushes to;
-    # after every sweep cancellation it must hold every key of a full scan,
-    # and its next pick must be the least of them
+    # the sweep picks from a heap of unit keys, seeded from the units that
+    # construction found and pushed to by every write; after every
+    # cancellation, V's and the sweep's alike, it must hold every key of a
+    # full scan, and its next pick must be the least of them
     cancel = _Reducer.cancel
     checked = []
 
     def checked_cancel(self, pair):
         cancel(self, pair)
-        if self.units is not None:
-            checked.append(pair)
-            scan = _unit_keys(self)
-            assert scan <= set(self.units)
-            assert self.least_unit() == min(scan, default=None)
+        checked.append(pair)
+        scan = _unit_keys(self)
+        assert scan <= set(self.units)
+        assert self.least_unit() == min(scan, default=None)
 
     monkeypatch.setattr(_Reducer, "cancel", checked_cancel)
     cases = [taylor_complex(ideal_b),
              ps_complex(pommaret_basis(random_quasi_stable(2520, 5, 4, 6))),
              taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))]
-    sweeps = [minimize(cplx).safety_net_cancellations for cplx in cases]
+    reduced = [minimize(cplx) for cplx in cases]
+    sweeps = [r.safety_net_cancellations for r in reduced]
     assert sweeps == [2, 2, 496]
-    assert len(checked) == sum(sweeps)
+    assert [len(r.matching) for r in reduced] == [0, 77, 0]
+    assert len(checked) == sum(sweeps) + 77
     # the sweep only cancels at the highest level holding a unit, so a
     # dead source row one level up never held one; cancelling the lowest
     # unit of a full scan first meets such rows
     del checked[:]
     reducer = _Reducer(cases[2])
-    reducer.track_units()
     while scan := _unit_keys(reducer):
         minus_level, col, row = max(scan)
         reducer.cancel(Pair(-minus_level, col, row, 0))

@@ -17,7 +17,8 @@ from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
 from pommaret.verify import (_columns, _gf2_rank, _integer_column,
-                             _strand_failure, _strand_selector)
+                             _parity_column, _strand_failure,
+                             _strand_selector)
 
 
 def test_exact_rank_against_dense_oracle():
@@ -273,18 +274,29 @@ def test_kernel_rejects_mixed_arity(wide):
     # three exponents.
     r3 = Ring(3)
     ideal = MonomialIdeal(r3, [r3.variable(1)])
-    levels = [[Gen("a", (1, 0, 0), "a")],
-              [Gen("b", (1, 1, 0), "b")],
-              [Gen("c", (1, 1, 1), "c")]]
+    levels = [[Gen("a", (1, 0, 0))],
+              [Gen("b", (1, 1, 0))],
+              [Gen("c", (1, 1, 1))]]
     diffs = [None, {0: {0: 1}}, {0: {0: 1}}]
     if wide == "ideal":
         r4 = Ring(4)
         ideal = MonomialIdeal(r4, [r4.variable(1)])
     else:
         gen = levels[wide][0]
-        levels[wide] = [Gen(gen.key, gen.multidegree + (0,), gen.text)]
+        levels[wide] = [Gen(gen.key, gen.multidegree + (0,))]
     with pytest.raises(ArityMismatch, match="monomials from different rings"):
         FreeComplex(r3, ideal, levels, diffs, "custom")
+
+
+def test_integer_column_clears_fractions():
+    # a column of fractions is scaled by the lcm of its denominators, which
+    # keeps its rank; its GF(2) bits are those of the scaled integers, and
+    # the unscaled 2/3 and 4/3 would set both
+    column = {0: Fraction(2, 3), 1: Fraction(4, 3)}
+    assert _integer_column(column) == {0: 2, 1: 4}
+    assert _integer_column({0: Fraction(1, 2), 2: -3}) == {0: 1, 2: -6}
+    assert _parity_column(column) == 0
+    assert _parity_column({0: 1, 1: 4, 3: -3}) == 0b1001
 
 
 def test_strand_selection(ideal_a):
@@ -379,12 +391,12 @@ def test_unfiltered_strand_columns_need_homogeneity():
     # it is built.
     r = Ring(2)
     ideal = MonomialIdeal(r, [r.monomial([2, 0]), r.monomial([0, 2])])
-    levels = [[Gen("a", (2, 0), "a"), Gen("b", (0, 2), "b")],
-              [Gen("ab", (2, 2), "ab")]]
+    levels = [[Gen("a", (2, 0)), Gen("b", (0, 2))],
+              [Gen("ab", (2, 2))]]
     diffs = [None, {0: {0: 1, 1: -1}}]
     good = FreeComplex(r, ideal, levels, diffs, "custom")
     assert check_exactness(good).ok
-    levels[1] = [Gen("ab", (2, 1), "ab")]
+    levels[1] = [Gen("ab", (2, 1))]
     with pytest.raises(NotAComplex, match=r"entry \(1, 0\) of d_1: its "
                        "row's multidegree does not divide"):
         FreeComplex(r, ideal, levels, diffs, "custom")
@@ -480,8 +492,8 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
     # x1^2*x2 is a member that the one level-0 generator, x2^3, misses
     r = ideal_a.ring
     uncovered = FreeComplex(r, ideal_a,
-                            [[Gen("a", (0, 3), "a")],
-                             [Gen("b", (2, 1), "b")]],
+                            [[Gen("a", (0, 3))],
+                             [Gen("b", (2, 1))]],
                             [None, {0: {}}], "custom")
     cases += [(chopped, 20000), (big, 5), (halved, 20000),
               (minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))),
@@ -504,24 +516,31 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
 
 
 def test_complex_stages_build_no_monomial(ideal_b, monkeypatch):
-    # differential entries and generator multidegrees are exponent tuples:
-    # building the symbol complex and checking the cells against it build
-    # no Monomial, and the cell complex builds one per cell, its label
+    # generators, differential entries and cell labels hold keys, exponent
+    # tuples and coefficients only: building the symbol, Taylor and cell
+    # complexes, reducing, and checking the cells build no Monomial and
+    # format no text
     basis = pommaret_basis(ideal_b)
     built = []
     init = Monomial.__init__
+    text = Ring.text
 
     def counting_init(self, *args):
         built.append(args)
         init(self, *args)
 
+    def counting_text(self, exps):
+        built.append(exps)
+        return text(self, exps)
+
     monkeypatch.setattr(Monomial, "__init__", counting_init)
+    monkeypatch.setattr(Ring, "text", counting_text)
     cplx = ps_complex(basis)
     cells = build_cell_complex(basis)
-    assert len(built) == sum(cells.counts())
-    del built[:]
+    reduced = [minimize(cplx), minimize(taylor_complex(ideal_b))]
     assert supports_check(cells, cplx).ok
     assert built == []
+    assert [r.ranks() for r in reduced] == [(4, 5, 2)] * 2
 
 
 def test_strand_check_builds_no_monomial(ideal_b, monkeypatch):
