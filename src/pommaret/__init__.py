@@ -15,8 +15,8 @@ from .morse import (Matching, Pair, ReducedComplex, build_matching_V,
                     is_morse_matching, minimize, morse_reduce)
 from .verify import (ComplexReport, ExactnessReport, InvariantReport,
                      check_complex, check_exactness, exact_rank,
-                     homological_invariants, lcm_lattice, oracle_betti,
-                     random_quasi_stable)
+                     homological_invariants, lcm_lattice, minimal_betti,
+                     oracle_betti, random_quasi_stable, scalar_betti)
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "is_morse_matching", "minimize", "morse_reduce",
     "ComplexReport", "ExactnessReport", "InvariantReport", "check_complex",
     "check_exactness", "exact_rank", "homological_invariants", "lcm_lattice",
-    "oracle_betti", "random_quasi_stable",
+    "minimal_betti", "oracle_betti", "random_quasi_stable", "scalar_betti",
 ]

@@ -415,23 +415,14 @@ def coeff_text(c, mono):
 
 
 def render_differential(cplx, i):
-    """Plain grid of d_i with row and column generator labels."""
-    rows = cplx.levels[i - 1]
-    cols = cplx.levels[i]
-    grid = [[""] * (len(cols) + 1) for _ in range(len(rows) + 1)]
-    grid[0][0] = "d_%d" % i
-    for c, g in enumerate(cols):
-        grid[0][c + 1] = cplx.text(g)
-    for r, g in enumerate(rows):
-        grid[r + 1][0] = cplx.text(g)
-    for r in range(len(rows)):
-        for c in range(len(cols)):
-            e = cplx.entry(i, r, c)
-            grid[r + 1][c + 1] = (coeff_text(e[0], cplx.ring.text(e[1]))
-                                  if e else ".")
-    widths = [max(len(grid[r][c]) for r in range(len(grid)))
-              for c in range(len(grid[0]))]
-    lines = []
-    for row in grid:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    """Plain grid of d_i with row and column generator labels: "." where
+    no entry is stored, so only the stored entries are formatted."""
+    text = cplx.text
+    grid = [["d_%d" % i] + [text(g) for g in cplx.levels[i]]]
+    dots = ["."] * len(cplx.levels[i])
+    grid += [[text(g)] + dots for g in cplx.levels[i - 1]]
+    for r, c, coeff, mono in cplx.entries(i):
+        grid[r + 1][c + 1] = coeff_text(coeff, cplx.ring.text(mono))
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+                     for row in grid)

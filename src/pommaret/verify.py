@@ -29,6 +29,10 @@ columns that are built on the first such strand.  That route alone can
 report a failure, and it is rare (no strand of the verify workloads in
 ``perfbench`` reaches it), so it is kept simple rather than fast.
 
+``scalar_betti`` ranks the unit blocks of a complex, one per multidegree
+class and level, with ``exact_rank`` too: the blocks are small, and over
+GF(2) torsion such as RP^2's would change the Betti numbers.
+
 Arity, indices and homogeneity were all checked when the complex was
 built, and a complex stores each entry as its coefficient alone, so
 everything here reads coefficients and checks none of that again.
@@ -61,9 +65,10 @@ def exact_rank(rows):
     column becomes pv * r - a * (pivot row), which stays in the integers
     and keeps the rank.  The input rows are not modified.
 
-    ``check_exactness`` calls it only on strands whose GF(2) ranks fall
-    short of the certificate: there rank_2 < rank_Q may hide an exact
-    strand, and only exact ranks can tell it from a failing one.
+    ``check_exactness`` calls it on strands whose GF(2) ranks fall short
+    of the certificate: there rank_2 < rank_Q may hide an exact strand,
+    and only exact ranks can tell it from a failing one.
+    ``scalar_betti`` calls it on each unit block of more than one row.
     """
     live = [{c: v for c, v in r.items() if v} for r in rows]
     rank = 0
@@ -351,6 +356,41 @@ def check_exactness(cplx, cap=20000):
 # --- invariants ----------------------------------------------------------------
 
 
+def scalar_betti(cplx):
+    """Multigraded Betti numbers of any free resolution F from its units:
+    beta_{i,mu} = dim_k H_i(F (x) k)_mu, and F (x) k keeps only the unit
+    entries, which join generators of one multidegree class (Batzies-
+    Welker, J. reine angew. Math. 2002).  So beta_{i,mu} = |class_i(mu)|
+    - rank(d_i|mu) - rank(d_{i+1}|mu), each the rank of one unit block.
+    Nothing is checked: the caller proves F a complex (d o d = 0)."""
+    blocks = {}
+    for level, row, col, c in cplx.unit_entries():
+        key = (level, cplx.levels[level][col].multidegree)
+        blocks.setdefault(key, {}).setdefault(row, {})[col] = c
+    # a unit is nonzero, so a block of one row has rank 1
+    ranks = {key: exact_rank(rows.values()) if len(rows) > 1 else 1
+             for key, rows in blocks.items()}
+    get = ranks.get
+    by_degree = {}
+    by_md = {}
+    for (i, md), size in betti_table(cplx).by_multidegree.items():
+        beta = size - get((i, md), 0) - get((i + 1, md), 0)
+        if beta:
+            by_md[(i, md)] = beta
+            key = (i, sum(md))
+            by_degree[key] = by_degree.get(key, 0) + beta
+    return BettiTable(by_degree, by_md)
+
+
+def minimal_betti(cplx):
+    """``betti_table`` of a complex that must be minimal: NotMinimal when
+    a unit entry remains."""
+    units = cplx.unit_entries()
+    if units:
+        raise NotMinimal("unit entries remain: %r" % units[:3])
+    return betti_table(cplx)
+
+
 @dataclass
 class InvariantReport:
     betti: BettiTable
@@ -365,15 +405,10 @@ class InvariantReport:
                 and self.reg == self.reg_from_basis)
 
 
-def homological_invariants(cplx):
-    """Betti table, projective dimension and regularity of a minimal
-    complex, with cross-checks against the basis it carries, if any."""
-    units = cplx.unit_entries()
-    if units:
-        raise NotMinimal("unit entries remain: %r" % units[:3])
-    basis = cplx.basis
-    betti = betti_table(cplx)
-    pd = max(i for i, level in enumerate(cplx.levels) if level)
+def homological_invariants(betti, basis=None):
+    """Projective dimension and regularity read from a Betti table, with
+    the class-count and degree predictions of the basis, if any."""
+    pd = max(i for i, _ in betti.by_degree)
     reg = max(j - i for (i, j) in betti.by_degree)
     pd_alt = reg_alt = -1
     if basis is not None:

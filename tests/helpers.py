@@ -15,6 +15,13 @@ from pommaret import (FreeComplex, Matching, MonomialIdeal, Pair, Ring,
 from pommaret.errors import PommaretError
 
 
+# random_quasi_stable arguments of the reproducers of perfbench/README.md,
+# "Known defect": V leaves unit entries that fill-in created, and the
+# safety-net sweep cancels them
+REPRODUCERS = [(31000, 4, 6, 8), (2520, 5, 4, 6), (3774, 5, 4, 6),
+               (3452, 5, 6, 8), (115, 6, 4, 8)]
+
+
 def make_ideal_a():
     """<x1^2, x2^3> in two variables: quasi-stable, not stable."""
     r = Ring(2)

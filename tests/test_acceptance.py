@@ -13,9 +13,9 @@ from helpers import (ek_differential, make_ideal_a, make_ideal_b,
                      random_stable, reference_match, symbol_differential)
 from pommaret import (betti_table, build_matching_V, build_p_graph,
                       check_complex, check_exactness, expected_ranks,
-                      homological_invariants, minimize, oracle_betti,
-                      pommaret_basis, ps_complex, random_quasi_stable,
-                      supports_check, taylor_complex)
+                      homological_invariants, minimal_betti, minimize,
+                      oracle_betti, pommaret_basis, ps_complex,
+                      random_quasi_stable, supports_check, taylor_complex)
 from pommaret.cellular import build_cell_complex
 from pommaret.errors import NotQuasiStable
 from pommaret.ideals import MonomialIdeal
@@ -196,7 +196,7 @@ def test_criterion_5_invariants():
     ideal = make_ideal_b()
     basis = pommaret_basis(ideal)
     reduced = minimize(ps_complex(basis))
-    report = homological_invariants(reduced)
+    report = homological_invariants(minimal_betti(reduced), basis)
     assert report.pd == 2 and report.pd_from_classes == 2
     assert report.reg == 6 and report.reg_from_basis == 6
     assert report.consistent
@@ -236,7 +236,7 @@ def test_criterion_6_random_sweep():
         assert ex.ok, (seed, ideal, ex.failures[:2])
         exr = check_exactness(reduced, cap=300)
         assert exr.ok, (seed, ideal, exr.failures[:2])
-        inv = homological_invariants(reduced)
+        inv = homological_invariants(minimal_betti(reduced), basis)
         assert inv.consistent, (seed, ideal)
         assert betti_table(reduced) == oracle_betti(ideal), (seed, ideal)
         cases += 1

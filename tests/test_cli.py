@@ -394,8 +394,22 @@ def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pommaret.morse, "composite_terms",
                         lambda *args: {0: 1})
     path = write(tmp_path, "a.ideal", A_TEXT)
-    assert cli.main(["betti", path]) == 4
+    assert cli.main(["minimize", path]) == 4
     assert "error [broken-invariant]:" in capsys.readouterr().err
+
+
+def test_betti_on_a_broken_complex_exits_4(tmp_path, capsys, monkeypatch):
+    # betti ranks the scalar part of the symbol complex only after
+    # check_complex has proven d o d = 0 on it; a defect there is a typed
+    # error with exit code 4, and nothing is printed
+    import pommaret.verify
+    monkeypatch.setattr(pommaret.verify, "composite_terms",
+                        lambda *args: {0: 1})
+    path = write(tmp_path, "a.ideal", A_TEXT)
+    assert cli.main(["betti", path]) == 4
+    captured = capsys.readouterr()
+    assert "error [not-a-complex]:" in captured.err
+    assert captured.out == ""
 
 
 def test_names_round_trip(tmp_path, capsys):

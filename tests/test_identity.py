@@ -18,15 +18,11 @@ import json
 
 import pytest
 
-from helpers import positive_dimensional_ideals, rp2_ideal
+from helpers import REPRODUCERS, positive_dimensional_ideals, rp2_ideal
 from pommaret import (FreeComplex, check_complex, cli, minimize,
                       pommaret_basis, ps_complex, random_quasi_stable,
                       render_differential, taylor_complex)
 
-# the reproducers of perfbench/README.md, "Known defect": V leaves unit
-# entries that fill-in created, and the safety-net sweep cancels them
-REPRODUCERS = [(31000, 4, 6, 8), (2520, 5, 4, 6), (3774, 5, 4, 6),
-               (3452, 5, 6, 8), (115, 6, 4, 8)]
 # the second labelling of RP^2 divides by the -2 pivot when minimized
 RP2_LABELS = ((1, 2, 3, 4, 5, 6), (6, 2, 1, 5, 4, 3))
 
@@ -166,6 +162,25 @@ def test_printed_outputs_are_frozen(corpus, monkeypatch):
         records += [_printed(monkeypatch, ideal, "cellular", "--format", fmt)
                     for fmt in ("text", "json", "dot")]
     assert _digest(records) == PRINTED[corpus]
+
+
+BETTI = {
+    "random":
+        "699fd9b5eb7dc71b6c2a9f270a7441ac0ea3e3a0cdd0463a0a4ba0622bb8a731",
+    "positive-dimensional":
+        "83c339bfa1eaa7b953feba16ee5b4cf8a7c546c17602ce7a6dea8e808f7320d2",
+    "reproducers":
+        "670de60cf95d29816aba7adc255779ec7c7dbf0de919b09b934434ce7225e543",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(BETTI))
+def test_betti_outputs_are_frozen(corpus, monkeypatch):
+    """The Betti table, pd and regularity that ``betti`` prints, in text
+    and JSON, each with exit code 0."""
+    records = [_printed(monkeypatch, ideal, "betti", "--format", fmt)
+               for ideal in _ideals(corpus) for fmt in ("text", "json")]
+    assert _digest(records) == BETTI[corpus]
 
 
 CHECKED = (

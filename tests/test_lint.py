@@ -151,3 +151,27 @@ def test_reducer_and_kernel_carry_coefficients_only():
                 found.append("%s:%d" % (path.name, inner.lineno))
     assert seen == targets
     assert not found
+
+
+def test_betti_route_runs_no_reducer():
+    """``betti`` reads the Betti numbers from the scalar part of the
+    symbol complex; its command, the kernel and the invariants it feeds
+    name neither the Morse layer nor its reducer."""
+    targets = {("cli.py", "_cmd_betti"), ("verify.py", "scalar_betti"),
+               ("verify.py", "homological_invariants")}
+    banned = {"minimize", "morse", "_Reducer"}
+    seen = set()
+    found = []
+    for path, node in _package_nodes():
+        if not (isinstance(node, ast.FunctionDef)
+                and (path.name, node.name) in targets):
+            continue
+        seen.add((path.name, node.name))
+        for inner in ast.walk(node):
+            name = (inner.id if isinstance(inner, ast.Name)
+                    else inner.attr if isinstance(inner, ast.Attribute)
+                    else None)
+            if name in banned:
+                found.append("%s:%d" % (path.name, inner.lineno))
+    assert seen == targets
+    assert not found

@@ -283,3 +283,30 @@ def test_render_and_json(ideal_a):
     assert _coeff_json(Fraction(3, 2)) == "3/2"
     assert _coeff_json(Fraction(4, 2)) == 2
     assert _coeff_json(-5) == -5
+
+
+def test_render_formats_only_stored_entries(monkeypatch):
+    """The grid of d_i formats one text per stored entry, looks up no
+    grid cell one at a time and fills the rest with ".", so its cost
+    follows the entries, not rows x columns."""
+    cplx = ps_complex(pommaret_basis(random_quasi_stable(3, 4, 3, 4)))
+    formatted = []
+    looked_up = []
+
+    def counting(c, mono):
+        formatted.append(c)
+        return coeff_text(c, mono)
+
+    monkeypatch.setattr(pommaret.resolution, "coeff_text", counting)
+    monkeypatch.setattr(FreeComplex, "entry",
+                        lambda *args: looked_up.append(args))
+    for i in range(1, len(cplx.levels)):
+        formatted.clear()
+        text = render_differential(cplx, i)
+        nnz = sum(map(len, cplx.diffs[i].values()))
+        assert len(formatted) == nnz
+        assert nnz < cplx.rank(i - 1) * cplx.rank(i)
+        cells = [line.split() for line in text.splitlines()[1:]]
+        assert sum(row.count(".") for row in cells) == (
+            cplx.rank(i - 1) * cplx.rank(i) - nnz)
+    assert not looked_up

@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 import pommaret.verify
-from helpers import (dense_rank, dense_rank_gf2, halve_generator,
-                     positive_dimensional_ideals, random_stable,
-                     reference_lattice, rp2_ideal, strand_oracle)
+from helpers import (REPRODUCERS, dense_rank, dense_rank_gf2,
+                     halve_generator, positive_dimensional_ideals,
+                     random_stable, reference_lattice, rp2_ideal,
+                     strand_oracle)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       build_cell_complex, cli, check_complex, check_exactness,
-                      exact_rank, homological_invariants, lcm_lattice,
-                      minimize, oracle_betti, pommaret_basis, ps_complex,
-                      random_quasi_stable, supports_check, taylor_complex)
+                      betti_table, exact_rank, homological_invariants,
+                      lcm_lattice, minimal_betti, minimize, oracle_betti,
+                      pommaret_basis, ps_complex, random_quasi_stable,
+                      scalar_betti, supports_check, taylor_complex)
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
 from pommaret.verify import (_columns, _gf2_rank, _integer_column,
@@ -570,20 +572,21 @@ def test_exactness_requires_a_complex(ideal_a):
 def test_homological_invariants(ideal_a, ideal_b):
     basis = pommaret_basis(ideal_a)
     reduced = minimize(ps_complex(basis))
-    report = homological_invariants(reduced)
+    report = homological_invariants(minimal_betti(reduced), basis)
     assert report.pd == 1 and report.pd_from_classes == 1
     assert report.reg == 4 and report.reg_from_basis == 4
     assert report.consistent
     assert report.betti.by_degree == {(0, 2): 1, (0, 3): 1, (1, 5): 1}
 
     basis_b = pommaret_basis(ideal_b)
-    report = homological_invariants(minimize(ps_complex(basis_b)))
+    report = homological_invariants(
+        minimal_betti(minimize(ps_complex(basis_b))), basis_b)
     assert report.pd == 2 and report.reg == 6
     assert report.consistent
     assert report.betti.totals() == (4, 5, 2)
 
     with pytest.raises(NotMinimal):
-        homological_invariants(ps_complex(basis))
+        minimal_betti(ps_complex(basis))
 
 
 def test_betti_oracle_route(ideal_a):
@@ -594,6 +597,61 @@ def test_betti_oracle_route(ideal_a):
     direct = minimize(ps_complex(pommaret_basis(ideal_a)))
     from pommaret import betti_table
     assert betti_table(direct) == table
+
+
+def _gf2_exact_rank(rows):
+    """A stand-in for ``exact_rank`` that ranks over GF(2)."""
+    return dense_rank_gf2(list(rows), 1 + max(map(max, rows)))
+
+
+def test_scalar_betti_equals_the_reduced_table(monkeypatch):
+    """The scalar route gives the table of the Morse route on symbol and
+    Taylor complexes: 400 seeded ideals, the positive-dimensional ones
+    and the reproducers that need the safety-net sweep, and the RP^2
+    Taylor complex, whose -2 pivot makes GF(2) ranks wrong."""
+    ideals = [random_quasi_stable(seed, 2 + seed % 4, 2 + seed % 3,
+                                  1 + seed % 4) for seed in range(400)]
+    ideals += positive_dimensional_ideals()
+    ideals += [random_quasi_stable(*args) for args in REPRODUCERS]
+    complexes = [ps_complex(pommaret_basis(ideal)) for ideal in ideals]
+    complexes += [taylor_complex(ideal) for ideal in ideals
+                  if len(ideal.gens) <= 9]
+    assert len(complexes) > 800
+    for cplx in complexes:
+        assert scalar_betti(cplx) == betti_table(minimize(cplx)), cplx
+    rp2 = taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))
+    table = betti_table(minimize(rp2))
+    assert scalar_betti(rp2) == table
+    monkeypatch.setattr(pommaret.verify, "exact_rank", _gf2_exact_rank)
+    assert scalar_betti(rp2) != table
+
+
+def test_scalar_betti_ranks_each_unit_block_exactly(ideal_b, monkeypatch):
+    """Zeroing the one unit entry of a class block changes the table.
+    Doubling one unit, or every unit, does not: ranks over Q stay, where
+    ranks over GF(2) would fall in the blocks of more than one row."""
+    cplx = ps_complex(pommaret_basis(ideal_b))
+    blocks = {}
+    for level, row, col, _ in cplx.unit_entries():
+        key = (level, cplx.classes[level][col])
+        blocks.setdefault(key, []).append((level, col, row))
+    table = scalar_betti(cplx)
+    assert table == betti_table(minimize(cplx))
+    level, col, row = next(b[0] for b in blocks.values() if len(b) == 1)
+    unit = cplx.diffs[level][col][row]
+    for factor, same in ((0, False), (2, True)):
+        scaled = _corrupt(cplx, level, lambda cols: cols[col].update(
+            {row: factor * unit}))
+        assert (scalar_betti(scaled) == table) == same
+    diffs = [None] + [{c: dict(column) for c, column in diff.items()}
+                      for diff in cplx.diffs[1:]]
+    for i, r, j, c in cplx.unit_entries():
+        diffs[i][j][r] = 2 * c
+    doubled = FreeComplex(cplx.ring, cplx.ideal, cplx.levels, diffs,
+                          cplx.provenance, basis=cplx.basis)
+    assert scalar_betti(doubled) == table
+    monkeypatch.setattr(pommaret.verify, "exact_rank", _gf2_exact_rank)
+    assert scalar_betti(doubled) != table
 
 
 def test_betti_marginals():
@@ -622,6 +680,6 @@ def test_random_quasi_stable_generator():
 
 def test_invariants_without_basis(ideal_a):
     reduced = minimize(taylor_complex(ideal_a))
-    report = homological_invariants(reduced)
+    report = homological_invariants(minimal_betti(reduced))
     assert report.pd == 1 and report.reg == 4
     assert report.pd_from_classes == -1  # no basis to cross-check
