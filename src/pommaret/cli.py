@@ -47,7 +47,7 @@ def parse_ideal(text):
     if not m:
         raise IdealSyntaxError("expected 'vars <n>' header",
                                lineno, 1 + _indent(line))
-    n = int(m.group(1))
+    n = _int(m.group(1), lineno, 1 + _indent(line) + m.start(1))
     if n < 1:
         raise IdealSyntaxError("need at least one variable",
                                lineno, 1 + _indent(line))
@@ -78,6 +78,15 @@ def parse_ideal(text):
 
 def _indent(line):
     return len(line) - len(line.lstrip())
+
+
+def _int(digits, lineno, col):
+    # CPython refuses to convert a string of more digits than its limit,
+    # 4300 by default
+    try:
+        return int(digits)
+    except ValueError:
+        raise IdealSyntaxError("integer too long", lineno, col)
 
 
 def _parse_monomial(line, lineno, ring):
@@ -111,7 +120,9 @@ def _parse_monomial(line, lineno, ring):
         if not m:
             raise IdealSyntaxError("bad factor %r" % piece.strip(),
                                    lineno, col)
-        name, exp = m.group(1), int(m.group(2) or 1)
+        name = m.group(1)
+        exp = (_int(m.group(2), lineno, col + _indent(piece) + m.start(2))
+               if m.group(2) else 1)
         if name in ring.names:
             idx = ring.names.index(name)
         else:
@@ -127,7 +138,7 @@ def _parse_monomial(line, lineno, ring):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -139,58 +150,86 @@ def _json_text(obj):
     Given an indent, ``json`` encodes in pure Python; this writer covers
     only what the CLI's documents hold (dicts with str keys, lists, str,
     int, bool, None) and raises TypeError on anything else.
+
+    The documents repeat a few exponent vectors thousands of times (the
+    ``h``, ``vertices`` and ``boundary`` lists of the cells), so each
+    distinct list of ints is rendered once per call: a memo, dropped when
+    the call returns, maps the list's contents and the indent it is
+    written at to its text.  A list is looked up only after every item
+    is found to be exactly an ``int``, because ``(1, True) == (1, 1)``
+    and ``(1, 2.0) == (1, 2)``: an earlier lookup would write ``1`` for
+    ``true``, and ``2`` for ``2.0`` instead of raising TypeError.
     """
     parts = []
-    _write_json(obj, "\n", parts.append)
-    parts.append("\n")
+    out = parts.append
+    int_lists = {}  # (tuple of ints, nl) -> text
+
+    def write(x, nl):
+        # nl is the newline plus the indent of the line x starts on; exact
+        # types, so that bool is not written as an int
+        t = type(x)
+        if t is dict:
+            if not x:
+                out("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k in sorted(x):
+                # the escaper raises TypeError on a key that is not a str
+                out(sep + _json_str(k) + ": ")
+                write(x[k], inner)
+                sep = "," + inner
+            out(nl + "}")
+        elif t is list:
+            if not x:
+                out("[]")
+                return
+            if all([type(v) is int for v in x]):
+                key = (tuple(x), nl)
+                text = int_lists.get(key)
+                if text is None:
+                    text = int_lists[key] = _int_list_text(x, nl)
+                out(text)
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for v in x:
+                out(sep)
+                write(v, inner)
+                sep = "," + inner
+            out(nl + "]")
+        elif t is str:
+            out(_json_str(x))
+        elif t is int:
+            out(str(x))
+        elif t is bool:
+            out("true" if x else "false")
+        elif x is None:
+            out("null")
+        else:
+            raise TypeError("%s is not written as JSON" % t.__name__)
+
+    write(obj, "\n")
+    out("\n")
     return "".join(parts)
 
 
-def _write_json(x, nl, out):
-    # nl is the newline plus the indent of the line x starts on; exact
-    # types, so that bool is not written as an int
-    t = type(x)
-    if t is dict:
-        if not x:
-            out("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(x):
-            # the escaper raises TypeError on a key that is not a str
-            out(sep + _json_str(k) + ": ")
-            _write_json(x[k], inner, out)
-            sep = "," + inner
-        out(nl + "}")
-    elif t is list:
-        if not x:
-            out("[]")
-            return
-        inner = nl + "  "
-        if all([type(v) is int for v in x]):
-            out("[" + inner + ("," + inner).join(map(str, x)) + nl + "]")
-            return
-        sep = "[" + inner
-        for v in x:
-            out(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out(nl + "]")
-    elif t is str:
-        out(_json_str(x))
-    elif t is int:
-        out(str(x))
-    elif t is bool:
-        out("true" if x else "false")
-    elif x is None:
-        out("null")
-    else:
-        raise TypeError("%s is not written as JSON" % t.__name__)
+def _int_list_text(x, nl):
+    """The JSON text of a nonempty list of ints whose line starts with nl."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(str, x)) + nl + "]"
 
 
 def _load(args):
-    with open(args.path) as fh:
-        return parse_ideal(fh.read())
+    with open(args.path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the line and column of the first byte that does not decode
+        lines = (data[:e.start].decode("utf-8") + "#").splitlines()
+        raise IdealSyntaxError("not valid UTF-8", len(lines), len(lines[-1]))
+    return parse_ideal(text)
 
 
 def _cmd_basis(args):
@@ -280,7 +319,7 @@ def _cmd_minimize(args):
     basis = pommaret_basis(_load(args))
     reduced = minimize(ps_complex(basis), trace=bool(args.trace))
     if args.trace:
-        with open(args.trace, "w") as fh:
+        with open(args.trace, "w", encoding="utf-8") as fh:
             for rec in reduced.trace or []:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     sizes = reduced.matching.sizes_by_var()

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import pytest
 
-from helpers import (halve_generator, make_ideal_b, make_ideal_stable2,
-                     random_stable)
-from pommaret import cli, pommaret_basis, ps_complex, random_quasi_stable
+from helpers import (REPRODUCERS, halve_generator, make_ideal_b,
+                     make_ideal_stable2, random_stable)
+from pommaret import (build_cell_complex, cli, pommaret_basis, ps_complex,
+                      random_quasi_stable)
 from pommaret.errors import (EmptyInput, IdealSyntaxError, UnitGenerator)
 
 
@@ -112,14 +114,18 @@ def _stdlib_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _vector_text(ideal):
+    return "vars %d\n" % ideal.ring.n + "".join(
+        "[%s]\n" % ",".join(map(str, g.exps)) for g in ideal.gens)
+
+
 def test_json_writer_matches_stdlib(tmp_path, capsys):
     texts = [A_TEXT, B_TEXT]
     for ideal in (random_quasi_stable(3, 3, 4, 3),
                   random_quasi_stable(9, 4, 3, 2),
                   random_quasi_stable(21, 4, 4, 4),
                   make_ideal_stable2(), random_stable(100)):
-        texts.append("vars %d\n" % ideal.ring.n + "".join(
-            "[%s]\n" % ",".join(map(str, g.exps)) for g in ideal.gens))
+        texts.append(_vector_text(ideal))
     commands = (["basis"], ["pgraph"], ["resolution", "--variant", "ps"],
                 ["resolution", "--variant", "taylor"], ["cellular"],
                 ["minimize"], ["betti"], ["verify"])
@@ -146,17 +152,70 @@ def test_json_writer_matches_stdlib(tmp_path, capsys):
         ["quote \" back \\ slash", "tab\tnl\ncr\r\x00\x1f\x7f",
          "caf\u00e9 \u2603 \U0001f600", ""],
         {"\u00e9": 1, "a\"b": [2], "\n": {"z": "y"}, "B": 0, "b": [3, [4]]},
+        # lists that equal a memoized int list but hold bools
+        [[1, 1, 2], [1, True, 2]], [[1, True, 2], [1, 1, 2]],
+        [[0, 0], [False, 0]],
+        # one int list at three depths, and a repeat of big ints
+        {"a": [3, 1], "b": [[3, 1], {"c": [[3, 1]]}], "d": [3, 1]},
+        [[2 ** 64, -1], [2 ** 64, -1]],
     ]
     for doc in docs:
         assert cli._json_text(doc) == _stdlib_json(doc)
 
 
+def test_json_writer_matches_stdlib_on_large_documents(tmp_path, capsys):
+    # the documents of the reproducers hold thousands of repeated
+    # exponent vectors
+    commands = (["cellular"], ["resolution", "--variant", "ps"],
+                ["minimize"])
+    for i, args in enumerate(REPRODUCERS):
+        path = write(tmp_path, "%d.ideal" % i,
+                     _vector_text(random_quasi_stable(*args)))
+        for command in commands:
+            assert cli.main([command[0], path, "--format", "json"]
+                            + command[1:]) == 0
+            out = capsys.readouterr().out
+            assert out == _stdlib_json(json.loads(out))
+
+
 @pytest.mark.parametrize("doc", [1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1, 2},
                                  {"a": {3}}, {1: 2}, {"a": {None: 1}},
-                                 [{(1,): 2}]])
+                                 [{(1,): 2}], [[1, 2], [1, 2.0]]])
 def test_json_writer_rejects_other_types(doc):
     with pytest.raises(TypeError):
         cli._json_text(doc)
+
+
+def _int_lists(x, nl, found):
+    """Append (items, nl) for every nonempty list of ints in x, written on
+    a line that starts with nl."""
+    if type(x) is dict:
+        for v in x.values():
+            _int_lists(v, nl + "  ", found)
+    elif type(x) is list and x:
+        if all(type(v) is int for v in x):
+            found.append((tuple(x), nl))
+        for v in x:
+            _int_lists(v, nl + "  ", found)
+    return found
+
+
+def test_json_writer_renders_each_int_list_once(ideal_b, monkeypatch):
+    doc = build_cell_complex(pommaret_basis(ideal_b)).to_json_dict()
+    renders = []
+    render = cli._int_list_text
+
+    def counting_render(x, nl):
+        renders.append((tuple(x), nl))
+        return render(x, nl)
+
+    monkeypatch.setattr(cli, "_int_list_text", counting_render)
+    found = _int_lists(doc, "\n", [])
+    assert len(found) > 2 * len(set(found))
+    for _ in range(2):  # the memo lives for one call only
+        renders.clear()
+        assert cli._json_text(doc) == _stdlib_json(doc)
+        assert sorted(renders) == sorted(set(found))
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -385,6 +444,42 @@ def test_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "--%s: must be at least 1" % option in captured.err
         assert captured.out == ""
+
+
+def _exits_2(tmp_path, capsys, data, message):
+    """`basis` and `verify` on an ideal file holding data each exit 2 with
+    one error line, no traceback and nothing on stdout."""
+    path = tmp_path / "bad.ideal"
+    path.write_bytes(data)
+    for command in ("basis", "verify"):
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [syntax-error]: %s\n" % message
+        assert captured.out == ""
+
+
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    _exits_2(tmp_path, capsys, b"vars 2\n# caf\xe9\n[1,0]\n[0,2]\n",
+             "line 2, col 6: not valid UTF-8")
+
+
+@pytest.fixture
+def int_digit_limit():
+    # CPython's default limit on converting a string to an int
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int conversion before 3.10.7")
+def test_oversized_integers_exit_2(tmp_path, capsys, int_digit_limit):
+    digits = b"9" * (int_digit_limit + 1)
+    _exits_2(tmp_path, capsys, b"vars " + digits + b"\n[1]\n",
+             "line 1, col 6: integer too long")
+    _exits_2(tmp_path, capsys, b"vars 2\n[1,0]\n x2 * x1^" + digits + b"\n",
+             "line 3, col 10: integer too long")
 
 
 def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):

@@ -175,3 +175,25 @@ def test_betti_route_runs_no_reducer():
                 found.append("%s:%d" % (path.name, inner.lineno))
     assert seen == targets
     assert not found
+
+
+def test_text_files_opened_with_an_encoding():
+    """A text-mode ``open`` names its encoding: without one, Python takes
+    the locale's, and a file that the locale cannot decode fails with a
+    ``UnicodeDecodeError`` traceback instead of exit code 2."""
+    opened = []
+    found = []
+    for path, node in _package_nodes():
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        opened.append("%s:%d" % (path.name, node.lineno))
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        binary = (isinstance(mode, ast.Constant)
+                  and isinstance(mode.value, str) and "b" in mode.value)
+        if not binary and not any(k.arg == "encoding"
+                                  for k in node.keywords):
+            found.append(opened[-1])
+    assert opened
+    assert not found
