@@ -13,17 +13,13 @@ divisor of x_k * v at every step (``chain_vertices`` walks one order).  The
 cell is the union of the walks over all orders; orders that revisit a
 vertex are degenerate.  ``build_cell_complex`` does not enumerate the
 |tau|! orders.  A step reads the rewrite table: for k nonmultiplicative for
-v it goes to ``basis.delta[(v, k)]``, and for k multiplicative it stays at
-v, because x_k * v lies in v's own cone and the involutive divisor is
-unique.  So the walks from v through the remaining variables depend only on
-(v, rest), and one memo over those pairs serves every cell of the build.
-The basis checks that every delta step strictly increases the element
-index, so a walk can repeat a vertex only on consecutive steps: it is
-degenerate exactly when one of its steps is multiplicative, and the same
-memo counts the nondegenerate orders.
+v it goes to ``basis.delta[(v, k)]``, and for k multiplicative, which the
+table has no entry for, it stays at v, because x_k * v lies in v's own
+cone and the involutive divisor is unique.  So the walks from v through
+the remaining variables depend only on (v, rest), and one memo over those
+pairs serves every cell of the build.
 """
 
-from math import factorial
 from operator import le
 
 from .errors import MismatchedBases, TauNotNonMultiplicative
@@ -63,18 +59,15 @@ class Cell:
     The label is an exponent tuple, the symbol's multidegree and the lcm
     of the vertices; ``basis.ring.text`` displays it."""
 
-    __slots__ = ("alpha", "tau", "dim", "label", "vertices", "boundary",
-                 "degenerate_perms")
+    __slots__ = ("alpha", "tau", "dim", "label", "vertices", "boundary")
 
-    def __init__(self, alpha, tau, label, vertices, boundary,
-                 degenerate_perms):
+    def __init__(self, alpha, tau, label, vertices, boundary):
         self.alpha = alpha
         self.tau = tau
         self.dim = len(tau)
         self.label = label
         self.vertices = vertices
         self.boundary = boundary
-        self.degenerate_perms = degenerate_perms
 
     def key(self):
         return (self.alpha, self.tau)
@@ -153,28 +146,21 @@ def build_cell_complex(basis):
 
 
 def _reach(basis, memo, v, rest):
-    """(vertices, nondegenerate orders) of the walks from v through every
-    order of the sorted tuple rest; memo holds the pairs already seen."""
+    """The vertices of the walks from v through every order of the sorted
+    tuple rest; memo holds the pairs already seen.  A nonmultiplicative
+    step goes to its rewrite target, a multiplicative one stays at v."""
     hit = memo.get((v, rest))
-    if hit is not None:
-        return hit
-    verts = {v}
-    orders = 0 if rest else 1
-    for i, k in enumerate(rest):
-        sub = rest[:i] + rest[i + 1:]
-        if k > basis.classes[v]:
-            sub_verts, sub_orders = _reach(basis, memo,
-                                           basis.delta[(v, k)][0], sub)
-            orders += sub_orders
-        else:
-            sub_verts = _reach(basis, memo, v, sub)[0]
-        verts |= sub_verts
-    memo[(v, rest)] = hit = (frozenset(verts), orders)
+    if hit is None:
+        verts = {v}
+        for i, k in enumerate(rest):
+            verts |= _reach(basis, memo, basis.delta.get((v, k), v),
+                            rest[:i] + rest[i + 1:])
+        memo[(v, rest)] = hit = frozenset(verts)
     return hit
 
 
 def _make_cell(basis, memo, alpha, tau):
-    verts, orders = _reach(basis, memo, alpha, tau)
+    verts = _reach(basis, memo, alpha, tau)
     boundary = []
     for j, (face, rewritten) in enumerate(symbol_facets(basis, alpha, tau)):
         sign = 1 if j % 2 else -1
@@ -182,7 +168,7 @@ def _make_cell(basis, memo, alpha, tau):
         if rewritten is not None:
             boundary.append((rewritten, -sign))
     return Cell(alpha, tau, symbol_multidegree(basis, alpha, tau),
-                tuple(sorted(verts)), boundary, factorial(len(tau)) - orders)
+                tuple(sorted(verts)), boundary)
 
 
 def supports_check(cellcomplex, cplx):

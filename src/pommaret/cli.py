@@ -444,6 +444,9 @@ def _cmd_random_test(args):
     return 0 if bad == 0 else 4
 
 
+_STRAND_CAP = 20000  # the --strand-cap default of verify and random-test
+
+
 def _at_least_1(text):
     """argparse type of --strand-cap, --count and --max-deg: an integer of
     at least 1, since a check over no strands or no cases would read as a
@@ -488,14 +491,14 @@ def _build_parser():
     add("betti", _cmd_betti, text_json, "Betti numbers, pd and regularity")
     sp = add("verify", _cmd_verify, text_json, "run the self-check suite")
     sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
-                    default=20000)
+                    default=_STRAND_CAP)
     sp = add("random-test", _cmd_random_test, ("text",),
              "seeded end-to-end property checks", needs_file=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=_at_least_1, default=25)
     sp.add_argument("--max-deg", dest="max_deg", type=_at_least_1, default=5)
     sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
-                    default=400)
+                    default=_STRAND_CAP)
     return p
 
 

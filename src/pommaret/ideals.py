@@ -131,8 +131,9 @@ class PommaretBasis:
 
     Elements are stored in the basis order: class ascending, ties by
     exponent vectors read from the last variable down.  ``delta`` maps
-    (alpha, k), k nonmultiplicative for element alpha, to (beta, t) with
-    x_k * h_alpha = t * h_beta and h_beta the involutive divisor.
+    (alpha, k), k nonmultiplicative for element alpha, to the index beta
+    of the involutive divisor h_beta of x_k * h_alpha.  The factor t of
+    x_k * h_alpha = t * h_beta is derived by ``PGraph``, which shows it.
     """
 
     __slots__ = ("ring", "ideal", "elements", "classes", "delta", "d",
@@ -156,7 +157,7 @@ class PommaretBasis:
                 if div is None:
                     raise NotQuasiStable(
                         "no involutive divisor for %s" % m)
-                self.delta[(a, k)] = (self._index[div], m / div)
+                self.delta[(a, k)] = self._index[div]
         self._check_linear_quotients()
 
     def __len__(self):
@@ -197,7 +198,7 @@ class PommaretBasis:
         # delta to a later element, ending at an index >= b whose cone
         # holds h_a.  Conversely, h_a involutively dividing h_b != h_a
         # violates the pair (a, b) or, when b < a, the pair (b, a).
-        for (a, k), (b, t) in self.delta.items():
+        for (a, k), b in self.delta.items():
             if b <= a:
                 raise BrokenInvariant(
                     "order broken: x%d sends element %d to %d" % (k, a, b))
@@ -250,15 +251,19 @@ def pommaret_basis(ideal):
 
 
 class PGraph:
-    """Directed multigraph on basis elements: one edge per
-    nonmultiplicative product, labelled by the variable and the factor t."""
+    """Directed multigraph on basis elements: one edge (alpha, k, beta, t)
+    per nonmultiplicative product x_k * h_alpha = t * h_beta, labelled by
+    the variable and by the factor t, derived here from the rewrite
+    target."""
 
     __slots__ = ("basis", "edges")
 
     def __init__(self, basis):
         self.basis = basis
-        self.edges = tuple(sorted(
-            (a, k, b, t) for (a, k), (b, t) in basis.delta.items()))
+        elements = basis.elements
+        self.edges = tuple(
+            (a, k, b, elements[a].times_var(k) / elements[b])
+            for (a, k), b in sorted(basis.delta.items()))
 
     def to_dot(self):
         basis = self.basis

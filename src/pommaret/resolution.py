@@ -16,7 +16,7 @@ A built complex stores no display text: ``FreeComplex.text`` and
 ``Ring.text`` make it where output prints it.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -277,7 +277,7 @@ def symbol_facets(basis, alpha, u):
     classes = basis.classes
     for j, k in enumerate(u):
         rest = u[:j] + u[j + 1:]
-        beta = basis.delta[(alpha, k)][0]
+        beta = basis.delta[(alpha, k)]
         legal = all(v > classes[beta] for v in rest)
         yield (alpha, rest), (beta, rest) if legal else None
 
@@ -361,13 +361,20 @@ def taylor_complex(ideal):
 
 
 class BettiTable:
-    """Multigraded generator counts of a (minimal) complex."""
+    """Multigraded generator counts of a (minimal) complex.
+
+    ``by_multidegree`` maps (level, multidegree) to a count; ``by_degree``
+    is derived from it, summing the counts of each (level, total
+    degree)."""
 
     __slots__ = ("by_degree", "by_multidegree")
 
-    def __init__(self, by_degree, by_multidegree):
-        self.by_degree = dict(by_degree)
+    def __init__(self, by_multidegree):
         self.by_multidegree = dict(by_multidegree)
+        self.by_degree = {}
+        for (i, md), count in self.by_multidegree.items():
+            key = (i, sum(md))
+            self.by_degree[key] = self.by_degree.get(key, 0) + count
 
     def total(self, i):
         return sum(v for (l, _), v in self.by_degree.items() if l == i)
@@ -378,7 +385,6 @@ class BettiTable:
 
     def __eq__(self, other):
         return (isinstance(other, BettiTable)
-                and self.by_degree == other.by_degree
                 and self.by_multidegree == other.by_multidegree)
 
     def render(self):
@@ -389,15 +395,9 @@ class BettiTable:
 
 
 def betti_table(cplx):
-    by_degree = {}
-    by_md = {}
-    for i, level in enumerate(cplx.levels):
-        for g in level:
-            j = sum(g.multidegree)
-            by_degree[(i, j)] = by_degree.get((i, j), 0) + 1
-            key = (i, g.multidegree)
-            by_md[key] = by_md.get(key, 0) + 1
-    return BettiTable(by_degree, by_md)
+    return BettiTable(Counter((i, g.multidegree)
+                              for i, level in enumerate(cplx.levels)
+                              for g in level))
 
 
 # --- text rendering -----------------------------------------------------------

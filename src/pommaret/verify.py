@@ -371,15 +371,12 @@ def scalar_betti(cplx):
     ranks = {key: exact_rank(rows.values()) if len(rows) > 1 else 1
              for key, rows in blocks.items()}
     get = ranks.get
-    by_degree = {}
     by_md = {}
     for (i, md), size in betti_table(cplx).by_multidegree.items():
         beta = size - get((i, md), 0) - get((i + 1, md), 0)
         if beta:
             by_md[(i, md)] = beta
-            key = (i, sum(md))
-            by_degree[key] = by_degree.get(key, 0) + beta
-    return BettiTable(by_degree, by_md)
+    return BettiTable(by_md)
 
 
 def minimal_betti(cplx):

@@ -407,11 +407,18 @@ class VariablesNotIncreasing(PommaretError):
 
 
 def delta_map(basis, alpha, k):
-    """(beta, t) for the nonmultiplicative product x_k * h_alpha."""
+    """(beta, t) for the nonmultiplicative product x_k * h_alpha = t *
+    h_beta: beta read from ``basis.delta``, and t derived from it and
+    asserted to use only multiplicative variables of h_beta, which makes
+    h_beta the involutive divisor."""
     if (alpha, k) not in basis.delta:
         raise NotNonMultiplicative(
             "x%d is multiplicative for element %d" % (k, alpha))
-    return basis.delta[(alpha, k)]
+    beta = basis.delta[(alpha, k)]
+    h_beta = basis.elements[beta]
+    t = basis.elements[alpha].times_var(k) / h_beta
+    assert not any(t.exps[h_beta.cls:]), (alpha, k, beta)
+    return beta, t
 
 
 def edge_between(graph, a, b):
@@ -466,7 +473,7 @@ def reference_matching_V(cplx):
                 alpha, u = gen.key
                 if var not in u or (level, col) in matched:
                     continue
-                beta, t = basis.delta[(alpha, var)]
+                beta, t = delta_map(basis, alpha, var)
                 if not t.is_unit():
                     continue
                 rest = tuple(k for k in u if k != var)

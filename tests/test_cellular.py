@@ -54,7 +54,6 @@ def test_triangle_cell(ideal_b):
     assert cell.dim == 2
     assert cell.vertices == tuple(sorted((a, b, z3)))
     assert cell.label == (2, 1, 3)
-    assert cell.degenerate_perms == 1
     # the facet toward [z^3, y] collapses, three facets remain
     assert sorted(cell.boundary) == sorted([
         ((a, (3,)), -1), ((b, (3,)), 1), ((a, (2,)), 1)])
@@ -71,12 +70,11 @@ def test_vertex_and_edge_cells(ideal_a):
     e = cells.lookup[(2, (2,))]               # x1^2*x2^2 --x2--> x2^3
     assert e.vertices == (2, 3)
     assert e.label == (2, 3)
-    assert e.degenerate_perms == 0
 
 
 def _assert_cells_are_walk_unions(basis, cells):
-    """Each cell is the union of its |tau|! chain_vertices walks, and
-    degenerate_perms counts the walks that repeat a vertex."""
+    """Each cell is the union of its |tau|! chain_vertices walks, and a
+    walk is degenerate exactly when it repeats a vertex."""
     for layer in cells.cells:
         for cell in layer:
             assert cell.alpha in cell.vertices
@@ -85,19 +83,15 @@ def _assert_cells_are_walk_unions(basis, cells):
                 lcm = lcm.lcm(basis.elements[v])
             assert lcm.exps == cell.label
             union = set()
-            degenerate = 0
             for sigma in permutations(cell.tau):
                 walk, degen = chain_vertices(
                     basis, cell.alpha, cell.tau, sigma)
                 union.update(walk)
                 # degenerate exactly when a vertex repeats
                 assert degen == (len(set(walk)) < len(walk))
-                if degen:
-                    degenerate += 1
-                else:
+                if not degen:
                     assert len(set(walk)) == cell.dim + 1
             assert cell.vertices == tuple(sorted(union))
-            assert cell.degenerate_perms == degenerate
 
 
 def test_walks_stay_inside_the_cell():

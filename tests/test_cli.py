@@ -387,6 +387,13 @@ def test_random_test_command(capsys):
     assert "2/2 cases ok" in out
 
 
+def test_verify_and_random_test_share_one_strand_cap():
+    parser = cli._build_parser()
+    caps = {parser.parse_args(argv).strand_cap
+            for argv in (["verify", "ideal-file"], ["random-test"])}
+    assert caps == {20000}
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.ideal", "vars 2\nx1\n")
     assert cli.main(["basis", bad]) == 3

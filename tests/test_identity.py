@@ -8,7 +8,11 @@ kernel still read them; with entries stored as coefficients and their
 monomials derived, the outputs must keep the same bytes.  The digests of
 the printed outputs were taken while every generator still stored its
 display text and every cell label was a ``Monomial``; with both formatted
-only where output prints them, the printed bytes must stay the same.
+only where output prints them, the printed bytes must stay the same.  The
+digests of ``basis``, ``pgraph`` and ``verify``, each output with its exit
+code, were taken while every rewrite still stored its factor t, every cell
+counted its degenerate walk orders and every Betti table counted by degree
+apart from by multidegree.
 """
 
 import contextlib
@@ -138,13 +142,23 @@ PRINTED = {
 }
 
 
-def _printed(monkeypatch, ideal, *argv):
-    """Standard output of the CLI command argv run on ideal."""
+def _run(monkeypatch, ideal, *argv):
+    """(exit code, standard output, standard error) of the CLI command
+    argv run on ideal."""
     monkeypatch.setattr(cli, "_load", lambda args: ideal)
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main([argv[0], "ideal-file"] + list(argv[1:])) == 0
-    return out.getvalue()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], "ideal-file"] + list(argv[1:]))
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _printed(monkeypatch, ideal, *argv):
+    """Standard output of the CLI command argv run on ideal, which must
+    exit 0."""
+    code, out, _ = _run(monkeypatch, ideal, *argv)
+    assert code == 0
+    return out
 
 
 @pytest.mark.parametrize("corpus", sorted(PRINTED))
@@ -181,6 +195,36 @@ def test_betti_outputs_are_frozen(corpus, monkeypatch):
     records = [_printed(monkeypatch, ideal, "betti", "--format", fmt)
                for ideal in _ideals(corpus) for fmt in ("text", "json")]
     assert _digest(records) == BETTI[corpus]
+
+
+CHECKED_OUTPUTS = {
+    "random":
+        "aa91f17db854b58047b1871286e919cb6b480aba97858721ccf86b9db8c14f3f",
+    "positive-dimensional":
+        "d17b85a1cf3765e284118d91f12316eba9593c9bb55989ac0d6e6fa906b874ec",
+    "reproducers":
+        "fb0cb4c36af1f6b01355343239a871473b8e8ece89ceda2239d2d2356a2cb94c",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(CHECKED_OUTPUTS))
+def test_basis_pgraph_verify_outputs_are_frozen(corpus, monkeypatch):
+    """The basis (text, JSON), its rewrite graph (text, JSON, dot) and the
+    verify report (text, JSON), each with its exit code.  The reproducers'
+    verify exits 4: the safety-net sweep cancels there."""
+    records = []
+    codes = set()
+    for ideal in _ideals(corpus):
+        runs = [_run(monkeypatch, ideal, "basis", "--format", fmt)
+                for fmt in ("text", "json")]
+        runs += [_run(monkeypatch, ideal, "pgraph", "--format", fmt)
+                 for fmt in ("text", "json", "dot")]
+        runs += [_run(monkeypatch, ideal, "verify", "--format", fmt)
+                 for fmt in ("text", "json")]
+        codes.update(code for code, _, _ in runs)
+        records += runs
+    assert codes == ({0, 4} if corpus == "reproducers" else {0})
+    assert _digest(records) == CHECKED_OUTPUTS[corpus]
 
 
 CHECKED = (

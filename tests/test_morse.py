@@ -4,8 +4,8 @@ from operator import add
 
 import pytest
 
-from helpers import (positive_dimensional_ideals, random_ideal, random_stable,
-                     reference_has_cycle, reference_match,
+from helpers import (delta_map, positive_dimensional_ideals, random_ideal,
+                     random_stable, reference_has_cycle, reference_match,
                      reference_matching_V, rp2_ideal)
 from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, check_exactness,
@@ -49,7 +49,7 @@ def test_matching_v_three_variables(ideal_b):
     for p in v.pairs:
         src = cplx.levels[p.level][p.source].key
         dst = cplx.levels[p.level - 1][p.target].key
-        beta, t = basis.delta[(src.alpha, p.var)]
+        beta, t = delta_map(basis, src.alpha, p.var)
         assert t.is_unit()
         assert dst == Symbol(beta, tuple(k for k in src.u if k != p.var))
 
