@@ -23,6 +23,7 @@ pairs serves every cell of the build.
 from operator import le
 
 from .errors import MismatchedBases, TauNotNonMultiplicative
+from .monomials import times_var
 from .resolution import (Symbol, ps_generators, symbol_facets,
                          symbol_multidegree)
 from .verify import ComplexReport
@@ -34,21 +35,18 @@ def chain_vertices(basis, alpha, tau, sigma):
     Returns (indices, degenerate): the visited basis indices in walk order,
     and whether any vertex repeats.
     """
-    h = basis.elements[alpha]
-    nonmult = set(h.nonmultiplicative())
-    if not set(tau) <= nonmult:
+    if not all(basis.classes[alpha] < k <= basis.ring.n for k in tau):
         raise TauNotNonMultiplicative(
             "tau %r leaves the nonmultiplicative variables of %s" % (
-                list(tau), h))
+                list(tau), basis.ring.text(basis.elements[alpha])))
     if sorted(sigma) != sorted(tau):
         raise TauNotNonMultiplicative(
             "sigma %r is not an ordering of tau %r" % (list(sigma), list(tau)))
     v = alpha
     out = [v]
     for k in sigma:
-        m = basis.elements[v].times_var(k)
-        w = basis.involutive_divisor(m)
-        v = basis.index(w)
+        v = basis.index(basis.involutive_divisor(
+            times_var(basis.elements[v], k)))
         out.append(v)
     return out, len(set(out)) < len(out)
 
@@ -103,13 +101,13 @@ class CellComplex:
         for layer in self.cells:
             for c in layer:
                 recs.append({
-                    "h": list(basis.elements[c.alpha].exps),
+                    "h": list(basis.elements[c.alpha]),
                     "tau": list(c.tau),
                     "dim": c.dim,
                     "label": list(c.label),
-                    "vertices": [list(basis.elements[v].exps)
+                    "vertices": [list(basis.elements[v])
                                  for v in c.vertices],
-                    "boundary": [{"h": list(basis.elements[a].exps),
+                    "boundary": [{"h": list(basis.elements[a]),
                                   "tau": list(t), "sign": s}
                                  for (a, t), s in c.boundary],
                 })
@@ -119,20 +117,21 @@ class CellComplex:
         """1-skeleton; exponent vectors double as coordinates for n <= 3."""
         basis = self.basis
         n = basis.ring.n
+        text = basis.ring.text
         lines = ["graph skeleton {"]
         for h in basis.elements:
             if n == 2:
-                pos = ' [pos="%d,%d!"]' % h.exps
+                pos = ' [pos="%d,%d!"]' % h
             elif n == 3:
-                pos = ' [pos="%d,%d,%d!"]' % h.exps
+                pos = ' [pos="%d,%d,%d!"]' % h
             else:
                 pos = ""
-            lines.append('  "%s"%s;' % (h, pos))
+            lines.append('  "%s"%s;' % (text(h), pos))
         for c in self.cells[1] if len(self.cells) > 1 else []:
             ends = sorted(c.vertices)
             lines.append('  "%s" -- "%s" [label="%s"];' % (
-                basis.elements[ends[0]], basis.elements[ends[-1]],
-                basis.ring.text(c.label)))
+                text(basis.elements[ends[0]]), text(basis.elements[ends[-1]]),
+                text(c.label)))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -203,9 +202,9 @@ def supports_check(cellcomplex, cplx):
             for cell, gen in zip(layer, level)):
         if gen.multidegree != cell.label:
             failures.append("label of %r is not the symbol multidegree" % (key,))
-        lcm = basis.elements[cell.vertices[0]].exps
+        lcm = basis.elements[cell.vertices[0]]
         for v in cell.vertices[1:]:
-            lcm = tuple(map(max, lcm, basis.elements[v].exps))
+            lcm = tuple(map(max, lcm, basis.elements[v]))
         if lcm != cell.label:
             failures.append("label of %r is not the lcm of its vertices"
                             % (key,))

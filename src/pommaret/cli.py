@@ -1,9 +1,9 @@
 """Command line front end.
 
-Ideal files: a ``vars <n>`` header, an optional ``names a,b,c`` line, then
-one monomial per line, either as a product of named powers (``x1^2*x2``,
-``y^4``), a bare ``1``, or an exponent vector ``[2,0,1]``.  ``#`` starts a
-comment.
+Ideal files: a ``vars <n>`` header (1 <= n <= ``MAX_VARS``), an optional
+``names a,b,c`` line, then one monomial per line, either as a product of
+named powers (``x1^2*x2``, ``y^4``), a bare ``1``, or an exponent vector
+``[2,0,1]``.  ``#`` starts a comment.
 
 Exit codes: 0 success, 2 bad input or usage, 3 the ideal is not
 quasi-stable, 4 a verification failure.
@@ -24,10 +24,13 @@ from .ideals import MonomialIdeal, build_p_graph, pommaret_basis
 from .monomials import Ring
 from .morse import minimize
 from .resolution import ps_complex, render_differential, taylor_complex
-from .verify import (check_complex, check_exactness, homological_invariants,
-                     minimal_betti, oracle_betti, random_quasi_stable,
-                     scalar_betti)
+from .verify import (STRAND_CAP, check_complex, check_exactness,
+                     homological_invariants, minimal_betti, oracle_betti,
+                     random_quasi_stable, scalar_betti)
 
+# the most variables an ideal file may declare: the ring's names are built
+# before any generator is read, so a count without a bound may never finish
+MAX_VARS = 1000
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _FACTOR = re.compile(r"(%s)\s*(?:\^\s*(\d+))?$" % _NAME)
 
@@ -51,6 +54,9 @@ def parse_ideal(text):
     if n < 1:
         raise IdealSyntaxError("need at least one variable",
                                lineno, 1 + _indent(line))
+    if n > MAX_VARS:
+        raise IdealSyntaxError("at most %d variables" % MAX_VARS,
+                               lineno, 1 + _indent(line) + m.start(1))
     names = None
     if content and content[0][1].strip().startswith("names"):
         lineno, line = content.pop(0)
@@ -234,15 +240,17 @@ def _load(args):
 
 def _cmd_basis(args):
     basis = pommaret_basis(_load(args))
+    text = basis.ring.text
+    pairs = list(zip(basis.elements, basis.classes))
     if args.fmt == "json":
         _emit(args, _json_text({
             "n": basis.ring.n,
-            "elements": [{"monomial": str(h), "exps": list(h.exps),
-                          "cls": h.cls} for h in basis.elements]}))
+            "elements": [{"monomial": text(h), "exps": list(h), "cls": c}
+                         for h, c in pairs]}))
     else:
         lines = ["Pommaret basis, %d elements:" % len(basis)]
-        for i, h in enumerate(basis.elements):
-            lines.append("%3d: %-20s cls=%d" % (i, str(h), h.cls))
+        for i, (h, c) in enumerate(pairs):
+            lines.append("%3d: %-20s cls=%d" % (i, text(h), c))
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -250,19 +258,20 @@ def _cmd_basis(args):
 def _cmd_pgraph(args):
     graph = build_p_graph(pommaret_basis(_load(args)))
     basis = graph.basis
+    text = basis.ring.text
     if args.fmt == "dot":
         _emit(args, graph.to_dot())
     elif args.fmt == "json":
         _emit(args, _json_text({
-            "vertices": [str(h) for h in basis.elements],
-            "edges": [{"from": a, "var": k, "to": b, "t": str(t)}
+            "vertices": [text(h) for h in basis.elements],
+            "edges": [{"from": a, "var": k, "to": b, "t": text(t)}
                       for (a, k, b, t) in graph.edges]}))
     else:
         lines = ["%d vertices, %d edges" % (len(basis), len(graph.edges))]
         for (a, k, b, t) in graph.edges:
             lines.append("%s --%s--> %s  (t=%s)" % (
-                basis.elements[a], basis.ring.names[k - 1],
-                basis.elements[b], t))
+                text(basis.elements[a]), basis.ring.names[k - 1],
+                text(basis.elements[b]), text(t)))
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -303,14 +312,15 @@ def _cmd_cellular(args):
         lines = ["cells by dimension: %s" %
                  "  ".join(str(c) for c in cells.counts())]
         basis = cells.basis
+        text = basis.ring.text
         for layer in cells.cells:
             for c in layer:
-                verts = ", ".join(str(basis.elements[v])
+                verts = ", ".join(text(basis.elements[v])
                                   for v in c.vertices)
                 lines.append("dim %d  [%s | %s]  label=%s  vertices={%s}" % (
-                    c.dim, basis.elements[c.alpha],
+                    c.dim, text(basis.elements[c.alpha]),
                     "*".join(basis.ring.names[k - 1] for k in c.tau) or "1",
-                    basis.ring.text(c.label), verts))
+                    text(c.label), verts))
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -444,9 +454,6 @@ def _cmd_random_test(args):
     return 0 if bad == 0 else 4
 
 
-_STRAND_CAP = 20000  # the --strand-cap default of verify and random-test
-
-
 def _at_least_1(text):
     """argparse type of --strand-cap, --count and --max-deg: an integer of
     at least 1, since a check over no strands or no cases would read as a
@@ -491,14 +498,14 @@ def _build_parser():
     add("betti", _cmd_betti, text_json, "Betti numbers, pd and regularity")
     sp = add("verify", _cmd_verify, text_json, "run the self-check suite")
     sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
-                    default=_STRAND_CAP)
+                    default=STRAND_CAP)
     sp = add("random-test", _cmd_random_test, ("text",),
              "seeded end-to-end property checks", needs_file=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=_at_least_1, default=25)
     sp.add_argument("--max-deg", dest="max_deg", type=_at_least_1, default=5)
     sp.add_argument("--strand-cap", dest="strand_cap", type=_at_least_1,
-                    default=_STRAND_CAP)
+                    default=STRAND_CAP)
     return p
 
 

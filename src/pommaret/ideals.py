@@ -4,13 +4,19 @@ A finite Pommaret basis H of a monomial ideal I splits I into disjoint
 cones h * k[x_1..x_cls(h)], one per basis element.  Ideals admitting such a
 basis are exactly the quasi-stable ones; stable ideals are those whose
 minimal generators already form the basis.
+
+An ideal holds its minimal generators as ``Monomial``s.  From the
+completion on, every basis element, rewrite product and factor is an
+exponent tuple, classed and multiplied by ``monomials.class_of`` and
+``monomials.times_var``.
 """
 
 import heapq
+from operator import le, sub
 
 from .errors import (ArityMismatch, BrokenInvariant, EmptyInput,
                      NotQuasiStable, UnitGenerator)
-from .monomials import Monomial, p_order_key
+from .monomials import class_of, p_order_key, times_var
 
 
 class MonomialIdeal:
@@ -25,8 +31,9 @@ class MonomialIdeal:
             if g.ring.n != ring.n:
                 raise ArityMismatch("monomials from different rings")
 
-    def contains(self, m):
-        return any(g.divides(m) for g in self.gens)
+    def contains(self, exps):
+        """Membership of the monomial with exponent tuple exps."""
+        return any(all(map(le, g.exps, exps)) for g in self.gens)
 
     def max_exponents(self):
         """Per-variable maximum exponent over the minimal generators."""
@@ -46,7 +53,7 @@ class MonomialIdeal:
         n = self.ring.n
         for g in self.gens:
             for i in range(1, n + 1):
-                if g.exponent(i) == 0:
+                if g.exps[i - 1] == 0:
                     continue
                 ghat = list(g.exps)
                 ghat[i - 1] = 0
@@ -65,13 +72,10 @@ class MonomialIdeal:
         """True when x_j * g / x_cls(g) stays in the ideal for every
         minimal generator g and every j > cls(g)."""
         for g in self.gens:
-            c = g.cls
-            lowered = list(g.exps)
-            lowered[c - 1] -= 1
+            c = class_of(g.exps)
+            lowered = g.exps[:c - 1] + (g.exps[c - 1] - 1,) + g.exps[c:]
             for j in range(c + 1, self.ring.n + 1):
-                e = list(lowered)
-                e[j - 1] += 1
-                if not self.contains(Monomial(self.ring, tuple(e))):
+                if not self.contains(times_var(lowered, j)):
                     return False
         return True
 
@@ -102,9 +106,10 @@ def minimal_generators(monomials):
 class _ConeIndex:
     """Lookup structure for involutive divisors.
 
-    Elements are bucketed by (class, exponents above the class); a monomial
-    m can only have an involutive divisor of class c whose exponents above c
-    equal m's, so a query is a handful of dict hits plus head comparisons.
+    Elements are exponent tuples, bucketed by (class, exponents above the
+    class); a tuple m can only have an involutive divisor of class c whose
+    exponents above c equal m's, so a query is a handful of dict hits plus
+    head comparisons.
     """
 
     def __init__(self, n):
@@ -112,28 +117,30 @@ class _ConeIndex:
         self.buckets = {}
         self.elements = []
 
-    def add(self, m):
-        self.elements.append(m)
-        c = m.cls
-        self.buckets.setdefault((c, m.exps[c:]), []).append(m)
+    def add(self, h):
+        self.elements.append(h)
+        c = class_of(h)
+        self.buckets.setdefault((c, h[c:]), []).append(h)
 
     def divisors(self, m):
         """The involutive divisors of m among the elements, by class."""
-        exps = m.exps
         for c in range(1, self.n + 1):
-            for h in self.buckets.get((c, exps[c:]), ()):
-                if all(h.exps[j] <= exps[j] for j in range(c)):
+            for h in self.buckets.get((c, m[c:]), ()):
+                if all(h[j] <= m[j] for j in range(c)):
                     yield h
 
 
 class PommaretBasis:
     """The (unique, minimal) Pommaret basis of a quasi-stable ideal.
 
-    Elements are stored in the basis order: class ascending, ties by
-    exponent vectors read from the last variable down.  ``delta`` maps
-    (alpha, k), k nonmultiplicative for element alpha, to the index beta
-    of the involutive divisor h_beta of x_k * h_alpha.  The factor t of
-    x_k * h_alpha = t * h_beta is derived by ``PGraph``, which shows it.
+    Elements are exponent tuples, stored in the basis order: class
+    ascending, ties by exponents read from the last variable down.
+    ``classes`` holds their classes, so the nonmultiplicative variables of
+    element alpha are x_k for classes[alpha] < k <= n; ``ring.text``
+    displays an element.  ``delta`` maps (alpha, k), k nonmultiplicative
+    for element alpha, to the index beta of the involutive divisor h_beta
+    of x_k * h_alpha.  The factor t of x_k * h_alpha = t * h_beta is
+    derived by ``PGraph``, which shows it.
     """
 
     __slots__ = ("ring", "ideal", "elements", "classes", "delta", "d",
@@ -143,35 +150,33 @@ class PommaretBasis:
         self.ring = ideal.ring
         self.ideal = ideal
         self.elements = tuple(sorted(elements, key=p_order_key))
-        self.classes = tuple(h.cls for h in self.elements)
+        self.classes = tuple(map(class_of, self.elements))
         self.d = min(self.classes)
         self._index = {h: a for a, h in enumerate(self.elements)}
-        self._cones = _ConeIndex(self.ring.n)
+        n = self.ring.n
+        self._cones = _ConeIndex(n)
         for h in self.elements:
             self._cones.add(h)
         self.delta = {}
-        for a, h in enumerate(self.elements):
-            for k in h.nonmultiplicative():
-                m = h.times_var(k)
+        for a, (h, c) in enumerate(zip(self.elements, self.classes)):
+            for k in range(c + 1, n + 1):
+                m = times_var(h, k)
                 div = next(self._cones.divisors(m), None)
                 if div is None:
                     raise NotQuasiStable(
-                        "no involutive divisor for %s" % m)
+                        "no involutive divisor for %s" % self.ring.text(m))
                 self.delta[(a, k)] = self._index[div]
         self._check_linear_quotients()
 
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def index(self, h):
         return self._index[h]
 
     def degree(self):
         """Largest total degree of a basis element."""
-        return max(h.degree() for h in self.elements)
+        return max(map(sum, self.elements))
 
     def class_counts(self):
         """Number of basis elements of each class 1..n."""
@@ -181,11 +186,9 @@ class PommaretBasis:
         return tuple(counts)
 
     def involutive_divisor(self, m):
-        """The unique basis element involutively dividing m, or None."""
+        """The unique basis element involutively dividing the exponent
+        tuple m, or None."""
         return next(self._cones.divisors(m), None)
-
-    def contains(self, m):
-        return next(self._cones.divisors(m), None) is not None
 
     def _check_linear_quotients(self):
         # each colon ideal <h_{a+1},...> : h_a must be generated by exactly
@@ -206,10 +209,12 @@ class PommaretBasis:
             raise BrokenInvariant("classes fall along the element order")
         for h in self.elements:
             if list(self._cones.divisors(h)) != [h]:
-                raise BrokenInvariant("cones overlap at %s" % h)
+                raise BrokenInvariant("cones overlap at %s"
+                                      % self.ring.text(h))
 
     def __repr__(self):
-        return "PommaretBasis[%s]" % ", ".join(str(h) for h in self.elements)
+        return "PommaretBasis[%s]" % ", ".join(map(self.ring.text,
+                                                   self.elements))
 
 
 def pommaret_basis(ideal):
@@ -230,17 +235,16 @@ def pommaret_basis(ideal):
     queue = []
 
     def push_products(h):
-        for k in h.nonmultiplicative():
-            m = h.times_var(k)
-            heapq.heappush(queue, (m.degree(), m.exps))
+        deg = sum(h) + 1
+        for k in range(class_of(h) + 1, n + 1):
+            heapq.heappush(queue, (deg, times_var(h, k)))
 
     for g in ideal.gens:
         # minimal generators always belong to the basis
-        cones.add(g)
-        push_products(g)
+        cones.add(g.exps)
+        push_products(g.exps)
     while queue:
-        deg, exps = heapq.heappop(queue)
-        m = Monomial(ideal.ring, exps)
+        deg, m = heapq.heappop(queue)
         if next(cones.divisors(m), None) is not None:
             continue
         if deg > cap:  # unreachable given the guard above
@@ -253,8 +257,8 @@ def pommaret_basis(ideal):
 class PGraph:
     """Directed multigraph on basis elements: one edge (alpha, k, beta, t)
     per nonmultiplicative product x_k * h_alpha = t * h_beta, labelled by
-    the variable and by the factor t, derived here from the rewrite
-    target."""
+    the variable and by the factor t, an exponent tuple derived here from
+    the rewrite target."""
 
     __slots__ = ("basis", "edges")
 
@@ -262,18 +266,19 @@ class PGraph:
         self.basis = basis
         elements = basis.elements
         self.edges = tuple(
-            (a, k, b, elements[a].times_var(k) / elements[b])
+            (a, k, b, tuple(map(sub, times_var(elements[a], k), elements[b])))
             for (a, k), b in sorted(basis.delta.items()))
 
     def to_dot(self):
         basis = self.basis
+        text = basis.ring.text
         lines = ["digraph pgraph {"]
         for h in basis.elements:
-            lines.append('  "%s";' % h)
+            lines.append('  "%s";' % text(h))
         for (a, k, b, t) in self.edges:
             lines.append('  "%s" -> "%s" [label="%s | t=%s"];' % (
-                basis.elements[a], basis.elements[b],
-                basis.ring.names[k - 1], t))
+                text(basis.elements[a]), text(basis.elements[b]),
+                basis.ring.names[k - 1], text(t)))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

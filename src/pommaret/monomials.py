@@ -1,9 +1,14 @@
-"""Monomials in a fixed polynomial ring, with the Pommaret division.
+"""Monomials in a fixed polynomial ring, and the class of an exponent tuple.
 
-Variables are indexed 1..n.  The class of a monomial is the smallest index
-of a variable dividing it; its multiplicative variables are x_1..x_cls, the
-rest are nonmultiplicative.  A monomial h involutively divides m when h | m
-and the quotient uses multiplicative variables of h only.
+Variables are indexed 1..n.  ``Monomial`` is the input boundary: an ideal's
+generators are ``Monomial``s, parsed or drawn once and checked for arity.
+Everything past the ideal (basis elements, rewrite factors, multidegrees)
+is a plain exponent tuple, and ``Ring.text`` displays one.
+
+The class of an exponent tuple is the smallest index of a variable
+dividing it (``class_of``); its multiplicative variables are x_1..x_cls,
+the rest are nonmultiplicative.  ``times_var`` forms the products x_k * h
+that the completion and the rewrite walks take.
 """
 
 from .errors import ArityMismatch, UnitMonomial
@@ -33,12 +38,6 @@ class Ring:
     def unit(self):
         return Monomial(self, (0,) * self.n)
 
-    def variable(self, i):
-        """The monomial x_i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ArityMismatch("variable index %d outside 1..%d" % (i, self.n))
-        return Monomial(self, tuple(int(j == i) for j in range(1, self.n + 1)))
-
     def text(self, exps):
         """Display form of an exponent tuple: ``x1^2*x3``, or ``1``."""
         parts = []
@@ -60,7 +59,8 @@ class Ring:
 
 
 class Monomial:
-    """Power product stored as an exponent tuple, immutable and hashable."""
+    """Power product stored as an exponent tuple, immutable and hashable:
+    a generator of an ideal."""
 
     __slots__ = ("ring", "exps")
 
@@ -74,94 +74,22 @@ class Monomial:
         self.ring = ring
         self.exps = exps
 
-    # -- basic structure ----------------------------------------------
-
     def degree(self):
         return sum(self.exps)
 
     def is_unit(self):
         return all(e == 0 for e in self.exps)
 
-    def exponent(self, i):
-        """Exponent of x_i (1-based)."""
-        return self.exps[i - 1]
-
-    @property
-    def cls(self):
-        """Smallest variable index dividing the monomial."""
-        for i, e in enumerate(self.exps):
-            if e:
-                return i + 1
-        raise UnitMonomial("the unit monomial has no class")
-
-    def multiplicative(self):
-        """Multiplicative variables x_1..x_cls, as a tuple of indices."""
-        return tuple(range(1, self.cls + 1))
-
-    def nonmultiplicative(self):
-        """Nonmultiplicative variables x_{cls+1}..x_n."""
-        return tuple(range(self.cls + 1, self.ring.n + 1))
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _check(self, other):
+    def divides(self, other):
         if self.ring.n != other.ring.n:
             raise ArityMismatch("monomials from different rings")
-
-    def __mul__(self, other):
-        self._check(other)
-        return Monomial(self.ring,
-                        tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def times_var(self, i):
-        e = list(self.exps)
-        e[i - 1] += 1
-        return Monomial(self.ring, tuple(e))
-
-    def divides(self, other):
-        self._check(other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __truediv__(self, other):
-        """Exact quotient; caller guarantees divisibility."""
-        self._check(other)
-        q = tuple(a - b for a, b in zip(self.exps, other.exps))
-        if any(e < 0 for e in q):
-            raise ArityMismatch("%s does not divide %s" % (other, self))
-        return Monomial(self.ring, q)
-
-    def lcm(self, other):
-        self._check(other)
-        return Monomial(self.ring,
-                        tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def gcd(self, other):
-        self._check(other)
-        return Monomial(self.ring,
-                        tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def involutively_divides(self, other):
-        """h | m with quotient supported on x_1..x_cls(h)."""
-        self._check(other)
-        c = self.cls  # raises UnitMonomial for the unit
-        e, f = self.exps, other.exps
-        # above the class the exponents must agree exactly
-        for j in range(c, self.ring.n):
-            if e[j] != f[j]:
-                return False
-        return all(e[j] <= f[j] for j in range(c))
-
-    # -- container protocol -------------------------------------------
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 
     def __hash__(self):
         return hash(self.exps)
-
-    def __lt__(self, other):
-        # plain degree-then-exponent order; only used for determinism
-        return (self.degree(), self.exps) < (other.degree(), other.exps)
 
     def __str__(self):
         return self.ring.text(self.exps)
@@ -170,7 +98,21 @@ class Monomial:
         return "Monomial(%s)" % str(self)
 
 
-def p_order_key(m):
+def class_of(exps):
+    """Class of an exponent tuple: the smallest (1-based) index of a
+    variable dividing it."""
+    for i, e in enumerate(exps, start=1):
+        if e:
+            return i
+    raise UnitMonomial("the unit monomial has no class")
+
+
+def times_var(exps, k):
+    """The exponent tuple of x_k times exps (k 1-based)."""
+    return exps[:k - 1] + (exps[k - 1] + 1,) + exps[k:]
+
+
+def p_order_key(exps):
     """Sort key for the basis order: class ascending, then exponents
     compared from the last variable down (ascending)."""
-    return (m.cls, m.exps[::-1])
+    return (class_of(exps), exps[::-1])

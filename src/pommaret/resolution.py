@@ -124,7 +124,7 @@ class FreeComplex:
                                       for i in key.gens)
         if not isinstance(key, Symbol):
             return str(key)
-        inside = str(self.basis.elements[key.alpha])
+        inside = self.basis.ring.text(self.basis.elements[key.alpha])
         if key.u:
             names = self.basis.ring.names
             inside += ", " + "*".join(names[k - 1] for k in key.u)
@@ -143,8 +143,7 @@ class FreeComplex:
             for g in level:
                 rec = {"multidegree": list(g.multidegree)}
                 if isinstance(g.key, Symbol):
-                    rec["h"] = list(
-                        self.basis.elements[g.key.alpha].exps)
+                    rec["h"] = list(self.basis.elements[g.key.alpha])
                     rec["u"] = list(g.key.u)
                 elif isinstance(g.key, Face):
                     rec["face"] = list(g.key.gens)
@@ -249,7 +248,7 @@ def _coeff_json(c):
 
 
 def symbol_multidegree(basis, alpha, u):
-    exps = list(basis.elements[alpha].exps)
+    exps = list(basis.elements[alpha])
     for k in u:
         exps[k - 1] += 1
     return tuple(exps)
@@ -260,9 +259,10 @@ def ps_generators(basis, i):
     top = basis.ring.n - basis.d
     if not 0 <= i <= top:
         raise DegreeOutOfRange("level %d outside 0..%d" % (i, top))
+    n = basis.ring.n
     out = []
-    for alpha, h in enumerate(basis.elements):
-        for u in combinations(h.nonmultiplicative(), i):
+    for alpha, c in enumerate(basis.classes):
+        for u in combinations(range(c + 1, n + 1), i):
             out.append(Symbol(alpha, u))
     return out
 

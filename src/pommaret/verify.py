@@ -326,7 +326,10 @@ def lcm_lattice(cplx, cap):
     return points, capped
 
 
-def check_exactness(cplx, cap=20000):
+STRAND_CAP = 20000  # the default cap, also of the CLI's --strand-cap
+
+
+def check_exactness(cplx, cap=STRAND_CAP):
     """Strand-by-strand exactness over the lcm lattice: GF(2) ranks
     certify a strand, and only a strand they leave short is decided by
     ``_strand_failure``'s exact ranks (see the module docstring)."""

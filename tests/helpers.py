@@ -4,11 +4,15 @@ The oracles here deliberately avoid the library's own algorithms: rank via
 dense Gaussian elimination over Fraction, completion via a quadratic
 rescan, membership via direct divisor scans.  Expected values frozen in the
 tests were produced by these or by hand.
+
+Basis elements, rewrite factors and multidegrees are exponent tuples; the
+oracles do their own arithmetic on them, with the small functions below.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from operator import add, le, sub
 
 from pommaret import (FreeComplex, Matching, MonomialIdeal, Pair, Ring,
                       minimal_generators)
@@ -20,6 +24,56 @@ from pommaret.errors import PommaretError
 # safety-net sweep cancels them
 REPRODUCERS = [(31000, 4, 6, 8), (2520, 5, 4, 6), (3774, 5, 4, 6),
                (3452, 5, 6, 8), (115, 6, 4, 8)]
+
+
+# --- exponent-tuple arithmetic used only by the tests ------------------------
+
+
+def variable(ring, i):
+    """The generator x_i (1-based) of ring, as a ``Monomial``."""
+    return ring.monomial([int(j == i) for j in range(1, ring.n + 1)])
+
+
+def cls_of(e):
+    """Class of an exponent tuple: its first nonzero position, 1-based."""
+    return next(k for k, x in enumerate(e, start=1) if x)
+
+
+def nonmultiplicative(e):
+    """The nonmultiplicative variables x_{cls+1}..x_n of e."""
+    return tuple(range(cls_of(e) + 1, len(e) + 1))
+
+
+def times_var(e, k):
+    """x_k * e."""
+    return tuple(x + (j == k) for j, x in enumerate(e, start=1))
+
+
+def mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def quotient(a, b):
+    """a / b; b must divide a."""
+    q = tuple(map(sub, a, b))
+    if min(q, default=0) < 0:
+        raise ValueError("%r does not divide %r" % (b, a))
+    return q
+
+
+def lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def divides(a, b):
+    return all(map(le, a, b))
+
+
+def involutively_divides(h, m):
+    """h | m with the quotient in the multiplicative variables of h: above
+    its class, h and m agree."""
+    c = cls_of(h)
+    return divides(h, m) and h[c:] == m[c:]
 
 
 def make_ideal_a():
@@ -42,9 +96,10 @@ def make_ideal_stable2():
 
 
 def monomials_up_to(ring, deg):
+    """Exponent tuples of the non-unit monomials of degree <= deg."""
     for exps in itertools.product(range(deg + 1), repeat=ring.n):
         if 0 < sum(exps) <= deg:
-            yield ring.monomial(exps)
+            yield exps
 
 
 def dense_rank(rows, ncols):
@@ -89,26 +144,26 @@ def dense_rank_gf2(rows, ncols):
 
 
 def reference_lattice(cplx, cap):
-    """Reference ``lcm_lattice``: the same closure, on ``Monomial``s.
+    """Reference ``lcm_lattice``: the same closure, by pairwise ``lcm`` of
+    exponent tuples instead of bit codes.
 
     Generator multidegrees by degree, then exponents; then the joins
-    ``Monomial.lcm`` finds, in discovery order, cut at cap points.  Returns
+    ``lcm`` finds, in discovery order, cut at cap points.  Returns
     (points as exponent tuples, capped)."""
-    seeds = sorted({cplx.ring.monomial(g.multidegree)
-                    for level in cplx.levels for g in level},
-                   key=lambda m: (m.degree(), m.exps))
+    seeds = sorted({g.multidegree for level in cplx.levels for g in level},
+                   key=lambda e: (sum(e), e))
     points = list(seeds)
     seen = set(points)
     j = 1
     while j < len(points) and len(points) < cap:
         for k in range(j):
-            m = points[j].lcm(points[k])
+            m = lcm(points[j], points[k])
             if m not in seen:
                 seen.add(m)
                 points.append(m)
         j += 1
     capped = len(points) > cap or j < len(points)
-    return [m.exps for m in points[:cap]], capped
+    return points[:cap], capped
 
 
 def strand_oracle(cplx, cap=20000):
@@ -186,20 +241,21 @@ def naive_completion(ideal, cap):
     """Quadratic-rescan completion; None when the cap is passed.
 
     Independent of the library's worklist: every pass rescans everything
-    and inserts the smallest missing prolongation.
+    and inserts the smallest missing prolongation.  Returns the basis as a
+    set of exponent tuples.
     """
-    elems = set(ideal.gens)
+    elems = {g.exps for g in ideal.gens}
     while True:
         missing = []
         for h in elems:
-            for k in h.nonmultiplicative():
-                m = h.times_var(k)
-                if not any(g.involutively_divides(m) for g in elems):
+            for k in nonmultiplicative(h):
+                m = times_var(h, k)
+                if not any(involutively_divides(g, m) for g in elems):
                     missing.append(m)
         if not missing:
             return elems
-        m = min(missing, key=lambda x: (x.degree(), x.exps))
-        if m.degree() > cap:
+        m = min(missing, key=lambda x: (sum(x), x))
+        if sum(m) > cap:
             return None
         elems.add(m)
 
@@ -255,7 +311,7 @@ def random_stable(seed):
     while changed:
         changed = False
         for g in sorted(work, key=lambda m: (m.degree(), m.exps)):
-            c = g.cls
+            c = cls_of(g.exps)
             for j in range(c + 1, n + 1):
                 e = list(g.exps)
                 e[c - 1] -= 1
@@ -292,21 +348,16 @@ def ek_differential(ideal):
     n = ideal.ring.n
     gens = [g.exps for g in ideal.gens]
 
-    def cls(e):
-        return next(k for k, x in enumerate(e, start=1) if x)
-
     def b(m):
-        found = [g for g in gens
-                 if all(x <= y for x, y in zip(g, m))
-                 and g[cls(g):] == m[cls(g):]]
+        found = [g for g in gens if involutively_divides(g, m)]
         if len(found) != 1:
             raise ValueError("%r has %d EK divisors" % (m, len(found)))
         return found[0]
 
     levels = [dict() for _ in range(n)]
     for g in gens:
-        for i in range(n - cls(g) + 1):
-            for u in itertools.combinations(range(cls(g) + 1, n + 1), i):
+        for i in range(n - cls_of(g) + 1):
+            for u in itertools.combinations(nonmultiplicative(g), i):
                 column = {}
                 for k in u:
                     rest = tuple(j for j in u if j != k)
@@ -314,7 +365,7 @@ def ek_differential(ideal):
                     xk = tuple(int(j == k) for j in range(1, n + 1))
                     column[(g, rest)] = (sign, xk)
                     h = b(tuple(map(sum, zip(g, xk))))
-                    if all(j > cls(h) for j in rest):
+                    if all(j > cls_of(h) for j in rest):
                         t = tuple(x + y - z for x, y, z in zip(g, xk, h))
                         column[(h, rest)] = (-sign, t)
                 levels[i][(g, u)] = column
@@ -327,7 +378,7 @@ def symbol_differential(cplx):
     elements = cplx.basis.elements
 
     def pair(gen):
-        return (elements[gen.key.alpha].exps, gen.key.u)
+        return (elements[gen.key.alpha], gen.key.u)
 
     out = [{pair(g): {} for g in cplx.levels[0]}]
     for i in range(1, len(cplx.levels)):
@@ -416,8 +467,8 @@ def delta_map(basis, alpha, k):
             "x%d is multiplicative for element %d" % (k, alpha))
     beta = basis.delta[(alpha, k)]
     h_beta = basis.elements[beta]
-    t = basis.elements[alpha].times_var(k) / h_beta
-    assert not any(t.exps[h_beta.cls:]), (alpha, k, beta)
+    t = quotient(times_var(basis.elements[alpha], k), h_beta)
+    assert not any(t[cls_of(h_beta):]), (alpha, k, beta)
     return beta, t
 
 
@@ -435,10 +486,10 @@ def path_multidegree(graph, vertices):
     """Product of the t factors along a path given as basis indices.
 
     The path must follow existing edges and use strictly increasing edge
-    variables; the empty and one-vertex paths have multidegree 1.
+    variables; the empty and one-vertex paths have multidegree 1, the
+    zero tuple.
     """
-    ring = graph.basis.ring
-    md = ring.unit()
+    md = (0,) * graph.basis.ring.n
     last_k = 0
     for a, b in zip(vertices, vertices[1:]):
         e = edge_between(graph, a, b)
@@ -449,7 +500,7 @@ def path_multidegree(graph, vertices):
             raise VariablesNotIncreasing(
                 "edge variable x%d after x%d" % (k, last_k))
         last_k = k
-        md = md * t
+        md = mul(md, t)
     return md
 
 
@@ -474,7 +525,7 @@ def reference_matching_V(cplx):
                 if var not in u or (level, col) in matched:
                     continue
                 beta, t = delta_map(basis, alpha, var)
-                if not t.is_unit():
+                if any(t):
                     continue
                 rest = tuple(k for k in u if k != var)
                 row = lookup[level - 1].get((beta, rest))

@@ -4,7 +4,7 @@ from operator import gt, le
 import pytest
 
 import pommaret.cellular
-from helpers import positive_dimensional_ideals, random_ideal
+from helpers import lcm, positive_dimensional_ideals, random_ideal
 from pommaret import (FreeComplex, MonomialIdeal, PommaretBasis,
                       Ring, build_cell_complex, chain_vertices, expected_ranks,
                       pommaret_basis, ps_complex, random_quasi_stable,
@@ -16,10 +16,9 @@ from pommaret.errors import (MismatchedBases, NotAComplex,
 def test_chain_vertices_orders(ideal_b):
     """The two orderings of {y,z} on x^2*z^2 trace the triangle."""
     basis = pommaret_basis(ideal_b)
-    r = ideal_b.ring
-    a = basis.index(r.monomial((2, 0, 2)))     # x^2*z^2
-    b = basis.index(r.monomial((2, 1, 2)))     # x^2*y*z^2
-    z3 = basis.index(r.monomial((0, 0, 3)))
+    a = basis.index((2, 0, 2))     # x^2*z^2
+    b = basis.index((2, 1, 2))     # x^2*y*z^2
+    z3 = basis.index((0, 0, 3))
     walk, degen = chain_vertices(basis, a, (2, 3), (2, 3))
     assert walk == [a, b, z3] and not degen
     walk, degen = chain_vertices(basis, a, (2, 3), (3, 2))
@@ -45,10 +44,9 @@ def test_cell_counts_match_ranks(ideal_a, ideal_b):
 
 def test_triangle_cell(ideal_b):
     basis = pommaret_basis(ideal_b)
-    r = ideal_b.ring
-    a = basis.index(r.monomial((2, 0, 2)))
-    b = basis.index(r.monomial((2, 1, 2)))
-    z3 = basis.index(r.monomial((0, 0, 3)))
+    a = basis.index((2, 0, 2))
+    b = basis.index((2, 1, 2))
+    z3 = basis.index((0, 0, 3))
     cells = build_cell_complex(basis)
     cell = cells.lookup[(a, (2, 3))]
     assert cell.dim == 2
@@ -66,7 +64,7 @@ def test_vertex_and_edge_cells(ideal_a):
         v = cells.lookup[(alpha, ())]
         assert v.vertices == (alpha,)
         assert v.boundary == []
-        assert v.label == basis.elements[alpha].exps
+        assert v.label == basis.elements[alpha]
     e = cells.lookup[(2, (2,))]               # x1^2*x2^2 --x2--> x2^3
     assert e.vertices == (2, 3)
     assert e.label == (2, 3)
@@ -78,10 +76,10 @@ def _assert_cells_are_walk_unions(basis, cells):
     for layer in cells.cells:
         for cell in layer:
             assert cell.alpha in cell.vertices
-            lcm = basis.elements[cell.vertices[0]]
+            label = basis.elements[cell.vertices[0]]
             for v in cell.vertices[1:]:
-                lcm = lcm.lcm(basis.elements[v])
-            assert lcm.exps == cell.label
+                label = lcm(label, basis.elements[v])
+            assert label == cell.label
             union = set()
             for sigma in permutations(cell.tau):
                 walk, degen = chain_vertices(
@@ -258,7 +256,7 @@ def test_supports_check_rejects_a_label_without_quotient(ideal_a):
     # a facet label that does not divide the cell label has no quotient;
     # it is a failure of the check, not an error of its input
     cell = cells.cells[1][0]
-    cell.label = basis.elements[cell.alpha].exps
+    cell.label = basis.elements[cell.alpha]
     report = supports_check(cells, cplx)
     assert not report.ok
     text = basis.ring.text

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 
@@ -5,8 +6,8 @@ import pytest
 
 from helpers import (REPRODUCERS, halve_generator, make_ideal_b,
                      make_ideal_stable2, random_stable)
-from pommaret import (build_cell_complex, cli, pommaret_basis, ps_complex,
-                      random_quasi_stable)
+from pommaret import (build_cell_complex, check_exactness, cli,
+                      pommaret_basis, ps_complex, random_quasi_stable)
 from pommaret.errors import (EmptyInput, IdealSyntaxError, UnitGenerator)
 
 
@@ -391,7 +392,8 @@ def test_verify_and_random_test_share_one_strand_cap():
     parser = cli._build_parser()
     caps = {parser.parse_args(argv).strand_cap
             for argv in (["verify", "ideal-file"], ["random-test"])}
-    assert caps == {20000}
+    library = inspect.signature(check_exactness).parameters["cap"].default
+    assert caps == {library} == {20000}
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -487,6 +489,22 @@ def test_oversized_integers_exit_2(tmp_path, capsys, int_digit_limit):
              "line 1, col 6: integer too long")
     _exits_2(tmp_path, capsys, b"vars 2\n[1,0]\n x2 * x1^" + digits + b"\n",
              "line 3, col 10: integer too long")
+
+
+def test_variable_count_is_bounded(tmp_path, capsys):
+    # the ring's names are built before any generator is read, so a huge
+    # count is refused from its header
+    _exits_2(tmp_path, capsys, b"vars 99999999999999999999\n[1]\n",
+             "line 1, col 6: at most %d variables" % cli.MAX_VARS)
+    _exits_2(tmp_path, capsys, b"vars %d\nx1\n" % (cli.MAX_VARS + 1),
+             "line 1, col 6: at most %d variables" % cli.MAX_VARS)
+    # the bound itself is accepted: <x_n> is stable, its own basis
+    path = write(tmp_path, "wide.ideal", "vars %d\nx%d\n"
+                 % (cli.MAX_VARS, cli.MAX_VARS))
+    assert cli.main(["basis", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == cli.MAX_VARS
+    assert [e["cls"] for e in doc["elements"]] == [cli.MAX_VARS]
 
 
 def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):

@@ -5,9 +5,11 @@ import time
 import pytest
 
 from helpers import (NotAPath, NotNonMultiplicative, VariablesNotIncreasing,
-                     delta_map, edge_between, make_ideal_a, make_ideal_b,
-                     monomials_up_to, naive_completion, path_multidegree,
-                     random_ideal, random_monomials, random_stable)
+                     cls_of, delta_map, divides, edge_between,
+                     involutively_divides, make_ideal_a, make_ideal_b,
+                     monomials_up_to, mul, naive_completion, path_multidegree,
+                     random_ideal, random_monomials, random_stable,
+                     times_var, variable)
 from pommaret import (MonomialIdeal, PommaretBasis, Ring, build_p_graph,
                       minimal_generators, p_order_key, pommaret_basis,
                       random_quasi_stable)
@@ -35,13 +37,13 @@ def test_ideal_refuses_generators_of_another_ring():
     # generators from Ring(4) over Ring(3) agree with each other, so only
     # the ring can tell; pommaret_basis used to report NotQuasiStable
     r3, r4 = Ring(3), Ring(4)
-    for gens in ([r4.variable(1), r4.variable(2)], [r4.variable(4)]):
+    for gens in ([variable(r4, 1), variable(r4, 2)], [variable(r4, 4)]):
         with pytest.raises(ArityMismatch,
                            match="monomials from different rings"):
             MonomialIdeal(r3, gens)
     with pytest.raises(ArityMismatch, match="monomials from different rings"):
-        MonomialIdeal(r4, [Ring(2).variable(1)])
-    assert MonomialIdeal(r3, [r3.variable(1)]).gens == (r3.variable(1),)
+        MonomialIdeal(r4, [variable(Ring(2), 1)])
+    assert MonomialIdeal(r3, [variable(r3, 1)]).gens == (variable(r3, 1),)
 
 
 def test_contains_is_stable_under_reduction():
@@ -54,7 +56,7 @@ def test_contains_is_stable_under_reduction():
         raw = [m for m in raw if not m.is_unit()] or [r.monomial((1, 0, 0))]
         ideal = MonomialIdeal(r, raw)
         for m in itertools.islice(monomials_up_to(r, 4), 200):
-            assert ideal.contains(m) == any(g.divides(m) for g in raw)
+            assert ideal.contains(m) == any(divides(g.exps, m) for g in raw)
 
 
 def test_quasi_stability_examples(ideal_a, ideal_b):
@@ -93,17 +95,16 @@ def test_stability_examples(ideal_a, ideal_b):
 
 def test_basis_of_two_variable_example(ideal_a):
     basis = pommaret_basis(ideal_a)
-    assert [h.exps for h in basis.elements] == [
-        (2, 0), (2, 1), (2, 2), (0, 3)]
+    assert basis.elements == ((2, 0), (2, 1), (2, 2), (0, 3))
     assert basis.classes == (1, 1, 1, 2)
     assert basis.d == 1
     assert basis.degree() == 4
     assert basis.class_counts() == (3, 1)
     # rewrite map: x2 pushes along the chain, with a factor on the last step
     assert basis.delta == {(0, 2): 1, (1, 2): 2, (2, 2): 3}
-    assert delta_map(basis, 0, 2) == (1, ideal_a.ring.unit())
-    assert delta_map(basis, 1, 2) == (2, ideal_a.ring.unit())
-    assert delta_map(basis, 2, 2) == (3, ideal_a.ring.monomial((2, 0)))
+    assert delta_map(basis, 0, 2) == (1, (0, 0))
+    assert delta_map(basis, 1, 2) == (2, (0, 0))
+    assert delta_map(basis, 2, 2) == (3, (2, 0))
     assert (3, 2) not in basis.delta  # x2 is multiplicative for x2^3
 
 
@@ -122,11 +123,10 @@ def test_disjoint_cones():
         basis = pommaret_basis(ideal)
         bound = basis.degree() + 3
         for m in monomials_up_to(ideal.ring, bound):
-            hits = [h for h in basis.elements if h.involutively_divides(m)]
+            hits = [h for h in basis.elements if involutively_divides(h, m)]
             if ideal.contains(m):
                 assert len(hits) == 1, (ideal, m)
                 assert basis.involutive_divisor(m) == hits[0]
-                assert basis.contains(m)
             else:
                 assert not hits
                 assert basis.involutive_divisor(m) is None
@@ -138,7 +138,7 @@ def test_basis_contains_minimal_generators():
         if not ideal.is_quasi_stable():
             continue
         basis = pommaret_basis(ideal)
-        assert set(ideal.gens) <= set(basis.elements)
+        assert {g.exps for g in ideal.gens} <= set(basis.elements)
         for h in basis.elements:
             assert ideal.contains(h)
         # order is the documented one
@@ -159,19 +159,20 @@ def test_linear_quotients():
             assert b > a
             h = basis.elements[a]
             beta, t = delta_map(basis, a, k)
-            assert beta == b and h.times_var(k) == t * basis.elements[b]
-            assert basis.elements[b].involutively_divides(h.times_var(k))
+            assert beta == b
+            assert times_var(h, k) == mul(t, basis.elements[b])
+            assert involutively_divides(basis.elements[b], times_var(h, k))
         for a, h in enumerate(basis.elements):
             for g in basis.elements[a + 1:]:
-                assert any(g.exps[j] > h.exps[j]
-                           for j in range(h.cls, n)), (h, g)
+                assert any(g[j] > h[j]
+                           for j in range(cls_of(h), n)), (h, g)
 
 
 def _pairwise_violation(elements, n):
     """Some a < b in basis order with h_b[j] <= h_a[j] at every
     nonmultiplicative variable of h_a: the colon-ideal condition fails."""
     elems = sorted(elements, key=p_order_key)
-    return any(all(g.exps[j] <= h.exps[j] for j in range(h.cls, n))
+    return any(all(g[j] <= h[j] for j in range(cls_of(h), n))
                for a, h in enumerate(elems) for g in elems[a + 1:])
 
 
@@ -193,9 +194,10 @@ def test_corrupted_bases_fail_exactly_the_pairwise_condition():
                 if move == 0 and len(corrupt) > 1:
                     del corrupt[k]
                 elif move == 1:
-                    corrupt += random_monomials(rng, ring, 1, 4)
+                    corrupt += [m.exps for m in
+                                random_monomials(rng, ring, 1, 4)]
                 else:
-                    corrupt[k] = corrupt[k].times_var(rng.randint(1, ring.n))
+                    corrupt[k] = times_var(corrupt[k], rng.randint(1, ring.n))
             try:
                 PommaretBasis(ideal, corrupt)
                 refused = False
@@ -223,7 +225,7 @@ def test_basis_with_thousands_of_elements_is_fast():
 def test_delta_map_guard(ideal_a):
     basis = pommaret_basis(ideal_a)
     beta, t = delta_map(basis, 0, 2)
-    assert beta == 1 and t.is_unit()
+    assert beta == 1 and not any(t)
     with pytest.raises(NotNonMultiplicative):
         delta_map(basis, 3, 2)  # x2 multiplicative for x2^3
     with pytest.raises(NotNonMultiplicative):
@@ -234,10 +236,10 @@ def test_p_graph_structure(ideal_a):
     basis = pommaret_basis(ideal_a)
     graph = build_p_graph(basis)
     assert graph.edges == (
-        (0, 2, 1, ideal_a.ring.unit()),
-        (1, 2, 2, ideal_a.ring.unit()),
-        (2, 2, 3, ideal_a.ring.monomial((2, 0))))
-    assert edge_between(graph, 0, 1) == (0, 2, 1, ideal_a.ring.unit())
+        (0, 2, 1, (0, 0)),
+        (1, 2, 2, (0, 0)),
+        (2, 2, 3, (2, 0)))
+    assert edge_between(graph, 0, 1) == (0, 2, 1, (0, 0))
     assert edge_between(graph, 0, 3) is None
     dot = graph.to_dot()
     assert dot.startswith("digraph")
@@ -259,16 +261,16 @@ def test_p_graph_edge_count_random():
 def test_path_multidegree(ideal_b):
     basis = pommaret_basis(ideal_b)
     graph = build_p_graph(basis)
-    names = [str(h) for h in basis.elements]
+    names = [basis.ring.text(h) for h in basis.elements]
     assert names == ["x^2", "x^2*y", "x^2*y^2", "x^2*y^3", "x^2*z",
                      "x^2*y*z", "x^2*y^2*z", "x^2*y^3*z", "x^2*z^2",
                      "x^2*y*z^2", "y^4", "y^4*z", "y^2*z^2", "z^3"]
     # x^2 --y--> x^2*y --z--> x^2*y*z: both factors 1
-    assert path_multidegree(graph, [0, 1, 5]).is_unit()
+    assert path_multidegree(graph, [0, 1, 5]) == (0, 0, 0)
     # x^2*y^3 --y--> y^4 carries the factor x^2
-    assert path_multidegree(graph, [3, 10]).exps == (2, 0, 0)
-    assert path_multidegree(graph, [4]).is_unit()
-    assert path_multidegree(graph, []).is_unit()
+    assert path_multidegree(graph, [3, 10]) == (2, 0, 0)
+    assert path_multidegree(graph, [4]) == (0, 0, 0)
+    assert path_multidegree(graph, []) == (0, 0, 0)
     with pytest.raises(NotAPath):
         path_multidegree(graph, [0, 13])
     with pytest.raises(VariablesNotIncreasing):
@@ -281,7 +283,7 @@ def test_stable_basis_is_minimal_generators():
     for seed in range(25):
         ideal = random_stable(seed + 100)
         basis = pommaret_basis(ideal)
-        assert set(basis.elements) == set(ideal.gens)
+        assert set(basis.elements) == {g.exps for g in ideal.gens}
     # and conversely a strict completion means not stable
     a = make_ideal_a()
     assert len(pommaret_basis(a)) > len(a.gens)
@@ -294,10 +296,10 @@ def test_fourteen_element_basis(ideal_b):
     assert basis.degree() == 6
     assert basis.d == 1
     # spot-check the rewrite map on the completion part
-    i = basis.index(ideal_b.ring.monomial((0, 4, 1)))   # y^4*z
+    i = basis.index((0, 4, 1))   # y^4*z
     beta, t = delta_map(basis, i, 3)
-    assert basis.elements[beta].exps == (0, 2, 2)
-    assert t.exps == (0, 2, 0)
+    assert basis.elements[beta] == (0, 2, 2)
+    assert t == (0, 2, 0)
 
 
 def test_max_exponents(ideal_b):

@@ -197,3 +197,36 @@ def test_text_files_opened_with_an_encoding():
             found.append(opened[-1])
     assert opened
     assert not found
+
+
+def test_monomials_are_made_only_at_the_input_boundary():
+    """An ideal's generators are the only ``Monomial``s: the class is
+    called only in ``monomials``, and a ring makes one (``.monomial(``,
+    ``.unit(``) only where input is parsed (``cli``) or drawn
+    (``verify.random_quasi_stable``).  From the completion on, the basis
+    side computes on exponent tuples."""
+    drawn = set()
+    for path, node in _package_nodes():
+        if (path.name == "verify.py" and isinstance(node, ast.FunctionDef)
+                and node.name == "random_quasi_stable"):
+            drawn.update(range(node.lineno, node.end_lineno + 1))
+    assert drawn
+    allowed = set()
+    found = []
+    for path, node in _package_nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        where = "%s:%d" % (path.name, node.lineno)
+        if name == "Monomial" and path.name != "monomials.py":
+            found.append(where)
+        elif isinstance(func, ast.Attribute) and name in ("monomial", "unit"):
+            if path.name == "cli.py" or (path.name == "verify.py"
+                                         and node.lineno in drawn):
+                allowed.add(path.name)
+            else:
+                found.append(where)
+    assert allowed == {"cli.py", "verify.py"}
+    assert not found

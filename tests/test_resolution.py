@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 import pommaret.resolution
-from helpers import (delta_map, ek_differential, ek_sign, random_ideal,
-                     random_stable, reference_match, symbol_differential)
+from helpers import (delta_map, ek_differential, ek_sign, lcm, random_ideal,
+                     random_stable, reference_match, symbol_differential,
+                     variable)
 from pommaret import (BettiTable, FreeComplex, Symbol, betti_table,
                       check_complex, expected_ranks, minimize, pommaret_basis,
                       ps_complex, ps_generators, random_quasi_stable,
@@ -82,10 +83,9 @@ def test_dropped_rewrite_terms(ideal_b):
     # for z^3, so the term -x^2 [z^3, y] is dropped; three entries remain
     basis = pommaret_basis(ideal_b)
     cplx = ps_complex(basis)
-    r = ideal_b.ring
-    a = basis.index(r.monomial((2, 0, 2)))       # x^2*z^2
-    b = basis.index(r.monomial((2, 1, 2)))       # x^2*y*z^2
-    z3 = basis.index(r.monomial((0, 0, 3)))
+    a = basis.index((2, 0, 2))       # x^2*z^2
+    b = basis.index((2, 1, 2))       # x^2*y*z^2
+    z3 = basis.index((0, 0, 3))
     lookup = {g.key: i for i, g in enumerate(cplx.levels[2])}
     low = {g.key: i for i, g in enumerate(cplx.levels[1])}
     column = cplx.column(2, lookup[Symbol(a, (2, 3))])
@@ -117,10 +117,10 @@ def test_homogeneity(ideal_b):
                 want = {}
                 for k in u:
                     rest = tuple(j for j in u if j != k)
-                    want[below[Symbol(alpha, rest)]] = ring.variable(k).exps
+                    want[below[Symbol(alpha, rest)]] = variable(ring, k).exps
                     beta, t = delta_map(basis, alpha, k)
                     if Symbol(beta, rest) in below:
-                        want[below[Symbol(beta, rest)]] = t.exps
+                        want[below[Symbol(beta, rest)]] = t
                 assert {row: m for row, (_c, m)
                         in cplx.column(i, col).items()} == want
 
@@ -140,7 +140,7 @@ def test_ek_sign_rule(ideal_b):
                 for k in u:
                     face = Symbol(alpha, tuple(j for j in u if j != k))
                     assert column[below[face]] == (
-                        ek_sign(k, u), ideal.ring.variable(k).exps)
+                        ek_sign(k, u), variable(ideal.ring, k).exps)
 
 
 def test_ek_complex_stable(ideal_stable2):
@@ -152,11 +152,10 @@ def test_ek_complex_stable(ideal_stable2):
     assert symbol_differential(cplx) == ek_differential(ideal_stable2)
     assert cplx.ranks() == (2, 1)
     assert not cplx.unit_entries()
-    r = ideal_stable2.ring
     lookup = {g.key: i for i, g in enumerate(cplx.levels[0])}
     basis = cplx.basis
-    i_x = basis.index(r.monomial((2, 0)))
-    i_y = basis.index(r.monomial((0, 1)))
+    i_x = basis.index((2, 0))
+    i_y = basis.index((0, 1))
     column = cplx.column(1, 0)
     assert column[lookup[Symbol(i_x, ())]] == (1, (0, 1))
     assert column[lookup[Symbol(i_y, ())]] == (-1, (2, 0))
@@ -245,10 +244,10 @@ def test_taylor_complex(ideal_a):
         assert t.ranks() == tuple(math.comb(m, i + 1) for i in range(m))
         for level in t.levels:
             for g in level:
-                md = ideal.gens[g.key.gens[0]]
+                md = ideal.gens[g.key.gens[0]].exps
                 for j in g.key.gens[1:]:
-                    md = md.lcm(ideal.gens[j])
-                assert g.multidegree == md.exps
+                    md = lcm(md, ideal.gens[j].exps)
+                assert g.multidegree == md
 
 
 def test_betti_table_counts(ideal_a):

@@ -7,15 +7,16 @@ import pytest
 
 import pommaret.verify
 from helpers import (REPRODUCERS, dense_rank, dense_rank_gf2,
-                     halve_generator, positive_dimensional_ideals,
+                     halve_generator, mul, positive_dimensional_ideals,
                      random_stable, reference_lattice, rp2_ideal,
-                     strand_oracle)
+                     strand_oracle, variable)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
-                      build_cell_complex, cli, check_complex, check_exactness,
-                      betti_table, exact_rank, homological_invariants,
-                      lcm_lattice, minimal_betti, minimize, oracle_betti,
-                      pommaret_basis, ps_complex, random_quasi_stable,
-                      scalar_betti, supports_check, taylor_complex)
+                      build_cell_complex, build_p_graph, chain_vertices, cli,
+                      check_complex, check_exactness, betti_table, exact_rank,
+                      homological_invariants, lcm_lattice, minimal_betti,
+                      minimize, oracle_betti, pommaret_basis, ps_complex,
+                      random_quasi_stable, scalar_betti, supports_check,
+                      taylor_complex)
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
 from pommaret.verify import (_columns, _gf2_rank, _integer_column,
@@ -223,18 +224,16 @@ def test_augmentation_composite_detected(ideal_a):
 
 
 def _reference_terms(cplx, i, col):
-    # d_{i-1} o d_i on one column with Monomial products, as
+    # d_{i-1} o d_i on one column with monomial products, as
     # {(row, exps): coeff} before zero sums are dropped
-    mono = cplx.ring.monomial
     acc = {}
     for row, (c1, m1) in cplx.column(i, col).items():
         if i >= 2:
             for row2, (c2, m2) in cplx.column(i - 1, row).items():
-                key = (row2, (mono(m1) * mono(m2)).exps)
+                key = (row2, mul(m1, m2))
                 acc[key] = acc.get(key, 0) + c1 * c2
         else:
-            key = (None, (mono(m1) * mono(cplx.levels[0][row].multidegree))
-                   .exps)
+            key = (None, mul(m1, cplx.levels[0][row].multidegree))
             acc[key] = acc.get(key, 0) + c1
     return acc
 
@@ -275,14 +274,14 @@ def test_kernel_rejects_mixed_arity(wide):
     # complex is refused when it is built, so no kernel sees a key cut to
     # three exponents.
     r3 = Ring(3)
-    ideal = MonomialIdeal(r3, [r3.variable(1)])
+    ideal = MonomialIdeal(r3, [variable(r3, 1)])
     levels = [[Gen("a", (1, 0, 0))],
               [Gen("b", (1, 1, 0))],
               [Gen("c", (1, 1, 1))]]
     diffs = [None, {0: {0: 1}}, {0: {0: 1}}]
     if wide == "ideal":
         r4 = Ring(4)
-        ideal = MonomialIdeal(r4, [r4.variable(1)])
+        ideal = MonomialIdeal(r4, [variable(r4, 1)])
     else:
         gen = levels[wide][0]
         levels[wide] = [Gen(gen.key, gen.multidegree + (0,))]
@@ -543,6 +542,30 @@ def test_complex_stages_build_no_monomial(ideal_b, monkeypatch):
     assert supports_check(cells, cplx).ok
     assert built == []
     assert [r.ranks() for r in reduced] == [(4, 5, 2)] * 2
+
+
+def test_basis_stages_build_no_monomial(ideal_b, monkeypatch):
+    # basis elements, rewrite products and factors are exponent tuples: the
+    # completion, the rewrite graph, the symbol and cell complexes and a
+    # vertex walk build no Monomial; an ideal's generators are the only ones
+    ideals = [ideal_b] + [random_quasi_stable(*args) for args in REPRODUCERS]
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    walks = []
+    for ideal in ideals:
+        basis = pommaret_basis(ideal)
+        build_p_graph(basis)
+        ps_complex(basis)
+        cell = build_cell_complex(basis).cells[-1][0]
+        walks.append(chain_vertices(basis, cell.alpha, cell.tau, cell.tau))
+    assert built == []
+    assert len(walks) == 6
 
 
 def test_strand_check_builds_no_monomial(ideal_b, monkeypatch):
