@@ -5,8 +5,9 @@ Ideal files: a ``vars <n>`` header (1 <= n <= ``MAX_VARS``), an optional
 named powers (``x1^2*x2``, ``y^4``), a bare ``1``, or an exponent vector
 ``[2,0,1]``.  ``#`` starts a comment.
 
-Exit codes: 0 success, 2 bad input or usage, 3 the ideal is not
-quasi-stable, 4 a verification failure.
+Exit codes: 0 success, 2 bad input or usage (also more than
+``MAX_TAYLOR_GENS`` minimal generators for ``resolution --variant
+taylor``), 3 the ideal is not quasi-stable, 4 a verification failure.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .cellular import build_cell_complex, supports_check
 from .errors import (ArityMismatch, EmptyInput, IdealSyntaxError,
                      NotAComplex, NotQuasiStable, PommaretError,
-                     UnitGenerator)
+                     TooManyGenerators, UnitGenerator)
 from .ideals import MonomialIdeal, build_p_graph, pommaret_basis
 from .monomials import Ring
 from .morse import minimize
@@ -31,6 +32,10 @@ from .verify import (STRAND_CAP, check_complex, check_exactness,
 # the most variables an ideal file may declare: the ring's names are built
 # before any generator is read, so a count without a bound may never finish
 MAX_VARS = 1000
+# the most minimal generators ``resolution --variant taylor`` takes: the
+# complex has 2^m - 1 faces, and its text output, a dense grid per
+# differential, grows about fourfold per generator
+MAX_TAYLOR_GENS = 12
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _FACTOR = re.compile(r"(%s)\s*(?:\^\s*(\d+))?$" % _NAME)
 
@@ -278,6 +283,10 @@ def _cmd_pgraph(args):
 
 def _resolution_for(args, ideal):
     if args.variant == "taylor":
+        if len(ideal.gens) > MAX_TAYLOR_GENS:
+            raise TooManyGenerators(
+                "the Taylor resolution takes at most %d minimal generators, "
+                "got %d" % (MAX_TAYLOR_GENS, len(ideal.gens)))
         return taylor_complex(ideal)
     return ps_complex(pommaret_basis(ideal))
 
@@ -523,7 +532,7 @@ def main(argv=None):
     except PommaretError as e:
         sys.stderr.write("error [%s]: %s\n" % (e.code, e.message))
         if isinstance(e, (IdealSyntaxError, EmptyInput, UnitGenerator,
-                          ArityMismatch)):
+                          ArityMismatch, TooManyGenerators)):
             return 2
         return 3 if isinstance(e, NotQuasiStable) else 4
 

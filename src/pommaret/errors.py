@@ -33,6 +33,10 @@ class UnitGenerator(PommaretError):
     code = "unit-generator"
 
 
+class TooManyGenerators(PommaretError):
+    code = "too-many-generators"
+
+
 class IdealSyntaxError(PommaretError):
     """Bad ideal file; carries 1-based line and column."""
 

@@ -67,9 +67,10 @@ class FreeComplex:
     ArityMismatch is raised; every entry lies inside its levels and its
     row's multidegree divides its column's, or NotAComplex is raised.
     Complexes are frozen once built, so the kernels that read one work on
-    its coefficients alone.  The same pass finds ``classes`` (per
-    generator, an integer shared exactly by the generators of its
-    multidegree) and the unit entries.
+    its coefficients alone.  The same pass finds the unit entries and codes
+    each multidegree once (``_grading``): ``classes`` per generator and
+    ``ideal_codes`` per minimal generator, in the layout ``fields`` that
+    ``decode`` reads back.
     """
 
     def __init__(self, ring, ideal, levels, diffs, provenance, basis=None):
@@ -77,7 +78,8 @@ class FreeComplex:
         lengths.add(ideal.ring.n)
         if lengths != {ring.n}:
             raise ArityMismatch("monomials from different rings")
-        self.classes, self._units = _grading(levels, diffs)
+        self.fields, self.classes, self.ideal_codes, self._units = _grading(
+            levels, diffs, [g.exps for g in ideal.gens])
         self.ring = ring
         self.ideal = ideal
         self.levels = levels
@@ -110,6 +112,11 @@ class FreeComplex:
         """Column col of d_i as {row: (coeff, exps)}."""
         return {row: (c, self._mono(i, row, col))
                 for row, c in self.diffs[i].get(col, {}).items()}
+
+    def decode(self, code):
+        """The exponent tuple of a multidegree code (see ``fields``)."""
+        return tuple(values[(code >> off & mask).bit_length()]
+                     for off, mask, values in self.fields)
 
     def _mono(self, i, row, col):
         return tuple(map(sub, self.levels[i][col].multidegree,
@@ -163,34 +170,37 @@ class FreeComplex:
         return "FreeComplex(%s, ranks=%r)" % (self.provenance, list(self.ranks()))
 
 
-def _grading(levels, diffs):
-    """(classes, units) of a multigraded complex, or NotAComplex.
+def _grading(levels, diffs, gens):
+    """(fields, classes, codes of gens, units) of a multigraded complex,
+    or NotAComplex.
 
-    A multidegree is coded as the integer sum of e_f * B**f, B a power of
-    two above eight times every generator exponent's absolute value;
-    ``classes`` holds the generators' codes.  Every field of column - row
-    then lies strictly between -B/2 and B/2, so with G the code of
-    (B/2, ..., B/2) the sum code(column) + G - code(row) has no carries,
-    and the row's multidegree divides the column's exactly when that sum
-    keeps every bit of G.  ``units`` lists (level, row, col, coeff) of the
-    entries with coeff != 0 whose row and column share a class, in order.
+    Each variable's distinct exponents over the generator multidegrees and
+    the exponent tuples ``gens`` are ranked, and a multidegree is coded as
+    one integer holding per variable a field of (number of distinct
+    exponents - 1) bits whose lowest rank bits are set; ``fields`` lists
+    per variable (offset, field mask, exponents by rank).  So a code
+    divides another iff ``a & ~b == 0``, equal codes are equal
+    multidegrees, and ``a | b`` is the lcm.  ``units`` lists (level, row,
+    col, coeff) of the entries with coeff != 0 whose row and column share
+    a class, in order.
     """
     if len(diffs) != len(levels):
         raise NotAComplex("%d differentials for %d levels"
                           % (len(diffs) - 1, len(levels)))
-    mds = [g.multidegree for level in levels for g in level]
-    bound = max(max(map(max, mds), default=0),
-                -min(map(min, mds), default=0))
-    shift = (8 * bound + 8).bit_length()
+    mds = [g.multidegree for level in levels for g in level] + gens
+    fields = []
+    ranks = []  # per variable: {exponent: its field of rank bits}
+    width = 0
+    for values in map(sorted, map(set, zip(*mds))):
+        fields.append((width, (1 << len(values) - 1) - 1, values))
+        ranks.append({x: (1 << k) - 1 << width for k, x in enumerate(values)})
+        width += len(values) - 1
 
     def code(exps):
-        c = 0
-        for e in reversed(exps):
-            c = (c << shift) + e
-        return c
+        # the fields are disjoint, so their sum is their OR
+        return sum(map(dict.__getitem__, ranks, exps))
 
     classes = [[code(g.multidegree) for g in level] for level in levels]
-    half = code((1 << shift - 1,) * len(mds[0])) if mds else 0
     units = []
     for i in range(1, len(levels)):
         rows = classes[i - 1]
@@ -200,20 +210,20 @@ def _grading(levels, diffs):
             if not 0 <= col < len(cols):
                 raise NotAComplex("d_%d has column %r outside F_%d"
                                   % (i, col, i))
-            src = cols[col] + half
+            src = cols[col]
             for row, c in column.items():
                 if not 0 <= row < n_rows:
                     raise NotAComplex("d_%d has row %r outside F_%d"
                                       % (i, row, i - 1))
                 dst = rows[row]
-                if (src - dst) & half != half:
+                if dst & ~src:
                     raise NotAComplex("entry (%d, %d) of d_%d: its row's "
                                       "multidegree does not divide its "
                                       "column's" % (row, col, i))
-                if dst == cols[col] and c != 0:
+                if dst == src and c != 0:
                     units.append((i, row, col, c))
     units.sort(key=lambda u: (u[0], u[2], u[1]))
-    return classes, units
+    return fields, classes, list(map(code, gens)), units
 
 
 def composite_terms(diffs, i, col):

@@ -8,13 +8,14 @@ count (the composite is already known to vanish).  Only multidegrees in the
 lcm lattice of the generator multidegrees can carry homology, so the sweep
 runs over that lattice, optionally capped.
 
-The sweep runs on integers built once per complex: lattice points are bit
-codes over each variable's distinct exponents (a join is one OR), strand
-selection ANDs one prefix bitmask per variable, and every column of every
-d_i is a GF(2) bit column (bit r set where the integer entry in row r is
-odd).  No row filter is needed: every complex was proven multigraded
-when it was built, each entry's row dividing its column (see
-``FreeComplex``), so each row of a selected column divides mu too.
+The sweep runs on integers built once per complex: lattice points are the
+multidegree codes of ``FreeComplex.classes`` (a join is one OR), a strand
+is one bitmask of generators per level that ANDs one prefix bitmask per
+variable, and every column of every d_i is a GF(2) bit column (bit r set
+where the integer entry in row r is odd).  No row filter is needed: every
+complex was proven multigraded when it was built, each entry's row
+dividing its column (see ``FreeComplex``), so each row of a selected
+column divides mu too.  Only a failure decodes its mu.
 
 One walk, ``_rank_walk``, tests rank(d_i) + rank(d_{i+1}) = size_i at
 every position of a strand, with the rank routine it is given.  It runs
@@ -39,11 +40,11 @@ everything here reads coefficients and checks none of that again.
 """
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from operator import sub
+from operator import or_, sub
 
 from .errors import BrokenInvariant, NotAComplex, NotMinimal
 from .ideals import MonomialIdeal
@@ -90,12 +91,15 @@ def exact_rank(rows):
     return rank
 
 
-def _gf2_rank(columns, cap):
-    """Rank over GF(2) of bit columns (one int per column, bit r for row
-    r), or cap once it reaches cap: an XOR basis keyed by each vector's
-    highest set bit."""
+def _gf2_rank(columns, mask, cap):
+    """Rank over GF(2) of the bit columns (one int per column, bit r for
+    row r) that mask selects, columns[j] for each set bit j, or cap once
+    it reaches cap: an XOR basis keyed by each vector's highest set bit."""
     basis = {}
-    for v in columns:
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        v = columns[low.bit_length() - 1]
         while v:
             top = v.bit_length()
             b = basis.get(top)
@@ -162,39 +166,36 @@ def _bits(mask):
     return out
 
 
-def _strand_selector(cplx, n):
-    """select(mu) -> (selected, target) for exponent tuples mu of length n.
+def _strand_selector(cplx):
+    """select(mu) -> (selected, target) for multidegree codes mu of cplx.
 
     Every generator of every level, and then every minimal generator of the
-    ideal, owns one bit.  For each variable the distinct exponents are
-    sorted and mask k holds the generators whose exponent is among the
-    first k; a strand ANDs the n masks that bisect_right picks for mu, so
-    it keeps exactly the generators that divide mu, each level's in index
-    order.  mu lies in the ideal when a minimal generator's bit survives."""
-    exps = []
+    ideal, owns one bit.  For each variable, mask k holds the generators
+    whose exponent has rank at most k; a strand ANDs the masks that the
+    widths of mu's fields pick, so it keeps exactly the generators that
+    divide mu: ``selected`` holds a bitmask per level, bit j for its
+    generator j.  mu lies in the ideal when a minimal generator's bit
+    survives."""
+    codes = []
     spans = []  # per level: offset of its first bit, mask of its width
-    for level in cplx.levels:
-        spans.append((len(exps), (1 << len(level)) - 1))
-        exps += [g.multidegree for g in level]
-    ideal_off = len(exps)
-    exps += [g.exps for g in cplx.ideal.gens]
+    for level in cplx.classes:
+        spans.append((len(codes), (1 << len(level)) - 1))
+        codes += level
+    ideal_off = len(codes)
+    codes += cplx.ideal_codes
     index = []
-    for v in range(n):
-        by_value = {}
-        for bit, e in enumerate(exps):
-            by_value[e[v]] = by_value.get(e[v], 0) | 1 << bit
-        values = sorted(by_value)
-        masks = [0]
-        for x in values:
-            masks.append(masks[-1] | by_value[x])
-        index.append((values, masks))
-    full = (1 << len(exps)) - 1
+    for off, width, _ in cplx.fields:
+        masks = [0] * (width.bit_length() + 1)
+        for bit, code in enumerate(codes):
+            masks[(code >> off & width).bit_length()] |= 1 << bit
+        index.append((off, width, list(accumulate(masks, or_))))
+    full = (1 << len(codes)) - 1
 
     def select(mu):
         mask = full
-        for (values, masks), x in zip(index, mu):
-            mask &= masks[bisect_right(values, x)]
-        selected = [_bits(mask >> off & width) for off, width in spans]
+        for off, width, masks in index:
+            mask &= masks[(mu >> off & width).bit_length()]
+        selected = [mask >> off & width for off, width in spans]
         return selected, 1 if mask >> ideal_off else 0
     return select
 
@@ -234,20 +235,20 @@ def _columns(cplx, build):
 def _rank_walk(sel, target, columns, rank):
     """None when the strand (sel, target) is exact, else (position,
     (rank d_i, rank d_{i+1})) at the first position i where the two ranks
-    fall short of size_i.  d_0 is the augmentation, of rank target.
+    fall short of size_i, the number of bits of sel[i].  d_0 is the
+    augmentation, of rank target.
 
-    rank(vectors, cap) ranks the selected ``columns[i]`` of each d_i.
+    rank(columns[i], sel[i], cap) ranks the selected columns of each d_i.
     Going up the levels, d_i must reach need = size_{i-1} - rank(d_{i-1});
     d o d = 0 bounds it by that, so rank may stop at need, and a level
     that must have rank 0 has it without any.  Whole columns, no row
     filter: every row of a selected column is in the strand."""
     low = target
     for i in range(1, len(sel) + 1):
-        need = len(sel[i - 1]) - low
+        need = sel[i - 1].bit_count() - low
         high = 0
         if need > 0 and i < len(sel) and sel[i]:
-            level = columns[i]
-            high = rank([level[j] for j in sel[i]], need)
+            high = rank(columns[i], sel[i], need)
         if high != need:
             return i - 1, (low, high)
         low = high
@@ -256,19 +257,21 @@ def _rank_walk(sel, target, columns, rank):
 
 def _strand_failure(cplx, strand, cols, mu):
     """The failure of the strand (sel, target) that the
-    ``_strand_selector`` picks at the exponent tuple mu, from exact ranks
-    on integer columns, or None when it is exact."""
+    ``_strand_selector`` picks at the multidegree code mu, from exact
+    ranks on integer columns, or None when it is exact."""
     sel, target = strand
     # augmentation strand: a single row of ones over the level-0 survivors
     if target and not sel[0]:
-        return {"mu": cplx.ring.text(mu), "position": "augmentation",
+        return {"mu": cplx.ring.text(cplx.decode(mu)),
+                "position": "augmentation",
                 "reason": "member without covering generator"}
-    short = _rank_walk(sel, target, cols, lambda rows, _cap: exact_rank(rows))
+    short = _rank_walk(sel, target, cols, lambda columns, mask, _cap:
+                       exact_rank([columns[j] for j in _bits(mask)]))
     if short is None:
         return None
     position, ranks = short
-    return {"mu": cplx.ring.text(mu), "position": position,
-            "size": len(sel[position]), "ranks": ranks}
+    return {"mu": cplx.ring.text(cplx.decode(mu)), "position": position,
+            "size": sel[position].bit_count(), "ranks": ranks}
 
 
 @dataclass
@@ -283,47 +286,28 @@ class ExactnessReport:
 
 
 def lcm_lattice(cplx, cap):
-    """Lcm closure of all generator multidegrees as exponent tuples:
-    generator multidegrees first (by degree, then exponents), then new
-    joins in discovery order, truncated at cap points.
-
-    Joins only ever take exponents the generators already have, so each
-    variable's exponents are ranked and a point is coded as one integer
-    holding, per variable, a field of (number of distinct exponents - 1)
-    bits whose lowest rank bits are set.  The join of two points is then
-    the OR of their codes, and only the points past the generators are
-    decoded, from the length of each field."""
+    """(codes, capped): the lcm closure of the generators' multidegree
+    codes (``FreeComplex.classes``, a join is an OR), generator
+    multidegrees first (by degree, then exponents), then new joins in
+    discovery order, truncated at cap points.  capped tells that the
+    closure has more than cap points."""
     if cap < 1:
         # a shorter lattice would still yield a verdict, over too few strands
         raise ValueError("strand cap must be at least 1, got %r" % (cap,))
-    seeds = sorted({g.multidegree for level in cplx.levels
-                    for g in level}, key=lambda e: (sum(e), e))
-    fields = []  # per variable: offset, field mask, exponents by rank
-    width = 0
-    for values in map(sorted, map(set, zip(*seeds))):
-        fields.append((width, (1 << len(values) - 1) - 1, values))
-        width += len(values) - 1
-    ranks = [{x: k for k, x in enumerate(values)} for _, _, values in fields]
-    codes = []
-    for e in seeds:
-        code = 0
-        for (off, _, _), rank, x in zip(fields, ranks, e):
-            code |= ((1 << rank[x]) - 1) << off
-        codes.append(code)
+    seeds = {g.multidegree: code
+             for level, codes in zip(cplx.levels, cplx.classes)
+             for g, code in zip(level, codes)}
+    codes = [seeds[e] for e in sorted(seeds, key=lambda e: (sum(e), e))]
     seen = set(codes)
     j = 1
-    while j < len(codes) and len(codes) < cap:
+    # one point past cap tells a closure of cap points from a larger one
+    while j < len(codes) <= cap:
         for code in map(codes[j].__or__, codes[:j]):
             if code not in seen:
                 seen.add(code)
                 codes.append(code)
         j += 1
-    capped = len(codes) > cap or j < len(codes)
-    points = seeds[:cap]
-    for code in codes[len(seeds):cap]:
-        points.append(tuple(values[(code >> off & mask).bit_length()]
-                            for off, mask, values in fields))
-    return points, capped
+    return codes[:cap], len(codes) > cap
 
 
 STRAND_CAP = 20000  # the default cap, also of the CLI's --strand-cap
@@ -337,22 +321,21 @@ def check_exactness(cplx, cap=STRAND_CAP):
     if not base.ok:
         raise NotAComplex("d o d = 0 fails; exactness is meaningless: %r"
                           % base.failures[:3])
-    points, capped = lcm_lattice(cplx, cap)
+    codes, capped = lcm_lattice(cplx, cap)
+    select = _strand_selector(cplx)
+    bits = _columns(cplx, _parity_column)
+    cols = None
     failures = []
-    if points:
-        select = _strand_selector(cplx, len(points[0]))
-        bits = _columns(cplx, _parity_column)
-        cols = None
-        for mu in points:
-            strand = select(mu)
-            if _rank_walk(*strand, bits, _gf2_rank) is None:
-                continue
-            if cols is None:
-                cols = _columns(cplx, _integer_column)
-            failure = _strand_failure(cplx, strand, cols, mu)
-            if failure is not None:
-                failures.append(failure)
-    return ExactnessReport(not failures, len(points), capped, failures,
+    for mu in codes:
+        strand = select(mu)
+        if _rank_walk(*strand, bits, _gf2_rank) is None:
+            continue
+        if cols is None:
+            cols = _columns(cplx, _integer_column)
+        failure = _strand_failure(cplx, strand, cols, mu)
+        if failure is not None:
+            failures.append(failure)
+    return ExactnessReport(not failures, len(codes), capped, failures,
                            base)
 
 

@@ -149,21 +149,21 @@ def reference_lattice(cplx, cap):
 
     Generator multidegrees by degree, then exponents; then the joins
     ``lcm`` finds, in discovery order, cut at cap points.  Returns
-    (points as exponent tuples, capped)."""
+    (points as exponent tuples, capped), capped True when the closure has
+    more than cap points."""
     seeds = sorted({g.multidegree for level in cplx.levels for g in level},
                    key=lambda e: (sum(e), e))
     points = list(seeds)
     seen = set(points)
     j = 1
-    while j < len(points) and len(points) < cap:
+    while j < len(points) and len(points) <= cap:
         for k in range(j):
             m = lcm(points[j], points[k])
             if m not in seen:
                 seen.add(m)
                 points.append(m)
         j += 1
-    capped = len(points) > cap or j < len(points)
-    return points[:cap], capped
+    return points[:cap], len(points) > cap
 
 
 def strand_oracle(cplx, cap=20000):

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import sys
 
 import pytest
@@ -386,6 +387,53 @@ def test_random_test_command(capsys):
                      "--strand-cap", "200"]) == 0
     out = capsys.readouterr().out
     assert "2/2 cases ok" in out
+
+
+def test_verify_caps_only_a_larger_lattice(tmp_path, capsys):
+    # the lcm lattice of (x1^2, x2^3) has 5 points, and that of its reduced
+    # complex 3: a cap equal to a lattice's size checks all of it and is
+    # not capped, a smaller one is
+    path = write(tmp_path, "a.ideal", A_TEXT)
+    for cap, full, reduced in ((6, "5 strands", "3 strands"),
+                               (5, "5 strands", "3 strands"),
+                               (4, "4 strands, capped", "3 strands"),
+                               (3, "3 strands, capped", "3 strands"),
+                               (2, "2 strands, capped", "2 strands, capped")):
+        assert cli.main(["verify", path, "--strand-cap", str(cap)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "%-24s ok  (%s)" % ("exactness", full) in lines
+        assert "%-24s ok  (%s)" % ("reduced-exactness", reduced) in lines
+
+
+def test_taylor_resolution_is_bounded(tmp_path, capsys, monkeypatch):
+    # m generators x_i*x_{m+1} make 2^m - 1 Taylor faces; above
+    # MAX_TAYLOR_GENS the command exits 2 before any face is built
+    assert cli.MAX_TAYLOR_GENS == 12
+    built = []
+    taylor = cli.taylor_complex
+
+    def counting_taylor(ideal):
+        built.append(len(ideal.gens))
+        return taylor(ideal)
+
+    monkeypatch.setattr(cli, "taylor_complex", counting_taylor)
+    paths = {m: write(tmp_path, "t%d.ideal" % m, "vars %d\n" % (m + 1)
+                      + "".join("x%d*x%d\n" % (i, m + 1)
+                                for i in range(1, m + 1)))
+             for m in (12, 13)}
+    assert cli.main(["resolution", paths[13], "--variant", "taylor",
+                     "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == ("error [too-many-generators]: the Taylor "
+                            "resolution takes at most 12 minimal generators, "
+                            "got 13\n")
+    assert cli.main(["resolution", paths[12], "--variant", "taylor",
+                     "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert built == [12]
+    assert [len(level) for level in doc["modules"]] == [
+        math.comb(12, k) for k in range(1, 13)]
 
 
 def test_verify_and_random_test_share_one_strand_cap():

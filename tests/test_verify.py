@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import pommaret.verify
-from helpers import (REPRODUCERS, dense_rank, dense_rank_gf2,
-                     halve_generator, mul, positive_dimensional_ideals,
+from helpers import (REPRODUCERS, dense_rank, dense_rank_gf2, divides,
+                     halve_generator, lcm, mul, positive_dimensional_ideals,
                      random_stable, reference_lattice, rp2_ideal,
                      strand_oracle, variable)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
@@ -71,15 +71,25 @@ def test_gf2_rank_against_dense_oracle():
             rows.append({c: v for c, v in row.items() if v})
         columns = [sum(1 << r for r, row in enumerate(rows)
                        if row.get(c, 0) % 2) for c in range(ncols)]
-        rank2 = _gf2_rank(columns, ncols)
+        every = (1 << ncols) - 1
+        rank2 = _gf2_rank(columns, every, ncols)
         assert rank2 == dense_rank_gf2(rows, ncols)
         assert rank2 <= exact_rank(rows)
-        assert _gf2_rank(columns, 1) == min(rank2, 1)
-    assert _gf2_rank([], 1) == _gf2_rank([0, 0], 2) == 0
-    assert _gf2_rank([0b11, 0b01, 0b10], 3) == 2
+        assert _gf2_rank(columns, every, 1) == min(rank2, 1)
+        # a mask ranks the columns of its set bits alone
+        mask = rng.getrandbits(ncols)
+        kept = [j for j in range(ncols) if mask >> j & 1]
+        sub = [{k: row[j] for k, j in enumerate(kept) if j in row}
+               for row in rows]
+        assert (_gf2_rank(columns, mask, ncols)
+                == dense_rank_gf2(sub, len(kept)))
+    assert _gf2_rank([], 0, 1) == _gf2_rank([0, 0], 0b11, 2) == 0
+    assert _gf2_rank([0b11, 0b01, 0b10], 0b111, 3) == 2
+    assert _gf2_rank([0b11, 0b01, 0b10], 0b101, 3) == 2
+    assert _gf2_rank([0b11, 0b01, 0b01], 0b110, 3) == 1
     # [[1, 1], [1, -1]] has determinant -2: rank 2 over Q, 1 over GF(2)
     assert exact_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
-    assert _gf2_rank([0b11, 0b11], 2) == 1
+    assert _gf2_rank([0b11, 0b11], 0b11, 2) == 1
 
 
 def _spy_exact_route(monkeypatch):
@@ -89,7 +99,7 @@ def _spy_exact_route(monkeypatch):
     failure = pommaret.verify._strand_failure
 
     def spy(cplx, strand, cols, mu):
-        seen.append(mu)
+        seen.append(cplx.decode(mu))
         return failure(cplx, strand, cols, mu)
 
     monkeypatch.setattr(pommaret.verify, "_strand_failure", spy)
@@ -138,7 +148,7 @@ def test_certificate_agrees_with_exact_route(monkeypatch):
     reports = [check_exactness(cplx) for cplx in cases]
     assert seen == [] and all(r.ok for r in reports)
     monkeypatch.setattr(pommaret.verify, "_gf2_rank",
-                        lambda columns, cap: 0)
+                        lambda columns, mask, cap: 0)
     assert [check_exactness(cplx) for cplx in cases] == reports
     assert len(seen) > len(cases)
 
@@ -301,23 +311,30 @@ def test_integer_column_clears_fractions():
 
 
 def test_strand_selection(ideal_a):
+    # levels (2,0) (2,1) (2,2) (0,3) and (2,1)*x2 (2,2)*x2: x1 ranks 0 2,
+    # x2 ranks 0 1 2 3, one bit for x1 then three for x2
     cplx = ps_complex(pommaret_basis(ideal_a))
-    select = _strand_selector(cplx, 2)
+    select = _strand_selector(cplx)
     cols = _columns(cplx, _integer_column)
-    selected, target = select((2, 1))
+    mu = 0b0011
+    assert cplx.decode(mu) == (2, 1)
+    selected, target = select(mu)
     assert target == 1
-    assert [len(s) for s in selected] == [2, 1]
-    assert _strand_failure(cplx, (selected, target), cols, (2, 1)) is None
-    selected, target = select((1, 1))
+    assert [s.bit_count() for s in selected] == [2, 1]
+    assert _strand_failure(cplx, (selected, target), cols, mu) is None
+    # nothing divides (0, 0), nor (1, 1), which has the same strand
+    assert cplx.decode(0) == (0, 0)
+    selected, target = select(0)
     assert target == 0
-    assert [len(s) for s in selected] == [0, 0]
-    assert _strand_failure(cplx, (selected, target), cols, (1, 1)) is None
+    assert selected == [0, 0]
+    assert _strand_failure(cplx, (selected, target), cols, 0) is None
 
 
 def test_lcm_lattice(ideal_a, ideal_b):
     cplx = ps_complex(pommaret_basis(ideal_a))
-    points, capped = lcm_lattice(cplx, 1000)
+    codes, capped = lcm_lattice(cplx, 1000)
     assert not capped
+    points = list(map(cplx.decode, codes))
     assert set(points) == {(2, 0), (2, 1), (2, 2), (0, 3), (2, 3)}
     # generator multidegrees come first, in degree order
     assert points[0] == (2, 0)
@@ -347,15 +364,42 @@ def _wide_alphabet_complexes():
 
 def test_lcm_lattice_matches_reference():
     # same points in the same order, and the same capped flag, at every cap
-    # up to one past the full lattice
+    # up to one past the full lattice; capped means the closure has more
+    # than cap points, so a cap equal to its size is not capped
     sizes = []
     for cplx in _wide_alphabet_complexes():
         full, capped = reference_lattice(cplx, 10 ** 6)
         assert not capped
         sizes.append(len(full))
         for cap in range(1, len(full) + 2):
-            assert lcm_lattice(cplx, cap) == reference_lattice(cplx, cap)
+            codes, capped = lcm_lattice(cplx, cap)
+            assert capped == (cap < len(full))
+            want = reference_lattice(cplx, cap)
+            assert (list(map(cplx.decode, codes)), capped) == want
     assert max(sizes) > 50
+
+
+def test_multidegree_codes():
+    # every pair of generators of the wide-alphabet symbol, reduced and
+    # Taylor complexes: a code divides another iff its multidegree does,
+    # the OR of two codes decodes to their componentwise max, and codes
+    # are equal iff multidegrees are
+    pairs = 0
+    for cplx in _wide_alphabet_complexes():
+        gens = [(g.multidegree, code)
+                for level, codes in zip(cplx.levels, cplx.classes)
+                for g, code in zip(level, codes)]
+        gens += [(g.exps, code)
+                 for g, code in zip(cplx.ideal.gens, cplx.ideal_codes)]
+        for md, code in gens:
+            assert cplx.decode(code) == md
+        for a_md, a in gens:
+            for b_md, b in gens:
+                assert (a & ~b == 0) == divides(a_md, b_md)
+                assert cplx.decode(a | b) == lcm(a_md, b_md)
+                assert (a == b) == (a_md == b_md)
+        pairs += len(gens) ** 2
+    assert pairs > 10 ** 4
 
 
 def test_strand_selector_matches_divisibility_scan(ideal_b):
@@ -363,24 +407,27 @@ def test_strand_selector_matches_divisibility_scan(ideal_b):
     cases = _wide_alphabet_complexes()[:12] + [
         ps_complex(pommaret_basis(ideal_b)), taylor_complex(ideal_b)]
     for cplx in cases:
-        n = cplx.ring.n
-        top = max(max(g.multidegree) for level in cplx.levels
-                  for g in level)
-        select = _strand_selector(cplx, n)
-        mus = [(0,) * n, (top + 1,) * n, (10 ** 9,) * n]
-        mus += [tuple(rng.randint(0, top + 1) for _ in range(n))
-                for _ in range(40)]
+        select = _strand_selector(cplx)
+        # every lattice code, the least and the greatest code, and random
+        # codes: per field, a random run of low bits
+        top = sum(width << off for off, width, _ in cplx.fields)
+        mus = lcm_lattice(cplx, 10 ** 6)[0] + [0, top]
+        mus += [sum((1 << rng.randint(0, width.bit_length())) - 1 << off
+                    for off, width, _ in cplx.fields) for _ in range(40)]
         for mu in mus:
-            want = [[j for j, g in enumerate(level)
-                     if all(a <= b for a, b in zip(g.multidegree, mu))]
+            exps = cplx.decode(mu)
+            want = [sum(1 << j for j, g in enumerate(level)
+                        if all(a <= b for a, b in zip(g.multidegree, exps)))
                     for level in cplx.levels]
-            member = any(all(a <= b for a, b in zip(g.exps, mu))
+            member = any(all(a <= b for a, b in zip(g.exps, exps))
                          for g in cplx.ideal.gens)
             assert select(mu) == (want, int(member))
-        # nothing divides 1, everything divides a large enough mu
-        assert select((0,) * n) == ([[] for _ in cplx.levels], 0)
-        assert select((top + 1,) * n) == (
-            [list(range(len(level))) for level in cplx.levels], 1)
+        # nothing divides 1 (no generator is 1), every generator divides
+        # the greatest code
+        assert cplx.decode(0) == (0,) * cplx.ring.n
+        assert select(0) == ([0] * len(cplx.levels), 0)
+        assert select(top) == (
+            [(1 << len(level)) - 1 for level in cplx.levels], 1)
 
 
 def test_unfiltered_strand_columns_need_homogeneity():
@@ -437,6 +484,9 @@ def test_huge_exponents(tmp_path, capsys, gens, checks):
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
+        # a field per variable over its few distinct exponents
+        assert max(code.bit_length() for level in c.classes
+                   for code in level) < 16
 
 
 def test_strand_cap_below_one_is_rejected(ideal_b):
