@@ -16,8 +16,8 @@ rewrite map.  On most symbol resolutions this matching alone leaves the
 minimal resolution behind, but not on all: cancellation can create unit
 entries by fill-in that V does not pair (``random_quasi_stable(2520, 5,
 4, 6)`` is one), and ``minimize`` then cancels them in a safety-net sweep,
-always the least live unit (highest level, then column, then row), taken
-from a lazy heap.
+always the least live unit (highest level, then column, then row), found
+by a scan of the live columns.
 
 All the pairs of one homological degree form one block of elimination; its
 result does not depend on the order of the pairs inside it, so d o d = 0
@@ -31,7 +31,6 @@ elimination runs on them (Batzies-Welker, J. reine angew. Math. 2002).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 from .errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
                      NotPSComplex)
@@ -190,7 +189,8 @@ class _Reducer:
 
     Each cancellation records the columns it changed; ``_local_check``
     proves d o d = 0 on them when the level of cancellation moves, and the
-    callers run it once more after their last cancellation."""
+    callers run it once more after their last cancellation.  Nothing
+    tracks the units: ``least_unit`` scans for them."""
 
     def __init__(self, cplx, trace=False):
         self.cplx = cplx
@@ -206,27 +206,21 @@ class _Reducer:
                     index.setdefault(row, set()).add(col)
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
-        # heap of keys (-level, col, row) of the units construction found and
-        # of every unit ``_set`` writes; ``least_unit`` drops stale keys
-        self.units = [(-level, col, row)
-                      for level, row, col, _ in cplx.unit_entries()]
-        heapify(self.units)
         self.trace = [] if trace else None
-        self.cancelled = 0
         self.dirty = set()  # (level, col) changed since the last check
         self.level = None   # level of the last cancellation
 
     def least_unit(self):
-        """The least key (-level, col, row) of a live unit entry, or None;
-        stale keys, whose entry has gone, are dropped.  A key names a unit
-        position, and positions keep their classes, so an entry still
-        there with a nonzero coefficient is a unit."""
-        units = self.units
-        while units:
-            minus_level, col, row = units[0]
-            if self.cols[-minus_level].get(col, {}).get(row):
-                return units[0]
-            heappop(units)
+        """The least key (-level, col, row) of a live unit entry, or None:
+        the least (col, row) of the highest level that holds a unit."""
+        for level in range(len(self.cols) - 1, 0, -1):
+            rows, cols = self.cls[level - 1], self.cls[level]
+            least = min(((col, row)
+                         for col, column in self.cols[level].items()
+                         for row, c in column.items()
+                         if c and rows[row] == cols[col]), default=None)
+            if least is not None:
+                return (-level,) + least
         return None
 
     def _set(self, level, col, row, coeff):
@@ -240,8 +234,6 @@ class _Reducer:
                 coeff = int(coeff)
             column[row] = coeff
             self.row_index[level].setdefault(row, set()).add(col)
-            if self.cls[level][col] == self.cls[level - 1][row]:
-                heappush(self.units, (-level, col, row))
 
     def cancel(self, pair):
         level, s, t = pair.level, pair.source, pair.target
@@ -289,7 +281,6 @@ class _Reducer:
             self.dirty.add((level + 1, c))
         self.alive[level].discard(s)
         self.alive[level - 1].discard(t)
-        self.cancelled += 1
         if self.trace is not None:
             cplx = self.cplx
             self.trace.append({
@@ -316,10 +307,10 @@ class _Reducer:
                 "cancellation broke d o d = 0 at level %d col %d: %r"
                 % (level, col, bad))
 
-    def compact(self, matching):
+    def compact(self, matching, swept):
         """The surviving complex, after checking d o d = 0 on every
-        column, its generators and entries renumbered; cancellations
-        beyond the matching's pairs were the safety net's."""
+        column, its generators and entries renumbered; swept counts the
+        safety net's cancellations beyond the matching's pairs."""
         for level in range(1, len(self.cols)):
             for col in self.cols[level]:
                 self._compose_check(level, col)
@@ -341,7 +332,7 @@ class _Reducer:
             diffs.pop()
         return ReducedComplex(cplx.ring, cplx.ideal, levels, diffs,
                               cplx.basis, matching,
-                              self.cancelled - len(matching), self.trace)
+                              swept, self.trace)
 
 
 def _cancel_matching(cplx, matching, trace):
@@ -360,26 +351,30 @@ def morse_reduce(cplx, matching, trace=False):
     """Cancel every pair of the matching, highest degree first."""
     if not isinstance(matching, Matching):
         matching = Matching(matching)
-    return _cancel_matching(cplx, matching, trace).compact(matching)
+    return _cancel_matching(cplx, matching, trace).compact(matching, 0)
 
 
 def minimize(cplx, trace=False):
     """Minimal resolution from any resolution we can build.
 
     Symbol resolutions go through the matching V; whatever provenance, a
-    safety-net sweep then cancels any surviving invertible scalar entry one
-    pair at a time, checking d o d = 0 after each.  After V the sweep can
-    still find unit entries that fill-in created; the count is reported.
+    safety-net sweep then cancels the least surviving invertible scalar
+    entry (``_Reducer.least_unit``) one pair at a time, checking d o d = 0
+    after each.  After V the sweep can still find unit entries that
+    fill-in created; the count is reported.  A Taylor complex has no V, so
+    the sweep does all of its reduction.
     """
     if cplx.provenance == "pommaret":
         matching = build_matching_V(cplx)
     else:
         matching = Matching(())
     reducer = _cancel_matching(cplx, matching, trace)
+    swept = 0
     # highest level first, then lowest column, then lowest row
     while (key := reducer.least_unit()) is not None:
         minus_level, col, row = key
         # a single reversed edge cannot close an alternating cycle
         reducer.cancel(Pair(-minus_level, col, row, 0))
         reducer._local_check()
-    return reducer.compact(matching)
+        swept += 1
+    return reducer.compact(matching, swept)

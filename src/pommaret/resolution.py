@@ -58,9 +58,9 @@ class FreeComplex:
     Generator multidegrees are exponent tuples; ``text`` and ``ring.text``
     display generators and tuples where output prints them.  An entry
     stores its coefficient alone: its monomial is its column's multidegree
-    over its row's, derived by ``entry``, ``entries`` and ``column``.  The
-    augmentation F_0 -> I sends each level-0 generator to its multidegree
-    with coefficient 1 and is left implicit.
+    over its row's, derived by ``entries``.  The augmentation F_0 -> I
+    sends each level-0 generator to its multidegree with coefficient 1 and
+    is left implicit.
 
     Every complex is proven multigraded once, when it is built: every
     multidegree, and the ideal's ring, has ``ring.n`` entries, or
@@ -91,36 +91,21 @@ class FreeComplex:
     def length(self):
         return len(self.levels) - 1
 
-    def rank(self, i):
-        return len(self.levels[i])
-
     def ranks(self):
         return tuple(len(lv) for lv in self.levels)
 
-    def entry(self, i, row, col):
-        """(coeff, exps) of d_i at (row, col), or None."""
-        c = self.diffs[i].get(col, {}).get(row)
-        return None if c is None else (c, self._mono(i, row, col))
-
     def entries(self, i):
         """All nonzero entries of d_i as (row, col, coeff, exps)."""
+        rows, cols = self.levels[i - 1], self.levels[i]
         for col, column in sorted(self.diffs[i].items()):
+            src = cols[col].multidegree
             for row, c in sorted(column.items()):
-                yield row, col, c, self._mono(i, row, col)
-
-    def column(self, i, col):
-        """Column col of d_i as {row: (coeff, exps)}."""
-        return {row: (c, self._mono(i, row, col))
-                for row, c in self.diffs[i].get(col, {}).items()}
+                yield row, col, c, tuple(map(sub, src, rows[row].multidegree))
 
     def decode(self, code):
         """The exponent tuple of a multidegree code (see ``fields``)."""
         return tuple(values[(code >> off & mask).bit_length()]
                      for off, mask, values in self.fields)
-
-    def _mono(self, i, row, col):
-        return tuple(map(sub, self.levels[i][col].multidegree,
-                         self.levels[i - 1][row].multidegree))
 
     def text(self, g):
         """Display text of g from its key: ``[h, u]`` for a symbol,
@@ -385,13 +370,6 @@ class BettiTable:
         for (i, md), count in self.by_multidegree.items():
             key = (i, sum(md))
             self.by_degree[key] = self.by_degree.get(key, 0) + count
-
-    def total(self, i):
-        return sum(v for (l, _), v in self.by_degree.items() if l == i)
-
-    def totals(self):
-        top = max((l for (l, _) in self.by_degree), default=-1)
-        return tuple(self.total(i) for i in range(top + 1))
 
     def __eq__(self, other):
         return (isinstance(other, BettiTable)

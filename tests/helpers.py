@@ -76,6 +76,24 @@ def involutively_divides(h, m):
     return divides(h, m) and h[c:] == m[c:]
 
 
+def column_entries(cplx, i, col):
+    """Column col of d_i as {row: (coeff, exps)}, each monomial the
+    column's multidegree over the row's."""
+    target = cplx.levels[i - 1]
+    return {row: (c, quotient(cplx.levels[i][col].multidegree,
+                              target[row].multidegree))
+            for row, c in cplx.diffs[i].get(col, {}).items()}
+
+
+def totals(table):
+    """Betti numbers per homological degree, 0 up to the top one, summed
+    from ``by_degree``."""
+    out = [0] * (1 + max((i for i, _ in table.by_degree), default=-1))
+    for (i, _), count in table.by_degree.items():
+        out[i] += count
+    return tuple(out)
+
+
 def make_ideal_a():
     """<x1^2, x2^3> in two variables: quasi-stable, not stable."""
     r = Ring(2)
@@ -195,9 +213,9 @@ def strand_oracle(cplx, cap=20000):
             for row in sel[i - 1]:
                 rows.append({})
                 for c, col in enumerate(sel[i]):
-                    entry = cplx.entry(i, row, col)
+                    entry = cplx.diffs[i].get(col, {}).get(row)
                     if entry is not None:
-                        rows[-1][c] = entry[0]
+                        rows[-1][c] = entry
             ranks.append(dense_rank(rows, len(sel[i])))
         ranks.append(0)
         for i in range(len(sel)):
@@ -383,8 +401,8 @@ def symbol_differential(cplx):
     out = [{pair(g): {} for g in cplx.levels[0]}]
     for i in range(1, len(cplx.levels)):
         below = cplx.levels[i - 1]
-        out.append({pair(g): {pair(below[row]): (c, m)
-                              for row, (c, m) in cplx.column(i, col).items()}
+        out.append({pair(g): {pair(below[row]): entry for row, entry
+                              in column_entries(cplx, i, col).items()}
                     for col, g in enumerate(cplx.levels[i])})
     return out
 
@@ -418,7 +436,7 @@ def reference_match(cplx, ref_levels, ref_entries):
         sign[(0, md)] = 1
     for lvl in range(1, len(ref_levels)):
         for col_md in ref_levels[lvl]:
-            col = cplx.column(lvl, where[lvl][col_md])
+            col = column_entries(cplx, lvl, where[lvl][col_md])
             mine = {}
             for row, (c, m) in col.items():
                 mine[cplx.levels[lvl - 1][row].multidegree] = (c, m)
@@ -531,7 +549,7 @@ def reference_matching_V(cplx):
                 row = lookup[level - 1].get((beta, rest))
                 if row is None or (level - 1, row) in matched:
                     continue
-                entry = cplx.entry(level, row, col)
+                entry = column_entries(cplx, level, col).get(row)
                 if entry is None or entry[0] == 0 or any(entry[1]):
                     continue
                 pairs.append(Pair(level, col, row, var))

@@ -319,8 +319,9 @@ def test_verify_command(tmp_path, capsys):
 def test_verify_checks_each_complex_once(tmp_path, capsys, monkeypatch):
     # the symbol complex and the reduced complex are each checked once;
     # the exactness reports carry those results to the verify lines.  The
-    # counter also sits under the CLI's own name, so a direct call from
-    # the CLI would be counted too
+    # Taylor oracle proves its own complex once.  The counter also sits
+    # under the CLI's own name, so a direct call from the CLI would be
+    # counted too
     import pommaret.verify
     calls = []
     check = pommaret.verify.check_complex
@@ -336,7 +337,7 @@ def test_verify_checks_each_complex_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "complex-axioms           ok  (0 failures)" in out
     assert "reduced-complex-axioms   ok\n" in out
-    assert sorted(calls) == ["pommaret", "reduced"]
+    assert sorted(calls) == ["pommaret", "reduced", "taylor"]
 
 
 def test_verify_builds_the_matching_once(tmp_path, capsys, monkeypatch):
@@ -363,7 +364,7 @@ def test_verify_builds_the_matching_once(tmp_path, capsys, monkeypatch):
 def test_verify_checks_the_matching_once(tmp_path, capsys, monkeypatch):
     # minimize checks the matching V on the symbol complex before it
     # cancels a pair; the matching-valid line reports that check, and the
-    # Taylor route of betti-vs-oracle checks its own empty matching
+    # Taylor route of betti-vs-oracle runs no reducer, so no matching
     import pommaret.morse
     calls = []
     check = pommaret.morse.is_morse_matching
@@ -379,7 +380,7 @@ def test_verify_checks_the_matching_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", path]) == 0
     out = capsys.readouterr().out
     assert "matching-valid           ok  (18 pairs)" in out
-    assert calls == ["pommaret", "taylor"]
+    assert calls == ["pommaret"]
 
 
 def test_random_test_command(capsys):

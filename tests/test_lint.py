@@ -155,10 +155,14 @@ def test_reducer_and_kernel_carry_coefficients_only():
 
 def test_betti_route_runs_no_reducer():
     """``betti`` reads the Betti numbers from the scalar part of the
-    symbol complex; its command, the kernel and the invariants it feeds
-    name neither the Morse layer nor its reducer."""
+    symbol complex, and the Taylor oracle from that of the Taylor
+    complex; their command, the kernel, the oracle and the invariants
+    they feed name neither the Morse layer nor its reducer, and
+    ``verify`` imports nothing from ``morse``: the checker does not run
+    the reduction it checks."""
     targets = {("cli.py", "_cmd_betti"), ("verify.py", "scalar_betti"),
-               ("verify.py", "homological_invariants")}
+               ("verify.py", "homological_invariants"),
+               ("verify.py", "oracle_betti")}
     banned = {"minimize", "morse", "_Reducer"}
     seen = set()
     found = []
@@ -175,6 +179,32 @@ def test_betti_route_runs_no_reducer():
                 found.append("%s:%d" % (path.name, inner.lineno))
     assert seen == targets
     assert not found
+    assert not ["%s:%d" % (path.name, node.lineno)
+                for path, node in _package_nodes()
+                if path.name == "verify.py"
+                and isinstance(node, ast.ImportFrom)
+                and node.level == 1 and node.module == "morse"]
+
+
+def test_every_import_is_used():
+    """Every name a module imports is read in it, or exported by its
+    ``__all__``: an import that outlives its last use goes with it."""
+    imported = {}
+    used = set()
+    for path, node in _package_nodes():
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[path.name, name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add((path.name, node.id))
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update((path.name, e.value) for e in node.value.elts)
+    assert not ["%s:%d %s" % (module, line, name)
+                for (module, name), line in imported.items()
+                if (module, name) not in used]
 
 
 def test_text_files_opened_with_an_encoding():

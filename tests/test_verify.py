@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 import pommaret.verify
-from helpers import (REPRODUCERS, dense_rank, dense_rank_gf2, divides,
-                     halve_generator, lcm, mul, positive_dimensional_ideals,
-                     random_stable, reference_lattice, rp2_ideal,
-                     strand_oracle, variable)
+from helpers import (REPRODUCERS, column_entries, dense_rank,
+                     dense_rank_gf2, divides, halve_generator, lcm, mul,
+                     positive_dimensional_ideals, random_stable,
+                     reference_lattice, rp2_ideal, strand_oracle, totals,
+                     variable)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       build_cell_complex, build_p_graph, chain_vertices, cli,
                       check_complex, check_exactness, betti_table, exact_rank,
@@ -237,9 +238,9 @@ def _reference_terms(cplx, i, col):
     # d_{i-1} o d_i on one column with monomial products, as
     # {(row, exps): coeff} before zero sums are dropped
     acc = {}
-    for row, (c1, m1) in cplx.column(i, col).items():
+    for row, (c1, m1) in column_entries(cplx, i, col).items():
         if i >= 2:
-            for row2, (c2, m2) in cplx.column(i - 1, row).items():
+            for row2, (c2, m2) in column_entries(cplx, i - 1, row).items():
                 key = (row2, mul(m1, m2))
                 acc[key] = acc.get(key, 0) + c1 * c2
         else:
@@ -656,7 +657,7 @@ def test_homological_invariants(ideal_a, ideal_b):
         minimal_betti(minimize(ps_complex(basis_b))), basis_b)
     assert report.pd == 2 and report.reg == 6
     assert report.consistent
-    assert report.betti.totals() == (4, 5, 2)
+    assert totals(report.betti) == (4, 5, 2)
 
     with pytest.raises(NotMinimal):
         minimal_betti(ps_complex(basis))
@@ -670,6 +671,28 @@ def test_betti_oracle_route(ideal_a):
     direct = minimize(ps_complex(pommaret_basis(ideal_a)))
     from pommaret import betti_table
     assert betti_table(direct) == table
+
+
+def test_oracle_proves_the_taylor_complex(ideal_b, tmp_path, capsys,
+                                          monkeypatch):
+    # the oracle ranks the units of the Taylor complex only once
+    # check_complex has proven d o d = 0 on it: one flipped sign is a
+    # typed error, and verify, whose other checks pass, exits 4
+    def flip_one(cols):
+        row = min(cols[0])
+        cols[0][row] = -cols[0][row]
+
+    monkeypatch.setattr(pommaret.verify, "taylor_complex", lambda ideal:
+                        _corrupt(taylor_complex(ideal), 2, flip_one))
+    with pytest.raises(NotAComplex, match="Taylor complex"):
+        oracle_betti(ideal_b)
+    path = tmp_path / "b.ideal"
+    path.write_text("vars 3\n" + "".join(
+        "[%s]\n" % ",".join(map(str, g.exps)) for g in ideal_b.gens))
+    assert cli.main(["verify", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert "error [not-a-complex]:" in captured.err
+    assert captured.out == ""
 
 
 def _gf2_exact_rank(rows):
