@@ -12,7 +12,7 @@ from .resolution import (BettiTable, Face, FreeComplex, Gen, Symbol,
 from .cellular import (Cell, CellComplex, build_cell_complex, chain_vertices,
                        supports_check)
 from .morse import (Matching, Pair, ReducedComplex, build_matching_V,
-                    is_morse_matching, minimize, morse_reduce)
+                    is_morse_matching, minimize)
 from .verify import (ComplexReport, ExactnessReport, InvariantReport,
                      check_complex, check_exactness, exact_rank,
                      homological_invariants, lcm_lattice, minimal_betti,
@@ -30,7 +30,7 @@ __all__ = [
     "Cell", "CellComplex", "build_cell_complex", "chain_vertices",
     "supports_check",
     "Matching", "Pair", "ReducedComplex", "build_matching_V",
-    "is_morse_matching", "minimize", "morse_reduce",
+    "is_morse_matching", "minimize",
     "ComplexReport", "ExactnessReport", "InvariantReport", "check_complex",
     "check_exactness", "exact_rank", "homological_invariants", "lcm_lattice",
     "minimal_betti", "oracle_betti", "random_quasi_stable", "scalar_betti",

@@ -12,12 +12,13 @@ extracting the nonmultiplicative variable x_i rewrites with factor t = 1,
 sweeping variables from x_n downward and skipping generators already
 matched.  Those rewritten terms are exactly the unit entries of a symbol
 resolution, so V is read from the complex's unit entries, not from the
-rewrite map.  On most symbol resolutions this matching alone leaves the
-minimal resolution behind, but not on all: cancellation can create unit
-entries by fill-in that V does not pair (``random_quasi_stable(2520, 5,
-4, 6)`` is one), and ``minimize`` then cancels them in a safety-net sweep,
-always the least live unit (highest level, then column, then row), found
-by a scan of the live columns.
+rewrite map.  On some symbol resolutions V leaves a multidegree class
+short, and a unit entry made by fill-in survives its cancellation
+(``random_quasi_stable(2520, 5, 4, 6)`` is one); ``minimize`` then grows V
+in those classes along acyclic augmenting paths (Joellenbeck-Welker, Mem.
+AMS 2009).  Every entry of a symbol resolution is +-1, and fill-in never
+changes the entry of a matched pair (that would need an alternating
+cycle), so every pivot is +-1 and the elimination stays in the integers.
 
 All the pairs of one homological degree form one block of elimination; its
 result does not depend on the order of the pairs inside it, so d o d = 0
@@ -30,10 +31,9 @@ elimination runs on them (Batzies-Welker, J. reine angew. Math. 2002).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (BrokenInvariant, NonUnitPair, NotAMorseMatching,
-                     NotPSComplex)
+                     NotMinimal, NotPSComplex)
 from .resolution import FreeComplex, composite_terms
 
 
@@ -43,7 +43,11 @@ class Pair:
     level: int
     source: int
     target: int
-    var: int  # extracted variable; 0 for generic scalar cancellations
+    var: int  # extracted variable; 0 in a matching not read from symbols
+
+    @property
+    def ends(self):  # the matched generators as (level, index)
+        return (self.level, self.source), (self.level - 1, self.target)
 
 
 class Matching:
@@ -55,7 +59,7 @@ class Matching:
         self.pairs = tuple(pairs)
         seen = set()
         for p in self.pairs:
-            for node in ((p.level, p.source), (p.level - 1, p.target)):
+            for node in p.ends:
                 if node in seen:
                     raise NotAMorseMatching(
                         "generator %r matched twice" % (node,))
@@ -138,16 +142,16 @@ def is_morse_matching(cplx, matching):
     return True
 
 
-def build_matching_V(cplx):
-    """The unit-rewrite matching on a symbol resolution.
+def _order(p):
+    """V's order of pairs: x_n first, then by level, source and target."""
+    return -p.var, p.level, p.source, p.target
 
-    Its candidates are the unit entries, in a symbol resolution exactly the
-    rewritten terms with t = 1, each extracting the variable of the
-    column's u that the row's u lacks (a unit whose row is not u minus one
-    variable is left to the safety-net sweep).  Variables are processed
-    from x_n down; an edge joins V_i when its endpoints were not used by
-    any V_j, j > i, nor earlier in V_i (greedy, in generator order).
-    """
+
+def _candidates(cplx):
+    """V's candidate edges, in ``_order``: the unit entries of a symbol
+    resolution (its rewritten terms with t = 1) whose row is the column's
+    u minus one variable, the one each extracts.  NotPSComplex on any
+    other complex."""
     if cplx.provenance != "pommaret" or cplx.basis is None:
         raise NotPSComplex("matching V needs a symbol resolution")
     candidates = []
@@ -156,27 +160,73 @@ def build_matching_V(cplx):
         rest = cplx.levels[level - 1][row].key.u
         extracted = [k for k in u if k not in rest]
         if len(extracted) == 1 and len(rest) == len(u) - 1:
-            candidates.append((-extracted[0], level, col, row))
+            candidates.append(Pair(level, col, row, extracted[0]))
+    return sorted(candidates, key=_order)
+
+
+def build_matching_V(cplx):
+    """The unit-rewrite matching on a symbol resolution: an edge of
+    ``_candidates`` joins V_i when its endpoints were not used by any V_j,
+    j > i, nor earlier in V_i (greedy, in generator order).  ``minimize``
+    completes it where it falls short."""
     matched = set()
     pairs = []
-    for minus_var, level, col, row in sorted(candidates):
-        if (level, col) in matched or (level - 1, row) in matched:
-            continue
-        pairs.append(Pair(level, col, row, -minus_var))
-        matched.add((level, col))
-        matched.add((level - 1, row))
+    for p in _candidates(cplx):
+        if not matched.intersection(p.ends):
+            pairs.append(p)
+            matched.update(p.ends)
     return Matching(pairs)
 
 
-class ReducedComplex(FreeComplex):
-    """Result of cancelling a matching out of a parent complex."""
+def _complete(cplx, matching, short):
+    """matching grown inside the multidegree classes ``short``: from each
+    unmatched generator in turn, a depth-first search walks the simple
+    alternating paths of V's candidate edges (bipartite by the parity of
+    the level) to another unmatched generator, and flips the first path
+    that leaves a Morse matching."""
+    edges = {}
+    for p in _candidates(cplx):
+        if cplx.classes[p.level][p.source] in short:
+            for node, far in (p.ends, p.ends[::-1]):
+                edges.setdefault(node, []).append((far, p))
+    pairs = set(matching.pairs)
+    mate = {end: p for p in pairs for end in p.ends}
 
-    def __init__(self, ring, ideal, levels, diffs, basis, matching,
-                 safety_net_cancellations, trace):
+    def paths(node, seen):
+        # (pairs to add, pairs to drop) of each augmenting path from node
+        for far, pair in edges[node]:
+            if far in seen:
+                continue
+            back = mate.get(far)
+            if back is None:
+                yield [pair], []
+                continue
+            near = back.ends[back.ends[0] == far]  # back's other end
+            for add, drop in paths(near, seen | {far, near}):
+                yield [pair] + add, [back] + drop
+
+    for start in sorted(edges):
+        if start in mate:
+            continue
+        for add, drop in paths(start, {start}):
+            flipped = Matching((pairs - set(drop)) | set(add))
+            if is_morse_matching(cplx, flipped):
+                pairs = set(flipped.pairs)
+                mate = {end: p for p in pairs for end in p.ends}
+                break
+    return Matching(sorted(pairs, key=_order))
+
+
+class ReducedComplex(FreeComplex):
+    """Result of cancelling a Morse matching out of a parent complex."""
+
+    # every cancellation is a pair of the matching: none is ever extra
+    safety_net_cancellations = 0
+
+    def __init__(self, ring, ideal, levels, diffs, basis, matching, trace):
         FreeComplex.__init__(self, ring, ideal, levels, diffs, "reduced",
                              basis=basis)
         self.matching = matching
-        self.safety_net_cancellations = safety_net_cancellations
         self.trace = trace
 
 
@@ -190,7 +240,7 @@ class _Reducer:
     Each cancellation records the columns it changed; ``_local_check``
     proves d o d = 0 on them when the level of cancellation moves, and the
     callers run it once more after their last cancellation.  Nothing
-    tracks the units: ``least_unit`` scans for them."""
+    tracks the units: ``unit_classes`` scans for them."""
 
     def __init__(self, cplx, trace=False):
         self.cplx = cplx
@@ -210,18 +260,13 @@ class _Reducer:
         self.dirty = set()  # (level, col) changed since the last check
         self.level = None   # level of the last cancellation
 
-    def least_unit(self):
-        """The least key (-level, col, row) of a live unit entry, or None:
-        the least (col, row) of the highest level that holds a unit."""
-        for level in range(len(self.cols) - 1, 0, -1):
-            rows, cols = self.cls[level - 1], self.cls[level]
-            least = min(((col, row)
-                         for col, column in self.cols[level].items()
-                         for row, c in column.items()
-                         if c and rows[row] == cols[col]), default=None)
-            if least is not None:
-                return (-level,) + least
-        return None
+    def unit_classes(self):
+        """The classes of the live unit entries, from a scan."""
+        cls = self.cls
+        return {cls[level][col] for level in range(1, len(self.cols))
+                for col, column in self.cols[level].items()
+                for row, c in column.items()
+                if c and cls[level - 1][row] == cls[level][col]}
 
     def _set(self, level, col, row, coeff):
         column = self.cols[level][col]
@@ -230,8 +275,6 @@ class _Reducer:
                 del column[row]
                 self.row_index[level][row].discard(col)
         else:
-            if isinstance(coeff, Fraction) and coeff.denominator == 1:
-                coeff = int(coeff)
             column[row] = coeff
             self.row_index[level].setdefault(row, set()).add(col)
 
@@ -242,9 +285,10 @@ class _Reducer:
             self.level = level
         cols = self.cols[level]
         lam_c = cols.get(s, {}).get(t)
-        if not lam_c or self.cls[level][s] != self.cls[level - 1][t]:
-            raise NonUnitPair("pair (%d: %d -> %d) is not a unit entry"
-                              % (level, s, t))
+        if (lam_c not in (1, -1)
+                or self.cls[level][s] != self.cls[level - 1][t]):
+            raise NonUnitPair("pair (%d: %d -> %d) is not a unit entry of "
+                              "+-1" % (level, s, t))
         source_col = cols[s]
         fill = [(row, sc) for row, sc in source_col.items() if row != t]
         upper = (self.row_index[level + 1] if level + 1 < len(self.cols)
@@ -252,11 +296,7 @@ class _Reducer:
         touched = []
         for c in sorted(self.row_index[level].get(t, set()) - {s}):
             column = cols[c]
-            alpha_c = column[t]
-            if lam_c in (1, -1):
-                q = alpha_c * lam_c
-            else:
-                q = Fraction(alpha_c, lam_c)
+            q = column[t] * lam_c  # the pivot is its own inverse
             for row, sc in fill:
                 self._set(level, c, row, column.get(row, 0) - q * sc)
             if fill:
@@ -307,10 +347,9 @@ class _Reducer:
                 "cancellation broke d o d = 0 at level %d col %d: %r"
                 % (level, col, bad))
 
-    def compact(self, matching, swept):
+    def compact(self, matching):
         """The surviving complex, after checking d o d = 0 on every
-        column, its generators and entries renumbered; swept counts the
-        safety net's cancellations beyond the matching's pairs."""
+        column, its generators and entries renumbered."""
         for level in range(1, len(self.cols)):
             for col in self.cols[level]:
                 self._compose_check(level, col)
@@ -331,8 +370,7 @@ class _Reducer:
             levels.pop()
             diffs.pop()
         return ReducedComplex(cplx.ring, cplx.ideal, levels, diffs,
-                              cplx.basis, matching,
-                              swept, self.trace)
+                              cplx.basis, matching, self.trace)
 
 
 def _cancel_matching(cplx, matching, trace):
@@ -347,34 +385,19 @@ def _cancel_matching(cplx, matching, trace):
     return reducer
 
 
-def morse_reduce(cplx, matching, trace=False):
-    """Cancel every pair of the matching, highest degree first."""
-    if not isinstance(matching, Matching):
-        matching = Matching(matching)
-    return _cancel_matching(cplx, matching, trace).compact(matching, 0)
-
-
 def minimize(cplx, trace=False):
-    """Minimal resolution from any resolution we can build.
-
-    Symbol resolutions go through the matching V; whatever provenance, a
-    safety-net sweep then cancels the least surviving invertible scalar
-    entry (``_Reducer.least_unit``) one pair at a time, checking d o d = 0
-    after each.  After V the sweep can still find unit entries that
-    fill-in created; the count is reported.  A Taylor complex has no V, so
-    the sweep does all of its reduction.
-    """
-    if cplx.provenance == "pommaret":
-        matching = build_matching_V(cplx)
-    else:
-        matching = Matching(())
+    """Minimal resolution of a symbol resolution: cancel V (NotPSComplex
+    on any other complex); where a class still holds a unit entry, cancel
+    V completed there (``_complete``) afresh instead.  A unit entry that
+    survives raises NotMinimal: every cancellation is a matched pair."""
+    matching = build_matching_V(cplx)
     reducer = _cancel_matching(cplx, matching, trace)
-    swept = 0
-    # highest level first, then lowest column, then lowest row
-    while (key := reducer.least_unit()) is not None:
-        minus_level, col, row = key
-        # a single reversed edge cannot close an alternating cycle
-        reducer.cancel(Pair(-minus_level, col, row, 0))
-        reducer._local_check()
-        swept += 1
-    return reducer.compact(matching, swept)
+    short = reducer.unit_classes()
+    if short:
+        matching = _complete(cplx, matching, short)
+        reducer = _cancel_matching(cplx, matching, trace)
+        left = reducer.unit_classes()
+        if left:
+            raise NotMinimal("unit entries survive the completed matching V "
+                             "at %s" % cplx.ring.text(cplx.decode(min(left))))
+    return reducer.compact(matching)

@@ -17,7 +17,6 @@ A built complex stores no display text: ``FreeComplex.text`` and
 """
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import sub
@@ -64,8 +63,9 @@ class FreeComplex:
 
     Every complex is proven multigraded once, when it is built: every
     multidegree, and the ideal's ring, has ``ring.n`` entries, or
-    ArityMismatch is raised; every entry lies inside its levels and its
-    row's multidegree divides its column's, or NotAComplex is raised.
+    ArityMismatch is raised; every entry is an ``int``, lies inside its
+    levels and its row's multidegree divides its column's, or NotAComplex
+    is raised.
     Complexes are frozen once built, so the kernels that read one work on
     its coefficients alone.  The same pass finds the unit entries and codes
     each multidegree once (``_grading``): ``classes`` per generator and
@@ -146,7 +146,7 @@ class FreeComplex:
             entries = []
             for row, col, c, m in self.entries(i):
                 entries.append({"row": row, "col": col,
-                                "coeff": _coeff_json(c),
+                                "coeff": c,
                                 "mono": list(m)})
             diffs.append(entries)
         return {"n": self.ring.n, "modules": mods, "differentials": diffs}
@@ -200,6 +200,9 @@ def _grading(levels, diffs, gens):
                 if not 0 <= row < n_rows:
                     raise NotAComplex("d_%d has row %r outside F_%d"
                                       % (i, row, i - 1))
+                if type(c) is not int:
+                    raise NotAComplex("entry (%d, %d) of d_%d: %r is not an "
+                                      "integer" % (row, col, i, c))
                 dst = rows[row]
                 if dst & ~src:
                     raise NotAComplex("entry (%d, %d) of d_%d: its row's "
@@ -229,14 +232,6 @@ def composite_terms(diffs, i, col):
         for row2, c2 in below.get(row, {}).items():
             acc[row2] = get(row2, 0) + c1 * c2
     return {row: value for row, value in acc.items() if value}
-
-
-def _coeff_json(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return "%d/%d" % (c.numerator, c.denominator)
-    return c
 
 
 # --- symbol resolutions ----------------------------------------------------

@@ -25,9 +25,9 @@ rank_Q holds for every integer matrix (a nonzero minor mod 2 is a nonzero
 minor).  Hence GF(2) ranks that meet size_i at every position prove the
 strand exact over Q.  Only a strand that falls short (torsion such as
 RP^2's, or a complex that is not exact) takes the exact route: the same
-walk with ``exact_rank``, a plain fraction-free elimination, on integer
-columns that are built on the first such strand.  That route alone can
-report a failure, and it is rare (no strand of the verify workloads in
+walk with ``exact_rank``, a plain fraction-free elimination, on the
+integer columns the complex stores.  That route alone can report a
+failure, and it is rare (no strand of the verify workloads in
 ``perfbench`` reaches it), so it is kept simple rather than fast.
 
 ``scalar_betti`` ranks the unit blocks of a complex, one per multidegree
@@ -37,16 +37,15 @@ GF(2) torsion such as RP^2's would change the Betti numbers.  The oracle
 reduction is checked by a route that does not run it: this module
 imports nothing from ``morse``.
 
-Arity, indices and homogeneity were all checked when the complex was
-built, and a complex stores each entry as its coefficient alone, so
-everything here reads coefficients and checks none of that again.
+Arity, integer coefficients, indices and homogeneity were all checked
+when the complex was built, and a complex stores each entry as its
+coefficient alone, so everything here reads coefficients and checks none
+of that again.
 """
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import or_, sub
 
 from .errors import BrokenInvariant, NotAComplex, NotMinimal
@@ -202,36 +201,13 @@ def _strand_selector(cplx):
     return select
 
 
-def _integer_column(column):
-    """{row: integer} for one column {row: coefficient} of a differential,
-    the column itself when it holds no fraction.  Fraction entries
-    (reduced complexes after a non-unit pivot) are cleared, and scaling a
-    column keeps every rank."""
-    scale = 1
-    for c in column.values():
-        if isinstance(c, Fraction):
-            scale = lcm(scale, c.denominator)
-    if scale == 1:
-        return column
-    return {r: int(c * scale) for r, c in column.items()}
-
-
-def _parity_column(column):
-    """The GF(2) bit column of ``_integer_column(column)``: bit r is set
-    where row r holds an odd entry."""
-    bits = 0
-    for r, c in _integer_column(column).items():
-        if c % 2:
-            bits |= 1 << r
-    return bits
-
-
-def _columns(cplx, build):
-    """build(column j of d_i) for every column of every level i >= 1,
-    indexed [i][j]; built once per complex."""
-    return [None] + [[build(cplx.diffs[i].get(j, {}))
-                      for j in range(len(cplx.levels[i]))]
-                     for i in range(1, len(cplx.levels))]
+def _parity_columns(cplx):
+    """The GF(2) bit columns of every d_i, i >= 1, indexed [i][j], built
+    once per complex: bit r of column j is set where row r holds an odd
+    entry (the bits are distinct, so their sum is their OR)."""
+    return [None] + [[sum(1 << r for r, c in diff.get(j, {}).items()
+                          if c % 2) for j in range(len(level))]
+                     for level, diff in zip(cplx.levels[1:], cplx.diffs[1:])]
 
 
 def _rank_walk(sel, target, columns, rank):
@@ -257,18 +233,18 @@ def _rank_walk(sel, target, columns, rank):
     return None
 
 
-def _strand_failure(cplx, strand, cols, mu):
+def _strand_failure(cplx, strand, mu):
     """The failure of the strand (sel, target) that the
     ``_strand_selector`` picks at the multidegree code mu, from exact
-    ranks on integer columns, or None when it is exact."""
+    ranks on the stored integer columns, or None when it is exact."""
     sel, target = strand
     # augmentation strand: a single row of ones over the level-0 survivors
     if target and not sel[0]:
         return {"mu": cplx.ring.text(cplx.decode(mu)),
                 "position": "augmentation",
                 "reason": "member without covering generator"}
-    short = _rank_walk(sel, target, cols, lambda columns, mask, _cap:
-                       exact_rank([columns[j] for j in _bits(mask)]))
+    short = _rank_walk(sel, target, cplx.diffs, lambda columns, mask, _cap:
+                       exact_rank([columns.get(j, {}) for j in _bits(mask)]))
     if short is None:
         return None
     position, ranks = short
@@ -325,16 +301,13 @@ def check_exactness(cplx, cap=STRAND_CAP):
                           % base.failures[:3])
     codes, capped = lcm_lattice(cplx, cap)
     select = _strand_selector(cplx)
-    bits = _columns(cplx, _parity_column)
-    cols = None
+    bits = _parity_columns(cplx)
     failures = []
     for mu in codes:
         strand = select(mu)
         if _rank_walk(*strand, bits, _gf2_rank) is None:
             continue
-        if cols is None:
-            cols = _columns(cplx, _integer_column)
-        failure = _strand_failure(cplx, strand, cols, mu)
+        failure = _strand_failure(cplx, strand, mu)
         if failure is not None:
             failures.append(failure)
     return ExactnessReport(not failures, len(codes), capped, failures,

@@ -10,20 +10,35 @@ oracles do their own arithmetic on them, with the small functions below.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from operator import add, le, sub
+from pathlib import Path
 
-from pommaret import (FreeComplex, Matching, MonomialIdeal, Pair, Ring,
-                      minimal_generators)
+from pommaret import (Face, FreeComplex, Gen, Matching, MonomialIdeal, Pair,
+                      Ring, minimal_generators)
 from pommaret.errors import PommaretError
 
 
 # random_quasi_stable arguments of the reproducers of perfbench/README.md,
-# "Known defect": V leaves unit entries that fill-in created, and the
-# safety-net sweep cancels them
+# "Known defect": V leaves a multidegree class short, and a unit entry
+# that fill-in created survives its cancellation, so minimize completes V
 REPRODUCERS = [(31000, 4, 6, 8), (2520, 5, 4, 6), (3774, 5, 4, 6),
                (3452, 5, 6, 8), (115, 6, 4, 8)]
+
+# the seeds s with a short V among random_quasi_stable(s, 4 + s % 3,
+# 4 + s % 2, 6 + s % 3), s < 1500, and s = 1880, where the completion needs
+# augmenting paths longer than one edge (V's 1012 pairs grow to 1015)
+SHORT_V_SEEDS = (4, 565, 757, 840, 881, 1166, 1178, 1196, 1289, 1324, 1376,
+                 1880)
+
+
+def short_v_args():
+    """random_quasi_stable arguments of every ideal with a short V:
+    ``REPRODUCERS``, then ``SHORT_V_SEEDS``."""
+    return REPRODUCERS + [(s, 4 + s % 3, 4 + s % 2, 6 + s % 3)
+                          for s in SHORT_V_SEEDS]
 
 
 # --- exponent-tuple arithmetic used only by the tests ------------------------
@@ -229,7 +244,8 @@ def strand_oracle(cplx, cap=20000):
 
 def halve_generator(cplx, i, col):
     """The same complex over Q after replacing generator col of F_i by
-    half of it: column col of d_i halves and row col of d_{i+1} doubles."""
+    half of it: column col of d_i halves and row col of d_{i+1} doubles.
+    ``FreeComplex`` refuses its ``Fraction`` entries."""
     diffs = [None]
     for lvl in range(1, len(cplx.levels)):
         diffs.append({c: dict(column)
@@ -253,6 +269,27 @@ def rp2_ideal(relabel):
     return MonomialIdeal(ring, [
         ring.monomial([int(v in t) for v in range(1, 7)])
         for t in itertools.combinations(range(1, 7), 3) if t not in facets])
+
+
+RP2_REDUCED = Path(__file__).parent / "data" / "rp2_reduced.json"
+
+
+def rp2_reduced():
+    """The minimal resolution of ``rp2_ideal((6, 2, 1, 5, 4, 3))``, frozen
+    in ``data/rp2_reduced.json`` (the JSON of ``FreeComplex``): its Taylor
+    complex as reduced by an earlier ``minimize``, whose generic sweep
+    passed a -2 pivot on the way.  Ranks (10, 15, 6), 60 entries, all
+    +-1; rebuilt through ``FreeComplex``, which proves it multigraded."""
+    doc = json.loads(RP2_REDUCED.read_text(encoding="utf-8"))
+    ideal = rp2_ideal((6, 2, 1, 5, 4, 3))
+    levels = [[Gen(Face(tuple(g["face"])), tuple(g["multidegree"]))
+               for g in level] for level in doc["modules"]]
+    diffs = [None]
+    for entries in doc["differentials"]:
+        diffs.append({})
+        for e in entries:
+            diffs[-1].setdefault(e["col"], {})[e["row"]] = e["coeff"]
+    return FreeComplex(ideal.ring, ideal, levels, diffs, "reduced")
 
 
 def naive_completion(ideal, cap):

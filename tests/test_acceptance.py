@@ -180,7 +180,7 @@ def test_criterion_4_matching_and_minimal_resolution():
     assert len(v) == 18
     assert [[reduced.text(g) for g in lv] for lv in reduced.levels] == CRITICAL
     assert reduced.ranks() == (4, 5, 2)
-    assert reduced.safety_net_cancellations == 0
+    assert reduced.matching.pairs == v.pairs  # V alone sufficed
     assert not reduced.unit_entries()
     ok, why = reference_match(reduced, REF_B_LEVELS, REF_B_ENTRIES)
     assert ok, why
@@ -230,7 +230,9 @@ def test_criterion_6_random_sweep():
         assert cells.counts() == cplx.ranks()
         assert supports_check(cells, cplx).ok, (seed, ideal)
         reduced = minimize(cplx)
-        assert reduced.safety_net_cancellations == 0, (seed, ideal)
+        # V alone sufficed
+        assert reduced.matching.pairs == build_matching_V(cplx).pairs, (
+            seed, ideal)
         assert check_complex(reduced).ok
         assert not reduced.unit_entries()
         ex = check_exactness(cplx, cap=300)

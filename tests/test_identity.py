@@ -12,7 +12,10 @@ only where output prints them, the printed bytes must stay the same.  The
 digests of ``basis``, ``pgraph`` and ``verify``, each output with its exit
 code, were taken while every rewrite still stored its factor t, every cell
 counted its degenerate walk orders and every Betti table counted by degree
-apart from by multidegree.
+apart from by multidegree.  The reproducers' digests of ``minimize`` and
+``verify`` were taken again when ``minimize`` began to complete V where it
+falls short, instead of sweeping up the units left after it; the
+minimized Taylor complexes of RP^2 went with that sweep.
 """
 
 import contextlib
@@ -23,9 +26,10 @@ import json
 import pytest
 
 from helpers import REPRODUCERS, positive_dimensional_ideals, rp2_ideal
-from pommaret import (FreeComplex, check_complex, cli, minimize,
-                      pommaret_basis, ps_complex, random_quasi_stable,
-                      render_differential, taylor_complex)
+from pommaret import (FreeComplex, build_matching_V, check_complex, cli,
+                      minimize, pommaret_basis, ps_complex,
+                      random_quasi_stable, render_differential,
+                      taylor_complex)
 
 # the second labelling of RP^2 divides by the -2 pivot when minimized
 RP2_LABELS = ((1, 2, 3, 4, 5, 6), (6, 2, 1, 5, 4, 3))
@@ -40,14 +44,17 @@ def _digest(records):
 
 
 def _minimized(complexes):
-    """The digest of every result and trace, and the traces."""
+    """The digest of every result and trace, the traces, and the sizes of
+    V."""
     records = []
     traces = []
+    sizes = []
     for cplx in complexes:
         records.append(minimize(cplx).to_json_dict())
         traces.append(minimize(cplx, trace=True).trace)
         records.append(traces[-1])
-    return _digest(records), traces
+        sizes.append(len(build_matching_V(cplx)))
+    return _digest(records), traces, sizes
 
 
 def _ideals(corpus):
@@ -110,25 +117,19 @@ MINIMIZED = {
     "positive-dimensional":
         "ed0423f1beb866c593e0472f45743f61aa19ddab496b19b49c889614e72f70d5",
     "reproducers":
-        "02214c24dd4ca5f4ddb22be9bd72ab142e18e6c40c1f01cdb521d630612a9799",
-    "rp2-taylor":
-        "f10c674a0e2e92f3d28524521ded3a1e8e4a4cfebcb067d155fd3ad2d5207f03",
+        "6735fea5ce0839f3e97958cc88b97ce81d66b087fbe1dc5a6a79961064957c73",
 }
 
 
 @pytest.mark.parametrize("corpus", sorted(MINIMIZED))
 def test_minimize_outputs_are_frozen(corpus):
-    if corpus == "rp2-taylor":
-        complexes = map(taylor_complex, _ideals(corpus))
-    else:
-        complexes = _symbol(_ideals(corpus))
-    digest, traces = _minimized(complexes)
-    lambdas = {rec["lambda"] for trace in traces for rec in trace}
-    if corpus == "reproducers":
-        # every one of them needs the sweep, whose pairs carry var 0
-        assert all(any(rec["var"] == 0 for rec in trace) for trace in traces)
-    elif corpus == "rp2-taylor":
-        assert -2 in lambdas
+    digest, traces, sizes = _minimized(_symbol(_ideals(corpus)))
+    # every cancellation is a +-1 pivot along a candidate of V
+    assert {rec["lambda"] for trace in traces for rec in trace} == {1, -1}
+    assert all(rec["var"] > 0 for trace in traces for rec in trace)
+    # V alone, or on every reproducer V completed
+    grown = [len(trace) > size for trace, size in zip(traces, sizes)]
+    assert set(grown) == {corpus == "reproducers"}
     assert digest == MINIMIZED[corpus]
 
 
@@ -138,7 +139,7 @@ PRINTED = {
     "positive-dimensional":
         "d792eb7b16352a611e55ad8eaec4b37a755bc75727cbbab26501455246e0f9b9",
     "reproducers":
-        "693e4ede0b8f9655fdacbb399c3ee740b0de97504d16014f2dbc9472c145c283",
+        "70a0de09a42153e2da83421bc3200d2bdac962bf42a9e62e8cf61b2d8c5cb24e",
 }
 
 
@@ -203,15 +204,14 @@ CHECKED_OUTPUTS = {
     "positive-dimensional":
         "d17b85a1cf3765e284118d91f12316eba9593c9bb55989ac0d6e6fa906b874ec",
     "reproducers":
-        "fb0cb4c36af1f6b01355343239a871473b8e8ece89ceda2239d2d2356a2cb94c",
+        "5090d7c096b7df52bb72ff8d5697228c43937b2a693bad14f8470111908bc8f2",
 }
 
 
 @pytest.mark.parametrize("corpus", sorted(CHECKED_OUTPUTS))
 def test_basis_pgraph_verify_outputs_are_frozen(corpus, monkeypatch):
     """The basis (text, JSON), its rewrite graph (text, JSON, dot) and the
-    verify report (text, JSON), each with its exit code.  The reproducers'
-    verify exits 4: the safety-net sweep cancels there."""
+    verify report (text, JSON), each with its exit code, which is 0."""
     records = []
     codes = set()
     for ideal in _ideals(corpus):
@@ -223,7 +223,7 @@ def test_basis_pgraph_verify_outputs_are_frozen(corpus, monkeypatch):
                  for fmt in ("text", "json")]
         codes.update(code for code, _, _ in runs)
         records += runs
-    assert codes == ({0, 4} if corpus == "reproducers" else {0})
+    assert codes == {0}
     assert _digest(records) == CHECKED_OUTPUTS[corpus]
 
 

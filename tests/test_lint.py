@@ -186,6 +186,24 @@ def test_betti_route_runs_no_reducer():
                 and node.level == 1 and node.module == "morse"]
 
 
+def test_integers_only_and_one_reduction_path():
+    """Every coefficient is an ``int`` and every pivot +-1, so no module
+    imports ``fractions``; and ``minimize`` is the one reduction path:
+    ``morse`` defines neither a sweep for leftover units (``least_unit``)
+    nor a second entry point (``morse_reduce``)."""
+    found = []
+    for path, node in _package_nodes():
+        if (isinstance(node, ast.Import)
+                and any(a.name == "fractions" for a in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "fractions"
+                or path.name == "morse.py"
+                and isinstance(node, ast.FunctionDef)
+                and node.name in ("least_unit", "morse_reduce")):
+            found.append("%s:%d" % (path.name, node.lineno))
+    assert not found
+
+
 def test_every_import_is_used():
     """Every name a module imports is read in it, or exported by its
     ``__all__``: an import that outlives its last use goes with it."""

@@ -9,8 +9,8 @@ import pommaret.verify
 from helpers import (REPRODUCERS, column_entries, dense_rank,
                      dense_rank_gf2, divides, halve_generator, lcm, mul,
                      positive_dimensional_ideals, random_stable,
-                     reference_lattice, rp2_ideal, strand_oracle, totals,
-                     variable)
+                     reference_lattice, RP2_REDUCED, rp2_ideal, rp2_reduced,
+                     strand_oracle, totals, variable)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       build_cell_complex, build_p_graph, chain_vertices, cli,
                       check_complex, check_exactness, betti_table, exact_rank,
@@ -20,8 +20,7 @@ from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       taylor_complex)
 from pommaret.errors import ArityMismatch, NotAComplex, NotMinimal
 from pommaret.resolution import composite_terms
-from pommaret.verify import (_columns, _gf2_rank, _integer_column,
-                             _parity_column, _strand_failure,
+from pommaret.verify import (_gf2_rank, _parity_columns, _strand_failure,
                              _strand_selector)
 
 
@@ -99,9 +98,9 @@ def _spy_exact_route(monkeypatch):
     seen = []
     failure = pommaret.verify._strand_failure
 
-    def spy(cplx, strand, cols, mu):
+    def spy(cplx, strand, mu):
         seen.append(cplx.decode(mu))
-        return failure(cplx, strand, cols, mu)
+        return failure(cplx, strand, mu)
 
     monkeypatch.setattr(pommaret.verify, "_strand_failure", spy)
     return seen
@@ -109,10 +108,10 @@ def _spy_exact_route(monkeypatch):
 
 def test_exact_fallback_decides_what_gf2_cannot(ideal_a, ideal_b,
                                                 monkeypatch):
-    # RP^2 has 2-torsion: one strand of its minimized Taylor complex is
-    # exact over Q but not over GF(2), so it alone takes the exact route
+    # RP^2 has 2-torsion: one strand of its minimal resolution is exact
+    # over Q but not over GF(2), so it alone takes the exact route
     seen = _spy_exact_route(monkeypatch)
-    rp2 = minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3))))
+    rp2 = rp2_reduced()
     report = check_exactness(rp2)
     assert seen == [(1, 1, 1, 1, 1, 1)]
     assert report.ok and report.strands_checked == 32
@@ -131,10 +130,23 @@ def test_exact_fallback_decides_what_gf2_cannot(ideal_a, ideal_b,
     assert len(seen) == len(report.failures)
     assert (report.strands_checked, report.capped,
             report.failures) == strand_oracle(chopped)
-    halved = halve_generator(ps_complex(pommaret_basis(ideal_b)), 1, 0)
-    report = check_exactness(halved)
-    assert report.ok and (report.strands_checked, report.capped,
-                          report.failures) == strand_oracle(halved)
+
+
+def test_frozen_rp2_resolution_is_minimal_and_exact():
+    # the frozen minimal resolution of RP^2 over Q: its file reads back
+    # through FreeComplex with the same monomials, its entries are +-1 and
+    # none is a unit, and its strands are exact
+    rp2 = rp2_reduced()
+    assert rp2.to_json_dict() == json.loads(
+        RP2_REDUCED.read_text(encoding="utf-8"))
+    coeffs = [c for diff in rp2.diffs[1:] for column in diff.values()
+              for c in column.values()]
+    assert rp2.ranks() == (10, 15, 6) and len(coeffs) == 60
+    assert set(coeffs) == {1, -1}
+    assert not rp2.unit_entries()
+    assert check_exactness(rp2).ok
+    assert minimal_betti(rp2).by_degree == {(0, 3): 10, (1, 4): 15,
+                                            (2, 5): 6}
 
 
 def test_certificate_agrees_with_exact_route(monkeypatch):
@@ -300,15 +312,19 @@ def test_kernel_rejects_mixed_arity(wide):
         FreeComplex(r3, ideal, levels, diffs, "custom")
 
 
-def test_integer_column_clears_fractions():
-    # a column of fractions is scaled by the lcm of its denominators, which
-    # keeps its rank; its GF(2) bits are those of the scaled integers, and
-    # the unscaled 2/3 and 4/3 would set both
-    column = {0: Fraction(2, 3), 1: Fraction(4, 3)}
-    assert _integer_column(column) == {0: 2, 1: 4}
-    assert _integer_column({0: Fraction(1, 2), 2: -3}) == {0: 1, 2: -6}
-    assert _parity_column(column) == 0
-    assert _parity_column({0: 1, 1: 4, 3: -3}) == 0b1001
+def test_free_complex_refuses_fraction_coefficients(ideal_b):
+    # every coefficient is an int, so the reducer's pivots are +-1 and the
+    # strand columns are integer columns as stored; a fraction is refused
+    # where the complex is built, even one that equals an integer
+    cplx = ps_complex(pommaret_basis(ideal_b))
+    with pytest.raises(NotAComplex, match="is not an integer"):
+        halve_generator(cplx, 1, 0)
+    for bad in (Fraction(2, 1), 1.0):
+        with pytest.raises(NotAComplex, match="is not an integer"):
+            _corrupt(cplx, 2, lambda cols: cols[0].update(
+                {min(cols[0]): bad}))
+    assert _parity_columns(cplx)[1][0] == sum(
+        1 << r for r, c in cplx.diffs[1][0].items() if c % 2)
 
 
 def test_strand_selection(ideal_a):
@@ -316,19 +332,18 @@ def test_strand_selection(ideal_a):
     # x2 ranks 0 1 2 3, one bit for x1 then three for x2
     cplx = ps_complex(pommaret_basis(ideal_a))
     select = _strand_selector(cplx)
-    cols = _columns(cplx, _integer_column)
     mu = 0b0011
     assert cplx.decode(mu) == (2, 1)
     selected, target = select(mu)
     assert target == 1
     assert [s.bit_count() for s in selected] == [2, 1]
-    assert _strand_failure(cplx, (selected, target), cols, mu) is None
+    assert _strand_failure(cplx, (selected, target), mu) is None
     # nothing divides (0, 0), nor (1, 1), which has the same strand
     assert cplx.decode(0) == (0, 0)
     selected, target = select(0)
     assert target == 0
     assert selected == [0, 0]
-    assert _strand_failure(cplx, (selected, target), cols, 0) is None
+    assert _strand_failure(cplx, (selected, target), 0) is None
 
 
 def test_lcm_lattice(ideal_a, ideal_b):
@@ -538,29 +553,23 @@ def test_exactness_matches_strand_oracle(ideal_a, ideal_b):
     chopped = FreeComplex(basis.ring, ideal_a, [ps_complex(basis).levels[0]],
                           [None], "custom", basis=basis)
     big = ps_complex(pommaret_basis(ideal_b))
-    halved = halve_generator(big, 1, 0)
-    assert any(isinstance(c, Fraction)
-               for c in halved.diffs[1][0].values())
     # x1^2*x2 is a member that the one level-0 generator, x2^3, misses
     r = ideal_a.ring
     uncovered = FreeComplex(r, ideal_a,
                             [[Gen("a", (0, 3))],
                              [Gen("b", (2, 1))]],
                             [None, {0: {}}], "custom")
-    cases += [(chopped, 20000), (big, 5), (halved, 20000),
-              (minimize(taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))),
-               20000), (uncovered, 20000)]
+    cases += [(chopped, 20000), (big, 5), (rp2_reduced(), 20000),
+              (uncovered, 20000)]
     reports = []
     for cplx, cap in cases:
         report = check_exactness(cplx, cap=cap)
         assert ((report.strands_checked, report.capped, report.failures)
                 == strand_oracle(cplx, cap))
         reports.append(report)
-    (chopped_report, capped_report, halved_report, rp2_report,
-     uncovered_report) = reports[-5:]
+    chopped_report, capped_report, rp2_report, uncovered_report = reports[-4:]
     assert not chopped_report.ok and chopped_report.failures
     assert capped_report.capped and capped_report.strands_checked == 5
-    assert halved_report.ok and halved_report.strands_checked == 27
     assert rp2_report.ok
     assert uncovered_report.failures[0] == {
         "mu": "x1^2*x2", "position": "augmentation",
@@ -589,10 +598,11 @@ def test_complex_stages_build_no_monomial(ideal_b, monkeypatch):
     monkeypatch.setattr(Ring, "text", counting_text)
     cplx = ps_complex(basis)
     cells = build_cell_complex(basis)
-    reduced = [minimize(cplx), minimize(taylor_complex(ideal_b))]
+    taylor = taylor_complex(ideal_b)
+    reduced = minimize(cplx)
     assert supports_check(cells, cplx).ok
     assert built == []
-    assert [r.ranks() for r in reduced] == [(4, 5, 2)] * 2
+    assert (taylor.ranks(), reduced.ranks()) == ((4, 6, 4, 1), (4, 5, 2))
 
 
 def test_basis_stages_build_no_monomial(ideal_b, monkeypatch):
@@ -701,22 +711,27 @@ def _gf2_exact_rank(rows):
 
 
 def test_scalar_betti_equals_the_reduced_table(monkeypatch):
-    """The scalar route gives the table of the Morse route on symbol and
-    Taylor complexes: 400 seeded ideals, the positive-dimensional ones
-    and the reproducers that need the safety-net sweep, and the RP^2
-    Taylor complex, whose -2 pivot makes GF(2) ranks wrong."""
+    """The scalar route gives the table of the Morse route on the symbol
+    complex, and on the Taylor complex of the same ideal: 400 seeded
+    ideals, the positive-dimensional ones and the reproducers where V
+    needs completing; and on the Taylor complex of RP^2, the table of its
+    frozen minimal resolution, where GF(2) ranks would be wrong."""
     ideals = [random_quasi_stable(seed, 2 + seed % 4, 2 + seed % 3,
                                   1 + seed % 4) for seed in range(400)]
     ideals += positive_dimensional_ideals()
     ideals += [random_quasi_stable(*args) for args in REPRODUCERS]
-    complexes = [ps_complex(pommaret_basis(ideal)) for ideal in ideals]
-    complexes += [taylor_complex(ideal) for ideal in ideals
-                  if len(ideal.gens) <= 9]
-    assert len(complexes) > 800
-    for cplx in complexes:
-        assert scalar_betti(cplx) == betti_table(minimize(cplx)), cplx
+    checked = 0
+    for ideal in ideals:
+        symbol = ps_complex(pommaret_basis(ideal))
+        table = betti_table(minimize(symbol))
+        assert scalar_betti(symbol) == table, ideal
+        checked += 1
+        if len(ideal.gens) <= 9:
+            assert scalar_betti(taylor_complex(ideal)) == table, ideal
+            checked += 1
+    assert checked > 800
     rp2 = taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3)))
-    table = betti_table(minimize(rp2))
+    table = betti_table(rp2_reduced())
     assert scalar_betti(rp2) == table
     monkeypatch.setattr(pommaret.verify, "exact_rank", _gf2_exact_rank)
     assert scalar_betti(rp2) != table
@@ -774,8 +789,7 @@ def test_random_quasi_stable_generator():
         assert ideal.ring.n == 2 + seed % 3
 
 
-def test_invariants_without_basis(ideal_a):
-    reduced = minimize(taylor_complex(ideal_a))
-    report = homological_invariants(minimal_betti(reduced))
-    assert report.pd == 1 and report.reg == 4
+def test_invariants_without_basis():
+    report = homological_invariants(minimal_betti(rp2_reduced()))
+    assert report.pd == 2 and report.reg == 3
     assert report.pd_from_classes == -1  # no basis to cross-check
