@@ -37,7 +37,10 @@ MAX_VARS = 1000
 # differential, grows about fourfold per generator
 MAX_TAYLOR_GENS = 12
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_FACTOR = re.compile(r"(%s)\s*(?:\^\s*(\d+))?$" % _NAME)
+# integers are ASCII decimal digits: ``\d`` and ``int`` also take other
+# scripts' digits, and ``int`` takes a sign and underscores too
+_FACTOR = re.compile(r"(%s)\s*(?:\^\s*([0-9]+))?$" % _NAME)
+_ENTRY = re.compile(r"-?[0-9]+")
 
 
 def parse_ideal(text):
@@ -51,7 +54,7 @@ def parse_ideal(text):
     if not content:
         raise IdealSyntaxError("empty file", max(len(lines), 1), 1)
     lineno, line = content.pop(0)
-    m = re.match(r"vars\s+(\d+)$", line.strip())
+    m = re.match(r"vars\s+([0-9]+)$", line.strip())
     if not m:
         raise IdealSyntaxError("expected 'vars <n>' header",
                                lineno, 1 + _indent(line))
@@ -109,12 +112,11 @@ def _parse_monomial(line, lineno, ring):
         if not stripped.endswith("]"):
             raise IdealSyntaxError("unterminated exponent vector",
                                    lineno, col0)
-        body = stripped[1:-1]
-        try:
-            exps = [int(t.strip()) for t in body.split(",")]
-        except ValueError:
+        entries = [t.strip() for t in stripped[1:-1].split(",")]
+        if not all(map(_ENTRY.fullmatch, entries)):
             raise IdealSyntaxError("exponent vector needs integers",
                                    lineno, col0)
+        exps = [_int(t, lineno, col0) for t in entries]
         if len(exps) != ring.n:
             raise IdealSyntaxError(
                 "expected %d exponents, got %d" % (ring.n, len(exps)),
@@ -137,12 +139,13 @@ def _parse_monomial(line, lineno, ring):
         if name in ring.names:
             idx = ring.names.index(name)
         else:
-            mv = re.match(r"x(\d+)$", name)
-            if mv and 1 <= int(mv.group(1)) <= ring.n:
-                idx = int(mv.group(1)) - 1
-            else:
+            mv = re.match(r"x([0-9]+)$", name)
+            k = (_int(mv.group(1), lineno, col + _indent(piece) + 1)
+                 if mv else 0)
+            if not 1 <= k <= ring.n:
                 raise IdealSyntaxError("unknown variable %r" % name,
                                        lineno, col)
+            idx = k - 1
         exps[idx] += exp
     return ring.monomial(exps)
 
@@ -449,10 +452,14 @@ def _cmd_random_test(args):
         rng_n = 2 + (seed * 7919 + 11) % 3  # 2..4, deterministic in seed
         gens = (seed * 104729 + 3) % 5      # 0..4 extra generators
         ideal = random_quasi_stable(seed, rng_n, args.max_deg, gens)
-        checks, ok = _verify_one(ideal, args.strand_cap)
+        try:
+            checks, ok = _verify_one(ideal, args.strand_cap)
+        except PommaretError as e:
+            ok, failed = False, "error [%s]: %s" % (e.code, e.message)
+        else:
+            failed = ", ".join(n for n, o, _ in checks if not o)
         if not ok:
             bad += 1
-            failed = ", ".join(n for n, o, _ in checks if not o)
             lines.append("case %d seed %d: FAIL (%s)  ideal %r"
                          % (case, seed, failed, ideal))
         else:

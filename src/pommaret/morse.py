@@ -20,9 +20,10 @@ AMS 2009).  Every entry of a symbol resolution is +-1, and fill-in never
 changes the entry of a matched pair (that would need an alternating
 cycle), so every pivot is +-1 and the elimination stays in the integers.
 
-All the pairs of one homological degree form one block of elimination; its
-result does not depend on the order of the pairs inside it, so d o d = 0
-is checked on the columns a block changed once the block is done.
+The pairs are cancelled highest degree first, though the result does not
+depend on their order.  d o d = 0 is proved once per reduced complex, on
+every column of the result: a defect that a later cancellation erases
+never reaches it.
 
 Every complex was proven multigraded when it was built, and cancelling a
 unit pair keeps it so: an entry's monomial is fixed by the multidegrees of
@@ -79,42 +80,29 @@ def _has_cycle(cplx, matching, level):
     """Whether the digraph of d_level with matched edges reversed has a
     directed cycle.
 
-    Vertices are split by homological degree; a directed cycle must
-    alternate matched (upward) and unmatched (downward) edges between two
-    adjacent degrees, so acyclicity is checked per degree pair on the
-    column side only.  Matched edges are units, which keep the multidegree,
-    and an unmatched edge between two classes strictly lowers it, so every
-    cycle stays inside one multidegree class: only the edges inside a class
-    are followed.
+    A directed cycle alternates reversed matched edges (row to column) and
+    unmatched entries (column to row) between two adjacent degrees, so each
+    of its columns is entered by a matched edge: only the matched columns
+    of d_level are vertices, with an arc from s to the partner of each
+    other matched row of s's column.
     """
-    matched_cols = {}
-    row_partner = {}
-    for p in matching.pairs:
-        if p.level == level:
-            matched_cols[p.source] = p.target
-            row_partner[p.target] = p.source
-    rows, cols = cplx.classes[level - 1], cplx.classes[level]
-    successors = {}
-    for col, column in cplx.diffs[level].items():
-        succ = []
-        for row in column:
-            if rows[row] != cols[col] or matched_cols.get(col) == row:
-                continue  # leaves the class, or is reversed, not outgoing
-            partner = row_partner.get(row)
-            if partner is not None and partner != col:
-                succ.append(partner)
-        successors[col] = succ
+    partner = {p.target: p.source for p in matching.pairs
+               if p.level == level}
+    column = cplx.diffs[level].get
+    successors = {s: [partner[row] for row in column(s, ())
+                      if row in partner and partner[row] != s]
+                  for s in partner.values()}
     # Kahn: repeatedly drop vertices no remaining edge enters; a cycle is
     # what can never be dropped
     indegree = dict.fromkeys(successors, 0)
     for succ in successors.values():
         for v in succ:
-            indegree[v] = indegree.get(v, 0) + 1
+            indegree[v] += 1
     ready = [v for v, k in indegree.items() if k == 0]
     dropped = 0
     while ready:
         dropped += 1
-        for v in successors.get(ready.pop(), ()):
+        for v in successors[ready.pop()]:
             indegree[v] -= 1
             if indegree[v] == 0:
                 ready.append(v)
@@ -179,14 +167,15 @@ def build_matching_V(cplx):
 
 
 def _complete(cplx, matching, short):
-    """matching grown inside the multidegree classes ``short``: from each
+    """matching grown inside the multidegrees ``short`` (exponent tuples,
+    since a reduced complex codes classes its own way): from each
     unmatched generator in turn, a depth-first search walks the simple
     alternating paths of V's candidate edges (bipartite by the parity of
     the level) to another unmatched generator, and flips the first path
     that leaves a Morse matching."""
     edges = {}
     for p in _candidates(cplx):
-        if cplx.classes[p.level][p.source] in short:
+        if cplx.levels[p.level][p.source].multidegree in short:
             for node, far in (p.ends, p.ends[::-1]):
                 edges.setdefault(node, []).append((far, p))
     pairs = set(matching.pairs)
@@ -237,10 +226,9 @@ class _Reducer:
     complex's ``classes``, and an entry is a unit when its coefficient is
     nonzero and its row and column share a class.
 
-    Each cancellation records the columns it changed; ``_local_check``
-    proves d o d = 0 on them when the level of cancellation moves, and the
-    callers run it once more after their last cancellation.  Nothing
-    tracks the units: ``unit_classes`` scans for them."""
+    Cancellations check nothing but their pivot; ``compact`` proves
+    d o d = 0 on every surviving column, and the complex it builds lists
+    the units left (``unit_entries``)."""
 
     def __init__(self, cplx, trace=False):
         self.cplx = cplx
@@ -257,16 +245,6 @@ class _Reducer:
             self.row_index.append(index)
         self.alive = [set(range(len(lv))) for lv in cplx.levels]
         self.trace = [] if trace else None
-        self.dirty = set()  # (level, col) changed since the last check
-        self.level = None   # level of the last cancellation
-
-    def unit_classes(self):
-        """The classes of the live unit entries, from a scan."""
-        cls = self.cls
-        return {cls[level][col] for level in range(1, len(self.cols))
-                for col, column in self.cols[level].items()
-                for row, c in column.items()
-                if c and cls[level - 1][row] == cls[level][col]}
 
     def _set(self, level, col, row, coeff):
         column = self.cols[level][col]
@@ -280,9 +258,6 @@ class _Reducer:
 
     def cancel(self, pair):
         level, s, t = pair.level, pair.source, pair.target
-        if level != self.level:
-            self._local_check()
-            self.level = level
         cols = self.cols[level]
         lam_c = cols.get(s, {}).get(t)
         if (lam_c not in (1, -1)
@@ -291,19 +266,14 @@ class _Reducer:
                               "+-1" % (level, s, t))
         source_col = cols[s]
         fill = [(row, sc) for row, sc in source_col.items() if row != t]
-        upper = (self.row_index[level + 1] if level + 1 < len(self.cols)
-                 else {})
         touched = []
         for c in sorted(self.row_index[level].get(t, set()) - {s}):
             column = cols[c]
             q = column[t] * lam_c  # the pivot is its own inverse
             for row, sc in fill:
                 self._set(level, c, row, column.get(row, 0) - q * sc)
-            if fill:
-                self.dirty.add((level, c))
-                self.dirty.update((level + 1, u) for u in upper.get(c, ()))
-                if self.trace is not None:
-                    touched.extend((c, row) for row, _ in fill)
+            if self.trace is not None:
+                touched.extend((c, row) for row, _ in fill)
             # the t entry of every corrected column cancels exactly
             del column[t]
             self.row_index[level][t].discard(c)
@@ -316,9 +286,9 @@ class _Reducer:
                 self.row_index[level - 1][row].discard(t)
             del self.cols[level - 1][t]
         # the columns one level up lose the dead source row
-        for c in upper.pop(s, ()):
-            del self.cols[level + 1][c][s]
-            self.dirty.add((level + 1, c))
+        if level + 1 < len(self.cols):
+            for c in self.row_index[level + 1].pop(s, ()):
+                del self.cols[level + 1][c][s]
         self.alive[level].discard(s)
         self.alive[level - 1].discard(t)
         if self.trace is not None:
@@ -331,28 +301,16 @@ class _Reducer:
                 "updated": sorted(touched),
             })
 
-    def _local_check(self):
-        # d o d = 0 can only break where entries changed since the last
-        # check: the corrected columns, and one level up the columns that
-        # met a dead source row or a corrected column
-        for level, col in sorted(self.dirty):
-            if col in self.cols[level]:
-                self._compose_check(level, col)
-        self.dirty.clear()
-
-    def _compose_check(self, level, col):
-        bad = composite_terms(self.cols, level, col)
-        if bad:
-            raise BrokenInvariant(
-                "cancellation broke d o d = 0 at level %d col %d: %r"
-                % (level, col, bad))
-
     def compact(self, matching):
         """The surviving complex, after checking d o d = 0 on every
         column, its generators and entries renumbered."""
         for level in range(1, len(self.cols)):
             for col in self.cols[level]:
-                self._compose_check(level, col)
+                bad = composite_terms(self.cols, level, col)
+                if bad:
+                    raise BrokenInvariant(
+                        "cancellation broke d o d = 0 at level %d col %d: %r"
+                        % (level, col, bad))
         cplx = self.cplx
         levels = []
         remap = []
@@ -374,30 +332,34 @@ class _Reducer:
 
 
 def _cancel_matching(cplx, matching, trace):
-    """A checked reducer with every pair of a valid matching cancelled,
-    highest degree first."""
+    """The checked complex left when every pair of a valid matching is
+    cancelled, highest degree first."""
     if not is_morse_matching(cplx, matching):
         raise NotAMorseMatching("matching fails the unit or acyclicity test")
     reducer = _Reducer(cplx, trace)
     for pair in sorted(matching.pairs, key=lambda p: (-p.level, p.source)):
         reducer.cancel(pair)
-    reducer._local_check()
-    return reducer
+    return reducer.compact(matching)
 
 
 def minimize(cplx, trace=False):
     """Minimal resolution of a symbol resolution: cancel V (NotPSComplex
-    on any other complex); where a class still holds a unit entry, cancel
-    V completed there (``_complete``) afresh instead.  A unit entry that
-    survives raises NotMinimal: every cancellation is a matched pair."""
+    on any other complex); if the result still holds unit entries, cancel
+    V completed in their multidegrees (``_complete``) afresh instead.  A
+    unit entry that survives raises NotMinimal: every cancellation is a
+    matched pair."""
     matching = build_matching_V(cplx)
-    reducer = _cancel_matching(cplx, matching, trace)
-    short = reducer.unit_classes()
-    if short:
+    reduced = _cancel_matching(cplx, matching, trace)
+    units = reduced.unit_entries()
+    if units:
+        short = {reduced.levels[level][col].multidegree
+                 for level, _, col, _ in units}
         matching = _complete(cplx, matching, short)
-        reducer = _cancel_matching(cplx, matching, trace)
-        left = reducer.unit_classes()
+        reduced = _cancel_matching(cplx, matching, trace)
+        left = [reduced.classes[level][col]
+                for level, _, col, _ in reduced.unit_entries()]
         if left:
-            raise NotMinimal("unit entries survive the completed matching V "
-                             "at %s" % cplx.ring.text(cplx.decode(min(left))))
-    return reducer.compact(matching)
+            raise NotMinimal(
+                "unit entries survive the completed matching V at %s"
+                % reduced.ring.text(reduced.decode(min(left))))
+    return reduced

@@ -81,6 +81,23 @@ def test_parse_errors_carry_position():
         with pytest.raises(IdealSyntaxError) as e:
             cli.parse_ideal(text)
         assert (e.value.line, e.value.col) == (2, col)
+    # integers are ASCII decimal digits, with no sign and no underscore; a
+    # vector entry's minus sign still reads as a negative exponent
+    for text, message in (
+            ("vars 2\n[1_0,2]\n", "line 2, col 1: exponent vector needs "
+                                 "integers"),
+            ("vars 2\n[ 3 , +2 ]\n", "line 2, col 1: exponent vector needs "
+                                    "integers"),
+            ("vars 2\n[\u0663,1]\n", "line 2, col 1: exponent vector needs "
+                                    "integers"),
+            ("vars 2\nx1^\u0663*x2\n", "line 2, col 1: bad factor "
+                                      "'x1^\u0663'"),
+            ("vars \u0662\n[1,0]\n", "line 1, col 1: expected 'vars <n>' "
+                                     "header"),
+            ("vars 2\n[ -1 , 2 ]\n", "line 2, col 1: negative exponent")):
+        with pytest.raises(IdealSyntaxError) as e:
+            cli.parse_ideal(text)
+        assert e.value.message == message
     with pytest.raises(IdealSyntaxError):
         cli.parse_ideal("vars 0\n")
     with pytest.raises(IdealSyntaxError):
@@ -385,6 +402,34 @@ def test_random_test_command(capsys):
     assert "2/2 cases ok" in out
 
 
+def test_random_test_reports_a_case_that_raises(capsys, monkeypatch):
+    # a typed error in one case is that case's FAIL line, with its code and
+    # seed; the other cases still run and print what they print unpatched
+    from pommaret.errors import NotMinimal
+    argv = ["random-test", "--count", "5", "--seed", "3"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out.splitlines()
+    minimize = cli.minimize
+    calls = []
+
+    def failing_third(cplx):
+        calls.append(cplx)
+        if len(calls) == 3:
+            raise NotMinimal("forced")
+        return minimize(cplx)
+
+    monkeypatch.setattr(cli, "minimize", failing_third)
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[2].startswith("case 2 seed 5: FAIL (error [not-minimal]: "
+                               "forced)  ideal MonomialIdeal(")
+    assert lines[:2] + lines[3:5] == want[:2] + want[3:5]
+    assert lines[5:] == ["4/5 cases ok"]
+    assert len(calls) == 5
+
+
 def test_verify_caps_only_a_larger_lattice(tmp_path, capsys):
     # the lcm lattice of (x1^2, x2^3) has 5 points, and that of its reduced
     # complex 3: a cap equal to a lattice's size checks all of it and is
@@ -533,6 +578,11 @@ def test_oversized_integers_exit_2(tmp_path, capsys, int_digit_limit):
              "line 1, col 6: integer too long")
     _exits_2(tmp_path, capsys, b"vars 2\n[1,0]\n x2 * x1^" + digits + b"\n",
              "line 3, col 10: integer too long")
+    _exits_2(tmp_path, capsys, b"vars 2\n [1, " + digits + b"]\n",
+             "line 2, col 2: integer too long")
+    # a variable named by its index
+    _exits_2(tmp_path, capsys, b"vars 2\nx1 * x" + digits + b"\n",
+             "line 2, col 7: integer too long")
 
 
 def test_variable_count_is_bounded(tmp_path, capsys):

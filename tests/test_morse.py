@@ -21,8 +21,7 @@ from pommaret.morse import _cancel_matching, _has_cycle, _Reducer
 
 def _reduce(cplx, pairs, trace=False):
     """cplx with every pair of a Morse matching cancelled."""
-    matching = Matching(pairs)
-    return _cancel_matching(cplx, matching, trace).compact(matching)
+    return _cancel_matching(cplx, Matching(pairs), trace)
 
 
 def test_matching_rejects_reuse():
@@ -138,15 +137,15 @@ def test_morse_matching_cycle_detection():
         _reduce(cplx, [Pair(1, 0, 0, 0), Pair(1, 1, 1, 0)])
 
 
-def _random_unit_matchings(cplx, rng, count):
-    """Seeded random maximal matchings along the unit entries of cplx."""
-    units = [(level, col, row) for level, row, col, _ in cplx.unit_entries()]
+def _random_matchings(edges, rng, count):
+    """Seeded random maximal matchings along edges, a list of (level, col,
+    row) entries of one complex, which is shuffled in place."""
     out = []
     for _ in range(count):
-        rng.shuffle(units)
+        rng.shuffle(edges)
         used = set()
         pairs = []
-        for level, col, row in units:
+        for level, col, row in edges:
             if (level, col) not in used and (level - 1, row) not in used:
                 pairs.append(Pair(level, col, row, 0))
                 used.update({(level, col), (level - 1, row)})
@@ -154,9 +153,11 @@ def _random_unit_matchings(cplx, rng, count):
     return out
 
 
-def test_per_class_acyclicity_matches_the_full_digraph():
-    # _has_cycle follows only the edges inside a multidegree class; the
-    # reference searches the whole digraph of both degrees
+def test_matched_column_acyclicity_matches_the_full_digraph():
+    # _has_cycle builds its digraph on the matched columns alone; the
+    # reference searches the whole digraph of both degrees.  Besides V, the
+    # matchings run along random unit entries, or along random entries of
+    # any multidegree, so that pairs join different classes too
     rng = random.Random(11)
     toy = _toy_two_cycle()
     cases = [(toy, [Matching([Pair(1, 0, 0, 0)]), Matching([Pair(1, 1, 1, 0)]),
@@ -165,17 +166,29 @@ def test_per_class_acyclicity_matches_the_full_digraph():
                                   2 + seed % 4) for seed in range(40)]
     for ideal in ideals + positive_dimensional_ideals():
         cplx = ps_complex(pommaret_basis(ideal))
+        units = [(level, col, row)
+                 for level, row, col, _ in cplx.unit_entries()]
+        entries = [(level, col, row) for level in range(1, cplx.length + 1)
+                   for col, column in cplx.diffs[level].items()
+                   for row in column]
         cases.append((cplx, [build_matching_V(cplx)]
-                      + _random_unit_matchings(cplx, rng, 8)))
+                      + _random_matchings(units, rng, 8)
+                      + _random_matchings(entries, rng, 4)))
     verdicts = []
+    cross_class_cycles = 0
     for cplx, matchings in cases:
         for matching in matchings:
             for level in range(1, cplx.length + 1):
                 got = _has_cycle(cplx, matching, level)
                 assert got == reference_has_cycle(cplx, matching, level)
                 verdicts.append(got)
+                cross_class_cycles += got and any(
+                    p.level == level and cplx.classes[level][p.source]
+                    != cplx.classes[level - 1][p.target]
+                    for p in matching.pairs)
     assert verdicts[:3] == [False, False, True]
     assert verdicts.count(True) > 10 and len(verdicts) > 1000
+    assert cross_class_cycles > 100
 
 
 def test_morse_matching_rejects_non_unit(ideal_a):
@@ -249,8 +262,12 @@ def test_reduce_bookkeeping():
 @pytest.mark.parametrize("level", [1, 2])
 def test_step_check_catches_a_dropped_correction(ideal_b, monkeypatch,
                                                  level):
-    # losing one fill-in entry must be caught by the check that runs right
-    # after the cancellation, through the real d o d = 0 kernel
+    # losing the first fill-in entry of a level: at level 1 it reaches the
+    # result, and compact's d o d = 0 check over every column raises; at
+    # level 2 a later cancellation erases it, and the result is the
+    # undamaged one
+    cplx = ps_complex(pommaret_basis(ideal_b))
+    want = minimize(cplx).to_json_dict()
     set_entry = _Reducer._set
     dropped = []
 
@@ -261,11 +278,13 @@ def test_step_check_catches_a_dropped_correction(ideal_b, monkeypatch,
         set_entry(self, lvl, col, row, coeff)
 
     monkeypatch.setattr(_Reducer, "_set", dropping_set)
-    with pytest.raises(BrokenInvariant) as info:
-        minimize(ps_complex(pommaret_basis(ideal_b)))
+    if level == 1:
+        with pytest.raises(BrokenInvariant) as info:
+            minimize(cplx)
+        assert "compact" in [entry.name for entry in info.traceback]
+    else:
+        assert minimize(cplx).to_json_dict() == want
     assert dropped
-    frames = [entry.name for entry in info.traceback]
-    assert "_local_check" in frames and "compact" not in frames
 
 
 @pytest.mark.parametrize("case, stride", [("ideal_b", 1), ("completed", 6)])
@@ -488,54 +507,26 @@ def test_a_unit_left_by_the_completion_is_an_error(tmp_path, capsys,
         minimize(cplx)
 
 
-def _unit_classes(reducer):
-    """The multidegrees of the live unit entries, from a full scan that
-    reads multidegrees rather than the reducer's class codes."""
-    levels = reducer.cplx.levels
-    return {levels[level][col].multidegree
-            for level in range(1, len(reducer.cols))
-            for col, column in reducer.cols[level].items()
-            for row, c in column.items()
-            if c != 0 and (levels[level][col].multidegree
-                           == levels[level - 1][row].multidegree)}
-
-
-def test_tracked_unit_entries_match_a_full_scan(ideal_b, monkeypatch):
-    # after every cancellation, of V and of V completed alike, the
-    # reducer's scan for live units must find the classes of a full scan
-    # that reads multidegrees
-    cancel = _Reducer.cancel
-    checked = []
-    units = []
-
-    def checked_cancel(self, pair):
-        cancel(self, pair)
-        checked.append(pair)
-        found = set(map(self.cplx.decode, self.unit_classes()))
-        assert found == _unit_classes(self)
-        units.append(bool(found))
-
-    monkeypatch.setattr(_Reducer, "cancel", checked_cancel)
+def test_cancelling_lowest_level_first_gives_the_same_complex(ideal_b):
+    # V leaves unit entries in its result on every reproducer and on no
+    # other case, and minimize completes it there; each matching cancelled
+    # lowest level first, so that each source row one level up dies with
+    # its pair, gives the same complex as highest level first
     cases = [ps_complex(pommaret_basis(ideal_b))]
     cases += [ps_complex(pommaret_basis(random_quasi_stable(*args)))
               for args in REPRODUCERS]
+    v = [build_matching_V(cplx) for cplx in cases]
+    assert [len(m) for m in v] == [18, 157, 77, 71, 78, 162]
+    assert [bool(_cancel_matching(cplx, m, False).unit_entries())
+            for cplx, m in zip(cases, v)] == [False] + [True] * 5
     reduced = [minimize(cplx) for cplx in cases]
-    v_sizes = [len(build_matching_V(cplx)) for cplx in cases]
-    assert v_sizes == [18, 157, 77, 71, 78, 162]
     assert [len(r.matching) for r in reduced] == [18, 158, 79, 72, 80, 166]
-    # the reproducers cancel V, then V completed
-    assert len(checked) == sum(len(r.matching) for r in reduced) + sum(
-        v_sizes[1:])
-    assert any(units) and not all(units)
-    # the matching of a reproducer cancelled lowest level first: each
-    # source row one level up dies with its pair; the result is the same
-    del checked[:]
-    reducer = _Reducer(cases[2])
-    for pair in sorted(reduced[2].matching.pairs,
-                       key=lambda p: (p.level, p.source)):
-        reducer.cancel(pair)
-    assert reducer.compact(reduced[2].matching).diffs == reduced[2].diffs
-    assert len(checked) == 79
+    for cplx, r in zip(cases, reduced):
+        reducer = _Reducer(cplx)
+        for pair in sorted(r.matching.pairs,
+                           key=lambda p: (p.level, p.source)):
+            reducer.cancel(pair)
+        assert reducer.compact(r.matching).to_json_dict() == r.to_json_dict()
 
 
 def test_minimize_preserves_multidegrees():
