@@ -107,13 +107,13 @@ class _ConeIndex:
     """Lookup structure for involutive divisors.
 
     Elements are exponent tuples, bucketed by (class, exponents above the
-    class); a tuple m can only have an involutive divisor of class c whose
-    exponents above c equal m's, so a query is a handful of dict hits plus
-    head comparisons.
+    class).  An element h of class c is zero below x_c, so it involutively
+    divides m iff h[c:] = m[c:], which its bucket key fixes, and 0 <
+    h[c-1] <= m[c-1]: a query is one dict hit per class c with m[c-1] > 0
+    and one comparison per element found.
     """
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self):
         self.buckets = {}
         self.elements = []
 
@@ -124,10 +124,12 @@ class _ConeIndex:
 
     def divisors(self, m):
         """The involutive divisors of m among the elements, by class."""
-        for c in range(1, self.n + 1):
-            for h in self.buckets.get((c, m[c:]), ()):
-                if all(h[j] <= m[j] for j in range(c)):
-                    yield h
+        get = self.buckets.get
+        for c, e in enumerate(m, 1):
+            if e:
+                for h in get((c, m[c:]), ()):
+                    if h[c - 1] <= e:
+                        yield h
 
 
 class PommaretBasis:
@@ -154,7 +156,7 @@ class PommaretBasis:
         self.d = min(self.classes)
         self._index = {h: a for a, h in enumerate(self.elements)}
         n = self.ring.n
-        self._cones = _ConeIndex(n)
+        self._cones = _ConeIndex()
         for h in self.elements:
             self._cones.add(h)
         self.delta = {}
@@ -231,7 +233,7 @@ def pommaret_basis(ideal):
             "%r has no finite Pommaret basis" % ideal)
     n = ideal.ring.n
     cap = sum(ideal.max_exponents()) + n
-    cones = _ConeIndex(n)
+    cones = _ConeIndex()
     queue = []
 
     def push_products(h):

@@ -157,24 +157,30 @@ def build_matching_V(cplx):
     ``_candidates`` joins V_i when its endpoints were not used by any V_j,
     j > i, nor earlier in V_i (greedy, in generator order).  ``minimize``
     completes it where it falls short."""
+    return _greedy(_candidates(cplx))
+
+
+def _greedy(candidates):
+    """V from a complex's ``_candidates``, in their order: each joins
+    unless an endpoint is already matched."""
     matched = set()
     pairs = []
-    for p in _candidates(cplx):
+    for p in candidates:
         if not matched.intersection(p.ends):
             pairs.append(p)
             matched.update(p.ends)
     return Matching(pairs)
 
 
-def _complete(cplx, matching, short):
+def _complete(cplx, candidates, matching, short):
     """matching grown inside the multidegrees ``short`` (exponent tuples,
     since a reduced complex codes classes its own way): from each
     unmatched generator in turn, a depth-first search walks the simple
-    alternating paths of V's candidate edges (bipartite by the parity of
-    the level) to another unmatched generator, and flips the first path
-    that leaves a Morse matching."""
+    alternating paths of V's candidate edges (``_candidates(cplx)``,
+    bipartite by the parity of the level) to another unmatched generator,
+    and flips the first path that leaves a Morse matching."""
     edges = {}
-    for p in _candidates(cplx):
+    for p in candidates:
         if cplx.levels[p.level][p.source].multidegree in short:
             for node, far in (p.ends, p.ends[::-1]):
                 edges.setdefault(node, []).append((far, p))
@@ -345,16 +351,18 @@ def _cancel_matching(cplx, matching, trace):
 def minimize(cplx, trace=False):
     """Minimal resolution of a symbol resolution: cancel V (NotPSComplex
     on any other complex); if the result still holds unit entries, cancel
-    V completed in their multidegrees (``_complete``) afresh instead.  A
-    unit entry that survives raises NotMinimal: every cancellation is a
+    V completed in their multidegrees (``_complete``) afresh instead.  V
+    and its completion read one scan of the candidate edges.  A unit
+    entry that survives raises NotMinimal: every cancellation is a
     matched pair."""
-    matching = build_matching_V(cplx)
+    candidates = _candidates(cplx)
+    matching = _greedy(candidates)
     reduced = _cancel_matching(cplx, matching, trace)
     units = reduced.unit_entries()
     if units:
         short = {reduced.levels[level][col].multidegree
                  for level, _, col, _ in units}
-        matching = _complete(cplx, matching, short)
+        matching = _complete(cplx, candidates, matching, short)
         reduced = _cancel_matching(cplx, matching, trace)
         left = [reduced.classes[level][col]
                 for level, _, col, _ in reduced.unit_entries()]

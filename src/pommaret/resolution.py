@@ -17,7 +17,7 @@ A built complex stores no display text: ``FreeComplex.text`` and
 """
 
 from collections import Counter, namedtuple
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from operator import sub
 
@@ -174,28 +174,29 @@ def _grading(levels, diffs, gens):
                           % (len(diffs) - 1, len(levels)))
     mds = [g.multidegree for level in levels for g in level] + gens
     fields = []
-    ranks = []  # per variable: {exponent: its field of rank bits}
+    bits = []  # per variable: the field of rank bits of each multidegree
     width = 0
-    for values in map(sorted, map(set, zip(*mds))):
+    for column in zip(*mds):
+        values = sorted(set(column))
         fields.append((width, (1 << len(values) - 1) - 1, values))
-        ranks.append({x: (1 << k) - 1 << width for k, x in enumerate(values)})
+        rank = {x: (1 << k) - 1 << width for k, x in enumerate(values)}
+        bits.append(map(rank.__getitem__, column))
         width += len(values) - 1
-
-    def code(exps):
-        # the fields are disjoint, so their sum is their OR
-        return sum(map(dict.__getitem__, ranks, exps))
-
-    classes = [[code(g.multidegree) for g in level] for level in levels]
+    # the fields are disjoint, so their sum is their OR
+    codes = iter(list(map(sum, zip(*bits))))
+    classes = [list(islice(codes, len(level))) for level in levels]
     units = []
     for i in range(1, len(levels)):
         rows = classes[i - 1]
         cols = classes[i]
         n_rows = len(rows)
+        n_cols = len(cols)
         for col, column in diffs[i].items():
-            if not 0 <= col < len(cols):
+            if not 0 <= col < n_cols:
                 raise NotAComplex("d_%d has column %r outside F_%d"
                                   % (i, col, i))
             src = cols[col]
+            outside = ~src
             for row, c in column.items():
                 if not 0 <= row < n_rows:
                     raise NotAComplex("d_%d has row %r outside F_%d"
@@ -204,14 +205,14 @@ def _grading(levels, diffs, gens):
                     raise NotAComplex("entry (%d, %d) of d_%d: %r is not an "
                                       "integer" % (row, col, i, c))
                 dst = rows[row]
-                if dst & ~src:
+                if dst & outside:
                     raise NotAComplex("entry (%d, %d) of d_%d: its row's "
                                       "multidegree does not divide its "
                                       "column's" % (row, col, i))
                 if dst == src and c != 0:
                     units.append((i, row, col, c))
     units.sort(key=lambda u: (u[0], u[2], u[1]))
-    return fields, classes, list(map(code, gens)), units
+    return fields, classes, list(codes), units
 
 
 def composite_terms(diffs, i, col):
@@ -260,15 +261,18 @@ def ps_generators(basis, i):
 def symbol_facets(basis, alpha, u):
     """For each variable x_k of u, in order: ((alpha, rest), rewritten)
     with rest = u minus k and x_k h_alpha = t h_beta.  ``rewritten`` is
-    (beta, rest), or None when rest meets the multiplicative variables of
-    h_beta and the rewritten term is dropped.  The entry monomials x_k and
+    (beta, rest), or None when rest meets the multiplicative variables
+    x_1..x_cls(h_beta) of h_beta and the rewritten term is dropped; u is
+    increasing, so that is when rest[0] <= cls(h_beta).  This is the one
+    place that holds the dropped-term rule.  The entry monomials x_k and
     t are (alpha, u)'s multidegree over the facets', so they are not
     yielded."""
     classes = basis.classes
+    delta = basis.delta
     for j, k in enumerate(u):
         rest = u[:j] + u[j + 1:]
-        beta = basis.delta[(alpha, k)]
-        legal = all(v > classes[beta] for v in rest)
+        beta = delta[(alpha, k)]
+        legal = not rest or rest[0] > classes[beta]
         yield (alpha, rest), (beta, rest) if legal else None
 
 
@@ -285,30 +289,49 @@ def expected_ranks(basis):
 
 def ps_complex(basis):
     """The cone resolution of the basis's ideal; minimal iff the ideal is
-    stable."""
-    ring = basis.ring
+    stable.
+
+    Each level is built in one sweep over the symbols in
+    ``ps_generators``' order, the i-subsets of each class listed once:
+    [h, u] has multidegree h times the variables of u, and its column of
+    d takes the terms of ``symbol_facets`` with signs alternating from
+    (-1)^(i-1).  A term that is no symbol one level down raises
+    NotAComplex."""
+    n = basis.ring.n
     levels = []
-    lookup = []
-    top = ring.n - basis.d
-    for i in range(top + 1):
-        syms = ps_generators(basis, i)
-        levels.append([Gen(s, symbol_multidegree(basis, *s)) for s in syms])
-        lookup.append({s: j for j, s in enumerate(syms)})
-    diffs = [None]
-    for i in range(1, top + 1):
-        below = lookup[i - 1]
+    diffs = []
+    below = {}
+    for i in range(n - basis.d + 1):
+        subsets = {}  # class c -> the i-subsets u of x_{c+1}..x_n
+        level = []
+        index = {}
         cols = {}
-        for cidx, g in enumerate(levels[i]):
-            column = {}
-            for j, (face, rewritten) in enumerate(
-                    symbol_facets(basis, *g.key)):
-                sign = 1 if (i - 1 - j) % 2 == 0 else -1
-                column[below[face]] = sign
-                if rewritten is not None:
-                    column[below[rewritten]] = -sign
-            cols[cidx] = column
-        diffs.append(cols)
-    return FreeComplex(ring, basis.ideal, levels, diffs, "pommaret",
+        first = -1 if i % 2 == 0 else 1
+        for alpha, (h, c) in enumerate(zip(basis.elements, basis.classes)):
+            if c not in subsets:
+                subsets[c] = list(combinations(range(c + 1, n + 1), i))
+            for u in subsets[c]:
+                key = Symbol(alpha, u)
+                j = index[key] = len(level)
+                exps = list(h)
+                for k in u:
+                    exps[k - 1] += 1
+                level.append(Gen(key, tuple(exps)))
+                column = cols[j] = {}
+                sign = first
+                try:
+                    for face, rewritten in symbol_facets(basis, alpha, u):
+                        column[below[face]] = sign
+                        if rewritten is not None:
+                            column[below[rewritten]] = -sign
+                        sign = -sign
+                except KeyError as missing:
+                    raise NotAComplex("d_%d has row %r outside F_%d" % (
+                        i, missing.args[0], i - 1)) from None
+        levels.append(level)
+        diffs.append(cols if i else None)
+        below = index
+    return FreeComplex(basis.ring, basis.ideal, levels, diffs, "pommaret",
                        basis=basis)
 
 

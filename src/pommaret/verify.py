@@ -44,6 +44,7 @@ of that again.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_, sub
@@ -130,7 +131,8 @@ def check_complex(cplx):
     """d o d = 0, including the augmentation, and no zero entries;
     failures carry a located witness.  ``FreeComplex`` proved indices and
     homogeneity when the complex was built, so ``composite_terms`` runs on
-    the stored coefficients, and a witness's monomial is its column's
+    the stored coefficients of every column.  Only a column where it
+    finds terms is read further: a witness's monomial is its column's
     multidegree over its target's (or the column's own, against the
     augmentation)."""
     levels = cplx.levels
@@ -142,8 +144,10 @@ def check_complex(cplx):
                 for row in sorted(r for r, c in column.items() if c == 0)]
     for i in range(1, len(levels)):
         for col in sorted(diffs[i]):
-            src = levels[i][col].multidegree
             terms = composite_terms(diffs, i, col)
+            if not terms:
+                continue
+            src = levels[i][col].multidegree
             for target, value in sorted(terms.items(),
                                         key=lambda kv: str(kv[0])):
                 mono = src if target is None else tuple(
@@ -323,20 +327,27 @@ def scalar_betti(cplx):
     entries, which join generators of one multidegree class (Batzies-
     Welker, J. reine angew. Math. 2002).  So beta_{i,mu} = |class_i(mu)|
     - rank(d_i|mu) - rank(d_{i+1}|mu), each the rank of one unit block.
+    Blocks and class sizes are keyed by the multidegree codes of
+    ``FreeComplex.classes``, equal exactly where the multidegrees are, and
+    a class shows its first generator's multidegree, so the table lists
+    each level's classes in the order they first appear.
     Nothing is checked: the caller proves F a complex (d o d = 0)."""
+    classes = cplx.classes
     blocks = {}
     for level, row, col, c in cplx.unit_entries():
-        key = (level, cplx.levels[level][col].multidegree)
+        key = (level, classes[level][col])
         blocks.setdefault(key, {}).setdefault(row, {})[col] = c
     # a unit is nonzero, so a block of one row has rank 1
     ranks = {key: exact_rank(rows.values()) if len(rows) > 1 else 1
              for key, rows in blocks.items()}
     get = ranks.get
     by_md = {}
-    for (i, md), size in betti_table(cplx).by_multidegree.items():
-        beta = size - get((i, md), 0) - get((i + 1, md), 0)
-        if beta:
-            by_md[(i, md)] = beta
+    for i, (level, codes) in enumerate(zip(cplx.levels, classes)):
+        first = dict(zip(reversed(codes), reversed(level)))
+        for code, size in Counter(codes).items():
+            beta = size - get((i, code), 0) - get((i + 1, code), 0)
+            if beta:
+                by_md[(i, first[code].multidegree)] = beta
     return BettiTable(by_md)
 
 

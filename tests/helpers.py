@@ -12,12 +12,13 @@ oracles do their own arithmetic on them, with the small functions below.
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import add, le, sub
 from pathlib import Path
 
 from pommaret import (Face, FreeComplex, Gen, Matching, MonomialIdeal, Pair,
-                      Ring, minimal_generators)
+                      Ring, exact_rank, minimal_generators)
 from pommaret.errors import PommaretError
 
 
@@ -89,6 +90,12 @@ def involutively_divides(h, m):
     its class, h and m agree."""
     c = cls_of(h)
     return divides(h, m) and h[c:] == m[c:]
+
+
+def reference_involutive_divisors(elements, m):
+    """Every element of a basis that involutively divides m, found by
+    testing each element componentwise."""
+    return [h for h in elements if involutively_divides(h, m)]
 
 
 def column_entries(cplx, i, col):
@@ -174,6 +181,31 @@ def dense_rank_gf2(rows, ncols):
                 mat[i] = [a ^ b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def reference_scalar_betti(cplx):
+    """(by_multidegree, by_degree) of ``scalar_betti``, keyed by exponent
+    tuples: each unit block keyed by (level, multidegree of its column)
+    and ranked by ``exact_rank``, each (level, multidegree) counted in
+    generator order, and beta = count - rank of the block at that level -
+    rank of the block one level up, kept where it is not 0."""
+    blocks = {}
+    for level, row, col, c in cplx.unit_entries():
+        key = (level, cplx.levels[level][col].multidegree)
+        blocks.setdefault(key, {}).setdefault(row, {})[col] = c
+    ranks = {key: exact_rank(rows.values()) for key, rows in blocks.items()}
+    by_md = {}
+    for key, size in Counter((i, g.multidegree)
+                             for i, level in enumerate(cplx.levels)
+                             for g in level).items():
+        i, md = key
+        beta = size - ranks.get(key, 0) - ranks.get((i + 1, md), 0)
+        if beta:
+            by_md[key] = beta
+    by_degree = {}
+    for (i, md), beta in by_md.items():
+        by_degree[(i, sum(md))] = by_degree.get((i, sum(md)), 0) + beta
+    return by_md, by_degree
 
 
 def reference_lattice(cplx, cap):

@@ -354,22 +354,28 @@ def test_verify_checks_each_complex_once(tmp_path, capsys, monkeypatch):
 
 def test_verify_builds_the_matching_once(tmp_path, capsys, monkeypatch):
     # verify reads the matching V off the reduced complex that minimize
-    # built it for; the counter also sits under the CLI's own name
+    # built it for, and minimize scans V's candidate edges once, also
+    # where it completes V (the reproducer)
     import pommaret.morse
     calls = []
-    build = pommaret.morse.build_matching_V
+    scan = pommaret.morse._candidates
 
-    def counting_build(cplx):
+    def counting_scan(cplx):
         calls.append(cplx.provenance)
-        return build(cplx)
+        return scan(cplx)
 
-    monkeypatch.setattr(pommaret.morse, "build_matching_V", counting_build)
-    monkeypatch.setattr(cli, "build_matching_V", counting_build,
-                        raising=False)
+    monkeypatch.setattr(pommaret.morse, "_candidates", counting_scan)
     path = write(tmp_path, "b.ideal", B_TEXT)
     assert cli.main(["verify", path]) == 0
     out = capsys.readouterr().out
     assert "matching-valid           ok  (18 pairs)" in out
+    assert calls == ["pommaret"]
+    calls.clear()
+    path = write(tmp_path, "short.ideal",
+                 _vector_text(random_quasi_stable(*REPRODUCERS[1])))
+    assert cli.main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "matching-valid           ok  (79 pairs)" in out
     assert calls == ["pommaret"]
 
 

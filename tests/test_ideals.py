@@ -8,8 +8,9 @@ from helpers import (NotAPath, NotNonMultiplicative, VariablesNotIncreasing,
                      cls_of, delta_map, divides, edge_between,
                      involutively_divides, make_ideal_a, make_ideal_b,
                      monomials_up_to, mul, naive_completion, path_multidegree,
-                     random_ideal, random_monomials, random_stable,
-                     times_var, variable)
+                     positive_dimensional_ideals, random_ideal,
+                     random_monomials, random_stable,
+                     reference_involutive_divisors, times_var, variable)
 from pommaret import (MonomialIdeal, PommaretBasis, Ring, build_p_graph,
                       minimal_generators, p_order_key, pommaret_basis,
                       random_quasi_stable)
@@ -130,6 +131,37 @@ def test_disjoint_cones():
             else:
                 assert not hits
                 assert basis.involutive_divisor(m) is None
+
+
+def test_involutive_divisor_matches_a_full_search():
+    # the cone index compares one exponent per class; a search of the whole
+    # basis with a componentwise test must find the same divisor for every
+    # element, every product x_k * h and random non-members, and none for
+    # an element lowered at its class, which only that comparison refuses
+    rng = random.Random(27)
+    ideals = [random_quasi_stable(seed, 2 + seed % 4, 2 + seed % 3,
+                                  1 + seed % 4) for seed in range(200)]
+    ideals += positive_dimensional_ideals()
+    outside = 0
+    for ideal in ideals:
+        basis = pommaret_basis(ideal)
+        ring = ideal.ring
+        elements = basis.elements
+        probes = list(elements)
+        probes += [times_var(h, k) for h in elements
+                   for k in range(1, ring.n + 1)]
+        lowered = [h[:c - 1] + (h[c - 1] - 1,) + h[c:]
+                   for h, c in zip(elements, basis.classes)]
+        non_members = [m.exps for m in random_monomials(
+            rng, ring, 20, basis.degree()) if not ideal.contains(m.exps)]
+        outside += len(non_members)
+        for m in probes + lowered + non_members:
+            hits = reference_involutive_divisors(elements, m)
+            assert len(hits) == ideal.contains(m), (ideal, m)
+            assert basis.involutive_divisor(m) == (
+                hits[0] if hits else None), (ideal, m)
+        assert not any(map(ideal.contains, lowered))
+    assert outside > 800
 
 
 def test_basis_contains_minimal_generators():

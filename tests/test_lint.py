@@ -93,6 +93,33 @@ def test_rewrite_map_read_only_where_it_is_built_or_walked():
     assert "resolution.py" in found
 
 
+def test_one_dropped_term_rule():
+    """``symbol_facets`` holds the rule that drops a rewritten term: the
+    symbol complex and the cells both call it, and no other function
+    reads the class of a rewrite target (``classes[beta]``)."""
+    callers = set()
+    readers = set()
+    for path, node in _package_nodes():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Name)
+                    and inner.func.id == "symbol_facets"):
+                callers.add((path.name, node.name))
+            value = getattr(inner, "value", None)
+            if (isinstance(inner, ast.Subscript)
+                    and isinstance(inner.slice, ast.Name)
+                    and inner.slice.id == "beta"
+                    and (isinstance(value, ast.Name) and value.id == "classes"
+                         or isinstance(value, ast.Attribute)
+                         and value.attr == "classes")):
+                readers.add((path.name, node.name))
+    assert {("resolution.py", "ps_complex"),
+            ("cellular.py", "_make_cell")} <= callers
+    assert readers == {("resolution.py", "symbol_facets")}
+
+
 def _raises_ring_mismatch(node):
     exc = node.exc
     return (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)

@@ -59,7 +59,7 @@ def test_arithmetic():
 
 def _involutively_divides(h, m):
     # the basis's involutive division: the cone index of h alone
-    cones = _ConeIndex(len(h))
+    cones = _ConeIndex()
     cones.add(h)
     return list(cones.divisors(m)) == [h]
 

@@ -483,7 +483,7 @@ def test_a_unit_left_by_the_completion_is_an_error(tmp_path, capsys,
     # minimize raises, and verify exits 4 with no verdict at all
     ideal = random_quasi_stable(*REPRODUCERS[1])
     monkeypatch.setattr(pommaret.morse, "_complete",
-                        lambda cplx, matching, short: matching)
+                        lambda cplx, candidates, matching, short: matching)
     with pytest.raises(NotMinimal, match="survive the completed matching"):
         minimize(ps_complex(pommaret_basis(ideal)))
     path = _ideal_file(tmp_path, ideal)

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import pommaret.resolution
@@ -226,6 +228,37 @@ def test_wrong_rewrite_target_is_still_caught(monkeypatch, step):
         assert not check_complex(bad).ok, seed
     assert mutated >= 40
     assert built >= 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("rest[0] > classes", "rest[0] >= classes"),
+    ("rest[0] > classes", "rest[-1] > classes")])
+def test_loosened_legality_rule_is_caught(monkeypatch, old, new):
+    # symbol_facets keeps a rewritten term iff rest lies above the class
+    # of its target.  Either loosening keeps a term that is not a symbol,
+    # so the complex must be refused when it is built, or fail d o d = 0,
+    # or come out unchanged where no term was affected
+    source = inspect.getsource(pommaret.resolution.symbol_facets)
+    assert source.count(old) == 1
+    scope = dict(vars(pommaret.resolution))
+    exec(source.replace(old, new), scope)
+    mutated = 0
+    for seed in range(60):
+        basis = pommaret_basis(random_quasi_stable(
+            seed, 3 + seed % 3, 3, 2 + seed % 3))
+        good = ps_complex(basis)
+        with monkeypatch.context() as m:
+            m.setattr(pommaret.resolution, "symbol_facets",
+                      scope["symbol_facets"])
+            try:
+                bad = ps_complex(basis)
+            except NotAComplex:
+                mutated += 1
+                continue
+        if bad.diffs != good.diffs:
+            mutated += 1
+            assert not check_complex(bad).ok, seed
+    assert mutated >= 5
 
 
 def test_taylor_complex(ideal_a):

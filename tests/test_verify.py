@@ -9,8 +9,8 @@ import pommaret.verify
 from helpers import (REPRODUCERS, column_entries, dense_rank,
                      dense_rank_gf2, divides, halve_generator, lcm, mul,
                      positive_dimensional_ideals, random_stable,
-                     reference_lattice, RP2_REDUCED, rp2_ideal, rp2_reduced,
-                     strand_oracle, totals, variable)
+                     reference_lattice, reference_scalar_betti, RP2_REDUCED,
+                     rp2_ideal, rp2_reduced, strand_oracle, totals, variable)
 from pommaret import (FreeComplex, Gen, Monomial, MonomialIdeal, Ring,
                       build_cell_complex, build_p_graph, chain_vertices, cli,
                       check_complex, check_exactness, betti_table, exact_rank,
@@ -710,18 +710,22 @@ def _gf2_exact_rank(rows):
     return dense_rank_gf2(list(rows), 1 + max(map(max, rows)))
 
 
-def test_scalar_betti_equals_the_reduced_table(monkeypatch):
-    """The scalar route gives the table of the Morse route on the symbol
-    complex, and on the Taylor complex of the same ideal: 400 seeded
-    ideals, the positive-dimensional ones and the reproducers where V
-    needs completing; and on the Taylor complex of RP^2, the table of its
-    frozen minimal resolution, where GF(2) ranks would be wrong."""
+def _betti_corpus():
+    """400 seeded ideals, the positive-dimensional ones and the
+    reproducers where V needs completing."""
     ideals = [random_quasi_stable(seed, 2 + seed % 4, 2 + seed % 3,
                                   1 + seed % 4) for seed in range(400)]
-    ideals += positive_dimensional_ideals()
-    ideals += [random_quasi_stable(*args) for args in REPRODUCERS]
+    return ideals + positive_dimensional_ideals() + [
+        random_quasi_stable(*args) for args in REPRODUCERS]
+
+
+def test_scalar_betti_equals_the_reduced_table(monkeypatch):
+    """The scalar route gives the table of the Morse route on the symbol
+    complex, and on the Taylor complex of the same ideal, over
+    ``_betti_corpus``; and on the Taylor complex of RP^2, the table of its
+    frozen minimal resolution, where GF(2) ranks would be wrong."""
     checked = 0
-    for ideal in ideals:
+    for ideal in _betti_corpus():
         symbol = ps_complex(pommaret_basis(ideal))
         table = betti_table(minimize(symbol))
         assert scalar_betti(symbol) == table, ideal
@@ -735,6 +739,29 @@ def test_scalar_betti_equals_the_reduced_table(monkeypatch):
     assert scalar_betti(rp2) == table
     monkeypatch.setattr(pommaret.verify, "exact_rank", _gf2_exact_rank)
     assert scalar_betti(rp2) != table
+
+
+def test_scalar_betti_matches_a_tuple_keyed_reference():
+    """Keyed by multidegree codes, ``scalar_betti`` lists the same
+    (level, multidegree) counts in the same order as the reference keyed
+    by exponent tuples: on the symbol and Taylor complexes of
+    ``_betti_corpus``, on RP^2's Taylor complex and on its frozen minimal
+    resolution."""
+    complexes = []
+    for ideal in _betti_corpus():
+        complexes.append(ps_complex(pommaret_basis(ideal)))
+        if len(ideal.gens) <= 9:
+            complexes.append(taylor_complex(ideal))
+    complexes += [taylor_complex(rp2_ideal((6, 2, 1, 5, 4, 3))),
+                  rp2_reduced()]
+    units = 0
+    for cplx in complexes:
+        table = scalar_betti(cplx)
+        by_md, by_degree = reference_scalar_betti(cplx)
+        assert list(table.by_multidegree.items()) == list(by_md.items())
+        assert table.by_degree == by_degree
+        units += len(cplx.unit_entries())
+    assert len(complexes) > 800 and units > 10000
 
 
 def test_scalar_betti_ranks_each_unit_block_exactly(ideal_b, monkeypatch):
