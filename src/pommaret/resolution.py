@@ -292,25 +292,21 @@ def ps_complex(basis):
     stable.
 
     Each level is built in one sweep over the symbols in
-    ``ps_generators``' order, the i-subsets of each class listed once:
-    [h, u] has multidegree h times the variables of u, and its column of
-    d takes the terms of ``symbol_facets`` with signs alternating from
-    (-1)^(i-1).  A term that is no symbol one level down raises
-    NotAComplex."""
+    ``ps_generators``' order: [h, u] has multidegree h times the
+    variables of u, and its column of d takes the terms of
+    ``symbol_facets`` with signs alternating from (-1)^(i-1).  A term
+    that is no symbol one level down raises NotAComplex."""
     n = basis.ring.n
     levels = []
     diffs = []
     below = {}
     for i in range(n - basis.d + 1):
-        subsets = {}  # class c -> the i-subsets u of x_{c+1}..x_n
         level = []
         index = {}
         cols = {}
         first = -1 if i % 2 == 0 else 1
         for alpha, (h, c) in enumerate(zip(basis.elements, basis.classes)):
-            if c not in subsets:
-                subsets[c] = list(combinations(range(c + 1, n + 1), i))
-            for u in subsets[c]:
+            for u in combinations(range(c + 1, n + 1), i):
                 key = Symbol(alpha, u)
                 j = index[key] = len(level)
                 exps = list(h)
