@@ -183,7 +183,7 @@ def _grading(levels, diffs, gens):
         bits.append(map(rank.__getitem__, column))
         width += len(values) - 1
     # the fields are disjoint, so their sum is their OR
-    codes = iter(list(map(sum, zip(*bits))))
+    codes = map(sum, zip(*bits))
     classes = [list(islice(codes, len(level))) for level in levels]
     units = []
     for i in range(1, len(levels)):

@@ -232,7 +232,7 @@ def test_wrong_rewrite_target_is_still_caught(monkeypatch, step):
 
 @pytest.mark.parametrize("old, new", [
     ("rest[0] > classes", "rest[0] >= classes"),
-    ("rest[0] > classes", "rest[-1] > classes")])
+    ("rest[0] > classes", "rest[-1] > classes")], ids=[">=", "rest[-1]"])
 def test_loosened_legality_rule_is_caught(monkeypatch, old, new):
     # symbol_facets keeps a rewritten term iff rest lies above the class
     # of its target.  Either loosening keeps a term that is not a symbol,
