@@ -18,6 +18,9 @@ table has no entry for, it stays at v, because x_k * v lies in v's own
 cone and the involutive divisor is unique.  So the walks from v through
 the remaining variables depend only on (v, rest), and one memo over those
 pairs serves every cell of the build.
+
+``supports_check`` reads cell j of dimension i with generator j of level i
+of a symbol complex, and a facet by its position one dimension down.
 """
 
 from operator import le
@@ -75,22 +78,13 @@ class Cell:
 
 
 class CellComplex:
-    """All cells of the basis, grouped by dimension in symbol order, keyed
-    by (alpha, tau)."""
+    """All cells of the basis, grouped by dimension in symbol order."""
 
-    __slots__ = ("basis", "cells", "lookup")
+    __slots__ = ("basis", "cells")
 
     def __init__(self, basis, cells):
         self.basis = basis
         self.cells = cells
-        self.lookup = {}
-        for dim, layer in enumerate(cells):
-            for c in layer:
-                self.lookup[c.key()] = c
-
-    @property
-    def dimension(self):
-        return len(self.cells) - 1
 
     def counts(self):
         return tuple(len(layer) for layer in self.cells)
@@ -174,13 +168,16 @@ def supports_check(cellcomplex, cplx):
     """Compare the cell data against a symbol complex.
 
     Structural mismatches (different bases, generators other than the
-    cells' symbols in the cells' order) raise MismatchedBases; value
-    mismatches are returned as failure strings.  A per-generator sign
-    choice reconciling every differential entry with the cell boundary sign
-    is searched for; its absence is a failure.  Labels are compared with
-    the generator multidegrees, which fix every entry's monomial, and with
-    the lcm of their vertices; a facet label that does not divide its
-    cell's label is a failure.
+    cells' symbols in the cells' order) raise MismatchedBases.  So cell j
+    of dimension i is generator j of level i, and a facet is found by its
+    position one dimension down; a boundary entry naming anything else is
+    not a cell.  Labels are compared with the generator multidegrees,
+    which fix every entry's monomial, and with the lcm of their vertices.
+    Each boundary is compared with its column of d row by row (a vertex's
+    column is empty), and a per-generator sign choice reconciling every
+    entry with its boundary sign is searched for.  Value mismatches, a
+    facet label that does not divide its cell's among them, are returned
+    as failure strings, by dimension and then in symbol order.
     """
     basis = cellcomplex.basis
     if cplx.basis is not basis and (
@@ -190,65 +187,67 @@ def supports_check(cellcomplex, cplx):
     if not all(isinstance(g.key, Symbol)
                for level in cplx.levels for g in level):
         raise MismatchedBases("free complex has non-symbol generators")
-    if ([[c.key() for c in layer] for layer in cellcomplex.cells]
-            != [[g.key for g in level] for level in cplx.levels]):
+    keys = [[c.key() for c in layer] for layer in cellcomplex.cells]
+    if keys != [[g.key for g in level] for level in cplx.levels]:
         raise MismatchedBases("cells and symbols do not biject")
 
+    elements = basis.elements
     text = basis.ring.text
     failures = []
-    for key, cell, gen in sorted(
-            (cell.key(), cell, gen)
-            for layer, level in zip(cellcomplex.cells, cplx.levels)
-            for cell, gen in zip(layer, level)):
-        if gen.multidegree != cell.label:
-            failures.append("label of %r is not the symbol multidegree" % (key,))
-        lcm = basis.elements[cell.vertices[0]]
-        for v in cell.vertices[1:]:
-            lcm = tuple(map(max, lcm, basis.elements[v]))
-        if lcm != cell.label:
-            failures.append("label of %r is not the lcm of its vertices"
-                            % (key,))
-        if cell.alpha not in cell.vertices:
-            failures.append("cell %r does not contain its own vertex" % (key,))
-        for (fkey, _sign) in cell.boundary:
-            facet = cellcomplex.lookup.get(fkey)
-            if facet is None:
-                failures.append("facet %r of %r is not a cell" % (fkey, key))
-                continue
-            if not all(map(le, facet.label, cell.label)):
-                failures.append("facet label %s does not divide %s of %r"
-                                % (text(facet.label), text(cell.label), key))
-            if not set(facet.vertices) <= set(cell.vertices):
-                failures.append("facet %r has vertices outside %r"
-                                % (fkey, key))
-
-    # boundary entries and differential entries must agree up to one sign
-    # per generator: 2-colour the incidence graph
-    edges = {}
-    for i, layer in enumerate(cellcomplex.cells[1:], start=1):
-        for col, cell in enumerate(layer):
-            key = cell.key()
-            centries = {fkey: s for fkey, s in cell.boundary}
-            dentries = {cplx.levels[i - 1][row].key: (row, c)
-                        for row, c in cplx.diffs[i].get(col, {}).items()}
-            if set(centries) != set(dentries):
-                failures.append("support of %r differs from d-entries" % (key,))
-                continue
-            for fkey, s in centries.items():
-                row, c = dentries[fkey]
-                if abs(c) != 1:
-                    failures.append("entry coefficient at %r -> %r is not "
-                                    "a sign" % (key, fkey))
+    fail = failures.append
+    # one node per generator, numbered through the dimensions; an edge
+    # carries the product of an entry of d and its boundary sign
+    adjacency = [[] for layer in cellcomplex.cells for _ in layer]
+    below, position, base = (), {}, 0
+    for i, (layer, level) in enumerate(zip(cellcomplex.cells, cplx.levels)):
+        for j, (key, cell, gen) in enumerate(zip(keys[i], layer, level)):
+            if gen.multidegree != cell.label:
+                fail("label of %r is not the symbol multidegree" % (key,))
+            lcm = tuple(map(max, zip(*[elements[v] for v in cell.vertices])))
+            if lcm != cell.label:
+                fail("label of %r is not the lcm of its vertices" % (key,))
+            if cell.alpha not in cell.vertices:
+                fail("cell %r does not contain its own vertex" % (key,))
+            vertices = set(cell.vertices)
+            rows = {}
+            for fkey, sign in cell.boundary:
+                row = position.get(fkey)
+                rows[row] = sign  # no column has a row None
+                if row is None:
+                    fail("facet %r of %r is not a cell" % (fkey, key))
                     continue
-                edges[((i, col), (i - 1, row))] = c * s
-    adjacency = {}
-    for (a, b), q in edges.items():
-        adjacency.setdefault(a, []).append((b, q))
-        adjacency.setdefault(b, []).append((a, q))
-    sign = {}
-    ok_signs = True
-    for root in sorted(adjacency):
-        if root in sign:
+                facet = below[row]
+                if not all(map(le, facet.label, cell.label)):
+                    fail("facet label %s does not divide %s of %r" % (
+                        text(facet.label), text(cell.label), key))
+                if not vertices.issuperset(facet.vertices):
+                    fail("facet %r has vertices outside %r" % (fkey, key))
+            column = cplx.diffs[i].get(j, {}) if i else {}
+            if rows.keys() != column.keys():
+                fail("support of %r differs from d-entries" % (key,))
+                continue
+            for row, sign in rows.items():
+                c = column[row]
+                if abs(c) != 1:
+                    fail("entry coefficient at %r -> %r is not a sign"
+                         % (key, keys[i - 1][row]))
+                    continue
+                far = base - len(below) + row
+                adjacency[base + j].append((far, c * sign))
+                adjacency[far].append((base + j, c * sign))
+        below, position = layer, dict(zip(keys[i], range(len(layer))))
+        base += len(layer)
+    if not _two_colourable(adjacency):
+        fail("no per-generator sign choice matches the boundary")
+    return ComplexReport(not failures, failures)
+
+
+def _two_colourable(adjacency):
+    """Whether signs s of the nodes exist with s[a] = q * s[b] on every
+    edge (a, b, q) of the adjacency lists."""
+    sign = [0] * len(adjacency)
+    for root in range(len(adjacency)):
+        if sign[root]:
             continue
         sign[root] = 1
         stack = [root]
@@ -256,13 +255,9 @@ def supports_check(cellcomplex, cplx):
             cur = stack.pop()
             for other, q in adjacency[cur]:
                 want = q * sign[cur]
-                if other in sign:
-                    if sign[other] != want:
-                        ok_signs = False
-                else:
+                if not sign[other]:
                     sign[other] = want
                     stack.append(other)
-    if not ok_signs:
-        failures.append("no per-generator sign choice matches the boundary")
-    return ComplexReport(not failures, failures)
-
+                elif sign[other] != want:
+                    return False
+    return True

@@ -224,6 +224,7 @@ def _json_text(obj):
             raise TypeError("%s is not written as JSON" % t.__name__)
 
     write(obj, "\n")
+    del write  # write's closure holds write: free the cycle with the call
     out("\n")
     return "".join(parts)
 

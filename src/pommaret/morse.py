@@ -178,7 +178,8 @@ def _complete(cplx, candidates, matching, short):
     unmatched generator in turn, a depth-first search walks the simple
     alternating paths of V's candidate edges (``_candidates(cplx)``,
     bipartite by the parity of the level) to another unmatched generator,
-    and flips the first path that leaves a Morse matching."""
+    and flips the first path that leaves a Morse matching; as the pairs it
+    adds are units, only their levels are tested for a cycle."""
     edges = {}
     for p in candidates:
         if cplx.levels[p.level][p.source].multidegree in short:
@@ -205,7 +206,8 @@ def _complete(cplx, candidates, matching, short):
             continue
         for add, drop in paths(start, {start}):
             flipped = Matching((pairs - set(drop)) | set(add))
-            if is_morse_matching(cplx, flipped):
+            if not any(_has_cycle(cplx, flipped, level)
+                       for level in {p.level for p in add}):
                 pairs = set(flipped.pairs)
                 mate = {end: p for p in pairs for end in p.ends}
                 break

@@ -17,9 +17,10 @@ from fractions import Fraction
 from operator import add, le, sub
 from pathlib import Path
 
-from pommaret import (Face, FreeComplex, Gen, Matching, MonomialIdeal, Pair,
-                      Ring, exact_rank, minimal_generators)
-from pommaret.errors import PommaretError
+from pommaret import (ComplexReport, Face, FreeComplex, Gen, Matching,
+                      MonomialIdeal, Pair, Ring, Symbol, exact_rank,
+                      minimal_generators)
+from pommaret.errors import MismatchedBases, PommaretError
 
 
 # random_quasi_stable arguments of the reproducers of perfbench/README.md,
@@ -206,6 +207,98 @@ def reference_scalar_betti(cplx):
     for (i, md), beta in by_md.items():
         by_degree[(i, sum(md))] = by_degree.get((i, sum(md)), 0) + beta
     return by_md, by_degree
+
+
+def reference_supports_check(cellcomplex, cplx):
+    """Reference ``supports_check``: the check as it was before it read
+    cells by position.  It sorts every cell by key, finds each facet
+    through a key map of all cells, whatever their dimension, and rebuilds
+    every column of d keyed by symbol.  Apart from that local key map the
+    body is the old one."""
+    lookup = {c.key(): c for layer in cellcomplex.cells for c in layer}
+    basis = cellcomplex.basis
+    if cplx.basis is not basis and (
+            cplx.basis is None
+            or cplx.basis.elements != basis.elements):
+        raise MismatchedBases("cell complex and free complex disagree")
+    if not all(isinstance(g.key, Symbol)
+               for level in cplx.levels for g in level):
+        raise MismatchedBases("free complex has non-symbol generators")
+    if ([[c.key() for c in layer] for layer in cellcomplex.cells]
+            != [[g.key for g in level] for level in cplx.levels]):
+        raise MismatchedBases("cells and symbols do not biject")
+
+    text = basis.ring.text
+    failures = []
+    for key, cell, gen in sorted(
+            (cell.key(), cell, gen)
+            for layer, level in zip(cellcomplex.cells, cplx.levels)
+            for cell, gen in zip(layer, level)):
+        if gen.multidegree != cell.label:
+            failures.append("label of %r is not the symbol multidegree" % (key,))
+        lcm = basis.elements[cell.vertices[0]]
+        for v in cell.vertices[1:]:
+            lcm = tuple(map(max, lcm, basis.elements[v]))
+        if lcm != cell.label:
+            failures.append("label of %r is not the lcm of its vertices"
+                            % (key,))
+        if cell.alpha not in cell.vertices:
+            failures.append("cell %r does not contain its own vertex" % (key,))
+        for (fkey, _sign) in cell.boundary:
+            facet = lookup.get(fkey)
+            if facet is None:
+                failures.append("facet %r of %r is not a cell" % (fkey, key))
+                continue
+            if not all(map(le, facet.label, cell.label)):
+                failures.append("facet label %s does not divide %s of %r"
+                                % (text(facet.label), text(cell.label), key))
+            if not set(facet.vertices) <= set(cell.vertices):
+                failures.append("facet %r has vertices outside %r"
+                                % (fkey, key))
+
+    # boundary entries and differential entries must agree up to one sign
+    # per generator: 2-colour the incidence graph
+    edges = {}
+    for i, layer in enumerate(cellcomplex.cells[1:], start=1):
+        for col, cell in enumerate(layer):
+            key = cell.key()
+            centries = {fkey: s for fkey, s in cell.boundary}
+            dentries = {cplx.levels[i - 1][row].key: (row, c)
+                        for row, c in cplx.diffs[i].get(col, {}).items()}
+            if set(centries) != set(dentries):
+                failures.append("support of %r differs from d-entries" % (key,))
+                continue
+            for fkey, s in centries.items():
+                row, c = dentries[fkey]
+                if abs(c) != 1:
+                    failures.append("entry coefficient at %r -> %r is not "
+                                    "a sign" % (key, fkey))
+                    continue
+                edges[((i, col), (i - 1, row))] = c * s
+    adjacency = {}
+    for (a, b), q in edges.items():
+        adjacency.setdefault(a, []).append((b, q))
+        adjacency.setdefault(b, []).append((a, q))
+    sign = {}
+    ok_signs = True
+    for root in sorted(adjacency):
+        if root in sign:
+            continue
+        sign[root] = 1
+        stack = [root]
+        while stack:
+            cur = stack.pop()
+            for other, q in adjacency[cur]:
+                want = q * sign[cur]
+                if other in sign:
+                    if sign[other] != want:
+                        ok_signs = False
+                else:
+                    sign[other] = want
+                    stack.append(other)
+    if not ok_signs:
+        failures.append("no per-generator sign choice matches the boundary")
+    return ComplexReport(not failures, failures)
 
 
 def reference_lattice(cplx, cap):

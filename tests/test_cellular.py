@@ -1,16 +1,22 @@
+import random
 from itertools import permutations
 from operator import gt, le
 
 import pytest
 
 import pommaret.cellular
-from helpers import lcm, positive_dimensional_ideals, random_ideal
-from pommaret import (FreeComplex, MonomialIdeal, PommaretBasis,
-                      Ring, build_cell_complex, chain_vertices, expected_ranks,
-                      pommaret_basis, ps_complex, random_quasi_stable,
-                      supports_check, taylor_complex)
+from helpers import (lcm, positive_dimensional_ideals, random_ideal,
+                     reference_supports_check)
+from pommaret import (Cell, CellComplex, FreeComplex, MonomialIdeal,
+                      PommaretBasis, Ring, build_cell_complex, chain_vertices,
+                      expected_ranks, pommaret_basis, ps_complex,
+                      random_quasi_stable, supports_check, taylor_complex)
 from pommaret.errors import (MismatchedBases, NotAComplex,
                              TauNotNonMultiplicative)
+
+
+def _by_key(cells):
+    return {c.key(): c for layer in cells.cells for c in layer}
 
 
 def test_chain_vertices_orders(ideal_b):
@@ -48,7 +54,7 @@ def test_triangle_cell(ideal_b):
     b = basis.index((2, 1, 2))
     z3 = basis.index((0, 0, 3))
     cells = build_cell_complex(basis)
-    cell = cells.lookup[(a, (2, 3))]
+    cell = _by_key(cells)[(a, (2, 3))]
     assert cell.dim == 2
     assert cell.vertices == tuple(sorted((a, b, z3)))
     assert cell.label == (2, 1, 3)
@@ -59,13 +65,13 @@ def test_triangle_cell(ideal_b):
 
 def test_vertex_and_edge_cells(ideal_a):
     basis = pommaret_basis(ideal_a)
-    cells = build_cell_complex(basis)
+    cells = _by_key(build_cell_complex(basis))
     for alpha in range(len(basis)):
-        v = cells.lookup[(alpha, ())]
+        v = cells[(alpha, ())]
         assert v.vertices == (alpha,)
         assert v.boundary == []
         assert v.label == basis.elements[alpha]
-    e = cells.lookup[(2, (2,))]               # x1^2*x2^2 --x2--> x2^3
+    e = cells[(2, (2,))]               # x1^2*x2^2 --x2--> x2^3
     assert e.vertices == (2, 3)
     assert e.label == (2, 3)
 
@@ -260,7 +266,8 @@ def test_supports_check_rejects_a_label_without_quotient(ideal_a):
     report = supports_check(cells, cplx)
     assert not report.ok
     text = basis.ring.text
-    facets = [cells.lookup[fkey].label for fkey, _ in cell.boundary]
+    by_key = _by_key(cells)
+    facets = [by_key[fkey].label for fkey, _ in cell.boundary]
     wrong = [f for f in facets if not all(map(le, f, cell.label))]
     assert wrong
     for f in wrong:
@@ -296,3 +303,109 @@ def test_json_and_dot(ideal_b):
     assert dot.startswith("graph skeleton {")
     assert 'pos="' in dot                       # n <= 3 gets coordinates
     assert dot.count(" -- ") == 23
+
+
+def _with_cell(cells, i, j, **changes):
+    """A copy of cells in which cell j of dimension i has new fields."""
+    old = cells.cells[i][j]
+    fields = dict(alpha=old.alpha, tau=old.tau, label=old.label,
+                  vertices=old.vertices, boundary=old.boundary)
+    fields.update(changes)
+    layers = [list(layer) for layer in cells.cells]
+    layers[i][j] = Cell(**fields)
+    return CellComplex(cells.basis, layers)
+
+
+def _corruptions(rng, cells, cplx):
+    """(kind, cells, complex, extra failure) of one seeded corruption of
+    each kind.  extra is the line the positional check adds to the
+    reference's failures, or None."""
+    layers = cells.cells
+
+    def pick(lowest):
+        # a random cell of dimension lowest or more
+        i = rng.choice([i for i in range(lowest, len(layers)) if layers[i]])
+        return i, rng.randrange(len(layers[i]))
+
+    i, j = pick(0)
+    label = layers[i][j].label
+    yield ("label", _with_cell(cells, i, j, label=(label[0] + 1,) + label[1:]),
+           cplx, None)
+    i, j = pick(1)
+    vertices = list(layers[i][j].vertices)
+    del vertices[rng.randrange(len(vertices))]
+    yield ("vertex", _with_cell(cells, i, j, vertices=tuple(vertices)),
+           cplx, None)
+    i, j = pick(1)
+    boundary = list(layers[i][j].boundary)
+    k = rng.randrange(len(boundary))
+    boundary[k] = (boundary[k][0], -boundary[k][1])
+    yield "sign", _with_cell(cells, i, j, boundary=boundary), cplx, None
+    i, j = pick(1)
+    row = rng.choice(sorted(cplx.diffs[i][j]))
+    for kind, coeff in (("negate", -1), ("double", 2), ("delete", 0)):
+        diffs = _deep_diffs(cplx)
+        diffs[i][j][row] *= coeff
+        if not coeff:
+            del diffs[i][j][row]
+        yield kind, cells, _copy_with_diffs(cplx, diffs), None
+    # negating generator j of level i negates its column and its row of
+    # d_(i+1); one sign per generator absorbs that, so nothing fails
+    diffs = _deep_diffs(cplx)
+    diffs[i][j] = {r: -c for r, c in diffs[i][j].items()}
+    for up in diffs[i + 1].values() if i + 1 < len(diffs) else ():
+        if j in up:
+            up[j] = -up[j]
+    yield "regauge", cells, _copy_with_diffs(cplx, diffs), None
+    i, j = pick(1)
+    fkey = (len(cells.basis) + rng.randrange(3), ())
+    yield ("foreign", _with_cell(
+        cells, i, j, boundary=layers[i][j].boundary + [(fkey, 1)]),
+        cplx, None)
+    # a vertex of a cell of dimension >= 2 is a cell whose label divides
+    # the cell's and whose vertices lie inside, but it is no facet
+    i, j = pick(2)
+    cell = layers[i][j]
+    fkey = (rng.choice(cell.vertices), ())
+    yield ("other-dimension", _with_cell(
+        cells, i, j, boundary=cell.boundary + [(fkey, rng.choice((1, -1)))]),
+        cplx, "facet %r of %r is not a cell" % (fkey, cell.key()))
+
+
+def test_positional_check_matches_the_reference():
+    """On a seeded corruption corpus the check by position reaches the
+    verdict and the failures of the old check by key; a boundary entry
+    naming a cell of another dimension now also reads "is not a cell"."""
+    ideals = ([random_quasi_stable(s, 3 + s % 3, 2 + s % 2, 1 + s % 3)
+               for s in range(100)] + positive_dimensional_ideals())
+    kinds = set()
+    cases = 0
+    for seed, ideal in enumerate(ideals):
+        basis = pommaret_basis(ideal)
+        cells, cplx = build_cell_complex(basis), ps_complex(basis)
+        assert supports_check(cells, cplx).failures == []
+        for kind, bad_cells, bad_cplx, extra in _corruptions(
+                random.Random(seed), cells, cplx):
+            ref = reference_supports_check(bad_cells, bad_cplx)
+            report = supports_check(bad_cells, bad_cplx)
+            assert report.ok == ref.ok, (seed, kind)
+            assert sorted(report.failures) == sorted(
+                ref.failures + ([extra] if extra else [])), (seed, kind)
+            assert report.ok == (kind == "regauge"), (seed, kind)
+            kinds.add(kind)
+            cases += 1
+    assert len(ideals) == 124 and len(kinds) == 9 and cases == 9 * 124
+
+
+def test_a_vertex_has_an_empty_boundary(ideal_a):
+    """A vertex is compared with the zero column: a boundary entry on it
+    is no cell one dimension down, even when it names the vertex itself,
+    which the check by key let through."""
+    basis = pommaret_basis(ideal_a)
+    cells, cplx = build_cell_complex(basis), ps_complex(basis)
+    key = cells.cells[0][0].key()
+    bad = _with_cell(cells, 0, 0, boundary=[(key, 1)])
+    assert reference_supports_check(bad, cplx).ok
+    assert supports_check(bad, cplx).failures == [
+        "facet %r of %r is not a cell" % (key, key),
+        "support of %r differs from d-entries" % (key,)]

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import math
@@ -230,6 +231,20 @@ def test_json_writer_renders_each_int_list_once(ideal_b, monkeypatch):
         renders.clear()
         assert cli._json_text(doc) == _stdlib_json(doc)
         assert sorted(renders) == sorted(set(found))
+
+
+def test_json_writer_leaves_no_garbage(ideal_b):
+    """The writer's recursive closure is freed with the call: a reference
+    cycle would keep the whole output and the memo alive until the cyclic
+    collector runs."""
+    doc = build_cell_complex(pommaret_basis(ideal_b)).to_json_dict()
+    gc.collect()
+    gc.disable()
+    try:
+        cli._json_text(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -309,3 +309,33 @@ def test_monomials_are_made_only_at_the_input_boundary():
                 found.append(where)
     assert allowed == {"cli.py", "verify.py"}
     assert not found
+
+
+def test_cells_are_read_by_position():
+    """``supports_check`` reads cell j of dimension i with generator j of
+    level i, and finds a facet by its position one dimension down: it
+    sorts nothing and reads no index of all cells, and ``CellComplex``
+    keeps none (``lookup``), nor a ``dimension`` that nothing reads."""
+    path = Path(pommaret.__file__).parent / "cellular.py"
+    top = {node.name: node for node in ast.parse(path.read_text()).body
+           if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    members = set()
+    for node in ast.walk(top["CellComplex"]):
+        if isinstance(node, ast.FunctionDef):
+            members.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            members.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets]
+              == ["__slots__"]):
+            members.update(e.value for e in node.value.elts)
+    assert {"__init__", "basis", "cells"} <= members
+    assert not members & {"lookup", "dimension"}
+    found = []
+    for node in ast.walk(top["supports_check"]):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sorted"
+                or isinstance(node, ast.Attribute) and node.attr == "lookup"):
+            found.append("cellular.py:%d" % node.lineno)
+    assert not found

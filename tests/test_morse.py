@@ -493,18 +493,50 @@ def test_a_unit_left_by_the_completion_is_an_error(tmp_path, capsys,
     assert captured.out == ""
     monkeypatch.undo()
     # no drawn ideal has an augmenting path whose flip closes a cycle, so
-    # one is made up: is_morse_matching refuses every matching that holds
-    # one pair the completion adds, the completion keeps no flip with it,
-    # and that pair's class stays short
+    # one is made up: every matching that holds one pair the completion
+    # adds has a cycle, the completion keeps no flip with it, and that
+    # pair's class stays short
     cplx = ps_complex(pommaret_basis(ideal))
     grown = set(minimize(cplx).matching.pairs) - set(
         build_matching_V(cplx).pairs)
     refused = min(grown, key=lambda p: (p.level, p.source))
-    check = pommaret.morse.is_morse_matching
-    monkeypatch.setattr(pommaret.morse, "is_morse_matching",
-                        lambda c, m: refused not in m.pairs and check(c, m))
+    monkeypatch.setattr(pommaret.morse, "_has_cycle",
+                        lambda c, m, level: refused in m.pairs
+                        or _has_cycle(c, m, level))
     with pytest.raises(NotMinimal, match="survive the completed matching"):
         minimize(cplx)
+
+
+def test_a_flip_is_tested_only_where_it_can_close_a_cycle(monkeypatch):
+    """_complete tests a flip for a cycle only at the levels of the pairs
+    it adds; on every path it tries, that gives is_morse_matching's
+    verdict."""
+    calls = []
+    complete = pommaret.morse._complete
+    monkeypatch.setattr(pommaret.morse, "_complete",
+                        lambda *args: calls.append(args) or complete(*args))
+    for args in short_v_args():
+        minimize(ps_complex(pommaret_basis(random_quasi_stable(*args))))
+    monkeypatch.undo()
+    assert len(calls) == len(short_v_args())
+    tried = {}  # id -> [matching, whether a cycle was found]
+
+    def spy(cplx, matching, level):
+        found = _has_cycle(cplx, matching, level)
+        tried.setdefault(id(matching), [matching, False])[1] |= found
+        return found
+
+    monkeypatch.setattr(pommaret.morse, "_has_cycle", spy)
+    flips = []
+    for args in calls:
+        tried.clear()
+        complete(*args)
+        flips += [(args[0], matching, not cycle)
+                  for matching, cycle in tried.values()]
+    monkeypatch.undo()
+    assert len(flips) == 34
+    assert all(is_morse_matching(cplx, matching) == kept
+               for cplx, matching, kept in flips)
 
 
 def test_cancelling_lowest_level_first_gives_the_same_complex(ideal_b):
