@@ -89,43 +89,25 @@ class CellComplex:
     def counts(self):
         return tuple(len(layer) for layer in self.cells)
 
-    def to_json_dict(self):
-        basis = self.basis
-        recs = []
-        for layer in self.cells:
-            for c in layer:
-                recs.append({
-                    "h": list(basis.elements[c.alpha]),
-                    "tau": list(c.tau),
-                    "dim": c.dim,
-                    "label": list(c.label),
-                    "vertices": [list(basis.elements[v])
-                                 for v in c.vertices],
-                    "boundary": [{"h": list(basis.elements[a]),
-                                  "tau": list(t), "sign": s}
-                                 for (a, t), s in c.boundary],
-                })
-        return {"n": basis.ring.n, "cells": recs}
-
     def to_dot(self):
         """1-skeleton; exponent vectors double as coordinates for n <= 3."""
         basis = self.basis
         n = basis.ring.n
         text = basis.ring.text
+        shown = [text(h) for h in basis.elements]
         lines = ["graph skeleton {"]
-        for h in basis.elements:
+        for h, name in zip(basis.elements, shown):
             if n == 2:
                 pos = ' [pos="%d,%d!"]' % h
             elif n == 3:
                 pos = ' [pos="%d,%d,%d!"]' % h
             else:
                 pos = ""
-            lines.append('  "%s"%s;' % (text(h), pos))
+            lines.append('  "%s"%s;' % (name, pos))
         for c in self.cells[1] if len(self.cells) > 1 else []:
             ends = sorted(c.vertices)
             lines.append('  "%s" -- "%s" [label="%s"];' % (
-                text(basis.elements[ends[0]]), text(basis.elements[ends[-1]]),
-                text(c.label)))
+                shown[ends[0]], shown[ends[-1]], text(c.label)))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -165,14 +165,14 @@ def _json_text(obj):
     only what the CLI's documents hold (dicts with str keys, lists, str,
     int, bool, None) and raises TypeError on anything else.
 
-    The documents repeat a few exponent vectors thousands of times (the
-    ``h``, ``vertices`` and ``boundary`` lists of the cells), so each
-    distinct list of ints is rendered once per call: a memo, dropped when
-    the call returns, maps the list's contents and the indent it is
-    written at to its text.  A list is looked up only after every item
-    is found to be exactly an ``int``, because ``(1, True) == (1, 1)``
-    and ``(1, 2.0) == (1, 2)``: an earlier lookup would write ``1`` for
-    ``true``, and ``2`` for ``2.0`` instead of raising TypeError.
+    The documents repeat exponent vectors (a resolution's generators,
+    multidegrees and entry monomials), so each distinct list of ints is
+    rendered once per call: a memo, dropped when the call returns, maps
+    the list's contents and the indent it is written at to its text.  A
+    list is looked up only after every item is found to be exactly an
+    ``int``, because ``(1, True) == (1, 1)`` and ``(1, 2.0) == (1, 2)``:
+    an earlier lookup would write ``1`` for ``true``, and ``2`` for
+    ``2.0`` instead of raising TypeError.
     """
     parts = []
     out = parts.append
@@ -230,9 +230,45 @@ def _json_text(obj):
 
 
 def _int_list_text(x, nl):
-    """The JSON text of a nonempty list of ints whose line starts with nl."""
+    """The JSON text of a list of ints whose line starts with nl."""
+    return _list_text(list(map(str, x)), nl)
+
+
+def _list_text(texts, nl):
+    """The JSON text of a list, given its items' texts, whose line starts
+    with nl."""
+    if not texts:
+        return "[]"
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join(map(str, x)) + nl + "]"
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+# a cell and a boundary entry of the cells document, keys in sorted order
+_CELL = ('{\n      "boundary": %s,\n      "dim": %d,\n      "h": %s,'
+         '\n      "label": %s,\n      "tau": %s,\n      "vertices": %s\n    }')
+_FACET = ('{\n          "h": %s,\n          "sign": %d,\n          "tau": %s'
+          '\n        }')
+
+
+def _cells_json(cells):
+    """The cells document as ``_json_text`` writes it, straight from the
+    cells: each basis element and tau is rendered once per indent."""
+    elements = cells.basis.elements
+    nl6, nl8, nl10 = "\n      ", "\n        ", "\n          "
+    h6, h8, h10 = ([_int_list_text(h, nl) for h in elements]
+                   for nl in (nl6, nl8, nl10))
+    # a boundary entry is a cell, so its tau is among the cells' taus
+    taus = {c.tau for layer in cells.cells for c in layer}
+    tau6, tau10 = ({t: _int_list_text(t, nl) for t in taus}
+                   for nl in (nl6, nl10))
+    records = [
+        _CELL % (_list_text([_FACET % (h10[a], s, tau10[t])
+                             for (a, t), s in c.boundary], nl6),
+                 c.dim, h6[c.alpha], _int_list_text(c.label, nl6),
+                 tau6[c.tau], _list_text([h8[v] for v in c.vertices], nl6))
+        for layer in cells.cells for c in layer]
+    return ('{\n  "cells": %s,\n  "n": %d\n}\n'
+            % (_list_text(records, "\n  "), cells.basis.ring.n))
 
 
 def _load(args):
@@ -320,20 +356,19 @@ def _cmd_cellular(args):
     if args.fmt == "dot":
         _emit(args, cells.to_dot())
     elif args.fmt == "json":
-        _emit(args, _json_text(cells.to_json_dict()))
+        _emit(args, _cells_json(cells))
     else:
         lines = ["cells by dimension: %s" %
                  "  ".join(str(c) for c in cells.counts())]
-        basis = cells.basis
-        text = basis.ring.text
+        ring = cells.basis.ring
+        shown = [ring.text(h) for h in cells.basis.elements]
         for layer in cells.cells:
             for c in layer:
-                verts = ", ".join(text(basis.elements[v])
-                                  for v in c.vertices)
                 lines.append("dim %d  [%s | %s]  label=%s  vertices={%s}" % (
-                    c.dim, text(basis.elements[c.alpha]),
-                    "*".join(basis.ring.names[k - 1] for k in c.tau) or "1",
-                    text(c.label), verts))
+                    c.dim, shown[c.alpha],
+                    "*".join(ring.names[k - 1] for k in c.tau) or "1",
+                    ring.text(c.label),
+                    ", ".join([shown[v] for v in c.vertices])))
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -211,6 +211,7 @@ def _complete(cplx, candidates, matching, short):
                 pairs = set(flipped.pairs)
                 mate = {end: p for p in pairs for end in p.ends}
                 break
+    del paths  # paths' closure holds paths: free the cycle with the call
     return Matching(sorted(pairs, key=_order))
 
 

@@ -301,6 +301,20 @@ def reference_supports_check(cellcomplex, cplx):
     return ComplexReport(not failures, failures)
 
 
+def reference_cells_doc(cells):
+    """The cells document of ``pommaret cellular --format json`` as plain
+    dicts and lists, which ``json.dumps(doc, sort_keys=True, indent=2)``
+    writes as the command's output."""
+    elements = cells.basis.elements
+    return {"n": cells.basis.ring.n, "cells": [
+        {"h": list(elements[c.alpha]), "tau": list(c.tau), "dim": c.dim,
+         "label": list(c.label),
+         "vertices": [list(elements[v]) for v in c.vertices],
+         "boundary": [{"h": list(elements[a]), "tau": list(t), "sign": s}
+                      for (a, t), s in c.boundary]}
+        for layer in cells.cells for c in layer]}
+
+
 def reference_lattice(cplx, cap):
     """Reference ``lcm_lattice``: the same closure, by pairwise ``lcm`` of
     exponent tuples instead of bit codes.

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 from operator import gt, le
@@ -6,10 +7,10 @@ import pytest
 
 import pommaret.cellular
 from helpers import (lcm, positive_dimensional_ideals, random_ideal,
-                     reference_supports_check)
+                     reference_cells_doc, reference_supports_check)
 from pommaret import (Cell, CellComplex, FreeComplex, MonomialIdeal,
                       PommaretBasis, Ring, build_cell_complex, chain_vertices,
-                      expected_ranks, pommaret_basis, ps_complex,
+                      cli, expected_ranks, pommaret_basis, ps_complex,
                       random_quasi_stable, supports_check, taylor_complex)
 from pommaret.errors import (MismatchedBases, NotAComplex,
                              TauNotNonMultiplicative)
@@ -294,7 +295,8 @@ def test_supports_check_detects_sign_inconsistency(ideal_b):
 def test_json_and_dot(ideal_b):
     basis = pommaret_basis(ideal_b)
     cells = build_cell_complex(basis)
-    doc = cells.to_json_dict()
+    doc = reference_cells_doc(cells)
+    assert json.loads(cli._cells_json(cells)) == doc
     assert doc["n"] == 3
     assert len(doc["cells"]) == 14 + 23 + 10
     rec = doc["cells"][0]

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from helpers import REPRODUCERS, make_ideal_stable2, random_stable
+from helpers import (REPRODUCERS, make_ideal_stable2,
+                     positive_dimensional_ideals, random_stable,
+                     reference_cells_doc)
 from pommaret import (build_cell_complex, check_exactness, cli,
                       pommaret_basis, random_quasi_stable)
 from pommaret.errors import (EmptyInput, IdealSyntaxError, UnitGenerator)
@@ -216,7 +218,7 @@ def _int_lists(x, nl, found):
 
 
 def test_json_writer_renders_each_int_list_once(ideal_b, monkeypatch):
-    doc = build_cell_complex(pommaret_basis(ideal_b)).to_json_dict()
+    doc = reference_cells_doc(build_cell_complex(pommaret_basis(ideal_b)))
     renders = []
     render = cli._int_list_text
 
@@ -237,7 +239,7 @@ def test_json_writer_leaves_no_garbage(ideal_b):
     """The writer's recursive closure is freed with the call: a reference
     cycle would keep the whole output and the memo alive until the cyclic
     collector runs."""
-    doc = build_cell_complex(pommaret_basis(ideal_b)).to_json_dict()
+    doc = reference_cells_doc(build_cell_complex(pommaret_basis(ideal_b)))
     gc.collect()
     gc.disable()
     try:
@@ -245,6 +247,57 @@ def test_json_writer_leaves_no_garbage(ideal_b):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_cells_writer_matches_stdlib(ideal_a, ideal_b):
+    """The cells document, written without the generic writer, has the
+    bytes json.dumps gives the reference document, on every cell shape:
+    an n = 1 ideal's cells are vertices with an empty tau and boundary."""
+    ideals = [ideal_a, ideal_b, cli.parse_ideal("vars 1\nx1^3\n")]
+    ideals += [random_quasi_stable(*args) for args in REPRODUCERS]
+    ideals += positive_dimensional_ideals()
+    # n = 1..6, with max_deg 3 up to n = 3 and 2 above, where cells grow
+    ideals += [random_quasi_stable(seed, 1 + seed % 6, 3 - seed % 6 // 3,
+                                   seed % 4) for seed in range(100)]
+    for ideal in ideals:
+        cells = build_cell_complex(pommaret_basis(ideal))
+        doc = reference_cells_doc(cells)
+        assert cli._cells_json(cells) == _stdlib_json(doc)
+    assert {ideal.ring.n for ideal in ideals} == {1, 2, 3, 4, 5, 6}
+    assert doc["cells"][0]["boundary"] == []
+
+
+def test_cellular_json_skips_the_generic_writer(tmp_path, capsys,
+                                                monkeypatch, ideal_b):
+    """cellular --format json renders each basis element once for each
+    indent it is written at, and never goes through _json_text."""
+    cells = build_cell_complex(pommaret_basis(ideal_b))
+    want = _stdlib_json(reference_cells_doc(cells))
+    renders = []
+    render = cli._int_list_text
+
+    def counting_render(x, nl):
+        renders.append((tuple(x), nl))
+        return render(x, nl)
+
+    def refuse(obj):
+        raise AssertionError("the cells went through _json_text")
+
+    monkeypatch.setattr(cli, "_int_list_text", counting_render)
+    monkeypatch.setattr(cli, "_json_text", refuse)
+    path = write(tmp_path, "b.ideal", B_TEXT)
+    assert cli.main(["cellular", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == want
+    # a cell's h, a vertex and a boundary entry's h are written 6, 8 and
+    # 10 spaces in, a label (per cell) 6; a tau is shorter than n
+    elements = sorted(cells.basis.elements)
+    at = {k: sorted(h for h, nl in renders
+                    if nl == "\n" + " " * k and len(h) == 3)
+          for k in (6, 8, 10)}
+    assert at[8] == at[10] == elements
+    assert len(at[6]) == len(elements) + sum(cells.counts())
+    taus = [(t, nl) for t, nl in renders if len(t) < 3]
+    assert len(taus) == len(set(taus)) == 2 * len({t for t, _ in taus})
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -65,7 +65,8 @@ def test_combinations_only_in_resolution():
 
 def test_no_indented_json_dumps_in_package():
     """Given an indent, ``json`` encodes in pure Python; the CLI writes its
-    indented JSON with its own writer, ``cli._json_text``."""
+    indented JSON with its own writers, ``cli._json_text`` and, for the
+    cells, ``cli._cells_json``."""
     found = []
     for path, node in _package_nodes():
         if (isinstance(node, ast.Call)

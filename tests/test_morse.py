@@ -1,3 +1,4 @@
+import gc
 import random
 from operator import add
 
@@ -537,6 +538,22 @@ def test_a_flip_is_tested_only_where_it_can_close_a_cycle(monkeypatch):
     assert len(flips) == 34
     assert all(is_morse_matching(cplx, matching) == kept
                for cplx, matching, kept in flips)
+
+
+def test_completion_leaves_no_garbage():
+    """_complete's recursive path search is freed with the call: a
+    reference cycle would keep its edges, mates and tried matchings alive
+    until the cyclic collector runs."""
+    cases = [ps_complex(pommaret_basis(random_quasi_stable(*args)))
+             for args in short_v_args()[:3]]
+    gc.collect()
+    gc.disable()
+    try:
+        for cplx in cases:
+            minimize(cplx)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cancelling_lowest_level_first_gives_the_same_complex(ideal_b):
