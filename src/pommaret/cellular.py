@@ -17,13 +17,19 @@ v it goes to ``basis.delta[(v, k)]``, and for k multiplicative, which the
 table has no entry for, it stays at v, because x_k * v lies in v's own
 cone and the involutive divisor is unique.  So the walks from v through
 the remaining variables depend only on (v, rest), and one memo over those
-pairs serves every cell of the build.
+pairs serves every cell of the build.  The walk runs on integer bitmasks:
+rest is a mask of variables, and the vertices reached are a mask of basis
+indices, which ``Cell.vertices`` holds as a sorted tuple.
 
 ``supports_check`` reads cell j of dimension i with generator j of level i
-of a symbol complex, and a facet by its position one dimension down.
+of a symbol complex, and a facet by its position one dimension down.  It
+tests vertices as bitmasks and, where a label is proven equal to its
+generator's multidegree, lcms and divisibility on the complex's
+multidegree codes.
 """
 
-from operator import le
+from functools import reduce
+from operator import le, or_
 
 from .errors import MismatchedBases, TauNotNonMultiplicative
 from .monomials import times_var
@@ -121,21 +127,40 @@ def build_cell_complex(basis):
 
 
 def _reach(basis, memo, v, rest):
-    """The vertices of the walks from v through every order of the sorted
-    tuple rest; memo holds the pairs already seen.  A nonmultiplicative
-    step goes to its rewrite target, a multiplicative one stays at v."""
-    hit = memo.get((v, rest))
-    if hit is None:
-        verts = {v}
-        for i, k in enumerate(rest):
-            verts |= _reach(basis, memo, basis.delta.get((v, k), v),
-                            rest[:i] + rest[i + 1:])
-        memo[(v, rest)] = hit = frozenset(verts)
+    """The vertices of the walks from v through every order of the
+    variables in rest, as a mask with bit u set for basis element u; rest
+    has bit k set for x_k.  The variables are taken bit by bit: a
+    nonmultiplicative step goes to its rewrite target, a multiplicative
+    one stays at v.  memo maps each (vertex, variable mask) pair walked so
+    far to its vertex mask, and is read before each step's walk; the cells
+    are built by dimension, so a cell's own pair, which only the walks of
+    higher cells reach, is never in it yet."""
+    delta = basis.delta
+    hit = 1 << v
+    todo = rest
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        w = delta.get((v, low.bit_length() - 1), v)
+        left = rest ^ low
+        if left:
+            sub = memo.get((w, left))
+            if sub is None:
+                sub = _reach(basis, memo, w, left)
+            hit |= sub
+        else:
+            hit |= 1 << w
+    memo[(v, rest)] = hit
     return hit
 
 
 def _make_cell(basis, memo, alpha, tau):
-    verts = _reach(basis, memo, alpha, tau)
+    mask = _reach(basis, memo, alpha, sum([1 << k for k in tau]))
+    verts = []
+    while mask:
+        low = mask & -mask
+        verts.append(low.bit_length() - 1)
+        mask ^= low
     boundary = []
     for j, (face, rewritten) in enumerate(symbol_facets(basis, alpha, tau)):
         sign = 1 if j % 2 else -1
@@ -143,7 +168,7 @@ def _make_cell(basis, memo, alpha, tau):
         if rewritten is not None:
             boundary.append((rewritten, -sign))
     return Cell(alpha, tau, symbol_multidegree(basis, alpha, tau),
-                tuple(sorted(verts)), boundary)
+                tuple(verts), boundary)
 
 
 def supports_check(cellcomplex, cplx):
@@ -160,6 +185,15 @@ def supports_check(cellcomplex, cplx):
     entry with its boundary sign is searched for.  Value mismatches, a
     facet label that does not divide its cell's among them, are returned
     as failure strings, by dimension and then in symbol order.
+
+    Each cell's vertices are read into a bitmask once, so the own-vertex
+    test and facet containment (``f & ~m == 0``) are bit tests.  A label
+    proven equal to its generator's multidegree is stood for by that
+    generator's code (``FreeComplex.classes``): the lcm of the vertices
+    is then the OR of their level-0 codes, once level 0 is proven to hold
+    the basis elements, and a facet divides its cell iff ``f & ~c == 0``
+    for their codes.  Where a label disagrees, these tests run on the
+    exponent tuples, so the failures do not depend on the route.
     """
     basis = cellcomplex.basis
     if cplx.basis is not basis and (
@@ -175,22 +209,41 @@ def supports_check(cellcomplex, cplx):
 
     elements = basis.elements
     text = basis.ring.text
+    bit = [1 << u for u in range(len(elements))]
+    # vertex u reads the code of generator u of level 0 when the level's
+    # multidegrees are the basis elements in order; else every lcm is
+    # taken on tuples
+    level0 = [g.multidegree for g in cplx.levels[0]] if cplx.levels else []
+    vcodes = cplx.classes[0] if level0 == list(elements) else None
     failures = []
     fail = failures.append
     # one node per generator, numbered through the dimensions; an edge
     # carries the product of an entry of d and its boundary sign
     adjacency = [[] for layer in cellcomplex.cells for _ in layer]
-    below, position, base = (), {}, 0
+    below = below_masks = below_codes = ()
+    position, base = {}, 0
     for i, (layer, level) in enumerate(zip(cellcomplex.cells, cplx.levels)):
-        for j, (key, cell, gen) in enumerate(zip(keys[i], layer, level)):
-            if gen.multidegree != cell.label:
+        masks, codes = [], []
+        for j, (key, cell, gen, code) in enumerate(zip(
+                keys[i], layer, level, cplx.classes[i])):
+            label = cell.label
+            vertices = cell.vertices
+            if gen.multidegree != label:
                 fail("label of %r is not the symbol multidegree" % (key,))
-            lcm = tuple(map(max, zip(*[elements[v] for v in cell.vertices])))
-            if lcm != cell.label:
+                code = None  # the code stands for the label only if equal
+            if code is not None and vcodes is not None and vertices:
+                lcm_differs = reduce(or_, map(vcodes.__getitem__,
+                                              vertices)) != code
+            else:
+                lcm_differs = label != tuple(
+                    map(max, zip(*[elements[v] for v in vertices])))
+            if lcm_differs:
                 fail("label of %r is not the lcm of its vertices" % (key,))
-            if cell.alpha not in cell.vertices:
+            mask = reduce(or_, map(bit.__getitem__, vertices), 0)
+            if not mask >> cell.alpha & 1:
                 fail("cell %r does not contain its own vertex" % (key,))
-            vertices = set(cell.vertices)
+            masks.append(mask)
+            codes.append(code)
             rows = {}
             for fkey, sign in cell.boundary:
                 row = position.get(fkey)
@@ -198,11 +251,15 @@ def supports_check(cellcomplex, cplx):
                 if row is None:
                     fail("facet %r of %r is not a cell" % (fkey, key))
                     continue
-                facet = below[row]
-                if not all(map(le, facet.label, cell.label)):
+                facet, fcode = below[row], below_codes[row]
+                if code is None or fcode is None:
+                    apart = not all(map(le, facet.label, label))
+                else:
+                    apart = fcode & ~code
+                if apart:
                     fail("facet label %s does not divide %s of %r" % (
-                        text(facet.label), text(cell.label), key))
-                if not vertices.issuperset(facet.vertices):
+                        text(facet.label), text(label), key))
+                if below_masks[row] & ~mask:
                     fail("facet %r has vertices outside %r" % (fkey, key))
             column = cplx.diffs[i].get(j, {}) if i else {}
             if rows.keys() != column.keys():
@@ -217,7 +274,8 @@ def supports_check(cellcomplex, cplx):
                 far = base - len(below) + row
                 adjacency[base + j].append((far, c * sign))
                 adjacency[far].append((base + j, c * sign))
-        below, position = layer, dict(zip(keys[i], range(len(layer))))
+        below, below_masks, below_codes = layer, masks, codes
+        position = dict(zip(keys[i], range(len(layer))))
         base += len(layer)
     if not _two_colourable(adjacency):
         fail("no per-generator sign choice matches the boundary")

@@ -151,11 +151,16 @@ def _parse_monomial(line, lineno, ring):
 
 
 def _emit(args, text):
+    """Write a command's output to ``--out``, or else to stdout.  text is
+    one str, or an iterable of strs written as they are made, so that a
+    document yielded record by record is never held whole."""
+    if isinstance(text, str):
+        text = (text,)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _json_text(obj):
@@ -251,8 +256,12 @@ _FACET = ('{\n          "h": %s,\n          "sign": %d,\n          "tau": %s'
 
 
 def _cells_json(cells):
-    """The cells document as ``_json_text`` writes it, straight from the
-    cells: each basis element and tau is rendered once per indent."""
+    """Yield the cells document as ``_json_text`` writes it, straight from
+    the cells and one record at a time: the first piece ends with the
+    first cell's record, each later one holds the next record, and the
+    last closes the document.  ``_emit`` writes the pieces as they come.
+    Each basis element and tau is rendered once per indent, and each
+    boundary entry once per (facet, sign) within a dimension."""
     elements = cells.basis.elements
     nl6, nl8, nl10 = "\n      ", "\n        ", "\n          "
     h6, h8, h10 = ([_int_list_text(h, nl) for h in elements]
@@ -261,14 +270,26 @@ def _cells_json(cells):
     taus = {c.tau for layer in cells.cells for c in layer}
     tau6, tau10 = ({t: _int_list_text(t, nl) for t in taus}
                    for nl in (nl6, nl10))
-    records = [
-        _CELL % (_list_text([_FACET % (h10[a], s, tau10[t])
-                             for (a, t), s in c.boundary], nl6),
-                 c.dim, h6[c.alpha], _int_list_text(c.label, nl6),
-                 tau6[c.tau], _list_text([h8[v] for v in c.vertices], nl6))
-        for layer in cells.cells for c in layer]
-    return ('{\n  "cells": %s,\n  "n": %d\n}\n'
-            % (_list_text(records, "\n  "), cells.basis.ring.n))
+    head = '{\n  "cells": '
+    sep = head + "[\n    "
+    for layer in cells.cells:
+        facets = {}  # ((alpha, tau), sign) -> text, for this dimension
+        for c in layer:
+            entries = []
+            for entry in c.boundary:
+                text = facets.get(entry)
+                if text is None:
+                    (a, t), s = entry
+                    text = facets[entry] = _FACET % (h10[a], s, tau10[t])
+                entries.append(text)
+            yield sep + _CELL % (
+                _list_text(entries, nl6), c.dim, h6[c.alpha],
+                _int_list_text(c.label, nl6), tau6[c.tau],
+                _list_text([h8[v] for v in c.vertices], nl6))
+            sep = ",\n    "
+    # sep starts with a comma once a record is out
+    yield ('\n  ]' if sep[0] == "," else head + "[]") + (
+        ',\n  "n": %d\n}\n' % cells.basis.ring.n)
 
 
 def _load(args):

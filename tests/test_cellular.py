@@ -296,7 +296,7 @@ def test_json_and_dot(ideal_b):
     basis = pommaret_basis(ideal_b)
     cells = build_cell_complex(basis)
     doc = reference_cells_doc(cells)
-    assert json.loads(cli._cells_json(cells)) == doc
+    assert json.loads("".join(cli._cells_json(cells))) == doc
     assert doc["n"] == 3
     assert len(doc["cells"]) == 14 + 23 + 10
     rec = doc["cells"][0]
@@ -372,12 +372,35 @@ def _corruptions(rng, cells, cplx):
     yield ("other-dimension", _with_cell(
         cells, i, j, boundary=cell.boundary + [(fkey, rng.choice((1, -1)))]),
         cplx, "facet %r of %r is not a cell" % (fkey, cell.key()))
+    # a vertex's code feeds every lcm that reads it, but it comes from the
+    # complex: a wrong label on the vertex cell fails that cell alone
+    j = rng.randrange(len(layers[0]))
+    label = layers[0][j].label
+    k = rng.randrange(len(label))
+    yield ("vertex-label", _with_cell(
+        cells, 0, j, label=label[:k] + (label[k] + 1,) + label[k + 1:]),
+        cplx, None)
+    # a facet label raised where it meets its cell's label no longer
+    # divides it, though the two generator codes still do
+    i, j = pick(1)
+    cell = layers[i][j]
+    row = rng.choice([r for r, f in enumerate(layers[i - 1])
+                      if (f.key(), 1) in cell.boundary
+                      or (f.key(), -1) in cell.boundary])
+    label = layers[i - 1][row].label
+    k = rng.choice([k for k, (a, b) in enumerate(zip(label, cell.label))
+                    if a == b])
+    yield ("facet-label", _with_cell(
+        cells, i - 1, row, label=label[:k] + (label[k] + 1,) + label[k + 1:]),
+        cplx, None)
 
 
 def test_positional_check_matches_the_reference():
-    """On a seeded corruption corpus the check by position reaches the
-    verdict and the failures of the old check by key; a boundary entry
-    naming a cell of another dimension now also reads "is not a cell"."""
+    """On a seeded corruption corpus the check by position and on codes
+    reaches the verdict and the failures of the old check by key on
+    tuples; a boundary entry naming a cell of another dimension now also
+    reads "is not a cell".  A wrong label, on a cell, a vertex or a facet,
+    hands its tests back to the tuples."""
     ideals = ([random_quasi_stable(s, 3 + s % 3, 2 + s % 2, 1 + s % 3)
                for s in range(100)] + positive_dimensional_ideals())
     kinds = set()
@@ -396,7 +419,7 @@ def test_positional_check_matches_the_reference():
             assert report.ok == (kind == "regauge"), (seed, kind)
             kinds.add(kind)
             cases += 1
-    assert len(ideals) == 124 and len(kinds) == 9 and cases == 9 * 124
+    assert len(ideals) == 124 and len(kinds) == 11 and cases == 11 * 124
 
 
 def test_a_vertex_has_an_empty_boundary(ideal_a):

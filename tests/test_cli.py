@@ -1,8 +1,10 @@
+import argparse
 import gc
 import inspect
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -256,7 +258,8 @@ def test_cells_writer_matches_stdlib(ideal_a, ideal_b):
     line = build_cell_complex(pommaret_basis(cli.parse_ideal(
         "vars 1\nx1^3\n")))
     assert [(c.tau, c.boundary) for c in line.cells[0]] == [((), [])]
-    assert cli._cells_json(line) == _stdlib_json(reference_cells_doc(line))
+    assert "".join(cli._cells_json(line)) == _stdlib_json(
+        reference_cells_doc(line))
     ideals = [ideal_a, ideal_b]
     ideals += [random_quasi_stable(*args) for args in REPRODUCERS]
     ideals += positive_dimensional_ideals()
@@ -265,7 +268,7 @@ def test_cells_writer_matches_stdlib(ideal_a, ideal_b):
                                    seed % 4) for seed in range(100)]
     for ideal in ideals:
         cells = build_cell_complex(pommaret_basis(ideal))
-        assert cli._cells_json(cells) == _stdlib_json(
+        assert "".join(cli._cells_json(cells)) == _stdlib_json(
             reference_cells_doc(cells))
     assert {ideal.ring.n for ideal in ideals} == {1, 2, 3, 4, 5, 6}
 
@@ -301,6 +304,49 @@ def test_cellular_json_skips_the_generic_writer(tmp_path, capsys,
     assert len(at[6]) == len(elements) + sum(cells.counts())
     taus = [(t, nl) for t, nl in renders if len(t) < 3]
     assert len(taus) == len(set(taus)) == 2 * len({t for t, _ in taus})
+
+
+def test_cellular_streams_the_same_bytes_to_stdout_and_a_file(
+        tmp_path, capsys):
+    """cellular writes its output piece by piece, as it is made: stdout
+    and --out get the same bytes in every format, and the JSON ones are
+    json.dumps's of the reference document."""
+    texts = [B_TEXT] + [_vector_text(random_quasi_stable(*args))
+                        for args in REPRODUCERS]
+    texts.append(_vector_text(random_quasi_stable(0, 6, 2, 3)))
+    for k, text in enumerate(texts):
+        path = write(tmp_path, "%d.ideal" % k, text)
+        cells = build_cell_complex(pommaret_basis(cli.parse_ideal(text)))
+        for fmt in ("json", "text", "dot"):
+            assert cli.main(["cellular", path, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            dest = tmp_path / ("%d.%s" % (k, fmt))
+            assert cli.main(["cellular", path, "--format", fmt,
+                             "--out", str(dest)]) == 0
+            assert capsys.readouterr().out == ""
+            assert dest.read_bytes() == out.encode("utf-8")
+            if fmt == "json":
+                assert out == _stdlib_json(reference_cells_doc(cells))
+    assert cli.parse_ideal(texts[-1]).ring.n == 6
+
+
+def test_cells_document_is_never_held_whole(tmp_path):
+    """With the cells built, writing their document to a file peaks
+    below half of the document's length: the records go to the file as
+    they are made, where a whole string and its pieces took about three
+    times that length."""
+    cells = build_cell_complex(pommaret_basis(random_quasi_stable(
+        *REPRODUCERS[-1])))
+    dest = tmp_path / "cells.json"
+    tracemalloc.start()
+    try:
+        cli._emit(argparse.Namespace(out=str(dest)), cli._cells_json(cells))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = dest.stat().st_size
+    assert size > 500000
+    assert peak < size / 2
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -340,3 +340,38 @@ def test_cells_are_read_by_position():
                 or isinstance(node, ast.Attribute) and node.attr == "lookup"):
             found.append("cellular.py:%d" % node.lineno)
     assert not found
+
+
+def test_cells_on_bitmasks_and_one_cells_writer():
+    """The cell walk and the support check run on vertex masks and
+    multidegree codes, so ``cellular`` names no ``frozenset``.
+    ``cli._cells_json`` is the one cells writer: it yields the document
+    record by record and is the only function that reads the record
+    templates (``_CELL``, ``_FACET``); ``cellular`` builds no document
+    (``to_json_dict``), and ``_cmd_cellular`` writes its JSON through
+    ``_cells_json``, never through ``_json_text``."""
+    found = []
+    readers = set()
+    for path, node in _package_nodes():
+        if (path.name == "cellular.py" and isinstance(node, ast.Name)
+                and node.id == "frozenset"
+                or path.name == "cellular.py"
+                and isinstance(node, ast.FunctionDef)
+                and node.name == "to_json_dict"):
+            found.append("%s:%d" % (path.name, node.lineno))
+        if isinstance(node, ast.FunctionDef):
+            if any(isinstance(inner, ast.Name)
+                   and inner.id in ("_CELL", "_FACET")
+                   for inner in ast.walk(node)):
+                readers.add((path.name, node.name))
+    assert not found
+    assert readers == {("cli.py", "_cells_json")}
+    path = Path(pommaret.__file__).parent / "cli.py"
+    top = {node.name: node for node in ast.parse(path.read_text()).body
+           if isinstance(node, ast.FunctionDef)}
+    assert any(isinstance(node, ast.Yield)
+               for node in ast.walk(top["_cells_json"]))
+    called = {node.func.id for node in ast.walk(top["_cmd_cellular"])
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)}
+    assert "_cells_json" in called and "_json_text" not in called
