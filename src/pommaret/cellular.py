@@ -184,7 +184,9 @@ def supports_check(cellcomplex, cplx):
     column is empty), and a per-generator sign choice reconciling every
     entry with its boundary sign is searched for.  Value mismatches, a
     facet label that does not divide its cell's among them, are returned
-    as failure strings, by dimension and then in symbol order.
+    as failure strings, by dimension and then in symbol order.  So is a
+    vertex outside ``0 <= v < len(basis)``: its cell skips the lcm and
+    own-vertex tests, and facet containment sees its other vertices.
 
     Each cell's vertices are read into a bitmask once, so the own-vertex
     test and facet containment (``f & ~m == 0``) are bit tests.  A label
@@ -210,6 +212,7 @@ def supports_check(cellcomplex, cplx):
     elements = basis.elements
     text = basis.ring.text
     bit = [1 << u for u in range(len(elements))]
+    inside = range(len(elements))  # the vertex indices
     # vertex u reads the code of generator u of level 0 when the level's
     # multidegrees are the basis elements in order; else every lcm is
     # taken on tuples
@@ -231,17 +234,27 @@ def supports_check(cellcomplex, cplx):
             if gen.multidegree != label:
                 fail("label of %r is not the symbol multidegree" % (key,))
                 code = None  # the code stands for the label only if equal
-            if code is not None and vcodes is not None and vertices:
-                lcm_differs = reduce(or_, map(vcodes.__getitem__,
-                                              vertices)) != code
+            if vertices and (min(vertices) not in inside
+                             or max(vertices) not in inside):
+                # no lcm or own-vertex test: the mask that its facets and
+                # cofaces are tested against holds its basis vertices
+                fail("cell %r has vertices outside the basis: %r" % (
+                    key, [v for v in vertices if v not in inside]))
+                mask = reduce(or_, (bit[v] for v in vertices if v in inside),
+                              0)
             else:
-                lcm_differs = label != tuple(
-                    map(max, zip(*[elements[v] for v in vertices])))
-            if lcm_differs:
-                fail("label of %r is not the lcm of its vertices" % (key,))
-            mask = reduce(or_, map(bit.__getitem__, vertices), 0)
-            if not mask >> cell.alpha & 1:
-                fail("cell %r does not contain its own vertex" % (key,))
+                if code is not None and vcodes is not None and vertices:
+                    lcm_differs = reduce(or_, map(vcodes.__getitem__,
+                                                  vertices)) != code
+                else:
+                    lcm_differs = label != tuple(
+                        map(max, zip(*[elements[v] for v in vertices])))
+                if lcm_differs:
+                    fail("label of %r is not the lcm of its vertices"
+                         % (key,))
+                mask = reduce(or_, map(bit.__getitem__, vertices), 0)
+                if not mask >> cell.alpha & 1:
+                    fail("cell %r does not contain its own vertex" % (key,))
             masks.append(mask)
             codes.append(code)
             rows = {}

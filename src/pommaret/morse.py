@@ -2,10 +2,13 @@
 
 A matching pairs generators in adjacent homological degrees along unit
 differential entries.  Reversing the matched edges must leave the entry
-digraph acyclic; then every pair can be cancelled one at a time, each
-cancellation being a change of basis that removes the pair and corrects the
-remaining columns, and the surviving (critical) generators carry a complex
-with the same homology.
+digraph acyclic; then the surviving (critical) generators carry a complex
+with the same homology, whose differential is a sum over gradient paths
+(Skoeldberg, Trans. AMS 2006; Joellenbeck-Welker, Mem. AMS 2009).  The
+paths leaving a generator one level down add up to its flow, which is
+memoized per generator: the walk that proves a level's digraph acyclic
+also orders that level's flows, so that each is evaluated after the flows
+it reads.
 
 The distinguished matching V pairs [h, u] with [h', u minus x_i] whenever
 extracting the nonmultiplicative variable x_i rewrites with factor t = 1,
@@ -13,22 +16,21 @@ sweeping variables from x_n downward and skipping generators already
 matched.  Those rewritten terms are exactly the unit entries of a symbol
 resolution, so V is read from the complex's unit entries, not from the
 rewrite map.  On some symbol resolutions V leaves a multidegree class
-short, and a unit entry made by fill-in survives its cancellation
-(``random_quasi_stable(2520, 5, 4, 6)`` is one); ``minimize`` then grows V
-in those classes along acyclic augmenting paths (Joellenbeck-Welker, Mem.
-AMS 2009).  Every entry of a symbol resolution is +-1, and fill-in never
-changes the entry of a matched pair (that would need an alternating
-cycle), so every pivot is +-1 and the elimination stays in the integers.
+short, and the differential summed over V's gradient paths keeps a unit
+entry (``random_quasi_stable(2520, 5, 4, 6)`` is one); ``minimize`` then
+grows V in those classes along acyclic augmenting paths
+(Joellenbeck-Welker).  Every entry of a symbol resolution is +-1, and a
+flow divides only by the entry of a matched pair in the complex itself,
+so every pivot is +-1 and the flows stay in the integers.
 
-The pairs are cancelled highest degree first, though the result does not
-depend on their order.  d o d = 0 is proved once per reduced complex, on
-every column of the result: a defect that a later cancellation erases
-never reaches it.
+d o d = 0 is proved once per reduced complex, on every column of the
+result, the augmentation of d_1 included.
 
-Every complex was proven multigraded when it was built, and cancelling a
-unit pair keeps it so: an entry's monomial is fixed by the multidegrees of
-its row and column, so complexes store coefficients alone and the
-elimination runs on them (Batzies-Welker, J. reine angew. Math. 2002).
+Every complex was proven multigraded when it was built, and the Morse
+complex stays so: a gradient path joins generators of one multidegree
+through each matched pair, so an entry's monomial is fixed by the
+multidegrees of its row and column, complexes store coefficients alone
+and the flows run on them (Batzies-Welker, J. reine angew. Math. 2002).
 """
 
 from dataclasses import dataclass
@@ -76,15 +78,17 @@ class Matching:
         return out
 
 
-def _has_cycle(cplx, matching, level):
-    """Whether the digraph of d_level with matched edges reversed has a
-    directed cycle.
+def _kahn_order(cplx, matching, level):
+    """The matched columns of d_level, each before every column it
+    reaches, or None when the digraph of d_level with the matched edges
+    reversed has a directed cycle.
 
     A directed cycle alternates reversed matched edges (row to column) and
     unmatched entries (column to row) between two adjacent degrees, so each
     of its columns is entered by a matched edge: only the matched columns
     of d_level are vertices, with an arc from s to the partner of each
-    other matched row of s's column.
+    other matched row of s's column.  Those are the pairs whose flows the
+    flow of s's target reads (``_cancel_matching``).
     """
     partner = {p.target: p.source for p in matching.pairs
                if p.level == level}
@@ -99,14 +103,32 @@ def _has_cycle(cplx, matching, level):
         for v in succ:
             indegree[v] += 1
     ready = [v for v, k in indegree.items() if k == 0]
-    dropped = 0
+    order = []
     while ready:
-        dropped += 1
-        for v in successors[ready.pop()]:
+        order.append(ready.pop())
+        for v in successors[order[-1]]:
             indegree[v] -= 1
             if indegree[v] == 0:
                 ready.append(v)
-    return dropped < len(indegree)
+    return order if len(order) == len(indegree) else None
+
+
+def _orders(cplx, matching):
+    """``_kahn_order`` of every level >= 1 (index 0 is None), or None
+    when a pair is not along a unit entry or some level has a cycle."""
+    cls = cplx.classes
+    for p in matching.pairs:
+        if not 1 <= p.level <= cplx.length:
+            return None
+        if (not cplx.diffs[p.level].get(p.source, {}).get(p.target)
+                or cls[p.level][p.source] != cls[p.level - 1][p.target]):
+            return None
+    orders = [None]
+    for level in range(1, cplx.length + 1):
+        orders.append(_kahn_order(cplx, matching, level))
+        if orders[-1] is None:
+            return None
+    return orders
 
 
 def is_morse_matching(cplx, matching):
@@ -117,17 +139,7 @@ def is_morse_matching(cplx, matching):
                     else Matching(matching))
     except NotAMorseMatching:
         return False
-    cls = cplx.classes
-    for p in matching.pairs:
-        if not 1 <= p.level <= cplx.length:
-            return False
-        if (not cplx.diffs[p.level].get(p.source, {}).get(p.target)
-                or cls[p.level][p.source] != cls[p.level - 1][p.target]):
-            return False
-    for level in range(1, cplx.length + 1):
-        if _has_cycle(cplx, matching, level):
-            return False
-    return True
+    return _orders(cplx, matching) is not None
 
 
 def _order(p):
@@ -206,8 +218,8 @@ def _complete(cplx, candidates, matching, short):
             continue
         for add, drop in paths(start, {start}):
             flipped = Matching((pairs - set(drop)) | set(add))
-            if not any(_has_cycle(cplx, flipped, level)
-                       for level in {p.level for p in add}):
+            if all(_kahn_order(cplx, flipped, level) is not None
+                   for level in {p.level for p in add}):
                 pairs = set(flipped.pairs)
                 mate = {end: p for p in pairs for end in p.ends}
                 break
@@ -216,7 +228,11 @@ def _complete(cplx, candidates, matching, short):
 
 
 class ReducedComplex(FreeComplex):
-    """Result of cancelling a Morse matching out of a parent complex."""
+    """The Morse complex of a parent complex and an acyclic matching: its
+    critical generators, renumbered in order, and the differential summed
+    over gradient paths.  ``trace`` is None, or one record per matched
+    pair: its pivot ``lambda``, and in ``updated`` the flow of its target
+    as sorted [row, coeff] pairs, rows numbered as in the parent."""
 
     # every cancellation is a pair of the matching: none is ever extra
     safety_net_cancellations = 0
@@ -228,127 +244,85 @@ class ReducedComplex(FreeComplex):
         self.trace = trace
 
 
-class _Reducer:
-    """Mutable sparse copy of a complex supporting pair cancellation.
-
-    Columns are {row: coeff}, as in ``FreeComplex.diffs``.  ``cls`` is the
-    complex's ``classes``, and an entry is a unit when its coefficient is
-    nonzero and its row and column share a class.
-
-    Cancellations check nothing but their pivot; ``compact`` proves
-    d o d = 0 on every surviving column, and the complex it builds lists
-    the units left (``unit_entries``)."""
-
-    def __init__(self, cplx, trace=False):
-        self.cplx = cplx
-        self.cls = cplx.classes
-        self.cols = [None] + [{col: dict(column)
-                               for col, column in diff.items()}
-                              for diff in cplx.diffs[1:]]
-        self.row_index = [None]
-        for level_cols in self.cols[1:]:
-            index = {}
-            for col, column in level_cols.items():
-                for row in column:
-                    index.setdefault(row, set()).add(col)
-            self.row_index.append(index)
-        self.alive = [set(range(len(lv))) for lv in cplx.levels]
-        self.trace = [] if trace else None
-
-    def _set(self, level, col, row, coeff):
-        column = self.cols[level][col]
-        if coeff == 0:
-            if row in column:
-                del column[row]
-                self.row_index[level][row].discard(col)
-        else:
-            column[row] = coeff
-            self.row_index[level].setdefault(row, set()).add(col)
-
-    def cancel(self, pair):
-        level, s, t = pair.level, pair.source, pair.target
-        cols = self.cols[level]
-        lam_c = cols.get(s, {}).get(t)
-        if (lam_c not in (1, -1)
-                or self.cls[level][s] != self.cls[level - 1][t]):
-            raise NonUnitPair("pair (%d: %d -> %d) is not a unit entry of "
-                              "+-1" % (level, s, t))
-        source_col = cols[s]
-        fill = [(row, sc) for row, sc in source_col.items() if row != t]
-        touched = []
-        for c in sorted(self.row_index[level].get(t, set()) - {s}):
-            column = cols[c]
-            q = column[t] * lam_c  # the pivot is its own inverse
-            for row, sc in fill:
-                self._set(level, c, row, column.get(row, 0) - q * sc)
-            if self.trace is not None:
-                touched.extend((c, row) for row, _ in fill)
-            # the t entry of every corrected column cancels exactly
-            del column[t]
-            self.row_index[level][t].discard(c)
-        # drop the source column and the target's own column
-        for row in source_col:
-            self.row_index[level][row].discard(s)
-        del cols[s]
-        if level - 1 >= 1 and t in self.cols[level - 1]:
-            for row in self.cols[level - 1][t]:
-                self.row_index[level - 1][row].discard(t)
-            del self.cols[level - 1][t]
-        # the columns one level up lose the dead source row
-        if level + 1 < len(self.cols):
-            for c in self.row_index[level + 1].pop(s, ()):
-                del self.cols[level + 1][c][s]
-        self.alive[level].discard(s)
-        self.alive[level - 1].discard(t)
-        if self.trace is not None:
-            cplx = self.cplx
-            self.trace.append({
-                "level": level, "source": s, "target": t,
-                "source_text": cplx.text(cplx.levels[level][s]),
-                "target_text": cplx.text(cplx.levels[level - 1][t]),
-                "var": pair.var, "lambda": lam_c,
-                "updated": sorted(touched),
-            })
-
-    def compact(self, matching):
-        """The surviving complex, after checking d o d = 0 on every
-        column, its generators and entries renumbered."""
-        for level in range(1, len(self.cols)):
-            for col in self.cols[level]:
-                bad = composite_terms(self.cols, level, col)
-                if bad:
-                    raise BrokenInvariant(
-                        "cancellation broke d o d = 0 at level %d col %d: %r"
-                        % (level, col, bad))
-        cplx = self.cplx
-        levels = []
-        remap = []
-        for i, level in enumerate(cplx.levels):
-            keep = [j for j in range(len(level)) if j in self.alive[i]]
-            remap.append({j: k for k, j in enumerate(keep)})
-            levels.append([level[j] for j in keep])
-        diffs = [None]
-        for i in range(1, len(levels)):
-            rows = remap[i - 1]
-            diffs.append({remap[i][col]: {rows[row]: c
-                                          for row, c in column.items()}
-                          for col, column in self.cols[i].items()})
-        while len(levels) > 1 and not levels[-1]:
-            levels.pop()
-            diffs.pop()
-        return ReducedComplex(cplx.ring, cplx.ideal, levels, diffs,
-                              cplx.basis, matching, self.trace)
+def _add_scaled(acc, scale, terms):
+    """acc += scale * terms, on {row: coeff} columns: each flow and each
+    Morse column is a sum of such terms, and zeros are left in acc."""
+    get = acc.get
+    for row, value in terms.items():
+        acc[row] = get(row, 0) + scale * value
 
 
 def _cancel_matching(cplx, matching, trace):
-    """The checked complex left when every pair of a valid matching is
-    cancelled, highest degree first."""
-    if not is_morse_matching(cplx, matching):
+    """The Morse complex of a valid matching, checked.
+
+    Level by level, the flow of a generator one level down is itself when
+    it is critical, absent (0) when it is matched downward, and
+    -lambda * sum_{z != t} d[z, s] flow(z) when it is the target t of the
+    pair (s -> t) with pivot lambda; each critical column is then
+    sum_f d[f, c] flow(f).  ``_orders`` lists each level's sources so that
+    a pair comes before the pairs whose flows its own reads: the flows are
+    evaluated in reverse.  d o d = 0, and the augmentation of d_1, are
+    proved on every column of the result."""
+    orders = _orders(cplx, matching)
+    if orders is None:
         raise NotAMorseMatching("matching fails the unit or acyclicity test")
-    reducer = _Reducer(cplx, trace)
-    for pair in sorted(matching.pairs, key=lambda p: (-p.level, p.source)):
-        reducer.cancel(pair)
-    return reducer.compact(matching)
+    matched = [set() for _ in cplx.levels]
+    for p in matching.pairs:
+        matched[p.level].add(p.source)
+        matched[p.level - 1].add(p.target)
+    keep = [[j for j in range(len(cplx.levels[i])) if j not in matched[i]]
+            for i in range(len(cplx.levels))]
+    remap = [{j: k for k, j in enumerate(kept)} for kept in keep]
+    diffs = [None] * len(keep)
+    records = [] if trace else None
+    for level in range(cplx.length, 0, -1):
+        columns = cplx.diffs[level]
+        pair_of = {p.source: p for p in matching.pairs if p.level == level}
+        flows = {row: {row: 1} for row in keep[level - 1]}
+        for s in reversed(orders[level]):
+            t = pair_of[s].target
+            lam = columns[s][t]
+            if lam not in (1, -1):
+                raise NonUnitPair("pair (%d: %d -> %d) is not a unit entry "
+                                  "of +-1" % (level, s, t))
+            acc = {}
+            for z, coeff in columns[s].items():
+                if z != t and z in flows:
+                    _add_scaled(acc, -lam * coeff, flows[z])
+            flows[t] = {row: v for row, v in acc.items() if v}
+        if records is not None:
+            for s in sorted(pair_of):
+                p = pair_of[s]
+                records.append({
+                    "level": level, "source": s, "target": p.target,
+                    "source_text": cplx.text(cplx.levels[level][s]),
+                    "target_text": cplx.text(cplx.levels[level - 1][p.target]),
+                    "var": p.var, "lambda": columns[s][p.target],
+                    "updated": sorted(flows[p.target].items()),
+                })
+        rows = remap[level - 1]
+        diffs[level] = reduced = {}
+        for c, column in columns.items():
+            if c not in matched[level]:
+                acc = {}
+                for f, coeff in column.items():
+                    if f in flows:
+                        _add_scaled(acc, coeff, flows[f])
+                reduced[remap[level][c]] = {rows[row]: v
+                                            for row, v in acc.items() if v}
+    for level in range(1, len(diffs)):
+        for col in diffs[level]:
+            bad = composite_terms(diffs, level, col)
+            if bad:
+                raise BrokenInvariant(
+                    "the Morse differential breaks d o d = 0 at level %d "
+                    "col %d: %r" % (level, col, bad))
+    levels = [[cplx.levels[i][j] for j in keep[i]] for i in range(len(keep))]
+    while len(levels) > 1 and not levels[-1]:
+        levels.pop()
+        diffs.pop()
+    return ReducedComplex(cplx.ring, cplx.ideal, levels, diffs, cplx.basis,
+                          matching, records)
 
 
 def minimize(cplx, trace=False):

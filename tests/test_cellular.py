@@ -256,6 +256,22 @@ def test_supports_check_detects_cell_corruption(ideal_b):
         in report.failures
 
 
+@pytest.mark.parametrize("outside", ["past-the-end", "negative"])
+def test_a_vertex_outside_the_basis_is_a_failure(outside):
+    """A vertex index past the basis raised IndexError, and a negative
+    one read the last basis element; each is now one failure string, and
+    the cell's lcm and own-vertex tests are skipped."""
+    basis = pommaret_basis(random_quasi_stable(3, 3, 3, 2))
+    cells, cplx = build_cell_complex(basis), ps_complex(basis)
+    v = len(basis) if outside == "past-the-end" else -1
+    edge = cells.cells[1][0]
+    bad = _with_cell(cells, 1, 0, vertices=edge.vertices + (v,))
+    want = ["cell %r has vertices outside the basis: [%d]"
+            % (edge.key(), v)]
+    assert supports_check(bad, cplx).failures == want
+    assert reference_supports_check(bad, cplx).failures == want
+
+
 def test_supports_check_rejects_a_label_without_quotient(ideal_a):
     basis = pommaret_basis(ideal_a)
     cells = build_cell_complex(basis)

@@ -498,19 +498,19 @@ def test_verify_builds_the_matching_once(tmp_path, capsys, monkeypatch):
 
 def test_verify_checks_the_matching_once(tmp_path, capsys, monkeypatch):
     # minimize checks the matching V on the symbol complex before it
-    # cancels a pair; the matching-valid line reports that check, and the
-    # Taylor route of betti-vs-oracle runs no reducer, so no matching
+    # evaluates a flow (the unit and acyclicity test of is_morse_matching,
+    # whose walk also orders the flows); the matching-valid line reports
+    # that check, and the Taylor route of betti-vs-oracle runs no reducer,
+    # so no matching
     import pommaret.morse
     calls = []
-    check = pommaret.morse.is_morse_matching
+    check = pommaret.morse._orders
 
     def counting_check(cplx, matching):
         calls.append(cplx.provenance)
         return check(cplx, matching)
 
-    monkeypatch.setattr(pommaret.morse, "is_morse_matching", counting_check)
-    monkeypatch.setattr(cli, "is_morse_matching", counting_check,
-                        raising=False)
+    monkeypatch.setattr(pommaret.morse, "_orders", counting_check)
     path = write(tmp_path, "b.ideal", B_TEXT)
     assert cli.main(["verify", path]) == 0
     out = capsys.readouterr().out

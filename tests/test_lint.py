@@ -148,12 +148,11 @@ def test_arity_checked_where_a_complex_is_built():
 
 def test_reducer_and_kernel_carry_coefficients_only():
     """Every complex is proven multigraded when it is built and stores
-    coefficients alone, so the Morse reducer's cancellation and
-    compaction and the d o d = 0 kernel read no exponent tuple: they
-    build, add, subtract and compare none, unpack no (coeff, exps) entry
-    and read no multidegree."""
-    targets = {("morse.py", "cancel"), ("morse.py", "_set"),
-               ("morse.py", "compact"),
+    coefficients alone, so the Morse reducer's flows and sums and the
+    d o d = 0 kernel read no exponent tuple: they build, add, subtract
+    and compare none, unpack no (coeff, exps) entry and read no
+    multidegree."""
+    targets = {("morse.py", "_cancel_matching"), ("morse.py", "_add_scaled"),
                ("resolution.py", "composite_terms")}
     tuple_ops = {"add", "sub", "map", "tuple", "zip", "any", "all"}
     seen = set()
@@ -191,7 +190,7 @@ def test_betti_route_runs_no_reducer():
     targets = {("cli.py", "_cmd_betti"), ("verify.py", "scalar_betti"),
                ("verify.py", "homological_invariants"),
                ("verify.py", "oracle_betti")}
-    banned = {"minimize", "morse", "_Reducer"}
+    banned = {"minimize", "morse", "_cancel_matching", "_add_scaled"}
     seen = set()
     found = []
     for path, node in _package_nodes():
@@ -218,8 +217,10 @@ def test_integers_only_and_one_reduction_path():
     """Every coefficient is an ``int`` and every pivot +-1, so no module
     imports ``fractions``; and ``minimize`` is the one reduction path:
     ``morse`` defines neither a sweep for leftover units (``least_unit``)
-    nor a second entry point (``morse_reduce``).  Each fact is proved once:
-    the reduced complex lists its own units, and ``compact`` checks
+    nor a second entry point (``morse_reduce``), and the sum over gradient
+    paths has no eliminating reducer beside it (``_Reducer``, with its
+    ``cancel``, ``_set`` and ``compact``).  Each fact is proved once: the
+    reduced complex lists its own units, and ``_cancel_matching`` checks
     d o d = 0 on all of it, so no scan for units (``unit_classes``) or
     check of changed columns (``_local_check``) comes back."""
     found = []
@@ -229,9 +230,11 @@ def test_integers_only_and_one_reduction_path():
                 or isinstance(node, ast.ImportFrom)
                 and node.module == "fractions"
                 or path.name == "morse.py"
-                and isinstance(node, ast.FunctionDef)
+                and isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and node.name in ("least_unit", "morse_reduce",
-                                  "unit_classes", "_local_check")):
+                                  "unit_classes", "_local_check",
+                                  "_Reducer", "cancel", "_set",
+                                  "compact")):
             found.append("%s:%d" % (path.name, node.lineno))
     assert not found
 

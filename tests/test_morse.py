@@ -1,14 +1,15 @@
 import gc
 import random
+import traceback
 from operator import add
 
 import pytest
 
 import pommaret.morse
 from helpers import (REPRODUCERS, delta_map, positive_dimensional_ideals,
-                     random_ideal, random_stable, reference_has_cycle,
-                     reference_match, reference_matching_V, short_v_args,
-                     variable)
+                     random_ideal, random_stable, reference_cancel,
+                     reference_has_cycle, reference_match,
+                     reference_matching_V, short_v_args, variable)
 from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
                       Symbol, betti_table, build_matching_V, cli,
                       is_morse_matching, minimize, oracle_betti,
@@ -17,7 +18,7 @@ from pommaret import (FreeComplex, Gen, Matching, MonomialIdeal, Pair, Ring,
 from pommaret.errors import (ArityMismatch, BrokenInvariant, NonUnitPair,
                              NotAMorseMatching, NotMinimal, NotPSComplex)
 from pommaret.monomials import Monomial
-from pommaret.morse import _cancel_matching, _has_cycle, _Reducer
+from pommaret.morse import _cancel_matching, _kahn_order
 
 
 def _reduce(cplx, pairs, trace=False):
@@ -154,8 +155,21 @@ def _random_matchings(edges, rng, count):
     return out
 
 
+def _assert_kahn_order(cplx, matching, level, order):
+    """order lists every matched column of d_level once, each before the
+    source of every other matched row of its column."""
+    partner = {p.target: p.source for p in matching.pairs
+               if p.level == level}
+    assert sorted(order) == sorted(partner.values())
+    place = {s: i for i, s in enumerate(order)}
+    for s in order:
+        for row in cplx.diffs[level].get(s, {}):
+            if row in partner and partner[row] != s:
+                assert place[s] < place[partner[row]]
+
+
 def test_matched_column_acyclicity_matches_the_full_digraph():
-    # _has_cycle builds its digraph on the matched columns alone; the
+    # _kahn_order builds its digraph on the matched columns alone; the
     # reference searches the whole digraph of both degrees.  Besides V, the
     # matchings run along random unit entries, or along random entries of
     # any multidegree, so that pairs join different classes too
@@ -180,8 +194,13 @@ def test_matched_column_acyclicity_matches_the_full_digraph():
     for cplx, matchings in cases:
         for matching in matchings:
             for level in range(1, cplx.length + 1):
-                got = _has_cycle(cplx, matching, level)
+                order = _kahn_order(cplx, matching, level)
+                got = order is None
                 assert got == reference_has_cycle(cplx, matching, level)
+                if order is not None:
+                    # every matched column once, each before those it
+                    # reaches: the order the flows are evaluated in reverse
+                    _assert_kahn_order(cplx, matching, level, order)
                 verdicts.append(got)
                 cross_class_cycles += got and any(
                     p.level == level and cplx.classes[level][p.source]
@@ -203,19 +222,24 @@ def test_morse_matching_rejects_non_unit(ideal_a):
 
 
 def test_reducer_refuses_non_unit_pair(ideal_a):
+    # an entry with a monomial factor fails the matching test before any
+    # flow is evaluated; between equal multidegrees, an entry is a pivot
+    # only when it is +-1
     cplx = ps_complex(pommaret_basis(ideal_a))
     lookup = {g.key: i for i, g in enumerate(cplx.levels[1])}
-    reducer = _Reducer(cplx)
-    with pytest.raises(NonUnitPair):
-        reducer.cancel(Pair(1, lookup[Symbol(2, (2,))], 3, 2))
-    # an entry between equal multidegrees is a pivot only when it is +-1
+    with pytest.raises(NotAMorseMatching):
+        _reduce(cplx, [Pair(1, lookup[Symbol(2, (2,))], 3, 2)])
     toy = _toy_two_cycle()
     doubled = FreeComplex(toy.ring, toy.ideal, toy.levels,
                           [None, {0: {0: 2, 1: -2}, 1: {0: 1, 1: -1}}],
                           "custom")
+    assert is_morse_matching(doubled, [Pair(1, 0, 0, 0)])
     with pytest.raises(NonUnitPair, match="not a unit entry of"):
-        _Reducer(doubled).cancel(Pair(1, 0, 0, 0))
-    _Reducer(doubled).cancel(Pair(1, 1, 1, 0))
+        _reduce(doubled, [Pair(1, 0, 0, 0)])
+    # d a = 2 b - 2 b' = 2 b - 2 b once b' flows to b
+    reduced = _reduce(doubled, [Pair(1, 1, 1, 0)])
+    assert reduced.ranks() == (1, 1)
+    assert list(reduced.entries(1)) == []
 
 
 def test_cancel_toy_pair():
@@ -260,76 +284,80 @@ def test_reduce_bookkeeping():
             assert got == want
 
 
+class _TermMutant:
+    """morse._add_scaled, patched so that the k-th term it adds, counted
+    over one ``run``, is dropped or has 1 added; ``seen`` counts the
+    terms."""
+
+    def __init__(self, monkeypatch):
+        self.k, self.mode, self.seen = 0, None, 0
+        monkeypatch.setattr(pommaret.morse, "_add_scaled", self.add_scaled)
+
+    def add_scaled(self, acc, scale, terms):
+        for row, value in terms.items():
+            self.seen += 1
+            hit = self.seen == self.k
+            if not (hit and self.mode == "drop"):
+                acc[row] = acc.get(row, 0) + scale * value + hit
+
+    def run(self, cplx, k=0, mode=None):
+        """minimize(cplx)'s JSON with the k-th term mutated (k = 0: none),
+        or the BrokenInvariant it raised."""
+        self.k, self.mode, self.seen = k, mode, 0
+        try:
+            return minimize(cplx).to_json_dict()
+        except BrokenInvariant as exc:
+            return exc
+
+
 @pytest.mark.parametrize("level", [1, 2])
 def test_step_check_catches_a_dropped_correction(ideal_b, monkeypatch,
                                                  level):
-    # losing the first fill-in entry of a level: at level 1 it reaches the
-    # result, and compact's d o d = 0 check over every column raises; at
-    # level 2 a later cancellation erases it, and the result is the
-    # undamaged one
+    # dropping one term of a flow or of a Morse column: _cancel_matching's
+    # d o d = 0 check over every column of the result raises, naming the
+    # level it broke, or the term never reaches the result (it falls in a
+    # flow that no critical column reads, directly or through another
+    # flow); a dropped term is caught at each level of ideal_b's complex
     cplx = ps_complex(pommaret_basis(ideal_b))
-    want = minimize(cplx).to_json_dict()
-    set_entry = _Reducer._set
-    dropped = []
-
-    def dropping_set(self, lvl, col, row, coeff):
-        if lvl == level and not dropped:
-            dropped.append((col, row))
-            return
-        set_entry(self, lvl, col, row, coeff)
-
-    monkeypatch.setattr(_Reducer, "_set", dropping_set)
-    if level == 1:
-        with pytest.raises(BrokenInvariant) as info:
-            minimize(cplx)
-        assert "compact" in [entry.name for entry in info.traceback]
-    else:
-        assert minimize(cplx).to_json_dict() == want
-    assert dropped
+    mutant = _TermMutant(monkeypatch)
+    want = mutant.run(cplx)
+    outcomes = [mutant.run(cplx, k, "drop")
+                for k in range(1, mutant.seen + 1)]
+    assert len(outcomes) == 30
+    caught = [exc for exc in outcomes if isinstance(exc, BrokenInvariant)]
+    assert len(outcomes) - len(caught) == outcomes.count(want) == 3
+    for exc in caught:
+        frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+        assert frames[-1] == "_cancel_matching"
+    assert any("at level %d col" % level in str(exc) for exc in caught)
 
 
-@pytest.mark.parametrize("case, stride", [("ideal_b", 1), ("completed", 6)])
+@pytest.mark.parametrize("case", ["ideal_b", "completed"])
 def test_every_defect_that_changes_the_result_is_caught(ideal_b, monkeypatch,
-                                                        case, stride):
-    # the k-th fill-in entry is dropped, or its coefficient is off by one:
-    # minimize must raise, or the defect must not reach the result (a later
-    # cancellation can erase it before the check of its level runs)
+                                                        case):
+    # every term of every flow and Morse column, in turn, is dropped or
+    # off by one: minimize must raise, or the defect must not reach the
+    # result (a flow no critical column reads, or the cancellation of V
+    # alone where V is completed and cancelled again from the start)
     if case == "ideal_b":
         cplx = ps_complex(pommaret_basis(ideal_b))
     else:
         cplx = ps_complex(pommaret_basis(random_quasi_stable(2520, 5, 4, 6)))
     v = build_matching_V(cplx)
-    set_entry = _Reducer._set
-    calls = [0]
-    mutate = [None, None]  # k, "drop" or "plus1"
-
-    def mutated_set(self, level, col, row, coeff):
-        calls[0] += 1
-        if calls[0] == mutate[0]:
-            if mutate[1] == "drop":
-                return
-            coeff += 1
-        set_entry(self, level, col, row, coeff)
-
-    monkeypatch.setattr(_Reducer, "_set", mutated_set)
-    reduced = minimize(cplx)
-    # V alone, or V completed and cancelled again from the start
-    assert (reduced.matching.pairs == v.pairs) == (case == "ideal_b")
-    want = reduced.to_json_dict()
-    total = calls[0]
+    assert (minimize(cplx).matching.pairs == v.pairs) == (case == "ideal_b")
+    mutant = _TermMutant(monkeypatch)
+    want = mutant.run(cplx)
+    total = mutant.seen
+    escaped = []
     raised = 0
     for mode in ("drop", "plus1"):
-        # counted from the end, so the cancellation of the completed
-        # matching is hit too
-        for k in range(total, 0, -stride):
-            calls[0] = 0
-            mutate[:] = k, mode
-            try:
-                got = minimize(cplx).to_json_dict()
-            except BrokenInvariant:
+        for k in range(1, total + 1):
+            got = mutant.run(cplx, k, mode)
+            if isinstance(got, BrokenInvariant):
                 raised += 1
-                continue
-            assert got == want, (mode, k)
+            elif got != want:
+                escaped.append((mode, k))
+    assert escaped == []
     assert raised
 
 
@@ -501,9 +529,9 @@ def test_a_unit_left_by_the_completion_is_an_error(tmp_path, capsys,
     grown = set(minimize(cplx).matching.pairs) - set(
         build_matching_V(cplx).pairs)
     refused = min(grown, key=lambda p: (p.level, p.source))
-    monkeypatch.setattr(pommaret.morse, "_has_cycle",
-                        lambda c, m, level: refused in m.pairs
-                        or _has_cycle(c, m, level))
+    monkeypatch.setattr(pommaret.morse, "_kahn_order",
+                        lambda c, m, level: None if refused in m.pairs
+                        else _kahn_order(c, m, level))
     with pytest.raises(NotMinimal, match="survive the completed matching"):
         minimize(cplx)
 
@@ -523,11 +551,11 @@ def test_a_flip_is_tested_only_where_it_can_close_a_cycle(monkeypatch):
     tried = {}  # id -> [matching, whether a cycle was found]
 
     def spy(cplx, matching, level):
-        found = _has_cycle(cplx, matching, level)
-        tried.setdefault(id(matching), [matching, False])[1] |= found
-        return found
+        order = _kahn_order(cplx, matching, level)
+        tried.setdefault(id(matching), [matching, False])[1] |= order is None
+        return order
 
-    monkeypatch.setattr(pommaret.morse, "_has_cycle", spy)
+    monkeypatch.setattr(pommaret.morse, "_kahn_order", spy)
     flips = []
     for args in calls:
         tried.clear()
@@ -558,9 +586,10 @@ def test_completion_leaves_no_garbage():
 
 def test_cancelling_lowest_level_first_gives_the_same_complex(ideal_b):
     # V leaves unit entries in its result on every reproducer and on no
-    # other case, and minimize completes it there; each matching cancelled
-    # lowest level first, so that each source row one level up dies with
-    # its pair, gives the same complex as highest level first
+    # other case, and minimize completes it there; the matching minimize
+    # ends with, eliminated one pair at a time by the reference, highest
+    # level first or lowest level first (so that each source row one
+    # level up dies with its pair), gives minimize's complex
     cases = [ps_complex(pommaret_basis(ideal_b))]
     cases += [ps_complex(pommaret_basis(random_quasi_stable(*args)))
               for args in REPRODUCERS]
@@ -571,11 +600,10 @@ def test_cancelling_lowest_level_first_gives_the_same_complex(ideal_b):
     reduced = [minimize(cplx) for cplx in cases]
     assert [len(r.matching) for r in reduced] == [18, 158, 79, 72, 80, 166]
     for cplx, r in zip(cases, reduced):
-        reducer = _Reducer(cplx)
-        for pair in sorted(r.matching.pairs,
-                           key=lambda p: (p.level, p.source)):
-            reducer.cancel(pair)
-        assert reducer.compact(r.matching).to_json_dict() == r.to_json_dict()
+        for order in (lambda p: (-p.level, p.source),
+                      lambda p: (p.level, p.source)):
+            assert (reference_cancel(cplx, r.matching, order).to_json_dict()
+                    == r.to_json_dict())
 
 
 def test_minimize_preserves_multidegrees():
