@@ -23,13 +23,13 @@ indices, which ``Cell.vertices`` holds as a sorted tuple.
 
 ``supports_check`` reads cell j of dimension i with generator j of level i
 of a symbol complex, and a facet by its position one dimension down.  It
-tests vertices as bitmasks and, where a label is proven equal to its
-generator's multidegree, lcms and divisibility on the complex's
-multidegree codes.
+tests vertices as bitmasks, lcms and divisibility on the complex's
+multidegree codes, and each boundary sign exactly: d_i is (-1)^i times the
+boundary, both signed by ``symbol_facets``.
 """
 
 from functools import reduce
-from operator import le, or_
+from operator import or_
 
 from .errors import MismatchedBases, TauNotNonMultiplicative
 from .monomials import times_var
@@ -161,14 +161,8 @@ def _make_cell(basis, memo, alpha, tau):
         low = mask & -mask
         verts.append(low.bit_length() - 1)
         mask ^= low
-    boundary = []
-    for j, (face, rewritten) in enumerate(symbol_facets(basis, alpha, tau)):
-        sign = 1 if j % 2 else -1
-        boundary.append((face, sign))
-        if rewritten is not None:
-            boundary.append((rewritten, -sign))
     return Cell(alpha, tau, symbol_multidegree(basis, alpha, tau),
-                tuple(verts), boundary)
+                tuple(verts), list(symbol_facets(basis, alpha, tau)))
 
 
 def supports_check(cellcomplex, cplx):
@@ -179,23 +173,24 @@ def supports_check(cellcomplex, cplx):
     of dimension i is generator j of level i, and a facet is found by its
     position one dimension down; a boundary entry naming anything else is
     not a cell.  Labels are compared with the generator multidegrees,
-    which fix every entry's monomial, and with the lcm of their vertices.
-    Each boundary is compared with its column of d row by row (a vertex's
-    column is empty), and a per-generator sign choice reconciling every
-    entry with its boundary sign is searched for.  Value mismatches, a
-    facet label that does not divide its cell's among them, are returned
-    as failure strings, by dimension and then in symbol order.  So is a
-    vertex outside ``0 <= v < len(basis)``: its cell skips the lcm and
-    own-vertex tests, and facet containment sees its other vertices.
+    which fix every entry's monomial, and level 0's multidegrees with the
+    basis elements.  Each boundary is compared with its column of d
+    entry by entry (a vertex's column is empty): d_i = (-1)^i times the
+    boundary, so the entry of cell j of dimension i at facet row r with
+    sign s must be exactly (-1)^i * s, and no facet may appear twice.
+    Value mismatches, a facet label that does not divide its cell's among
+    them, are returned as failure strings, by dimension and then in symbol
+    order.  So is a vertex outside ``0 <= v < len(basis)``: its cell skips
+    the lcm and own-vertex tests, and facet containment sees its other
+    vertices.
 
     Each cell's vertices are read into a bitmask once, so the own-vertex
-    test and facet containment (``f & ~m == 0``) are bit tests.  A label
-    proven equal to its generator's multidegree is stood for by that
-    generator's code (``FreeComplex.classes``): the lcm of the vertices
-    is then the OR of their level-0 codes, once level 0 is proven to hold
-    the basis elements, and a facet divides its cell iff ``f & ~c == 0``
-    for their codes.  Where a label disagrees, these tests run on the
-    exponent tuples, so the failures do not depend on the route.
+    test and facet containment (``f & ~m == 0``) are bit tests.  Past the
+    label tests a label is stood for by its generator's code
+    (``FreeComplex.classes``): the lcm of the vertices is the OR of their
+    level-0 codes, and a facet divides its cell iff ``f & ~c == 0`` for
+    their codes.  A wrong label fails its own test, so these tests need
+    no second route.
     """
     basis = cellcomplex.basis
     if cplx.basis is not basis and (
@@ -209,31 +204,29 @@ def supports_check(cellcomplex, cplx):
     if keys != [[g.key for g in level] for level in cplx.levels]:
         raise MismatchedBases("cells and symbols do not biject")
 
-    elements = basis.elements
     text = basis.ring.text
-    bit = [1 << u for u in range(len(elements))]
-    inside = range(len(elements))  # the vertex indices
-    # vertex u reads the code of generator u of level 0 when the level's
-    # multidegrees are the basis elements in order; else every lcm is
-    # taken on tuples
-    level0 = [g.multidegree for g in cplx.levels[0]] if cplx.levels else []
-    vcodes = cplx.classes[0] if level0 == list(elements) else None
     failures = []
     fail = failures.append
-    # one node per generator, numbered through the dimensions; an edge
-    # carries the product of an entry of d and its boundary sign
-    adjacency = [[] for layer in cellcomplex.cells for _ in layer]
+    # vertex u reads the code of generator u of level 0, which stands for
+    # basis element u once the multidegrees are the basis
+    level0 = cplx.levels[0] if cplx.levels else ()
+    if [g.multidegree for g in level0] != list(basis.elements):
+        fail("level 0 of the free complex is not the basis")
+    vcodes = cplx.classes[0] if level0 else ()
+    bit = [1 << u for u in range(len(vcodes))]
+    inside = range(len(vcodes))  # the vertex indices
     below = below_masks = below_codes = ()
-    position, base = {}, 0
+    position = {}
     for i, (layer, level) in enumerate(zip(cellcomplex.cells, cplx.levels)):
-        masks, codes = [], []
+        masks = []
+        column_of = cplx.diffs[i] if i else {}
+        flip = (-1) ** i
         for j, (key, cell, gen, code) in enumerate(zip(
                 keys[i], layer, level, cplx.classes[i])):
             label = cell.label
             vertices = cell.vertices
             if gen.multidegree != label:
                 fail("label of %r is not the symbol multidegree" % (key,))
-                code = None  # the code stands for the label only if equal
             if vertices and (min(vertices) not in inside
                              or max(vertices) not in inside):
                 # no lcm or own-vertex test: the mask that its facets and
@@ -243,38 +236,31 @@ def supports_check(cellcomplex, cplx):
                 mask = reduce(or_, (bit[v] for v in vertices if v in inside),
                               0)
             else:
-                if code is not None and vcodes is not None and vertices:
-                    lcm_differs = reduce(or_, map(vcodes.__getitem__,
-                                                  vertices)) != code
-                else:
-                    lcm_differs = label != tuple(
-                        map(max, zip(*[elements[v] for v in vertices])))
-                if lcm_differs:
+                if reduce(or_, map(vcodes.__getitem__, vertices), 0) != code:
                     fail("label of %r is not the lcm of its vertices"
                          % (key,))
                 mask = reduce(or_, map(bit.__getitem__, vertices), 0)
                 if not mask >> cell.alpha & 1:
                     fail("cell %r does not contain its own vertex" % (key,))
             masks.append(mask)
-            codes.append(code)
             rows = {}
             for fkey, sign in cell.boundary:
                 row = position.get(fkey)
-                rows[row] = sign  # no column has a row None
                 if row is None:
                     fail("facet %r of %r is not a cell" % (fkey, key))
+                    rows[None] = sign  # no column has a row None
                     continue
-                facet, fcode = below[row], below_codes[row]
-                if code is None or fcode is None:
-                    apart = not all(map(le, facet.label, label))
-                else:
-                    apart = fcode & ~code
-                if apart:
+                if row in rows:
+                    fail("facet %r appears twice in the boundary of %r"
+                         % (fkey, key))
+                    continue
+                rows[row] = sign
+                if below_codes[row] & ~code:
                     fail("facet label %s does not divide %s of %r" % (
-                        text(facet.label), text(label), key))
+                        text(below[row].label), text(label), key))
                 if below_masks[row] & ~mask:
                     fail("facet %r has vertices outside %r" % (fkey, key))
-            column = cplx.diffs[i].get(j, {}) if i else {}
+            column = column_of.get(j, {})
             if rows.keys() != column.keys():
                 fail("support of %r differs from d-entries" % (key,))
                 continue
@@ -283,34 +269,9 @@ def supports_check(cellcomplex, cplx):
                 if abs(c) != 1:
                     fail("entry coefficient at %r -> %r is not a sign"
                          % (key, keys[i - 1][row]))
-                    continue
-                far = base - len(below) + row
-                adjacency[base + j].append((far, c * sign))
-                adjacency[far].append((base + j, c * sign))
-        below, below_masks, below_codes = layer, masks, codes
+                elif c != flip * sign:
+                    fail("boundary sign at %r -> %r is not (-1)^%d times "
+                         "its d-entry" % (key, keys[i - 1][row], i))
+        below, below_masks, below_codes = layer, masks, cplx.classes[i]
         position = dict(zip(keys[i], range(len(layer))))
-        base += len(layer)
-    if not _two_colourable(adjacency):
-        fail("no per-generator sign choice matches the boundary")
     return ComplexReport(not failures, failures)
-
-
-def _two_colourable(adjacency):
-    """Whether signs s of the nodes exist with s[a] = q * s[b] on every
-    edge (a, b, q) of the adjacency lists."""
-    sign = [0] * len(adjacency)
-    for root in range(len(adjacency)):
-        if sign[root]:
-            continue
-        sign[root] = 1
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            for other, q in adjacency[cur]:
-                want = q * sign[cur]
-                if not sign[other]:
-                    sign[other] = want
-                    stack.append(other)
-                elif sign[other] != want:
-                    return False
-    return True

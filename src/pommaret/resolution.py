@@ -6,7 +6,9 @@ sends [h, u] to an alternating sum over the variables of u; extracting u_j
 leaves a multiplicative copy x_{u_j}[h, u \\ u_j] minus the rewritten copy
 t[h', u \\ u_j] with x_{u_j} h = t h' the involutive decomposition.  Terms
 whose rewritten symbol is not legal (u \\ u_j meets the multiplicative
-variables of h') are dropped.
+variables of h') are dropped.  ``symbol_facets`` yields the terms with
+their cell-boundary signs, (-1)^j on x_{u_j}[h, u \\ u_j] for j = 1..i, and
+d_i is (-1)^i times that boundary.
 
 For stable ideals the minimal generators are the basis and the same
 construction is the classical minimal resolution with signs
@@ -259,21 +261,28 @@ def ps_generators(basis, i):
 
 
 def symbol_facets(basis, alpha, u):
-    """For each variable x_k of u, in order: ((alpha, rest), rewritten)
-    with rest = u minus k and x_k h_alpha = t h_beta.  ``rewritten`` is
-    (beta, rest), or None when rest meets the multiplicative variables
-    x_1..x_cls(h_beta) of h_beta and the rewritten term is dropped; u is
-    increasing, so that is when rest[0] <= cls(h_beta).  This is the one
-    place that holds the dropped-term rule.  The entry monomials x_k and
-    t are (alpha, u)'s multidegree over the facets', so they are not
+    """The signed boundary terms of [h_alpha, u], as (key, sign) pairs.
+    For each variable x_k of u, in order, with rest = u minus k and
+    x_k h_alpha = t h_beta: the face (alpha, rest), then the rewritten
+    term (beta, rest) with the opposite sign, or nothing when rest meets
+    the multiplicative variables x_1..x_cls(h_beta) of h_beta and the
+    rewritten term is dropped; u is increasing, so that is when rest[0]
+    <= cls(h_beta).  The face of the j-th variable of u, j = 1..|u|, has
+    sign (-1)^j.  This is the one place that holds the dropped-term rule
+    and the boundary signs: the cells keep the signs, and ``ps_complex``
+    multiplies them by (-1)^i at level i.  The entry monomials x_k and t
+    are (alpha, u)'s multidegree over the facets', so they are not
     yielded."""
     classes = basis.classes
     delta = basis.delta
+    sign = -1
     for j, k in enumerate(u):
         rest = u[:j] + u[j + 1:]
+        yield (alpha, rest), sign
         beta = delta[(alpha, k)]
-        legal = not rest or rest[0] > classes[beta]
-        yield (alpha, rest), (beta, rest) if legal else None
+        if not rest or rest[0] > classes[beta]:
+            yield (beta, rest), -sign
+        sign = -sign
 
 
 def expected_ranks(basis):
@@ -294,8 +303,9 @@ def ps_complex(basis):
     Each level is built in one sweep over the symbols in
     ``ps_generators``' order: [h, u] has multidegree h times the
     variables of u, and its column of d takes the terms of
-    ``symbol_facets`` with signs alternating from (-1)^(i-1).  A term
-    that is no symbol one level down raises NotAComplex."""
+    ``symbol_facets``, each sign times (-1)^i: d_i is (-1)^i times the
+    cells' boundary.  A term that is no symbol one level down raises
+    NotAComplex."""
     n = basis.ring.n
     levels = []
     diffs = []
@@ -304,7 +314,7 @@ def ps_complex(basis):
         level = []
         index = {}
         cols = {}
-        first = -1 if i % 2 == 0 else 1
+        flip = (-1) ** i
         for alpha, (h, c) in enumerate(zip(basis.elements, basis.classes)):
             for u in combinations(range(c + 1, n + 1), i):
                 key = Symbol(alpha, u)
@@ -314,13 +324,9 @@ def ps_complex(basis):
                     exps[k - 1] += 1
                 level.append(Gen(key, tuple(exps)))
                 column = cols[j] = {}
-                sign = first
                 try:
-                    for face, rewritten in symbol_facets(basis, alpha, u):
-                        column[below[face]] = sign
-                        if rewritten is not None:
-                            column[below[rewritten]] = -sign
-                        sign = -sign
+                    for face, sign in symbol_facets(basis, alpha, u):
+                        column[below[face]] = flip * sign
                 except KeyError as missing:
                     raise NotAComplex("d_%d has row %r outside F_%d" % (
                         i, missing.args[0], i - 1)) from None

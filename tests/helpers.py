@@ -210,13 +210,14 @@ def reference_scalar_betti(cplx):
 
 
 def reference_supports_check(cellcomplex, cplx):
-    """Reference ``supports_check``: the check as it was before it read
-    cells by position.  It sorts every cell by key, finds each facet
-    through a key map of all cells, whatever their dimension, and rebuilds
-    every column of d keyed by symbol.  Apart from that local key map the
-    body is the old one, but for a vertex outside the basis: a failure
-    string, where the old body raised IndexError or read a negative index
-    from the end."""
+    """Reference ``supports_check``, by key and on exponent tuples.  It
+    sorts every cell by key, finds each facet through a key map of all
+    cells, whatever their dimension, and rebuilds every column of d keyed
+    by symbol.  Labels are compared with the generator multidegrees, and
+    level 0's with the basis elements; each lcm of vertices and each
+    facet division is taken on the generator multidegrees.  A boundary
+    entry of a cell of dimension i with sign s must meet the entry
+    (-1)^i * s of d, and names its facet once."""
     lookup = {c.key(): c for layer in cellcomplex.cells for c in layer}
     basis = cellcomplex.basis
     if cplx.basis is not basis and (
@@ -231,8 +232,13 @@ def reference_supports_check(cellcomplex, cplx):
         raise MismatchedBases("cells and symbols do not biject")
 
     text = basis.ring.text
-    inside = set(range(len(basis.elements)))  # the indices of vertices
+    multidegree = {g.key: g.multidegree
+                   for level in cplx.levels for g in level}
+    vertex = {g.key.alpha: g.multidegree for g in cplx.levels[0]}
+    inside = set(vertex)
     failures = []
+    if vertex != dict(enumerate(basis.elements)):
+        failures.append("level 0 of the free complex is not the basis")
     for key, cell, gen in sorted(
             (cell.key(), cell, gen)
             for layer, level in zip(cellcomplex.cells, cplx.levels)
@@ -244,69 +250,54 @@ def reference_supports_check(cellcomplex, cplx):
             failures.append("cell %r has vertices outside the basis: %r"
                             % (key, outside))
         else:
-            lcm = basis.elements[cell.vertices[0]]
-            for v in cell.vertices[1:]:
-                lcm = tuple(map(max, lcm, basis.elements[v]))
-            if lcm != cell.label:
+            top = (0,) * basis.ring.n
+            for v in cell.vertices:
+                top = lcm(top, vertex[v])
+            if top != multidegree[key]:
                 failures.append("label of %r is not the lcm of its vertices"
                                 % (key,))
             if cell.alpha not in cell.vertices:
                 failures.append("cell %r does not contain its own vertex"
                                 % (key,))
+        seen = set()
         for (fkey, _sign) in cell.boundary:
             facet = lookup.get(fkey)
             if facet is None:
                 failures.append("facet %r of %r is not a cell" % (fkey, key))
                 continue
-            if not all(map(le, facet.label, cell.label)):
+            if fkey in seen:
+                failures.append("facet %r appears twice in the boundary of %r"
+                                % (fkey, key))
+                continue
+            seen.add(fkey)
+            if not divides(multidegree[fkey], multidegree[key]):
                 failures.append("facet label %s does not divide %s of %r"
                                 % (text(facet.label), text(cell.label), key))
             if not set(facet.vertices) & inside <= set(cell.vertices):
                 failures.append("facet %r has vertices outside %r"
                                 % (fkey, key))
 
-    # boundary entries and differential entries must agree up to one sign
-    # per generator: 2-colour the incidence graph
-    edges = {}
+    # d_i is (-1)^i times the boundary, entry by entry
     for i, layer in enumerate(cellcomplex.cells[1:], start=1):
         for col, cell in enumerate(layer):
             key = cell.key()
-            centries = {fkey: s for fkey, s in cell.boundary}
-            dentries = {cplx.levels[i - 1][row].key: (row, c)
+            centries = {}
+            for fkey, s in cell.boundary:
+                centries.setdefault(fkey, s)
+            dentries = {cplx.levels[i - 1][row].key: c
                         for row, c in cplx.diffs[i].get(col, {}).items()}
             if set(centries) != set(dentries):
                 failures.append("support of %r differs from d-entries" % (key,))
                 continue
             for fkey, s in centries.items():
-                row, c = dentries[fkey]
+                c = dentries[fkey]
                 if abs(c) != 1:
                     failures.append("entry coefficient at %r -> %r is not "
                                     "a sign" % (key, fkey))
-                    continue
-                edges[((i, col), (i - 1, row))] = c * s
-    adjacency = {}
-    for (a, b), q in edges.items():
-        adjacency.setdefault(a, []).append((b, q))
-        adjacency.setdefault(b, []).append((a, q))
-    sign = {}
-    ok_signs = True
-    for root in sorted(adjacency):
-        if root in sign:
-            continue
-        sign[root] = 1
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            for other, q in adjacency[cur]:
-                want = q * sign[cur]
-                if other in sign:
-                    if sign[other] != want:
-                        ok_signs = False
-                else:
-                    sign[other] = want
-                    stack.append(other)
-    if not ok_signs:
-        failures.append("no per-generator sign choice matches the boundary")
+                elif c != (-1) ** i * s:
+                    failures.append("boundary sign at %r -> %r is not "
+                                    "(-1)^%d times its d-entry"
+                                    % (key, fkey, i))
     return ComplexReport(not failures, failures)
 
 

@@ -1,14 +1,15 @@
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import gt, le
 
 import pytest
 
 import pommaret.cellular
 from helpers import (lcm, positive_dimensional_ideals, random_ideal,
-                     reference_cells_doc, reference_supports_check)
-from pommaret import (Cell, CellComplex, FreeComplex, MonomialIdeal,
+                     random_stable, reference_cells_doc,
+                     reference_supports_check, times_var)
+from pommaret import (Cell, CellComplex, FreeComplex, Gen, MonomialIdeal,
                       PommaretBasis, Ring, build_cell_complex, chain_vertices,
                       cli, expected_ranks, pommaret_basis, ps_complex,
                       random_quasi_stable, supports_check, taylor_complex)
@@ -137,6 +138,42 @@ def test_walk_unions_on_positive_dimensional_ideals():
         assert cells.counts() == ps_complex(basis).ranks()
         _assert_cells_are_walk_unions(basis, cells)
     assert ds >= {2, 3}
+
+
+def _closed_form_vertices(basis, h, tau):
+    """{P(h x_J) : J a subset of tau} as sorted basis indices, with P(m)
+    the basis element that involutively divides m."""
+    found = set()
+    for size in range(len(tau) + 1):
+        for part in combinations(tau, size):
+            m = h
+            for k in part:
+                m = times_var(m, k)
+            found.add(basis.index(basis.involutive_divisor(m)))
+    return tuple(sorted(found))
+
+
+def test_cell_vertices_have_a_closed_form():
+    """The vertices of [h, tau] are {P(h x_J) : J a subset of tau}.  On a
+    stable ideal the basis is the minimal generators and P is the
+    Eliahou-Kervaire decomposition, so the cell is Mermin's
+    Eliahou-Kervaire cell (J. Commut. Algebra 2010)."""
+    stable = [random_stable(s) for s in range(40)]
+    ideals = stable + [
+        random_quasi_stable(s, 3 + s % 4, 3 + s % 4, 2 + s % 9)
+        for s in range(20)] + positive_dimensional_ideals()[:12]
+    cells = 0
+    for t, ideal in enumerate(ideals):
+        basis = pommaret_basis(ideal)
+        if t < len(stable):
+            assert sorted(basis.elements) == sorted(g.exps
+                                                    for g in ideal.gens)
+        for layer in build_cell_complex(basis).cells:
+            for c in layer:
+                assert c.vertices == _closed_form_vertices(
+                    basis, basis.elements[c.alpha], c.tau), (t, c.key())
+                cells += 1
+    assert cells > 10000
 
 
 def test_cells_need_no_walk_or_divisor_search(monkeypatch):
@@ -280,21 +317,20 @@ def test_supports_check_rejects_a_label_without_quotient(ideal_a):
     # it is a failure of the check, not an error of its input
     cell = cells.cells[1][0]
     cell.label = basis.elements[cell.alpha]
-    report = supports_check(cells, cplx)
-    assert not report.ok
-    text = basis.ring.text
     by_key = _by_key(cells)
     facets = [by_key[fkey].label for fkey, _ in cell.boundary]
-    wrong = [f for f in facets if not all(map(le, f, cell.label))]
-    assert wrong
-    for f in wrong:
-        assert "facet label %s does not divide %s of %r" % (
-            text(f), text(cell.label), cell.key()) in report.failures
+    assert [f for f in facets if not all(map(le, f, cell.label))]
+    # the division tests read the generators' codes, which the label
+    # test has tied the labels to: the wrong label fails once
+    report = supports_check(cells, cplx)
+    assert report.failures == [
+        "label of %r is not the symbol multidegree" % (cell.key(),)]
+    assert reference_supports_check(cells, cplx).failures == report.failures
 
 
 def test_supports_check_detects_sign_inconsistency(ideal_b):
-    # the entry [x^2, y] -> [x^2] sits on the 4-cycle through [x^2, yz]
-    # and [x^2, z], so flipping it alone cannot be absorbed by regauging
+    # d_1 is minus the boundary, so the flipped entry [x^2, y] -> [x^2]
+    # fails at that entry and nowhere else
     from pommaret import Symbol
     basis = pommaret_basis(ideal_b)
     cells = build_cell_complex(basis)
@@ -303,9 +339,46 @@ def test_supports_check_detects_sign_inconsistency(ideal_b):
     row = {g.key: i for i, g in enumerate(good.levels[0])}[Symbol(0, ())]
     diffs = _deep_diffs(good)
     diffs[1][col][row] = -diffs[1][col][row]
-    report = supports_check(cells, _copy_with_diffs(good, diffs))
-    assert not report.ok
-    assert any("sign choice" in f for f in report.failures)
+    bad = _copy_with_diffs(good, diffs)
+    want = ["boundary sign at %r -> %r is not (-1)^1 times its d-entry"
+            % ((0, (2,)), (0, ()))]
+    assert supports_check(cells, bad).failures == want
+    assert reference_supports_check(cells, bad).failures == want
+
+
+@pytest.mark.parametrize("flip", [1, -1], ids=["same-sign", "flipped"])
+def test_a_repeated_boundary_entry_is_a_failure(ideal_b, flip):
+    """A facet named twice in one boundary was let through when the two
+    entries agreed, since the boundary was read into a map by row; with
+    the repeat's sign flipped only the global sign search failed."""
+    basis = pommaret_basis(ideal_b)
+    cells, cplx = build_cell_complex(basis), ps_complex(basis)
+    key = (0, (2, 3))
+    j = [c.key() for c in cells.cells[2]].index(key)
+    boundary = cells.cells[2][j].boundary
+    fkey, sign = boundary[0]
+    bad = _with_cell(cells, 2, j, boundary=boundary + [(fkey, flip * sign)])
+    want = ["facet %r appears twice in the boundary of %r" % (fkey, key)]
+    assert supports_check(bad, cplx).failures == want
+    assert reference_supports_check(bad, cplx).failures == want
+
+
+def test_level_0_must_be_the_basis(ideal_b):
+    """The vertex codes are level 0's.  Lowering x^2 to x on level 0 and
+    on its vertex cell leaves every label, lcm and division test on codes
+    satisfied, so only the test of level 0 against the basis fails."""
+    basis = pommaret_basis(ideal_b)
+    cells, cplx = build_cell_complex(basis), ps_complex(basis)
+    u = basis.index((2, 0, 0))
+    lowered = (1, 0, 0)
+    levels = [list(level) for level in cplx.levels]
+    levels[0][u] = Gen(levels[0][u].key, lowered)
+    bad_cplx = FreeComplex(cplx.ring, cplx.ideal, levels, cplx.diffs,
+                           cplx.provenance, basis=basis)
+    bad_cells = _with_cell(cells, 0, u, label=lowered)
+    want = ["level 0 of the free complex is not the basis"]
+    assert supports_check(bad_cells, bad_cplx).failures == want
+    assert reference_supports_check(bad_cells, bad_cplx).failures == want
 
 
 def test_json_and_dot(ideal_b):
@@ -368,13 +441,19 @@ def _corruptions(rng, cells, cplx):
             del diffs[i][j][row]
         yield kind, cells, _copy_with_diffs(cplx, diffs), None
     # negating generator j of level i negates its column and its row of
-    # d_(i+1); one sign per generator absorbs that, so nothing fails
+    # d_(i+1): the same complex up to one sign per generator, but d_i is
+    # no longer (-1)^i times the boundary
     diffs = _deep_diffs(cplx)
     diffs[i][j] = {r: -c for r, c in diffs[i][j].items()}
     for up in diffs[i + 1].values() if i + 1 < len(diffs) else ():
         if j in up:
             up[j] = -up[j]
     yield "regauge", cells, _copy_with_diffs(cplx, diffs), None
+    # a repeated boundary entry, with its sign, was read once by row
+    i, j = pick(1)
+    boundary = layers[i][j].boundary
+    yield ("repeat", _with_cell(
+        cells, i, j, boundary=boundary + [rng.choice(boundary)]), cplx, None)
     i, j = pick(1)
     fkey = (len(cells.basis) + rng.randrange(3), ())
     yield ("foreign", _with_cell(
@@ -413,10 +492,10 @@ def _corruptions(rng, cells, cplx):
 
 def test_positional_check_matches_the_reference():
     """On a seeded corruption corpus the check by position and on codes
-    reaches the verdict and the failures of the old check by key on
-    tuples; a boundary entry naming a cell of another dimension now also
-    reads "is not a cell".  A wrong label, on a cell, a vertex or a facet,
-    hands its tests back to the tuples."""
+    reaches the verdict and the failures of the check by key on tuples;
+    a boundary entry naming a cell of another dimension also reads "is
+    not a cell".  Every corruption fails, a regauged complex among them:
+    its signs are exactly (-1)^i times the boundary's."""
     ideals = ([random_quasi_stable(s, 3 + s % 3, 2 + s % 2, 1 + s % 3)
                for s in range(100)] + positive_dimensional_ideals())
     kinds = set()
@@ -432,10 +511,10 @@ def test_positional_check_matches_the_reference():
             assert report.ok == ref.ok, (seed, kind)
             assert sorted(report.failures) == sorted(
                 ref.failures + ([extra] if extra else [])), (seed, kind)
-            assert report.ok == (kind == "regauge"), (seed, kind)
+            assert not report.ok, (seed, kind)
             kinds.add(kind)
             cases += 1
-    assert len(ideals) == 124 and len(kinds) == 11 and cases == 11 * 124
+    assert len(ideals) == 124 and len(kinds) == 12 and cases == 12 * 124
 
 
 def test_a_vertex_has_an_empty_boundary(ideal_a):

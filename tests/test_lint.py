@@ -94,15 +94,50 @@ def test_rewrite_map_read_only_where_it_is_built_or_walked():
     assert "resolution.py" in found
 
 
+def _sign_rules(tree):
+    """Line numbers of every ``% 2`` and every negation of a running
+    sign (``s = -s``, ``s *= -1``) under an AST node."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 2):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.UnaryOp)
+              and isinstance(node.value.op, ast.USub)
+              and isinstance(node.value.operand, ast.Name)
+              and node.value.operand.id in [getattr(t, "id", None)
+                                            for t in node.targets]):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.AugAssign)
+              and isinstance(node.op, ast.Mult)
+              and ast.unparse(node.value) == "-1"):
+            found.append(node.lineno)
+    return found
+
+
 def test_one_dropped_term_rule():
-    """``symbol_facets`` holds the rule that drops a rewritten term: the
-    symbol complex and the cells both call it, and no other function
-    reads the class of a rewrite target (``classes[beta]``)."""
+    """``symbol_facets`` holds the rule that drops a rewritten term and
+    the boundary signs: the symbol complex and the cells both call it, no
+    other function reads the class of a rewrite target
+    (``classes[beta]``), and neither the cells nor ``ps_complex`` makes a
+    sign of its own by parity (``% 2``) or a running negation.  The check
+    compares each sign exactly, so no sign search (``_two_colourable``)
+    is left in the package."""
     callers = set()
     readers = set()
+    signs = []
     for path, node in _package_nodes():
+        if isinstance(node, ast.Module) and path.name == "cellular.py":
+            signs += ["cellular.py:%d" % n for n in _sign_rules(node)]
+        if "_two_colourable" in (getattr(node, "id", None),
+                                 getattr(node, "name", None)):
+            signs.append("%s:%d" % (path.name, node.lineno))
         if not isinstance(node, ast.FunctionDef):
             continue
+        if path.name == "resolution.py" and node.name == "ps_complex":
+            signs += ["resolution.py:%d" % n for n in _sign_rules(node)]
         for inner in ast.walk(node):
             if (isinstance(inner, ast.Call)
                     and isinstance(inner.func, ast.Name)
@@ -119,6 +154,7 @@ def test_one_dropped_term_rule():
     assert {("resolution.py", "ps_complex"),
             ("cellular.py", "_make_cell")} <= callers
     assert readers == {("resolution.py", "symbol_facets")}
+    assert not signs
 
 
 def _raises_ring_mismatch(node):

@@ -205,9 +205,11 @@ def test_wrong_rewrite_target_is_still_caught(monkeypatch, step):
     def wrong_target(basis, alpha, u):
         for j, k in enumerate(u):
             rest = u[:j] + u[j + 1:]
+            sign = (-1) ** (j + 1)
+            yield (alpha, rest), sign
             beta = basis.delta[(alpha, u[(j + step) % len(u)])]
-            legal = all(v > basis.classes[beta] for v in rest)
-            yield (alpha, rest), (beta, rest) if legal else None
+            if all(v > basis.classes[beta] for v in rest):
+                yield (beta, rest), -sign
 
     mutated = built = 0
     for seed in range(60):
