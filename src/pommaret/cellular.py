@@ -119,9 +119,9 @@ class CellComplex:
 
 
 def build_cell_complex(basis):
-    memo = {}
+    memo, templates = {}, {}
     return CellComplex(basis, [
-        [_make_cell(basis, memo, alpha, tau)
+        [_make_cell(basis, memo, templates, alpha, tau)
          for alpha, tau in ps_generators(basis, dim)]
         for dim in range(basis.ring.n - basis.d + 1)])
 
@@ -154,7 +154,7 @@ def _reach(basis, memo, v, rest):
     return hit
 
 
-def _make_cell(basis, memo, alpha, tau):
+def _make_cell(basis, memo, templates, alpha, tau):
     mask = _reach(basis, memo, alpha, sum([1 << k for k in tau]))
     verts = []
     while mask:
@@ -162,7 +162,7 @@ def _make_cell(basis, memo, alpha, tau):
         verts.append(low.bit_length() - 1)
         mask ^= low
     return Cell(alpha, tau, symbol_multidegree(basis, alpha, tau),
-                tuple(verts), list(symbol_facets(basis, alpha, tau)))
+                tuple(verts), symbol_facets(basis, alpha, tau, templates))
 
 
 def supports_check(cellcomplex, cplx):
@@ -178,18 +178,17 @@ def supports_check(cellcomplex, cplx):
     entry by entry (a vertex's column is empty): d_i = (-1)^i times the
     boundary, so the entry of cell j of dimension i at facet row r with
     sign s must be exactly (-1)^i * s, and no facet may appear twice.
-    Value mismatches, a facet label that does not divide its cell's among
-    them, are returned as failure strings, by dimension and then in symbol
-    order.  So is a vertex outside ``0 <= v < len(basis)``: its cell skips
-    the lcm and own-vertex tests, and facet containment sees its other
-    vertices.
+    Value mismatches are returned as failure strings, by dimension and
+    then in symbol order.  So is a vertex outside ``0 <= v < len(basis)``:
+    its cell skips the lcm and own-vertex tests, and facet containment
+    sees its other vertices.  No test divides labels: ``FreeComplex``
+    refuses a d-entry whose row does not divide its column.
 
     Each cell's vertices are read into a bitmask once, so the own-vertex
     test and facet containment (``f & ~m == 0``) are bit tests.  Past the
-    label tests a label is stood for by its generator's code
+    label test a label is stood for by its generator's code
     (``FreeComplex.classes``): the lcm of the vertices is the OR of their
-    level-0 codes, and a facet divides its cell iff ``f & ~c == 0`` for
-    their codes.  A wrong label fails its own test, so these tests need
+    level-0 codes.  A wrong label fails its own test, so this test needs
     no second route.
     """
     basis = cellcomplex.basis
@@ -204,7 +203,6 @@ def supports_check(cellcomplex, cplx):
     if keys != [[g.key for g in level] for level in cplx.levels]:
         raise MismatchedBases("cells and symbols do not biject")
 
-    text = basis.ring.text
     failures = []
     fail = failures.append
     # vertex u reads the code of generator u of level 0, which stands for
@@ -215,7 +213,7 @@ def supports_check(cellcomplex, cplx):
     vcodes = cplx.classes[0] if level0 else ()
     bit = [1 << u for u in range(len(vcodes))]
     inside = range(len(vcodes))  # the vertex indices
-    below = below_masks = below_codes = ()
+    below_masks = ()
     position = {}
     for i, (layer, level) in enumerate(zip(cellcomplex.cells, cplx.levels)):
         masks = []
@@ -255,9 +253,6 @@ def supports_check(cellcomplex, cplx):
                          % (fkey, key))
                     continue
                 rows[row] = sign
-                if below_codes[row] & ~code:
-                    fail("facet label %s does not divide %s of %r" % (
-                        text(below[row].label), text(label), key))
                 if below_masks[row] & ~mask:
                     fail("facet %r has vertices outside %r" % (fkey, key))
             column = column_of.get(j, {})
@@ -272,6 +267,6 @@ def supports_check(cellcomplex, cplx):
                 elif c != flip * sign:
                     fail("boundary sign at %r -> %r is not (-1)^%d times "
                          "its d-entry" % (key, keys[i - 1][row], i))
-        below, below_masks, below_codes = layer, masks, cplx.classes[i]
+        below_masks = masks
         position = dict(zip(keys[i], range(len(layer))))
     return ComplexReport(not failures, failures)

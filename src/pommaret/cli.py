@@ -292,6 +292,27 @@ def _cells_json(cells):
         ',\n  "n": %d\n}\n' % cells.basis.ring.n)
 
 
+# a multigraded record of the Betti document, keys in sorted order
+_BETTI = ('{\n      "count": %d,\n      "level": %d,\n      "multidegree": %s'
+          '\n    }')
+
+
+def _betti_json(report):
+    """The Betti document as ``_json_text`` writes it, each multigraded
+    record from ``_BETTI``; keys "i,j" sort as text, and no table is empty."""
+    betti = report.betti
+    totals = sorted(("%d,%d" % k, v) for k, v in betti.by_degree.items())
+    records = [_BETTI % (v, i, _int_list_text(exps, "\n      "))
+               for (i, exps), v in sorted(betti.by_multidegree.items())]
+    return ('{\n  "betti": {\n    %s\n  },\n  "consistent": %s,'
+            '\n  "multigraded": %s,\n  "pd": %d,\n  "pd_from_classes": %d,'
+            '\n  "reg": %d,\n  "reg_from_basis": %d\n}\n') % (
+        ",\n    ".join(['"%s": %d' % kv for kv in totals]),
+        "true" if report.consistent else "false",
+        _list_text(records, "\n  "), report.pd, report.pd_from_classes,
+        report.reg, report.reg_from_basis)
+
+
 def _load(args):
     with open(args.path, "rb") as fh:
         data = fh.read()
@@ -428,17 +449,7 @@ def _cmd_betti(args):
                           % axioms.failures[:3])
     report = homological_invariants(scalar_betti(cplx), basis)
     if args.fmt == "json":
-        _emit(args, _json_text({
-            "betti": {"%d,%d" % k: v
-                      for k, v in sorted(report.betti.by_degree.items())},
-            "multigraded": [{"level": i, "multidegree": list(exps),
-                             "count": v}
-                            for (i, exps), v in
-                            sorted(report.betti.by_multidegree.items())],
-            "pd": report.pd, "reg": report.reg,
-            "pd_from_classes": report.pd_from_classes,
-            "reg_from_basis": report.reg_from_basis,
-            "consistent": report.consistent}))
+        _emit(args, _betti_json(report))
     else:
         lines = [report.betti.render()]
         lines.append("pd  = %d (classes predict %d)"

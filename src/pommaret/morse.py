@@ -311,12 +311,10 @@ def _cancel_matching(cplx, matching, trace):
                 reduced[remap[level][c]] = {rows[row]: v
                                             for row, v in acc.items() if v}
     for level in range(1, len(diffs)):
-        for col in diffs[level]:
-            bad = composite_terms(diffs, level, col)
-            if bad:
-                raise BrokenInvariant(
-                    "the Morse differential breaks d o d = 0 at level %d "
-                    "col %d: %r" % (level, col, bad))
+        for col, bad in sorted(composite_terms(diffs, level).items()):
+            raise BrokenInvariant(
+                "the Morse differential breaks d o d = 0 at level %d "
+                "col %d: %r" % (level, col, bad))
     levels = [[cplx.levels[i][j] for j in keep[i]] for i in range(len(keep))]
     while len(levels) > 1 and not levels[-1]:
         levels.pop()

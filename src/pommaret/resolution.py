@@ -6,9 +6,10 @@ sends [h, u] to an alternating sum over the variables of u; extracting u_j
 leaves a multiplicative copy x_{u_j}[h, u \\ u_j] minus the rewritten copy
 t[h', u \\ u_j] with x_{u_j} h = t h' the involutive decomposition.  Terms
 whose rewritten symbol is not legal (u \\ u_j meets the multiplicative
-variables of h') are dropped.  ``symbol_facets`` yields the terms with
+variables of h') are dropped.  ``symbol_facets`` lists the terms with
 their cell-boundary signs, (-1)^j on x_{u_j}[h, u \\ u_j] for j = 1..i, and
-d_i is (-1)^i times that boundary.
+d_i is (-1)^i times that boundary.  ``composite_terms`` is the one
+d o d = 0 kernel: one sweep per level.
 
 For stable ideals the minimal generators are the basis and the same
 construction is the classical minimal resolution with signs
@@ -21,7 +22,7 @@ A built complex stores no display text: ``FreeComplex.text`` and
 from collections import Counter, namedtuple
 from itertools import combinations, islice
 from math import comb
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import ArityMismatch, DegreeOutOfRange, NotAComplex
 
@@ -213,28 +214,36 @@ def _grading(levels, diffs, gens):
                                       "column's" % (row, col, i))
                 if dst == src and c != 0:
                     units.append((i, row, col, c))
-    units.sort(key=lambda u: (u[0], u[2], u[1]))
+    units.sort(key=itemgetter(0, 2, 1))  # by level, column, then row
     return fields, classes, list(codes), units
 
 
-def composite_terms(diffs, i, col):
-    """Nonzero coefficients of d_{i-1} o d_i on column ``col`` of d_i as
-    {row of F_{i-2}: value}, or of the augmentation o d_1 (i = 1) as
-    {None: value}, on coefficient columns {col: {row: coeff}} such as
-    ``FreeComplex.diffs``.  In a complex that ``FreeComplex`` accepted,
-    every path from col to a row carries the one monomial col's
-    multidegree over the row's, so only coefficients are summed."""
-    column = diffs[i].get(col, {})
+def composite_terms(diffs, i):
+    """Nonzero coefficients of d_{i-1} o d_i, or of the augmentation o d_1
+    (i = 1, row None), as {col: {row: value}}, over every column of d_i
+    in one sweep, on coefficient columns such as ``FreeComplex.diffs``.
+    In a complex that ``FreeComplex`` accepted, every path from a column
+    to a row carries one monomial, so only coefficients are summed."""
+    out = {}
     if i == 1:
-        total = sum(column.values())
-        return {None: total} if total else {}
-    acc = {}
-    get = acc.get
+        for col, column in diffs[i].items():
+            total = sum(column.values())
+            if total:
+                out[col] = {None: total}
+        return out
     below = diffs[i - 1]
-    for row, c1 in column.items():
-        for row2, c2 in below.get(row, {}).items():
-            acc[row2] = get(row2, 0) + c1 * c2
-    return {row: value for row, value in acc.items() if value}
+    empty = {}
+    for col, column in diffs[i].items():
+        acc = {}
+        get = acc.get
+        for row, c1 in column.items():
+            for row2, c2 in below.get(row, empty).items():
+                acc[row2] = get(row2, 0) + c1 * c2
+        for value in acc.values():
+            if value:
+                out[col] = {row: v for row, v in acc.items() if v}
+                break
+    return out
 
 
 # --- symbol resolutions ----------------------------------------------------
@@ -260,10 +269,10 @@ def ps_generators(basis, i):
     return out
 
 
-def symbol_facets(basis, alpha, u):
-    """The signed boundary terms of [h_alpha, u], as (key, sign) pairs.
-    For each variable x_k of u, in order, with rest = u minus k and
-    x_k h_alpha = t h_beta: the face (alpha, rest), then the rewritten
+def symbol_facets(basis, alpha, u, templates):
+    """The signed boundary terms of [h_alpha, u], as a list of (key, sign)
+    pairs.  For each variable x_k of u, in order, with rest = u minus k
+    and x_k h_alpha = t h_beta: the face (alpha, rest), then the rewritten
     term (beta, rest) with the opposite sign, or nothing when rest meets
     the multiplicative variables x_1..x_cls(h_beta) of h_beta and the
     rewritten term is dropped; u is increasing, so that is when rest[0]
@@ -272,17 +281,21 @@ def symbol_facets(basis, alpha, u):
     and the boundary signs: the cells keep the signs, and ``ps_complex``
     multiplies them by (-1)^i at level i.  The entry monomials x_k and t
     are (alpha, u)'s multidegree over the facets', so they are not
-    yielded."""
+    returned.  The (k, rest, (-1)^j) of u depend on u alone, and are kept
+    in ``templates``, a dict the caller owns for one build."""
+    template = templates.get(u)
+    if template is None:
+        template = templates[u] = [(k, u[:j] + u[j + 1:], (-1) ** (j + 1))
+                                   for j, k in enumerate(u)]
     classes = basis.classes
     delta = basis.delta
-    sign = -1
-    for j, k in enumerate(u):
-        rest = u[:j] + u[j + 1:]
-        yield (alpha, rest), sign
+    out = []
+    for k, rest, sign in template:
+        out.append(((alpha, rest), sign))
         beta = delta[(alpha, k)]
         if not rest or rest[0] > classes[beta]:
-            yield (beta, rest), -sign
-        sign = -sign
+            out.append(((beta, rest), -sign))
+    return out
 
 
 def expected_ranks(basis):
@@ -307,6 +320,7 @@ def ps_complex(basis):
     cells' boundary.  A term that is no symbol one level down raises
     NotAComplex."""
     n = basis.ring.n
+    memo = {}  # symbol_facets' extraction lists
     levels = []
     diffs = []
     below = {}
@@ -325,7 +339,7 @@ def ps_complex(basis):
                 level.append(Gen(key, tuple(exps)))
                 column = cols[j] = {}
                 try:
-                    for face, sign in symbol_facets(basis, alpha, u):
+                    for face, sign in symbol_facets(basis, alpha, u, memo):
                         column[below[face]] = flip * sign
                 except KeyError as missing:
                     raise NotAComplex("d_%d has row %r outside F_%d" % (

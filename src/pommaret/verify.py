@@ -129,32 +129,29 @@ class ComplexReport:
 
 def check_complex(cplx):
     """d o d = 0, including the augmentation, and no zero entries;
-    failures carry a located witness.  ``FreeComplex`` proved indices and
-    homogeneity when the complex was built, so ``composite_terms`` runs on
-    the stored coefficients of every column.  Only a column where it
-    finds terms is read further: a witness's monomial is its column's
-    multidegree over its target's (or the column's own, against the
-    augmentation)."""
+    failures carry a located witness, by level, column, then target
+    (None, the augmentation, first).  ``FreeComplex`` proved indices and
+    homogeneity when the complex was built, so ``composite_terms`` sweeps
+    each level's stored coefficients.  Only a column where it finds terms
+    is read further: a witness's monomial is its column's multidegree
+    over its target's (or the column's own, against the augmentation)."""
     levels = cplx.levels
     diffs = cplx.diffs
     failures = [{"kind": "zero-entry", "level": i, "row": row, "col": col}
                 for i in range(1, len(levels))
-                for col, column in sorted(diffs[i].items())
-                if 0 in column.values()
-                for row in sorted(r for r, c in column.items() if c == 0)]
+                for col in sorted([col for col, column in diffs[i].items()
+                                   if 0 in column.values()])
+                for row in sorted(r for r, c in diffs[i][col].items()
+                                  if c == 0)]
     for i in range(1, len(levels)):
-        for col in sorted(diffs[i]):
-            terms = composite_terms(diffs, i, col)
-            if not terms:
-                continue
+        for col, terms in sorted(composite_terms(diffs, i).items()):
             src = levels[i][col].multidegree
-            for target, value in sorted(terms.items(),
-                                        key=lambda kv: str(kv[0])):
+            for target in sorted(terms, key=lambda t: -1 if t is None else t):
                 mono = src if target is None else tuple(
                     map(sub, src, levels[i - 2][target].multidegree))
                 failures.append({"kind": "composite", "level": i,
                                  "col": col, "target": target,
-                                 "mono": mono, "value": value})
+                                 "mono": mono, "value": terms[target]})
     return ComplexReport(not failures, failures)
 
 

@@ -12,7 +12,8 @@ from helpers import (REPRODUCERS, make_ideal_stable2,
                      positive_dimensional_ideals, random_stable,
                      reference_cells_doc)
 from pommaret import (build_cell_complex, check_exactness, cli,
-                      pommaret_basis, random_quasi_stable)
+                      homological_invariants, pommaret_basis, ps_complex,
+                      random_quasi_stable, scalar_betti)
 from pommaret.errors import (EmptyInput, IdealSyntaxError, UnitGenerator)
 
 
@@ -271,6 +272,36 @@ def test_cells_writer_matches_stdlib(ideal_a, ideal_b):
         assert "".join(cli._cells_json(cells)) == _stdlib_json(
             reference_cells_doc(cells))
     assert {ideal.ring.n for ideal in ideals} == {1, 2, 3, 4, 5, 6}
+
+
+def test_betti_writer_matches_stdlib(tmp_path, capsys, ideal_b):
+    """betti --format json writes its records from a template; its bytes
+    are json.dumps of the document built as a dict, on n = 1..6, with
+    table keys "i,j" that sort as text ("1,10" before "1,3")."""
+    ideals = [ideal_b] + [random_quasi_stable(seed, 1 + seed % 6,
+                                              2 + seed % 3, seed % 5)
+                          for seed in range(60)]
+    wide = 0
+    for k, ideal in enumerate(ideals):
+        path = write(tmp_path, "%d.ideal" % k, _vector_text(ideal))
+        assert cli.main(["betti", path, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        basis = pommaret_basis(ideal)
+        report = homological_invariants(
+            scalar_betti(ps_complex(basis)), basis)
+        doc = {"betti": {"%d,%d" % key: v for key, v
+                         in report.betti.by_degree.items()},
+               "multigraded": [{"level": i, "multidegree": list(exps),
+                                "count": v} for (i, exps), v
+                               in sorted(report.betti.by_multidegree.items())],
+               "pd": report.pd, "reg": report.reg,
+               "pd_from_classes": report.pd_from_classes,
+               "reg_from_basis": report.reg_from_basis,
+               "consistent": report.consistent}
+        assert out == _stdlib_json(doc)
+        wide += max(j for _, j in report.betti.by_degree) >= 10
+    assert {ideal.ring.n for ideal in ideals} == {1, 2, 3, 4, 5, 6}
+    assert wide > 0
 
 
 def test_cellular_json_skips_the_generic_writer(tmp_path, capsys,
@@ -729,7 +760,7 @@ def test_broken_invariant_exits_4(tmp_path, capsys, monkeypatch):
     # typed error's code, not a traceback
     import pommaret.morse
     monkeypatch.setattr(pommaret.morse, "composite_terms",
-                        lambda *args: {0: 1})
+                        lambda *args: {0: {0: 1}})
     path = write(tmp_path, "a.ideal", A_TEXT)
     assert cli.main(["minimize", path]) == 4
     assert "error [broken-invariant]:" in capsys.readouterr().err
@@ -741,7 +772,7 @@ def test_betti_on_a_broken_complex_exits_4(tmp_path, capsys, monkeypatch):
     # error with exit code 4, and nothing is printed
     import pommaret.verify
     monkeypatch.setattr(pommaret.verify, "composite_terms",
-                        lambda *args: {0: 1})
+                        lambda *args: {0: {0: 1}})
     path = write(tmp_path, "a.ideal", A_TEXT)
     assert cli.main(["betti", path]) == 4
     captured = capsys.readouterr()

@@ -243,7 +243,7 @@ def test_basis_pgraph_verify_outputs_are_frozen(corpus, monkeypatch):
 
 
 CHECKED = (
-    "f4b77125702b7077d820b76108f0414dc2c01f1b7e90543058046ccb8a51561f")
+    "164ea89a79b879b836e7819235ca2b6b395e2d3dd243de50e513efd0ef01b336")
 
 
 def _flipped(cplx, level, col, row):
@@ -266,7 +266,8 @@ def _zeroed(cplx, level, col, row):
 def test_check_complex_failures_are_frozen(ideal_a, ideal_b):
     # the corruptions of test_verify.py that still make a complex, then
     # one flipped entry per level of larger complexes, whose witnesses
-    # reach rows past 9 (failures are sorted by the text of their key)
+    # reach rows past 9 (failures are sorted by level, column, then
+    # target as a number)
     a = ps_complex(pommaret_basis(ideal_a))
     b = ps_complex(pommaret_basis(ideal_b))
     cases = []

@@ -216,6 +216,38 @@ def test_reducer_and_kernel_carry_coefficients_only():
     assert not found
 
 
+def test_one_level_wide_d_o_d_kernel():
+    """d o d = 0 has one kernel, ``composite_terms(diffs, i)``, and it
+    sweeps a whole level: it takes no column.  ``check_complex`` and
+    ``_cancel_matching`` are its callers, and each calls it inside one
+    loop, the loop over levels, never inside a loop over columns."""
+    loops = (ast.For, ast.While, ast.comprehension)
+    params = None
+    calls = []
+    for path, node in _package_nodes():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node.name == "composite_terms":
+            params = [a.arg for a in node.args.args]
+        parent = {child: outer for outer in ast.walk(node)
+                  for child in ast.iter_child_nodes(outer)}
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Name)
+                    and inner.func.id == "composite_terms"):
+                # loops whose body, not whose iterable, holds the call
+                depth = 0
+                up = inner
+                while up is not node:
+                    up, below = parent[up], up
+                    depth += (isinstance(up, loops)
+                              and below is not getattr(up, "iter", None))
+                calls.append((path.name, node.name, len(inner.args), depth))
+    assert params == ["diffs", "i"]
+    assert sorted(calls) == [("morse.py", "_cancel_matching", 2, 1),
+                             ("verify.py", "check_complex", 2, 1)]
+
+
 def test_betti_route_runs_no_reducer():
     """``betti`` reads the Betti numbers from the scalar part of the
     symbol complex, and the Taylor oracle from that of the Taylor

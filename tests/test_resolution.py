@@ -3,15 +3,16 @@ import inspect
 import pytest
 
 import pommaret.resolution
-from helpers import (column_entries, delta_map, ek_differential, ek_sign,
-                     lcm, random_ideal, random_stable, reference_match,
-                     symbol_differential, totals, variable)
+from helpers import (cls_of, column_entries, delta_map, ek_differential,
+                     ek_sign, lcm, random_ideal, random_stable,
+                     reference_match, short_v_args, symbol_differential,
+                     times_var, totals, variable)
 from pommaret import (BettiTable, FreeComplex, Symbol, betti_table,
                       check_complex, expected_ranks, minimize, pommaret_basis,
                       ps_complex, ps_generators, random_quasi_stable,
                       render_differential, taylor_complex)
 from pommaret.errors import DegreeOutOfRange, NotAComplex
-from pommaret.resolution import coeff_text
+from pommaret.resolution import coeff_text, symbol_facets
 
 
 # frozen transcription of the two-variable resolution of <x1^2, x2^3>
@@ -194,6 +195,41 @@ def test_construction_finds_classes_and_units(ideal_a, ideal_b):
                         "pommaret", basis=symbol.basis)
 
 
+def _facets_by_definition(basis, alpha, u):
+    # the boundary of [h_alpha, u] read off the definition, with no
+    # extraction list, rewrite table or class table: for the j-th variable
+    # x_k of u, the face (alpha, u minus k) with sign (-1)^j, then the
+    # involutive divisor h' of x_k h_alpha with the opposite sign, kept
+    # when every variable of u minus k is nonmultiplicative for h'
+    h = basis.elements[alpha]
+    out = []
+    for j, k in enumerate(u, start=1):
+        rest = tuple(v for v in u if v != k)
+        out.append(((alpha, rest), (-1) ** j))
+        target = basis.involutive_divisor(times_var(h, k))
+        if all(v > cls_of(target) for v in rest):
+            out.append(((basis.index(target), rest), -(-1) ** j))
+    return out
+
+
+def test_symbol_facets_follow_the_definition():
+    # one extraction list per u serves every symbol of the build, so every
+    # sign and every rest is compared with its derivation symbol by symbol
+    args = short_v_args() + [(s, 3 + s % 4, 3 + s % 4, 2 + s % 9)
+                             for s in range(100)]
+    symbols = shared = 0
+    for a in args:
+        basis = pommaret_basis(random_quasi_stable(*a))
+        templates = {}
+        for i in range(basis.ring.n - basis.d + 1):
+            for alpha, u in ps_generators(basis, i):
+                assert (symbol_facets(basis, alpha, u, templates)
+                        == _facets_by_definition(basis, alpha, u)), (a, u)
+                symbols += 1
+        shared += len(templates)
+    assert symbols > 10 * shared
+
+
 @pytest.mark.parametrize("step", [-1, 1])
 def test_wrong_rewrite_target_is_still_caught(monkeypatch, step):
     # entry monomials are derived, so nothing compares them with x_k and
@@ -202,7 +238,7 @@ def test_wrong_rewrite_target_is_still_caught(monkeypatch, step):
     # complex is built, or fail d o d = 0.  The rewrite is dropped when
     # the wrong target is not a symbol, so some mutated complexes are
     # built; where it is kept, the row never divides the column
-    def wrong_target(basis, alpha, u):
+    def wrong_target(basis, alpha, u, templates):
         for j, k in enumerate(u):
             rest = u[:j] + u[j + 1:]
             sign = (-1) ** (j + 1)
