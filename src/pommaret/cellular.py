@@ -7,19 +7,16 @@ the symbol's multidegree, and its boundary facets are the terms of
 the same dropped-term rule.  A cell's key (alpha, tau) is equal to, and
 hashes like, its ``Symbol``.
 
-The vertices of a cell are found by walking the basis: apply the variables
-of tau in some order, replacing the current vertex v by the involutive
-divisor of x_k * v at every step (``chain_vertices`` walks one order).  The
-cell is the union of the walks over all orders; orders that revisit a
-vertex are degenerate.  ``build_cell_complex`` does not enumerate the
-|tau|! orders.  A step reads the rewrite table: for k nonmultiplicative for
-v it goes to ``basis.delta[(v, k)]``, and for k multiplicative, which the
-table has no entry for, it stays at v, because x_k * v lies in v's own
-cone and the involutive divisor is unique.  So the walks from v through
-the remaining variables depend only on (v, rest), and one memo over those
-pairs serves every cell of the build.  The walk runs on integer bitmasks:
-rest is a mask of variables, and the vertices reached are a mask of basis
-indices, which ``Cell.vertices`` holds as a sorted tuple.
+The vertices of the cell [h, tau] are {P(h x_J) : J a subset of tau}, with
+P(m) the basis element that involutively divides m; on a stable ideal
+these are Mermin's Eliahou-Kervaire cells.  ``_make_cell`` reads them from
+one subset table: starting from [alpha], each k of tau appends the step in
+x_k of every entry so far, where a step from v stays at v when k is
+multiplicative for v and goes to ``basis.delta[(v, k)]`` otherwise.  If
+h x_J = t v, then t uses only x_1..x_cls(v), and a rewrite target's class
+is at least v's (``_check_linear_quotients``), so t stays multiplicative
+and each step lands on P(h x_J x_k).  ``chain_vertices`` walks one order of
+tau through the involutive divisor itself; it is the tests' definition.
 
 ``supports_check`` reads cell j of dimension i with generator j of level i
 of a symbol complex, and a facet by its position one dimension down.  It
@@ -42,11 +39,17 @@ def chain_vertices(basis, alpha, tau, sigma):
     """Vertex walk for one ordering sigma of tau.
 
     Returns (indices, degenerate): the visited basis indices in walk order,
-    and whether any vertex repeats.
+    and whether any vertex repeats.  alpha must index the basis
+    (MismatchedBases), and tau must be a set of nonmultiplicative
+    variables of h_alpha (TauNotNonMultiplicative).
     """
-    if not all(basis.classes[alpha] < k <= basis.ring.n for k in tau):
+    if not 0 <= alpha < len(basis.elements):
+        raise MismatchedBases("alpha %r is not an index of the %d basis "
+                              "elements" % (alpha, len(basis.elements)))
+    if len(set(tau)) < len(tau) or not all(
+            basis.classes[alpha] < k <= basis.ring.n for k in tau):
         raise TauNotNonMultiplicative(
-            "tau %r leaves the nonmultiplicative variables of %s" % (
+            "tau %r is not a set of nonmultiplicative variables of %s" % (
                 list(tau), basis.ring.text(basis.elements[alpha])))
     if sorted(sigma) != sorted(tau):
         raise TauNotNonMultiplicative(
@@ -119,50 +122,21 @@ class CellComplex:
 
 
 def build_cell_complex(basis):
-    memo, templates = {}, {}
+    templates = {}
     return CellComplex(basis, [
-        [_make_cell(basis, memo, templates, alpha, tau)
+        [_make_cell(basis, templates, alpha, tau)
          for alpha, tau in ps_generators(basis, dim)]
         for dim in range(basis.ring.n - basis.d + 1)])
 
 
-def _reach(basis, memo, v, rest):
-    """The vertices of the walks from v through every order of the
-    variables in rest, as a mask with bit u set for basis element u; rest
-    has bit k set for x_k.  The variables are taken bit by bit: a
-    nonmultiplicative step goes to its rewrite target, a multiplicative
-    one stays at v.  memo maps each (vertex, variable mask) pair walked so
-    far to its vertex mask, and is read before each step's walk; the cells
-    are built by dimension, so a cell's own pair, which only the walks of
-    higher cells reach, is never in it yet."""
+def _make_cell(basis, templates, alpha, tau):
     delta = basis.delta
-    hit = 1 << v
-    todo = rest
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        w = delta.get((v, low.bit_length() - 1), v)
-        left = rest ^ low
-        if left:
-            sub = memo.get((w, left))
-            if sub is None:
-                sub = _reach(basis, memo, w, left)
-            hit |= sub
-        else:
-            hit |= 1 << w
-    memo[(v, rest)] = hit
-    return hit
-
-
-def _make_cell(basis, memo, templates, alpha, tau):
-    mask = _reach(basis, memo, alpha, sum([1 << k for k in tau]))
-    verts = []
-    while mask:
-        low = mask & -mask
-        verts.append(low.bit_length() - 1)
-        mask ^= low
+    ends = [alpha]  # ends[J] is P(h_alpha x_J), J a mask of positions in tau
+    for k in tau:
+        ends += [delta.get((v, k), v) for v in ends]
     return Cell(alpha, tau, symbol_multidegree(basis, alpha, tau),
-                tuple(verts), symbol_facets(basis, alpha, tau, templates))
+                tuple(sorted(set(ends))),
+                symbol_facets(basis, alpha, tau, templates))
 
 
 def supports_check(cellcomplex, cplx):

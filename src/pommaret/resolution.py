@@ -98,12 +98,15 @@ class FreeComplex:
         return tuple(len(lv) for lv in self.levels)
 
     def entries(self, i):
-        """All nonzero entries of d_i as (row, col, coeff, exps)."""
+        """All nonzero entries of d_i as a list of (row, col, coeff, exps);
+        DegreeOutOfRange unless 1 <= i <= length."""
+        if not 1 <= i <= self.length:
+            raise DegreeOutOfRange("d_%d outside d_1..d_%d" % (i, self.length))
         rows, cols = self.levels[i - 1], self.levels[i]
-        for col, column in sorted(self.diffs[i].items()):
-            src = cols[col].multidegree
-            for row, c in sorted(column.items()):
-                yield row, col, c, tuple(map(sub, src, rows[row].multidegree))
+        return [(row, col, c, tuple(map(sub, cols[col].multidegree,
+                                        rows[row].multidegree)))
+                for col, column in sorted(self.diffs[i].items())
+                for row, c in sorted(column.items())]
 
     def decode(self, code):
         """The exponent tuple of a multidegree code (see ``fields``)."""
@@ -439,11 +442,12 @@ def coeff_text(c, mono):
 def render_differential(cplx, i):
     """Plain grid of d_i with row and column generator labels: "." where
     no entry is stored, so only the stored entries are formatted."""
+    entries = cplx.entries(i)  # first: it checks i
     text = cplx.text
     grid = [["d_%d" % i] + [text(g) for g in cplx.levels[i]]]
     dots = ["."] * len(cplx.levels[i])
     grid += [[text(g)] + dots for g in cplx.levels[i - 1]]
-    for r, c, coeff, mono in cplx.entries(i):
+    for r, c, coeff, mono in entries:
         grid[r + 1][c + 1] = coeff_text(coeff, cplx.ring.text(mono))
     widths = [max(map(len, column)) for column in zip(*grid)]
     return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths))

@@ -8,7 +8,7 @@ import pytest
 import pommaret.cellular
 from helpers import (lcm, positive_dimensional_ideals, random_ideal,
                      random_stable, reference_cells_doc,
-                     reference_supports_check, times_var)
+                     reference_supports_check, short_v_args, times_var)
 from pommaret import (Cell, CellComplex, FreeComplex, Gen, MonomialIdeal,
                       PommaretBasis, Ring, build_cell_complex, chain_vertices,
                       cli, expected_ranks, pommaret_basis, ps_complex,
@@ -39,6 +39,16 @@ def test_chain_vertices_guards(ideal_b):
         chain_vertices(basis, 0, (1, 2), (1, 2))  # x1 is multiplicative
     with pytest.raises(TauNotNonMultiplicative):
         chain_vertices(basis, 0, (2, 3), (2, 2))  # not an ordering
+    # alpha must index the basis (a walk from -4 would start at element
+    # 0), and tau is a set: x2 twice is no cell
+    basis = pommaret_basis(_ideal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0),
+                                      (0, 0, 1)]))
+    assert len(basis) == 4
+    for alpha, tau in [(-4, (2, 3)), (9, ()), (7, (2,))]:
+        with pytest.raises(MismatchedBases):
+            chain_vertices(basis, alpha, tau, tau)
+    with pytest.raises(TauNotNonMultiplicative):
+        chain_vertices(basis, 0, (2, 2), (2, 2))
 
 
 def test_cell_counts_match_ranks(ideal_a, ideal_b):
@@ -161,7 +171,9 @@ def test_cell_vertices_have_a_closed_form():
     stable = [random_stable(s) for s in range(40)]
     ideals = stable + [
         random_quasi_stable(s, 3 + s % 4, 3 + s % 4, 2 + s % 9)
-        for s in range(20)] + positive_dimensional_ideals()[:12]
+        for s in range(20)] + positive_dimensional_ideals()[:12] + [
+        random_quasi_stable(*args) for args in short_v_args()] + [
+        _ideal(1, [(3,)])]  # every cell of x1^3 has an empty tau
     cells = 0
     for t, ideal in enumerate(ideals):
         basis = pommaret_basis(ideal)

@@ -50,8 +50,8 @@ def _itertools_uses(name):
 
 
 def test_no_permutations_in_package():
-    """Cells are built from a memoized walk; the |tau|! enumeration of
-    orders lives only in the tests."""
+    """Cells are built from the subset table {P(h x_J) : J in tau}; the
+    |tau|! enumeration of orders lives only in the tests."""
     assert not _itertools_uses("permutations")
 
 
@@ -86,8 +86,8 @@ def test_public_names_are_documented():
 
 def test_rewrite_map_read_only_where_it_is_built_or_walked():
     """``basis.delta`` is read in the basis itself, in ``symbol_facets``
-    (the one holder of the dropped-term rule) and in the cell walk; the
-    Morse and verification layers read the complex instead."""
+    (the one holder of the dropped-term rule) and in the cells' subset
+    table; the Morse and verification layers read the complex instead."""
     found = {path.name for path, node in _package_nodes()
              if isinstance(node, ast.Attribute) and node.attr == "delta"}
     assert found <= {"ideals.py", "resolution.py", "cellular.py"}
@@ -414,8 +414,8 @@ def test_cells_are_read_by_position():
 
 
 def test_cells_on_bitmasks_and_one_cells_writer():
-    """The cell walk and the support check run on vertex masks and
-    multidegree codes, so ``cellular`` names no ``frozenset``.
+    """The support check runs on vertex masks and multidegree codes, so
+    ``cellular`` names no ``frozenset``.
     ``cli._cells_json`` is the one cells writer: it yields the document
     record by record and is the only function that reads the record
     templates (``_CELL``, ``_FACET``); ``cellular`` builds no document

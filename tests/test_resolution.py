@@ -7,10 +7,11 @@ from helpers import (cls_of, column_entries, delta_map, ek_differential,
                      ek_sign, lcm, random_ideal, random_stable,
                      reference_match, short_v_args, symbol_differential,
                      times_var, totals, variable)
-from pommaret import (BettiTable, FreeComplex, Symbol, betti_table,
-                      check_complex, expected_ranks, minimize, pommaret_basis,
-                      ps_complex, ps_generators, random_quasi_stable,
-                      render_differential, taylor_complex)
+from pommaret import (BettiTable, FreeComplex, MonomialIdeal, Ring, Symbol,
+                      betti_table, check_complex, expected_ranks, minimize,
+                      pommaret_basis, ps_complex, ps_generators,
+                      random_quasi_stable, render_differential,
+                      taylor_complex)
 from pommaret.errors import DegreeOutOfRange, NotAComplex
 from pommaret.resolution import coeff_text, symbol_facets
 
@@ -347,6 +348,21 @@ def test_render_and_json(ideal_a):
     assert coeff_text(-1, text((0, 1))) == "-x2"
     assert coeff_text(2, text((0, 0))) == "2"
     assert coeff_text(-3, text((1, 0))) == "-3*x1"
+
+
+@pytest.mark.parametrize("i", [-1, 0, 3])
+def test_differential_outside_its_levels_is_refused(i):
+    """d_i exists for 1 <= i <= length alone: d_-1 would read levels[-1]
+    and levels[-2], and d_0 and d_3 have no column dict."""
+    ring = Ring(3)
+    ideal = MonomialIdeal(ring, [ring.monomial(e) for e in [
+        (2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)]])
+    cplx = ps_complex(pommaret_basis(ideal))
+    assert cplx.length == 2
+    with pytest.raises(DegreeOutOfRange):
+        cplx.entries(i)
+    with pytest.raises(DegreeOutOfRange):
+        render_differential(cplx, i)
 
 
 def test_render_formats_only_stored_entries(monkeypatch):
