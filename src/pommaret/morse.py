@@ -316,9 +316,6 @@ def _cancel_matching(cplx, matching, trace):
                 "the Morse differential breaks d o d = 0 at level %d "
                 "col %d: %r" % (level, col, bad))
     levels = [[cplx.levels[i][j] for j in keep[i]] for i in range(len(keep))]
-    while len(levels) > 1 and not levels[-1]:
-        levels.pop()
-        diffs.pop()
     return ReducedComplex(cplx.ring, cplx.ideal, levels, diffs, cplx.basis,
                           matching, records)
 

@@ -111,12 +111,17 @@ def _assert_cells_are_walk_unions(basis, cells):
 
 
 def test_walks_stay_inside_the_cell():
-    for seed in range(8):
-        ideal = random_ideal(seed * 17 + 4, max_deg=3, count=2)
-        if not ideal.is_quasi_stable():
-            continue
+    ideals = [random_quasi_stable(seed, 2 + seed % 4, 3, seed % 5)
+              for seed in range(12)]
+    ideals += positive_dimensional_ideals(count=4)
+    total = high = 0  # cells, and cells of dimension 2 and up
+    for ideal in ideals:
         basis = pommaret_basis(ideal)
-        _assert_cells_are_walk_unions(basis, build_cell_complex(basis))
+        cells = build_cell_complex(basis)
+        _assert_cells_are_walk_unions(basis, cells)
+        total += sum(cells.counts())
+        high += sum(cells.counts()[2:])
+    assert total >= 200 and high >= 100
 
 
 def _ideal(n, gens):
@@ -229,6 +234,29 @@ def test_supports_check_structure_guards(ideal_a, ideal_b):
         supports_check(cells_a, ps_complex(basis_b))
     with pytest.raises(MismatchedBases):
         supports_check(cells_a, taylor_complex(ideal_a))
+
+
+def test_supports_check_refuses_non_symbol_generators():
+    """Keys that equal their symbols as plain tuples are not symbols."""
+    basis = pommaret_basis(random_quasi_stable(0, 3, 3, 2))
+    cplx = ps_complex(basis)
+    levels = [[Gen(tuple(g.key), g.multidegree) for g in level]
+              for level in cplx.levels]
+    plain = FreeComplex(cplx.ring, cplx.ideal, levels, cplx.diffs,
+                        cplx.provenance, basis=basis)
+    with pytest.raises(MismatchedBases) as info:
+        supports_check(build_cell_complex(basis), plain)
+    assert info.value.message == "free complex has non-symbol generators"
+
+
+def test_supports_check_refuses_a_missing_cell():
+    basis = pommaret_basis(random_quasi_stable(0, 3, 3, 2))
+    cells = build_cell_complex(basis)
+    layers = [list(layer) for layer in cells.cells]
+    layers[1].pop()
+    with pytest.raises(MismatchedBases) as info:
+        supports_check(CellComplex(basis, layers), ps_complex(basis))
+    assert info.value.message == "cells and symbols do not biject"
 
 
 def _copy_with_diffs(cplx, diffs):

@@ -143,6 +143,15 @@ def _vector_text(ideal):
         "[%s]\n" % ",".join(map(str, g.exps)) for g in ideal.gens)
 
 
+def _floats(x):
+    """Every float in a parsed JSON document."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return [f for v in x for f in _floats(v)]
+    return [x] if isinstance(x, float) else []
+
+
 def test_json_writer_matches_stdlib(tmp_path, capsys):
     texts = [A_TEXT, B_TEXT]
     for ideal in (random_quasi_stable(3, 3, 4, 3),
@@ -161,26 +170,13 @@ def test_json_writer_matches_stdlib(tmp_path, capsys):
                             + command[1:])
             out = capsys.readouterr().out
             assert code == 0
-            # the documents hold only types json reads back exactly
-            assert out == _stdlib_json(json.loads(out))
+            # the documents hold only types json reads back exactly, and
+            # no float
+            doc = json.loads(out)
+            assert out == _stdlib_json(doc)
+            assert not _floats(doc)
             checked += 1
     assert checked == 8 * len(texts)
-    docs = [
-        [], {}, [[]], [{}], {"a": [], "b": {}}, [[], [[]], {"": {}}],
-        [1, True, 2], [False, 0], [None, 3], [0, -1, 2 ** 64, -(2 ** 70)],
-        {"t": True, "f": False, "n": None, "i": -7},
-        ["quote \" back \\ slash", "tab\tnl\ncr\r\x00\x1f\x7f",
-         "caf\u00e9 \u2603 \U0001f600", ""],
-        {"\u00e9": 1, "a\"b": [2], "\n": {"z": "y"}, "B": 0, "b": [3, [4]]},
-        # lists that equal a memoized int list but hold bools
-        [[1, 1, 2], [1, True, 2]], [[1, True, 2], [1, 1, 2]],
-        [[0, 0], [False, 0]],
-        # one int list at three depths, and a repeat of big ints
-        {"a": [3, 1], "b": [[3, 1], {"c": [[3, 1]]}], "d": [3, 1]},
-        [[2 ** 64, -1], [2 ** 64, -1]],
-    ]
-    for doc in docs:
-        assert cli._json_text(doc) == _stdlib_json(doc)
 
 
 def test_json_writer_matches_stdlib_on_large_documents(tmp_path, capsys):
@@ -198,58 +194,23 @@ def test_json_writer_matches_stdlib_on_large_documents(tmp_path, capsys):
             assert out == _stdlib_json(json.loads(out))
 
 
-@pytest.mark.parametrize("doc", [1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1, 2},
-                                 {"a": {3}}, {1: 2}, {"a": {None: 1}},
-                                 [{(1,): 2}], [[1, 2], [1, 2.0]]])
-def test_json_writer_rejects_other_types(doc):
-    with pytest.raises(TypeError):
-        cli._json_text(doc)
-
-
-def _int_lists(x, nl, found):
-    """Append (items, nl) for every nonempty list of ints in x, written on
-    a line that starts with nl."""
-    if type(x) is dict:
-        for v in x.values():
-            _int_lists(v, nl + "  ", found)
-    elif type(x) is list and x:
-        if all(type(v) is int for v in x):
-            found.append((tuple(x), nl))
-        for v in x:
-            _int_lists(v, nl + "  ", found)
-    return found
-
-
-def test_json_writer_renders_each_int_list_once(ideal_b, monkeypatch):
+def test_json_writer_garbage_does_not_grow(ideal_b):
+    """json's indented encoder leaves the same few cyclic objects on every
+    call, its own nested functions, whatever the document's size: none of
+    them holds the output."""
+    small = {"n": [1]}
     doc = reference_cells_doc(build_cell_complex(pommaret_basis(ideal_b)))
-    renders = []
-    render = cli._int_list_text
-
-    def counting_render(x, nl):
-        renders.append((tuple(x), nl))
-        return render(x, nl)
-
-    monkeypatch.setattr(cli, "_int_list_text", counting_render)
-    found = _int_lists(doc, "\n", [])
-    assert len(found) > 2 * len(set(found))
-    for _ in range(2):  # the memo lives for one call only
-        renders.clear()
-        assert cli._json_text(doc) == _stdlib_json(doc)
-        assert sorted(renders) == sorted(set(found))
-
-
-def test_json_writer_leaves_no_garbage(ideal_b):
-    """The writer's recursive closure is freed with the call: a reference
-    cycle would keep the whole output and the memo alive until the cyclic
-    collector runs."""
-    doc = reference_cells_doc(build_cell_complex(pommaret_basis(ideal_b)))
+    assert len(cli._json_text(doc)) > 10 * len(cli._json_text(small))
+    left = []
     gc.collect()
     gc.disable()
     try:
-        cli._json_text(doc)
-        assert gc.collect() == 0
+        for x in (small, doc):
+            cli._json_text(x)
+            left.append(gc.collect())
     finally:
         gc.enable()
+    assert left[0] == left[1]
 
 
 def test_cells_writer_matches_stdlib(ideal_a, ideal_b):

@@ -492,8 +492,11 @@ def _ideal_file(tmp_path, ideal):
                          ids=lambda args: "-".join(map(str, args)))
 def test_completed_v_is_minimal_where_v_falls_short(args, tmp_path, capsys):
     ideal = random_quasi_stable(*args)
-    cplx = ps_complex(pommaret_basis(ideal))
+    basis = pommaret_basis(ideal)
+    cplx = ps_complex(basis)
     reduced = minimize(cplx)
+    # pd = n - d, so no level of the minimal resolution is left empty
+    assert reduced.length == ideal.ring.n - basis.d
     assert len(reduced.matching) > len(build_matching_V(cplx))
     assert not reduced.unit_entries()
     assert betti_table(reduced) == scalar_betti(cplx)
